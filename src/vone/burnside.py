@@ -28,14 +28,10 @@ __all__ = [
     "orbit",
 ]
 
-_tom_cache: dict[int, tuple] = {}
-
-
 def _tom(G: GroupModel) -> tuple:
-    key = id(G)
-    if key not in _tom_cache:
-        _tom_cache[key] = table_of_marks(G).entries
-    return _tom_cache[key]
+    if G._tom_entries is None:
+        G._tom_entries = table_of_marks(G).entries
+    return G._tom_entries
 
 
 def _normalize(value, p_local):
@@ -62,7 +58,7 @@ class VirtualGSet:
             raise ValueError("coefficient count does not match subgroup classes")
         object.__setattr__(self, "group", group)
         object.__setattr__(
-            self, "coeffs", tuple(_normalize(c, p_local) for c in vec)
+            self, "coeffs", tuple([_normalize(c, p_local) for c in vec])
         )
         object.__setattr__(self, "p_local", p_local)
 
@@ -198,9 +194,7 @@ def marks(X: VirtualGSet) -> tuple:
     """Fixed-point count of X at each subgroup class, in class order."""
     tom = _tom(X.group)
     r = len(tom)
-    return tuple(
-        sum(X.coeffs[h] * tom[h][k] for h in range(r)) for k in range(r)
-    )
+    return tuple([sum(X.coeffs[h] * tom[h][k] for h in range(r)) for k in range(r)])
 
 
 def from_marks(group: GroupModel, values, p_local: int | None = None) -> VirtualGSet:

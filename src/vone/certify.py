@@ -27,10 +27,10 @@ from .exactmath import euler_phi, prime_power, pvaluation
 from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
+    _theta_fixed_mod_X,
     default_ell,
     imj_valuation,
     verify_adams_bott,
-    verify_bott_fixed_mod_X,
 )
 from .powerop import EtaClass, sq1_int
 from .repring import VirtualRep, is_fixed_point_free, standard_rep
@@ -247,7 +247,7 @@ def _run_step2(
         )
     divisible = report.valuation <= k + 1 - n
     if G.descriptor.kind == "cyclic":
-        fixedness = verify_bott_fixed_mod_X(V_std, X, ell)
+        fixedness = _theta_fixed_mod_X(report.theta - VirtualRep.trivial(G), X)
         detail = "theta - 1 generates enough divisibility and is X-fixed p-locally"
         passed = divisible and fixedness
         if not fixedness:

@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .burnside import VirtualGSet, bmul, marks, orbit
 from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_quaternion
@@ -478,6 +479,12 @@ def _build_group(name: str) -> GroupModel:
 
 def _cmd_certify(args, out) -> int:
     G = _build_group(args.group)
+    # input errors exit 2; certify_self_map would report them as a verdict
+    pp = prime_power(G.order)
+    if pp is None:
+        raise ValueError(f"group order {G.order} is not a prime power")
+    if args.ell is not None and gcd(args.ell, pp[0]) != 1:
+        raise ValueError(f"ell = {args.ell} is not prime to p = {pp[0]}")
     notes: list = []
     X = parse_gset(args.gset, G)
     V = parse_rep(args.rep, G, notes)

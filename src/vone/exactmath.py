@@ -2,10 +2,10 @@
 matrices with Smith normal form, and Bernoulli numbers.
 
 Rationals are `fractions.Fraction` throughout and integers are Python ints,
-so every computation in this package is exact. An element of Q(zeta_N) is a
-coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1),
-reduced modulo the N-th cyclotomic polynomial. Nothing here touches
-floating point.
+so every computation in this package is exact. An element of Q(zeta_N) is an
+integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
+with one common denominator, reduced modulo the N-th cyclotomic polynomial.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ __all__ = [
     "pvaluation",
     "cyclotomic_poly",
     "CyclotomicElement",
-    "cyc_mul",
-    "galois_apply",
     "bernoulli",
     "IntMatrix",
     "smith_normal_form",
@@ -148,10 +146,11 @@ def pvaluation(x: int | Fraction, p: int) -> int:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    bt = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in bt:
                 out[i + j] += x * y
     return out
 
@@ -204,24 +203,37 @@ def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@cache
+def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero coefficients of Phi_n below the leading one, as (degree, c)."""
+    return tuple((i, c) for i, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
+
+
 def _reduce_mod_phi(vals: list, n: int) -> list:
+    """Reduce an integer polynomial (constant term first) modulo the monic
+    Phi_n, in place; returns the phi(n) power-basis coordinates."""
     phi = euler_phi(n)
-    mod = cyclotomic_poly(n)
+    terms = _phi_terms(n)
     for d in range(len(vals) - 1, phi - 1, -1):
         c = vals[d]
         if c:
-            vals[d] = 0
             off = d - phi
-            for i in range(phi):
-                vals[off + i] -= c * mod[i]
-    vals = vals[:phi]
-    while len(vals) < phi:
-        vals.append(0)
+            for i, t in terms:
+                vals[off + i] -= c * t
+    del vals[phi:]
+    vals.extend([0] * (phi - len(vals)))
     return vals
 
 
 class CyclotomicElement:
     """An element of Q(zeta_N) in the power basis modulo Phi_N.
+
+    The value is stored as integers: a numerator vector `num` over the basis
+    1, zeta, ..., zeta^(phi(N)-1) and one positive common denominator `den`,
+    in lowest terms (no prime divides `den` and every numerator). Products
+    are integer polynomial products reduced modulo the monic Phi_N, so
+    arithmetic never builds a Fraction; `coeffs` and `rational_value` give
+    `Fraction`s at the boundary.
 
     The conductor N is part of the value; mixed-conductor arithmetic
     promotes both operands to the least common multiple. Rationals embed
@@ -229,47 +241,68 @@ class CyclotomicElement:
     power basis is unique, so equality and rationality tests are exact.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs: Iterable):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         phi = euler_phi(conductor)
         if len(vec) > phi:
             raise ValueError("coefficient vector longer than phi(N)")
-        vec.extend([Fraction(0)] * (phi - len(vec)))
+        den = lcm(*[c.denominator for c in vec if isinstance(c, Fraction)])
+        num = [c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+               for c in vec]
+        num.extend([0] * (phi - len(num)))
+        self._init(conductor, num, den)
+
+    def _init(self, conductor: int, num: list, den: int) -> None:
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, conductor: int, num: list, den: int = 1) -> "CyclotomicElement":
+        # num already has length phi(conductor)
+        out = object.__new__(cls)
+        out._init(conductor, num, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
 
     # -- constructors
 
     @classmethod
     def from_rational(cls, q, conductor: int = 1) -> "CyclotomicElement":
-        vec = [Fraction(q)]
-        return cls(conductor, vec)
+        return cls(conductor, [q])
 
     @classmethod
     def zeta(cls, conductor: int, power: int = 1) -> "CyclotomicElement":
-        row = _zeta_powers(conductor)[power % conductor]
-        return cls(conductor, row)
+        return cls._make(conductor, list(_zeta_powers(conductor)[power % conductor]))
 
     @classmethod
     def from_exponents(cls, conductor: int, pairs) -> "CyclotomicElement":
         """Sum of coeff * zeta^exponent over (exponent, coeff) pairs."""
-        table = _zeta_powers(conductor)
-        phi = euler_phi(conductor)
-        acc = [Fraction(0)] * phi
+        acc = [0] * conductor
         for e, c in pairs:
             if c:
-                row = table[e % conductor]
-                for i in range(phi):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return cls(conductor, acc)
+                acc[e % conductor] += c
+        den = lcm(*[c.denominator for c in acc if isinstance(c, Fraction)])
+        if den != 1:
+            acc = [int(c * den) for c in acc]
+        return cls._make(conductor, _reduce_mod_phi(acc, conductor), den)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CyclotomicElement":
@@ -281,6 +314,24 @@ class CyclotomicElement:
 
     # -- conductor bookkeeping
 
+    def exponent_terms(self, m: int) -> list:
+        """Nonzero (exponent, numerator) pairs with self equal to
+        sum numerator * zeta_m^exponent / den; requires conductor | m.
+        No reduction is needed: zeta_N^k = zeta_m^(k*m/N)."""
+        n = self.conductor
+        if m % n:
+            raise ValueError("can only promote to a multiple of the conductor")
+        step = m // n
+        return [(k * step, c) for k, c in enumerate(self.num) if c]
+
+    def _map_exponents(self, m: int, mult: int) -> "CyclotomicElement":
+        # zeta_N^k -> zeta_m^(k*mult), reduced once modulo Phi_m
+        acc = [0] * m
+        for k, c in enumerate(self.num):
+            if c:
+                acc[k * mult % m] += c
+        return CyclotomicElement._make(m, _reduce_mod_phi(acc, m), self.den)
+
     def in_conductor(self, m: int) -> "CyclotomicElement":
         """Rewrite over Q(zeta_m); requires conductor | m."""
         n = self.conductor
@@ -288,22 +339,14 @@ class CyclotomicElement:
             return self
         if m % n:
             raise ValueError("can only promote to a multiple of the conductor")
-        step = m // n
-        table = _zeta_powers(m)
-        phi = euler_phi(m)
-        acc = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[(k * step) % m]
-                for i in range(phi):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return CyclotomicElement(m, acc)
+        return self._map_exponents(m, m // n)
 
     @staticmethod
     def _pair(a, b):
         if not isinstance(b, CyclotomicElement):
             b = CyclotomicElement.from_rational(b, a.conductor)
+        if a.conductor == b.conductor:
+            return a, b
         m = lcm(a.conductor, b.conductor)
         return a.in_conductor(m), b.in_conductor(m)
 
@@ -313,12 +356,19 @@ class CyclotomicElement:
         if not isinstance(other, (CyclotomicElement, int, Fraction)):
             return NotImplemented
         a, b = self._pair(self, other)
-        return CyclotomicElement(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            num = [x + y for x, y in zip(a.num, b.num)]
+            den = a.den
+        else:
+            den = lcm(a.den, b.den)
+            sa, sb = den // a.den, den // b.den
+            num = [x * sa + y * sb for x, y in zip(a.num, b.num)]
+        return CyclotomicElement._make(a.conductor, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.conductor, [-c for c in self.coeffs])
+        return CyclotomicElement._make(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (CyclotomicElement, int, Fraction)):
@@ -331,24 +381,16 @@ class CyclotomicElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CyclotomicElement(self.conductor, [c * q for c in self.coeffs])
+            return CyclotomicElement._make(
+                self.conductor, [c * q.numerator for c in self.num], self.den * q.denominator
+            )
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         a, b = self._pair(self, other)
         n = a.conductor
-        av, bv = a.coeffs, b.coeffs
-        if all(c.denominator == 1 for c in av) and all(c.denominator == 1 for c in bv):
-            # integer fast path; reduction stays integral since Phi is monic
-            prod = _poly_mul([c.numerator for c in av], [c.numerator for c in bv])
-            red = _reduce_mod_phi(prod, n)
-            return CyclotomicElement(n, red)
-        prod2 = [Fraction(0)] * (2 * len(av) - 1)
-        for i, x in enumerate(av):
-            if x:
-                for j, y in enumerate(bv):
-                    if y:
-                        prod2[i + j] += x * y
-        return CyclotomicElement(n, _reduce_mod_phi(prod2, n))
+        # the reduction stays integral since Phi_n is monic
+        red = _reduce_mod_phi(_poly_mul(a.num, b.num), n)
+        return CyclotomicElement._make(n, red, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -366,26 +408,26 @@ class CyclotomicElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
         a, b = self._pair(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # promotion-based equality; not usable as dict keys
 
     # -- structure
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, e: int) -> "CyclotomicElement":
         """Apply the automorphism zeta -> zeta^e; needs gcd(e, N) = 1."""
@@ -393,16 +435,7 @@ class CyclotomicElement:
         e %= n
         if gcd(e, n) != 1:
             raise ValueError(f"{e} is not a unit modulo {n}")
-        table = _zeta_powers(n)
-        phi = euler_phi(n)
-        acc = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[(e * k) % n]
-                for i in range(phi):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return CyclotomicElement(n, acc)
+        return self._map_exponents(n, e)
 
     def conjugate(self) -> "CyclotomicElement":
         if self.conductor <= 2:
@@ -420,15 +453,6 @@ class CyclotomicElement:
                 z = f"z{self.conductor}" + (f"^{k}" if k > 1 else "")
                 terms.append(z if c == 1 else f"{c}*{z}")
         return " + ".join(terms) if terms else "0"
-
-
-def cyc_mul(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    """Product in the smallest common cyclotomic field."""
-    return a * b
-
-
-def galois_apply(a: CyclotomicElement, e: int) -> CyclotomicElement:
-    return a.galois(e)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ class GroupModel:
         self._elem_classes = None
         self._weyl = {}
         self._submodels = {}
+        # tables of other layers, kept here so that they live and die with
+        # the model (burnside: marks entries; repring: character table)
+        self._tom_entries = None
+        self._character_table = None
 
     # -- basic operations
 

@@ -197,9 +197,7 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
     reg = VirtualRep.regular(G)
     lam_frac = Fraction(ell**dim - 1, G.order)
     diff = th - VirtualRep.trivial(G)
-    if tuple(lam_frac * c for c in reg.coeffs) != tuple(
-        Fraction(c) for c in diff.coeffs
-    ):
+    if [lam_frac * c for c in reg.coeffs] != [Fraction(c) for c in diff.coeffs]:
         raise ArithmeticError("theta(V) - 1 is not the expected regular multiple")
     assert lam_frac.denominator == 1
     lam = int(lam_frac)
@@ -212,16 +210,22 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
     """Whether theta^ell(V) - 1 lies in the ideal generated by the
     permutation character of X p-locally, and kills its annihilator."""
     G = V.group
-    if X.group is not G:
-        raise ValueError("V and X live over different groups")
-    pp = prime_power(G.order)
-    if G.descriptor.kind != "cyclic" or pp is None:
+    if G.descriptor.kind != "cyclic" or prime_power(G.order) is None:
         raise ValueError("the fixedness check runs over cyclic p-groups")
-    p = pp[0]
     if not is_fixed_point_free(V) or not has_rational_characters(V):
         raise ValueError("V must be fixed point free with rational characters")
+    return _theta_fixed_mod_X(theta(ell, V) - VirtualRep.trivial(G), X)
+
+
+def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
+    """The fixedness check of `verify_bott_fixed_mod_X` for a given
+    diff = theta^ell(V) - 1 over a cyclic p-group, so that a caller holding
+    theta already does not compute it again."""
+    G = diff.group
+    if X.group is not G:
+        raise ValueError("V and X live over different groups")
+    p = prime_power(G.order)[0]
     m = G.order
-    diff = theta(ell, V) - VirtualRep.trivial(G)
     w = list(linearize(X).coeffs)
     scale = 1
     for c in w:

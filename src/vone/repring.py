@@ -7,13 +7,20 @@ is a coefficient vector indexed by the exponent of L, and multiplication is
 cyclic convolution. Dicyclic groups work over the irreducible basis with
 cached structure constants from the exact character table. Coefficients may
 be p-local rationals under the same flag discipline as virtual G-sets.
+
+Characters are class functions, so everything that needs a character on many
+elements (fixed space dimensions, eigenvalue multiplicities) reads the
+cached class values of the representation. Sums of character values times
+roots of unity, the inner products of `CharacterTable.decompose` and the
+eigenvalue transform, are accumulated as integer vectors in exponent space,
+Z[x]/(x^N - 1) with N a common conductor, and reduced modulo Phi_N once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .burnside import VirtualGSet, bmul, marks, orbit
 from .exactmath import (
@@ -69,25 +76,52 @@ class CharacterTable:
             self.names = tuple(_line_name(a) for a in range(m))
         else:
             self.rows, self.dims, self.names = _dicyclic_table(group, self)
+        self.conductor = lcm(*(v.conductor for row in self.rows for v in row))
         self._mul_cache: dict[tuple[int, int], tuple] = {}
         self._power_maps: dict[int, tuple] = {}
+        self._conj_rows: dict[int, tuple] = {}
 
     def value(self, row: int, g: int) -> CyclotomicElement:
         return self.rows[row][self.class_of_element[g]]
 
+    def _conjugate_rows(self, m: int) -> tuple:
+        """Per irreducible and class: exponent terms over Q(zeta_m) of the
+        class size times the conjugate character value (built once per m)."""
+        if m not in self._conj_rows:
+            rows = []
+            for row in self.rows:
+                crow = []
+                for size, chi in zip(self.sizes, row):
+                    # character values are algebraic integers: chi.den == 1
+                    crow.append(tuple((-e % m, c * size) for e, c in chi.exponent_terms(m)))
+                rows.append(tuple(crow))
+            self._conj_rows[m] = tuple(rows)
+        return self._conj_rows[m]
+
     def decompose(self, values, p_local: int | None = None) -> tuple:
         """Inner products against each irreducible; errors if not a virtual
         character (or not p-locally integral under the flag)."""
+        values = [
+            v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
+            for v in values
+        ]
+        m = lcm(self.conductor, *(v.conductor for v in values))
+        terms = [v.exponent_terms(m) for v in values]
+        den = lcm(*[v.den for v in values])
+        scales = [den // v.den for v in values]
         n = self.group.order
         out = []
-        for row in self.rows:
-            acc = CyclotomicElement.zero(1)
-            for size, val, chi in zip(self.sizes, values, row):
-                acc = acc + val * chi.conjugate() * size
-            if not acc.is_rational():
+        for crow in self._conjugate_rows(m):
+            acc = [0] * m
+            for vt, s, ct in zip(terms, scales, crow):
+                for e, c in vt:
+                    c *= s
+                    for f, d in ct:
+                        acc[(e + f) % m] += c * d
+            total = CyclotomicElement.from_exponents(m, enumerate(acc))
+            if not total.is_rational():
                 raise ArithmeticError("class function is not rational over the irreducibles")
-            q = acc.rational_value() / n
-            out.append(q)
+            out.append(total.rational_value() / (n * den))
         return tuple(out)
 
     def product_coeffs(self, i: int, j: int) -> tuple:
@@ -161,14 +195,11 @@ def _dicyclic_table(group: GroupModel, table: CharacterTable):
     return tuple(rows), tuple(dims), tuple(names)
 
 
-_table_cache: dict[int, CharacterTable] = {}
-
-
 def character_table(G: GroupModel) -> CharacterTable:
-    key = id(G)
-    if key not in _table_cache:
-        _table_cache[key] = CharacterTable(G)
-    return _table_cache[key]
+    """The character table of G, built once and kept on the model."""
+    if G._character_table is None:
+        G._character_table = CharacterTable(G)
+    return G._character_table
 
 
 def _normalize(value, p_local):
@@ -198,7 +229,7 @@ class VirtualRep:
         if len(vec) != want:
             raise ValueError("coefficient count does not match the character basis")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", tuple(_normalize(c, p_local) for c in vec))
+        object.__setattr__(self, "coeffs", tuple([_normalize(c, p_local) for c in vec]))
         object.__setattr__(self, "p_local", p_local)
         object.__setattr__(self, "_values", None)
 
@@ -277,7 +308,7 @@ class VirtualRep:
         if self._values is None:
             table = character_table(self.group)
             object.__setattr__(
-                self, "_values", tuple(self.character(r) for r in table.reps)
+                self, "_values", tuple([self.character(r) for r in table.reps])
             )
         return self._values
 
@@ -483,17 +514,50 @@ def linearize(X: VirtualGSet) -> VirtualRep:
     return from_class_function(G, vals, X.p_local)
 
 
+def _eigenvalue_sums(V: VirtualRep, g: int, js) -> list:
+    """(1/k) sum_b chi(g^b) zeta_k^(-jb) for each j in js, k the order of g:
+    the multiplicity of zeta_k^j as an eigenvalue of g on V.
+
+    The k character values are read from the class values and lifted once to
+    exponent vectors over Q(zeta_N), N = lcm(k, their conductors), with one
+    common denominator. Multiplying by zeta_k^(-jb) shifts a vector, so each
+    sum is one integer accumulation, reduced modulo Phi_N once and required
+    to be rational.
+    """
+    G = V.group
+    vals = V.class_values()
+    cls = character_table(G).class_of_element
+    powers = []
+    x = 0
+    while True:
+        powers.append(vals[cls[x]])
+        x = G.mul(x, g)
+        if x == 0:
+            break
+    k = len(powers)
+    n = lcm(k, *(v.conductor for v in powers))
+    den = lcm(*[v.den for v in powers])
+    lifted = [
+        [(e, c * (den // v.den)) for e, c in v.exponent_terms(n)] for v in powers
+    ]
+    step = n // k
+    out = []
+    for j in js:
+        acc = [0] * n
+        for b, terms in enumerate(lifted):
+            shift = -j * b * step
+            for e, c in terms:
+                acc[(e + shift) % n] += c
+        total = CyclotomicElement.from_exponents(n, enumerate(acc))
+        if not total.is_rational():
+            raise ArithmeticError("eigenvalue sum is not rational")
+        out.append(total.rational_value() / (k * den))
+    return out
+
+
 def fixed_space_dim(V: VirtualRep, g: int):
     """Dimension of the subspace of V fixed by g (averaging over <g>)."""
-    G = V.group
-    k = G.element_order(g)
-    acc = CyclotomicElement.zero(1)
-    x = 0
-    for _ in range(k):
-        acc = acc + V.character(x)
-        x = G.mul(x, g)
-    q = acc.rational_value() / k
-    return q
+    return _eigenvalue_sums(V, g, (0,))[0]
 
 
 def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
@@ -501,19 +565,9 @@ def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
     where k is the order of g. Requires an honest representation."""
     if not V.is_honest():
         raise ValueError("eigenvalues need an honest representation")
-    G = V.group
-    k = G.element_order(g)
-    vals = []
-    x = 0
-    for _ in range(k):
-        vals.append(V.character(x))
-        x = G.mul(x, g)
+    k = V.group.element_order(g)
     out = []
-    for j in range(k):
-        acc = CyclotomicElement.zero(1)
-        for b in range(k):
-            acc = acc + vals[b] * CyclotomicElement.zeta(k, (-j * b) % k)
-        q = acc.rational_value() / k
+    for q in _eigenvalue_sums(V, g, range(k)):
         if q.denominator != 1 or q < 0:
             raise ArithmeticError("non-integral eigenvalue multiplicity")
         out.append(int(q))

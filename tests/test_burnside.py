@@ -248,3 +248,20 @@ def test_genuine_flag() -> None:
     assert orbit(c4, "C2").is_genuine()
     assert not (-orbit(c4, "C2")).is_genuine()
     assert (orbit(c4, "e") + orbit(c4, "C4")).is_genuine()
+
+
+def test_marks_table_is_not_shared_by_a_reused_model_id():
+    # A table cached by id(G) outlived its model: once a freed C4 model's id
+    # was reused by a new C9 model, marks of [C9/e] came out as (4, 0, 0).
+    import gc
+
+    from vone.groups import GroupModel
+
+    for _ in range(200):
+        c4 = GroupModel(GroupDescriptor.parse("C4"))
+        assert marks(orbit(c4, 0)) == (4, 0, 0)
+        del c4
+        gc.collect()
+        c9 = GroupModel(GroupDescriptor.parse("C9"))
+        assert marks(orbit(c9, 0)) == (9, 0, 0)
+        del c9

@@ -209,6 +209,24 @@ def test_cli_certify_exit_codes():
     assert json.loads(out)["verdict"] == "step-failed"
 
 
+def test_cli_certify_non_prime_power_order_is_an_input_error():
+    code, out, err = go("certify", "--group", "C1", "--gset", "1", "--rep", "1")
+    assert code == 2 and out == ""
+    assert "not a prime power" in err
+
+
+def test_cli_certify_ell_not_prime_to_p_is_an_input_error():
+    code, out, err = go(
+        "certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "8*W", "--ell", "2"
+    )
+    assert code == 2 and out == ""
+    assert "not prime to p = 2" in err
+    code, out, _ = go(
+        "certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "8*W", "--ell", "5"
+    )
+    assert code in (0, 1) and json.loads(out)["parameters"]["ell"] == "5"
+
+
 def test_cli_json_integers_are_strings():
     code, out, _ = go("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "4*W")
     assert code == 0

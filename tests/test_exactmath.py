@@ -391,3 +391,70 @@ def test_unit_group_generators() -> None:
                     frontier.append(y)
         units = {u for u in range(m) if gcd(u, m) == 1} or {0}
         assert have == units
+
+
+# ---------------------------------------------------------------------------
+# integer-vector storage of cyclotomic elements
+
+
+def test_cyclotomic_fraction_round_trip() -> None:
+    vec = [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 6)]
+    a = CyclotomicElement(12, vec)
+    assert a.coeffs == tuple(vec)
+    assert all(isinstance(c, Fraction) for c in a.coeffs)
+    assert (a.num, a.den) == ((3, -4, 0, 5), 6)
+    # lowest terms: a common factor of numerators and denominator cancels
+    b = CyclotomicElement(8, [Fraction(2, 4), Fraction(6, 4), 1])
+    assert (b.num, b.den) == ((1, 3, 2, 0), 2)
+    assert CyclotomicElement(5, [Fraction(4, 6)] * 4).den == 3
+    z = CyclotomicElement(9, [Fraction(0, 7)] * 6)
+    assert (z.num, z.den) == ((0,) * 6, 1) and z.is_zero()
+    assert CyclotomicElement(7, ["1/3", 2]).coeffs[:2] == (Fraction(1, 3), 2)
+    assert CyclotomicElement.from_rational(Fraction(-7, 4), 16).rational_value() == Fraction(-7, 4)
+    with pytest.raises(ValueError):
+        CyclotomicElement(5, [1] * 5)
+    with pytest.raises(AttributeError):
+        a.den = 1
+
+
+def test_cyclotomic_equality_across_conductors() -> None:
+    i = CyclotomicElement.zeta(4)
+    assert i == CyclotomicElement.zeta(8) ** 2 == CyclotomicElement.zeta(12) ** 3
+    assert i.in_conductor(24) == i and i.in_conductor(24).conductor == 24
+    third = CyclotomicElement.from_rational(Fraction(1, 3))
+    assert third == CyclotomicElement.from_rational(Fraction(1, 3), 15) == Fraction(1, 3)
+    assert third != CyclotomicElement.from_rational(Fraction(2, 3), 15)
+    assert CyclotomicElement.zeta(3) != CyclotomicElement.zeta(6)
+    assert CyclotomicElement.zeta(6) == -(CyclotomicElement.zeta(3) ** 2)
+    assert CyclotomicElement.zeta(3) * Fraction(1, 2) != CyclotomicElement.zeta(3)
+
+
+def test_cyclotomic_mixed_denominators() -> None:
+    z3, z4 = CyclotomicElement.zeta(3), CyclotomicElement.zeta(4)
+    a = z3 * Fraction(1, 2) + Fraction(1, 3)
+    b = z4 * Fraction(1, 6)
+    want_sum = CyclotomicElement.from_exponents(
+        12, [(4, Fraction(1, 2)), (0, Fraction(1, 3)), (3, Fraction(1, 6))]
+    )
+    assert a + b == b + a == want_sum
+    assert (a + b) - a == b
+    want_prod = CyclotomicElement.from_exponents(
+        12, [(7, Fraction(1, 12)), (3, Fraction(1, 18))]
+    )
+    assert a * b == b * a == want_prod
+    assert (a * 6).den == 1 and (a * 6).num[:2] == (2, 3)
+    # a rational that arises from non-rational parts
+    assert (a - z3 * Fraction(1, 2)).rational_value() == Fraction(1, 3)
+    assert (b * b.conjugate()).rational_value() == Fraction(1, 36)
+
+
+def test_exponent_terms_lift_without_reduction() -> None:
+    a = CyclotomicElement(8, [1, 0, Fraction(-1, 2), 3])
+    assert a.den == 2
+    assert a.exponent_terms(24) == [(0, 2), (6, -1), (9, 6)]
+    back = CyclotomicElement.from_exponents(
+        24, [(e, Fraction(c, a.den)) for e, c in a.exponent_terms(24)]
+    )
+    assert back == a
+    with pytest.raises(ValueError):
+        a.exponent_terms(12)

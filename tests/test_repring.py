@@ -527,3 +527,139 @@ def test_from_class_function_roundtrip():
         for _ in range(20):
             v = VirtualRep(g, [rng.randint(-3, 3) for _ in range(size)])
             assert from_class_function(g, v.class_values()) == v
+
+
+# ---------------------------------------------------------------------------
+# class-value fast paths against the per-element definitions
+#
+# The oracles below evaluate V.character on every element of <g> and form
+# the k^2 products chi(g^b) * zeta_k^(-jb) one by one; the library reads the
+# class values and does one exponent-space transform per j.
+
+
+def _cyclic_powers(g, x):
+    out, y = [], 0
+    while True:
+        out.append(y)
+        y = g.mul(y, x)
+        if y == 0:
+            return out
+
+
+def oracle_fixed_space_dim(v, x):
+    elems = _cyclic_powers(v.group, x)
+    acc = CyclotomicElement.zero(1)
+    for y in elems:
+        acc = acc + v.character(y)
+    return acc.rational_value() / len(elems)
+
+
+def oracle_eigenvalue_multiplicities(v, x):
+    vals = [v.character(y) for y in _cyclic_powers(v.group, x)]
+    k = len(vals)
+    out = []
+    for j in range(k):
+        acc = CyclotomicElement.zero(1)
+        for b in range(k):
+            acc = acc + vals[b] * CyclotomicElement.zeta(k, (-j * b) % k)
+        out.append(acc.rational_value() / k)
+    return tuple(out)
+
+
+def oracle_decompose(table, values):
+    out = []
+    for row in table.rows:
+        acc = CyclotomicElement.zero(1)
+        for size, val, chi in zip(table.sizes, values, row):
+            acc = acc + val * chi.conjugate() * size
+        if not acc.is_rational():
+            raise ArithmeticError("not rational")
+        out.append(acc.rational_value() / table.group.order)
+    return tuple(out)
+
+
+def _basis_size(g):
+    return g.order if g.descriptor.kind == "cyclic" else g.descriptor.m + 3
+
+
+def _check_against_oracles(v):
+    table = character_table(v.group)
+    for r in table.reps:
+        assert fixed_space_dim(v, r) == oracle_fixed_space_dim(v, r)
+        if v.is_honest():
+            assert eigenvalue_multiplicities(v, r) == oracle_eigenvalue_multiplicities(v, r)
+    values = v.class_values()
+    assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+
+
+def _random_reps(g, rng, count):
+    size = _basis_size(g)
+    for _ in range(count):
+        yield VirtualRep(g, [rng.choice((0, 0, 1, 2)) for _ in range(size)])
+    yield VirtualRep(g, [rng.randint(-2, 2) for _ in range(size)])
+
+
+def test_fast_paths_match_oracles_cyclic():
+    rng = random.Random(61)
+    for m in range(1, 33):
+        g = G(f"C{m}")
+        for v in _random_reps(g, rng, 1):
+            _check_against_oracles(v)
+
+
+@pytest.mark.parametrize("name", ["Q8", "Q16", "Q32", "Q64", "Dic3", "Dic5"])
+def test_fast_paths_match_oracles_dicyclic(name):
+    # Dic3 and Dic5 have values of conductor 4 (on the j-classes) next to
+    # conductor 2m, so the transform cannot work over Q(zeta_k) alone
+    rng = random.Random(67)
+    g = G(name)
+    reps = list(_random_reps(g, rng, 3))
+    reps.append(standard_rep(g, "H"))
+    reps.append(3 * standard_rep(g, "taut"))
+    if name != "Q8":  # every character of Q8 is rational
+        assert not all(has_rational_characters(v) for v in reps)
+    for v in reps:
+        _check_against_oracles(v)
+
+
+def test_fast_paths_mixed_denominators():
+    # p-local coefficients give character values with several denominators
+    g = G("C12")
+    v = VirtualRep(g, [Fraction(1, 5), 0, Fraction(2, 7), 1] + [0] * 8, p_local=2)
+    for x in range(12):
+        assert fixed_space_dim(v, x) == oracle_fixed_space_dim(v, x)
+    values = v.class_values()
+    table = character_table(g)
+    assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+
+
+def test_decompose_rejects_non_characters_like_oracle():
+    for name in ("C8", "Q16", "Dic3"):
+        g = G(name)
+        table = character_table(g)
+        values = [CyclotomicElement.zero(1)] * len(table.reps)
+        values[1] = CyclotomicElement.zeta(8)
+        with pytest.raises(ArithmeticError):
+            oracle_decompose(table, values)
+        with pytest.raises(ArithmeticError):
+            table.decompose(values)
+
+
+def test_eigenvalue_multiplicities_rejects_virtual():
+    g = G("Q8")
+    with pytest.raises(ValueError):
+        eigenvalue_multiplicities(VirtualRep.irreducible(g, 4) - 1, 1)
+
+
+def test_character_table_lives_with_its_model():
+    import gc
+    import weakref
+
+    from vone.groups import GroupModel
+
+    g = GroupModel(GroupDescriptor.parse("Q16"))
+    assert character_table(g) is character_table(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
