@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .exactmath import pvaluation
 from .groups import GroupModel, SubgroupClass, table_of_marks
+from .virtual import VirtualElement
 
 __all__ = [
     "VirtualGSet",
@@ -34,42 +35,22 @@ def _tom(G: GroupModel) -> tuple:
     return G._tom_entries
 
 
-def _normalize(value, p_local):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        if p_local is None:
-            raise ValueError("non-integer coefficient on an integral G-set")
-        if value.denominator % p_local == 0:
-            raise ValueError(f"denominator not prime to {p_local}")
-        return value
-    return int(value)
-
-
-class VirtualGSet:
+class VirtualGSet(VirtualElement):
     """Element of A(G) in the orbit basis, optionally p-local."""
 
-    __slots__ = ("group", "coeffs", "p_local")
+    __slots__ = ()
 
-    def __init__(self, group: GroupModel, coeffs, p_local: int | None = None):
-        classes = group.subgroup_classes()
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) != len(classes):
-            raise ValueError("coefficient count does not match subgroup classes")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "coeffs", tuple([_normalize(c, p_local) for c in vec])
-        )
-        object.__setattr__(self, "p_local", p_local)
+    _noun = "G-set"
+    _basis = "subgroup classes"
+    _ring = "in A(G)"
 
-    def __setattr__(self, *a):
-        raise AttributeError("VirtualGSet is immutable")
+    @staticmethod
+    def _size(group: GroupModel) -> int:
+        return len(group.subgroup_classes())
 
-    # -- constructors
-
-    @classmethod
-    def zero(cls, group: GroupModel) -> "VirtualGSet":
-        return cls(group, [0] * len(group.subgroup_classes()))
+    def _names(self) -> list:
+        gname = self.group.descriptor.name
+        return [f"[{gname}/{cls.label}]" for cls in self.group.subgroup_classes()]
 
     @classmethod
     def unit(cls, group: GroupModel) -> "VirtualGSet":
@@ -77,95 +58,13 @@ class VirtualGSet:
         vec[-1] = 1  # [G/G], the largest class
         return cls(group, vec)
 
-    # -- structure
+    _one = unit
+
+    def _product(self, other: "VirtualGSet") -> "VirtualGSet":
+        return bmul(self, other)
 
     def is_genuine(self) -> bool:
         return self.p_local is None and all(c >= 0 for c in self.coeffs)
-
-    def _merge_flag(self, other: "VirtualGSet") -> int | None:
-        if self.p_local is not None and other.p_local is not None:
-            if self.p_local != other.p_local:
-                raise ValueError("mixed p-local primes")
-        return self.p_local if self.p_local is not None else other.p_local
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = other * VirtualGSet.unit(self.group)
-        if not isinstance(other, VirtualGSet):
-            return NotImplemented
-        if other.group is not self.group:
-            raise ValueError("different groups")
-        flag = self._merge_flag(other)
-        return VirtualGSet(
-            self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)], flag
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return VirtualGSet(self.group, [-c for c in self.coeffs], self.p_local)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = other * VirtualGSet.unit(self.group)
-        if not isinstance(other, VirtualGSet):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            flag = self.p_local
-            if isinstance(other, Fraction) and other.denominator != 1 and flag is None:
-                raise ValueError("rational scaling requires a p-local G-set")
-            return VirtualGSet(self.group, [c * other for c in self.coeffs], flag)
-        if isinstance(other, VirtualGSet):
-            return bmul(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in A(G)")
-        out = VirtualGSet.unit(self.group)
-        for _ in range(e):
-            out = bmul(out, self)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualGSet):
-            return NotImplemented
-        return (
-            self.group.descriptor == other.group.descriptor
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group.descriptor, self.coeffs))
-
-    def __repr__(self):
-        classes = self.group.subgroup_classes()
-        gname = self.group.descriptor.name
-        terms = []
-        for cls, c in zip(classes, self.coeffs):
-            if c == 0:
-                continue
-            orb = f"[{gname}/{cls.label}]"
-            if c == 1:
-                terms.append(orb)
-            elif c == -1:
-                terms.append(f"-{orb}")
-            else:
-                terms.append(f"{c}*{orb}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
 
 
 @dataclass(frozen=True)

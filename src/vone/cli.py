@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
-from .burnside import VirtualGSet, bmul, marks, orbit
+from .burnside import VirtualGSet, marks, orbit
 from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_quaternion
-from .exactmath import factorize, prime_power
+from .exactmath import factorize, prime_power, pvaluation
 from .geomfix import ku_cofiber_fixed_points, telescope_fixed_points
 from .groups import GroupDescriptor, GroupModel, build_group
 from .jtheory import default_ell, imj_order_oracle, theta
@@ -215,133 +217,111 @@ def _resolve_orbit(G: GroupModel, inner: str) -> VirtualGSet:
     return orbit(G, cls)
 
 
-def _gset_pow(base: VirtualGSet, e: int) -> VirtualGSet:
-    if e < 0:
-        raise ParseError("negative powers are not defined in the Burnside ring")
-    out = VirtualGSet.unit(base.group)
-    for _ in range(e):
-        out = bmul(out, base)
-    return out
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.pow}
 
 
-def _eval_gset(node: ExprAST, G: GroupModel):
+def _eval(node: ExprAST, symbol):
+    """Apply the expression's operators to ints and ring elements; symbol
+    resolves a name or an orbit term."""
     if isinstance(node, Lit):
         return node.value
-    if isinstance(node, Sym):
-        if node.name == "h":
-            return orbit(G, 0)
-        raise ParseError(f"unknown G-set name {node.name!r}")
+    if isinstance(node, (Sym, OrbitTerm)):
+        return symbol(node)
+    if isinstance(node, Neg):
+        return -_eval(node.arg, symbol)
+    return _OPS[node.op](_eval(node.left, symbol), _eval(node.right, symbol))
+
+
+def _gset_symbol(G: GroupModel, node) -> VirtualGSet:
     if isinstance(node, OrbitTerm):
         return _resolve_orbit(G, node.inner)
-    if isinstance(node, Neg):
-        return -_eval_gset(node.arg, G)
-    a = _eval_gset(node.left, G)
-    b = _eval_gset(node.right, G)
-    if node.op == "^":
-        if isinstance(a, int):
-            return a**b
-        return _gset_pow(a, b)
-    if node.op == "*":
-        if isinstance(a, VirtualGSet) and isinstance(b, VirtualGSet):
-            return bmul(a, b)
-        return a * b
-    return a + b if node.op == "+" else a - b
+    if node.name == "h":
+        return orbit(G, 0)
+    raise ParseError(f"unknown G-set name {node.name!r}")
 
 
 def parse_gset(text: str, G: GroupModel) -> VirtualGSet:
-    value = _eval_gset(parse_expr(text), G)
+    value = _eval(parse_expr(text), partial(_gset_symbol, G))
     if isinstance(value, int):
         return value * VirtualGSet.unit(G)
     return value
 
 
-# rep values during evaluation: ("int", n) | ("rep", V) | ("sigma", count)
+@dataclass(frozen=True)
+class _Sigma:
+    """count * sigma, the real sign line of C2: it adds only to itself and
+    scales only by integers; parse_rep realifies an even count."""
+
+    count: int
+
+    def __add__(self, other):
+        if isinstance(other, _Sigma):
+            return _Sigma(self.count + other.count)
+        raise ParseError("sigma terms cannot mix with complex terms")
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Sigma(-self.count)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Sigma(self.count * other)
+        raise ParseError("sigma can only be scaled by integers")
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e == 1:
+            return self
+        raise ParseError("sigma has no tensor powers; scale it instead")
+
+    def realify(self, G: GroupModel, notes: list | None) -> VirtualRep:
+        if self.count < 0:
+            raise ParseError("negative sigma multiplicity")
+        if self.count % 2:
+            raise ParseError(
+                f"{self.count}*sigma has no complex form; real sign multiplicity must be even"
+            )
+        if notes is not None:
+            notes.append(f"{self.count}*sigma realified to {self.count // 2}*L")
+        return (self.count // 2) * standard_rep(G, "L")
 
 
-def _rep_name(G: GroupModel, name: str):
+def _rep_symbol(G: GroupModel, node):
+    if isinstance(node, OrbitTerm):
+        raise ParseError("orbit terms belong to G-set expressions, not representations")
+    name = node.name
     if name == "sigma":
         if G.descriptor.kind != "cyclic" or G.order != 2:
             raise ParseError("sigma is the real sign line of C2; set --group C2")
-        return ("sigma", 1)
+        return _Sigma(1)
     if name in ("L", "W", "H", "taut", "reg"):
         try:
-            return ("rep", standard_rep(G, "regular" if name == "reg" else name))
+            return standard_rep(G, "regular" if name == "reg" else name)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    names = character_table(G).names
-    if name in names:
-        return ("rep", VirtualRep.irreducible(G, names.index(name)))
+    # cyclic irreducibles are 1, L and L^a, never a single name token, so
+    # only a dicyclic group needs its character table here
+    if G.descriptor.kind == "dicyclic":
+        names = character_table(G).names
+        if name in names:
+            return VirtualRep.irreducible(G, names.index(name))
     raise ParseError(f"unknown representation name {name!r}")
 
 
-def _rep_add(a, b, sign: int):
-    if a[0] == "sigma" or b[0] == "sigma":
-        if a[0] == b[0]:
-            return ("sigma", a[1] + sign * b[1])
-        raise ParseError("sigma terms cannot mix with complex terms")
-    if a[0] == "int" and b[0] == "int":
-        return ("int", a[1] + sign * b[1])
-    G = (a[1] if a[0] == "rep" else b[1]).group
-    va = a[1] if a[0] == "rep" else a[1] * VirtualRep.trivial(G)
-    vb = b[1] if b[0] == "rep" else b[1] * VirtualRep.trivial(G)
-    return ("rep", va + sign * vb)
-
-
-def _rep_mul(a, b):
-    if a[0] == "int":
-        return (b[0], a[1] * b[1])
-    if b[0] == "int":
-        return (a[0], a[1] * b[1])
-    if a[0] == "sigma" or b[0] == "sigma":
-        raise ParseError("sigma can only be scaled by integers")
-    return ("rep", a[1] * b[1])
-
-
-def _rep_pow(a, e: int):
-    if a[0] == "int":
-        return ("int", a[1] ** e)
-    if a[0] == "sigma":
-        if e == 1:
-            return a
-        raise ParseError("sigma has no tensor powers; scale it instead")
-    if e < 0:
-        raise ParseError("virtual representations have no negative powers")
-    return ("rep", a[1] ** e)
-
-
-def _eval_rep(node: ExprAST, G: GroupModel):
-    if isinstance(node, Lit):
-        return ("int", node.value)
-    if isinstance(node, Sym):
-        return _rep_name(G, node.name)
-    if isinstance(node, OrbitTerm):
-        raise ParseError("orbit terms belong to G-set expressions, not representations")
-    if isinstance(node, Neg):
-        kind, v = _eval_rep(node.arg, G)
-        return (kind, -v)
-    a = _eval_rep(node.left, G)
-    b = _eval_rep(node.right, G)
-    if node.op == "^":
-        return _rep_pow(a, b[1])
-    if node.op == "*":
-        return _rep_mul(a, b)
-    return _rep_add(a, b, 1 if node.op == "+" else -1)
-
-
 def parse_rep(text: str, G: GroupModel, notes: list | None = None) -> VirtualRep:
-    kind, value = _eval_rep(parse_expr(text), G)
-    if kind == "int":
+    value = _eval(parse_expr(text), partial(_rep_symbol, G))
+    if isinstance(value, int):
         return value * VirtualRep.trivial(G)
-    if kind == "sigma":
-        if value < 0:
-            raise ParseError("negative sigma multiplicity")
-        if value % 2:
-            raise ParseError(
-                f"{value}*sigma has no complex form; real sign multiplicity must be even"
-            )
-        if notes is not None:
-            notes.append(f"{value}*sigma realified to {value // 2}*L")
-        return (value // 2) * standard_rep(G, "L")
+    if isinstance(value, _Sigma):
+        return value.realify(G, notes)
     return value
 
 
@@ -662,7 +642,7 @@ def _cmd_theta(args, out) -> int:
             "valuations": None
             if lam is None or lam == 0
             else {
-                str(p): _jval(_valuation_of(lam, p))
+                str(p): _jval(pvaluation(lam, p))
                 for p in sorted(factorize(G.order))
             },
         }
@@ -673,16 +653,10 @@ def _cmd_theta(args, out) -> int:
             out.write(f"theta - 1 = {lam} * [regular]\n")
             if lam != 0:
                 for p in sorted(factorize(G.order)):
-                    out.write(f"  v_{p}({lam}) = {_valuation_of(lam, p)}\n")
+                    out.write(f"  v_{p}({lam}) = {pvaluation(lam, p)}\n")
         else:
             out.write("theta - 1 is not a multiple of the regular representation\n")
     return 0
-
-
-def _valuation_of(x: Fraction, p: int) -> int:
-    from .exactmath import pvaluation
-
-    return pvaluation(x, p)
 
 
 def _cmd_marks(args, out) -> int:

@@ -16,11 +16,7 @@ from functools import cache
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-# Exact rational scalar type used across the package.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "factorize",
     "is_prime",
     "prime_power",
@@ -518,9 +514,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries))
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):

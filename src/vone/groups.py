@@ -121,9 +121,6 @@ class TableOfMarks:
     labels: tuple
     entries: tuple
 
-    def entry(self, h: int, k: int) -> int:
-        return self.entries[h][k]
-
 
 class GroupModel:
     """A finite group as explicit tables. Element 0 is the identity.
@@ -143,7 +140,6 @@ class GroupModel:
             m = descriptor.m
             self.mult = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
             self.inv = tuple((-a) % m for a in range(m))
-            self.names = tuple(_cyc_name(a) for a in range(m))
         else:
             m = descriptor.m
             self.mult = tuple(
@@ -153,12 +149,11 @@ class GroupModel:
                 (-a) % (2 * m) if a < 2 * m else 2 * m + (a - 2 * m + m) % (2 * m)
                 for a in range(4 * m)
             )
-            self.names = tuple(_dic_name(a, m) for a in range(4 * m))
         self._classes = None
         self._class_by_subgroup = None
         self._cyclic_class = None
         self._elem_classes = None
-        self._weyl = {}
+        self._weyl = None
         self._submodels = {}
         # tables of other layers, kept here so that they live and die with
         # the model (burnside: marks entries; repring: character table)
@@ -197,9 +192,6 @@ class GroupModel:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def name_of(self, g: int) -> str:
-        return self.names[g]
 
     # -- subgroup machinery
 
@@ -286,6 +278,7 @@ class GroupModel:
         counts = {b: base_labels.count(b) for b in base_labels}
         suffix_state: dict[str, int] = {}
         classes = []
+        weyl = []
         lookup = {}
         for cid, (rep, conjs) in enumerate(raw):
             base = base_labels[cid]
@@ -297,7 +290,7 @@ class GroupModel:
                 label = base
             norm = self.normalizer_of(rep)
             weyl_order = len(norm) // len(rep)
-            invariants = _weyl_invariants(self, rep, norm)
+            weyl.append(WeylData(self, rep, norm))
             cls = SubgroupClass(
                 group=self,
                 id=cid,
@@ -309,12 +302,13 @@ class GroupModel:
                 conjugates=conjs,
                 normalizer=norm,
                 weyl_order=weyl_order,
-                weyl_invariants=invariants,
+                weyl_invariants=weyl[-1].invariants,
             )
             classes.append(cls)
             for S in conjs:
                 lookup[S] = cid
         self._classes = tuple(classes)
+        self._weyl = tuple(weyl)
         self._class_by_subgroup = lookup
 
     def class_index_of(self, elems) -> int:
@@ -372,9 +366,9 @@ class GroupModel:
     # -- Weyl abelianization with coordinates
 
     def weyl_data(self, class_id: int) -> "WeylData":
-        if class_id not in self._weyl:
-            cls = self.subgroup_classes()[class_id]
-            self._weyl[class_id] = WeylData(self, cls.representative, cls.normalizer)
+        """Built with the subgroup classes, which read its invariants."""
+        if self._weyl is None:
+            self._build_classes()
         return self._weyl[class_id]
 
     # -- subgroup as a standalone group
@@ -556,26 +550,6 @@ def _dic_mul(a: int, b: int, m: int) -> int:
     return (ar - br + m) % two_m
 
 
-def _cyc_name(a: int) -> str:
-    if a == 0:
-        return "e"
-    if a == 1:
-        return "g"
-    return f"g^{a}"
-
-
-def _dic_name(a: int, m: int) -> str:
-    two_m = 2 * m
-    if a < two_m:
-        return _cyc_name(a).replace("g", "x")
-    k = a - two_m
-    if k == 0:
-        return "j"
-    if k == 1:
-        return "x*j"
-    return f"x^{k}*j"
-
-
 def _base_label(group: GroupModel, rep: frozenset) -> str:
     order = len(rep)
     if order == 1:
@@ -585,10 +559,6 @@ def _base_label(group: GroupModel, rep: frozenset) -> str:
     if order & (order - 1) == 0:
         return f"Q{order}"
     return f"Dic{order // 4}"
-
-
-def _weyl_invariants(group: GroupModel, rep: frozenset, norm: frozenset) -> tuple:
-    return WeylData(group, rep, norm).invariants
 
 
 @cache

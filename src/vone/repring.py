@@ -31,6 +31,7 @@ from .exactmath import (
     prime_power,
 )
 from .groups import GroupModel
+from .virtual import VirtualElement
 
 __all__ = [
     "CharacterTable",
@@ -202,53 +203,35 @@ def character_table(G: GroupModel) -> CharacterTable:
     return G._character_table
 
 
-def _normalize(value, p_local):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        if p_local is None:
-            raise ValueError("non-integer coefficient on an integral representation")
-        if value.denominator % p_local == 0:
-            raise ValueError(f"denominator not prime to {p_local}")
-        return value
-    return int(value)
-
-
-class VirtualRep:
+class VirtualRep(VirtualElement):
     """Element of RU(G).
 
     Cyclic: coefficient k is the multiplicity of L^k. Dicyclic: coefficient
     k is the multiplicity of the k-th irreducible character.
     """
 
-    __slots__ = ("group", "coeffs", "p_local", "_values")
+    __slots__ = ("_values",)  # class values, set on first use
 
-    def __init__(self, group: GroupModel, coeffs, p_local: int | None = None):
-        vec = [Fraction(c) for c in coeffs]
-        want = group.order if group.descriptor.kind == "cyclic" else group.descriptor.m + 3
-        if len(vec) != want:
-            raise ValueError("coefficient count does not match the character basis")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", tuple([_normalize(c, p_local) for c in vec]))
-        object.__setattr__(self, "p_local", p_local)
-        object.__setattr__(self, "_values", None)
+    _noun = "representation"
+    _basis = "the character basis"
+    _ring = "here"
 
-    def __setattr__(self, *a):
-        raise AttributeError("VirtualRep is immutable")
+    @staticmethod
+    def _size(group: GroupModel) -> int:
+        return group.order if group.descriptor.kind == "cyclic" else group.descriptor.m + 3
+
+    def _names(self):
+        if self.is_cyclic_side():
+            return [_line_name(a) for a in range(self.group.order)]
+        return character_table(self.group).names
 
     # -- constructors
 
     @classmethod
-    def zero(cls, group: GroupModel, p_local: int | None = None) -> "VirtualRep":
-        want = group.order if group.descriptor.kind == "cyclic" else group.descriptor.m + 3
-        return cls(group, [0] * want, p_local)
-
-    @classmethod
     def trivial(cls, group: GroupModel) -> "VirtualRep":
-        z = cls.zero(group)
-        vec = list(z.coeffs)
-        vec[0] = 1
-        return cls(group, vec)
+        return cls.irreducible(group, 0)
+
+    _one = trivial
 
     @classmethod
     def line(cls, group: GroupModel, a: int) -> "VirtualRep":
@@ -261,8 +244,7 @@ class VirtualRep:
 
     @classmethod
     def irreducible(cls, group: GroupModel, index: int) -> "VirtualRep":
-        z = cls.zero(group)
-        vec = list(z.coeffs)
+        vec = [0] * cls._size(group)
         vec[index] = 1
         return cls(group, vec)
 
@@ -305,57 +287,18 @@ class VirtualRep:
 
     def class_values(self) -> tuple:
         """Character value at each element conjugacy class, in class order."""
-        if self._values is None:
-            table = character_table(self.group)
-            object.__setattr__(
-                self, "_values", tuple([self.character(r) for r in table.reps])
-            )
-        return self._values
+        try:
+            return self._values
+        except AttributeError:
+            pass
+        table = character_table(self.group)
+        values = tuple([self.character(r) for r in table.reps])
+        object.__setattr__(self, "_values", values)
+        return values
 
-    # -- ring operations
+    # -- ring product: cyclic convolution, or structure constants
 
-    def _merge_flag(self, other: "VirtualRep") -> int | None:
-        if self.p_local is not None and other.p_local is not None:
-            if self.p_local != other.p_local:
-                raise ValueError("mixed p-local primes")
-        return self.p_local if self.p_local is not None else other.p_local
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = other * VirtualRep.trivial(self.group)
-        if not isinstance(other, VirtualRep):
-            return NotImplemented
-        if other.group is not self.group:
-            raise ValueError("different groups")
-        return VirtualRep(
-            self.group,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self._merge_flag(other),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return VirtualRep(self.group, [-c for c in self.coeffs], self.p_local)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = other * VirtualRep.trivial(self.group)
-        if not isinstance(other, VirtualRep):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            flag = self.p_local
-            if isinstance(other, Fraction) and other.denominator != 1 and flag is None:
-                raise ValueError("rational scaling requires a p-local representation")
-            return VirtualRep(self.group, [c * other for c in self.coeffs], flag)
-        if not isinstance(other, VirtualRep):
-            return NotImplemented
+    def _product(self, other: "VirtualRep") -> "VirtualRep":
         if other.group is not self.group:
             raise ValueError("different groups")
         flag = self._merge_flag(other)
@@ -382,53 +325,11 @@ class VirtualRep:
                                 out2[k] += x * y * prod[k]
         return VirtualRep(self.group, out2, flag)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        out = VirtualRep.trivial(self.group)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualRep):
-            return NotImplemented
-        return (
-            self.group.descriptor == other.group.descriptor
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group.descriptor, self.coeffs))
-
-    def __repr__(self):
-        if self.is_cyclic_side():
-            names = [_line_name(a) for a in range(self.group.order)]
-        else:
-            names = list(character_table(self.group).names)
-        terms = []
-        for name, c in zip(names, self.coeffs):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{c}*{name}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+    # perfbench/tracing.py times rep products and powers by wrapping these
+    # names in this class's own __dict__, so the inherited operators are
+    # bound here as well
+    __mul__ = __rmul__ = VirtualElement.__mul__
+    __pow__ = VirtualElement.__pow__
 
 
 def from_class_function(G: GroupModel, values, p_local: int | None = None) -> VirtualRep:

@@ -14,7 +14,7 @@ from vone.cli import (
     render_rep,
     run,
 )
-from vone.groups import GroupDescriptor, build_group
+from vone.groups import GroupDescriptor, GroupModel, build_group
 from vone.repring import VirtualRep, standard_rep
 
 
@@ -97,12 +97,29 @@ def test_parse_rep_errors():
         parse_rep("sigma^2", c2)
     with pytest.raises(ParseError):
         parse_rep("2*sigma+L", c2)
+    with pytest.raises(ParseError, match="negative sigma multiplicity"):
+        parse_rep("-2*sigma", c2)
+    with pytest.raises(ParseError, match="sigma can only be scaled by integers"):
+        parse_rep("L*sigma", c2)
+    with pytest.raises(ParseError, match="sigma terms cannot mix"):
+        parse_rep("1+sigma", c2)
+    with pytest.raises(ParseError, match="sigma terms cannot mix"):
+        parse_rep("sigma-1", c2)
     with pytest.raises(ParseError):
         parse_rep("[C4/C2]", c4)
     with pytest.raises(ParseError):
         parse_rep("H", c4)
     with pytest.raises(ParseError):
         parse_rep("", c4)
+
+
+def test_parse_rep_unknown_name_over_a_cyclic_group_builds_no_character_table():
+    # a model of its own, not the shared one from build_group
+    c64 = GroupModel(GroupDescriptor.cyclic_of_order(64))
+    with pytest.raises(ParseError, match="unknown representation name 'u1'"):
+        parse_rep("u1", c64)
+    assert parse_rep("L^3+reg-W", c64).coeffs[3] == 1
+    assert c64._character_table is None
 
 
 def _random_gset_text(rng, G):

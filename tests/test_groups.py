@@ -171,6 +171,29 @@ def test_weyl_coordinates_are_homomorphisms() -> None:
             assert len(image) == order
 
 
+def test_weyl_data_is_built_once_per_class(monkeypatch) -> None:
+    import vone.groups as groups
+
+    built = []
+
+    class Counting(groups.WeylData):
+        def __init__(self, group, H, N):
+            built.append(H)
+            super().__init__(group, H, N)
+
+    monkeypatch.setattr(groups, "WeylData", Counting)
+    for desc in (GroupDescriptor.parse("C8"), GroupDescriptor.parse("Q16")):
+        g = groups.GroupModel(desc)  # a model of its own, not the shared one
+        classes = g.subgroup_classes()
+        for cls in classes:
+            data = g.weyl_data(cls.id)
+            assert data is g.weyl_data(cls.id)
+            assert data.invariants == cls.weyl_invariants
+            assert data.subgroup == cls.representative
+        assert len(built) == len(classes)
+        built.clear()
+
+
 def test_find_conjugator() -> None:
     q16 = G("Q16")
     a = q16.closure([8])   # <j>
