@@ -139,59 +139,34 @@ def cardinality(X: VirtualGSet, p: int) -> CardinalityDecomposition:
     return CardinalityDecomposition(p=p, t=t, c=c)
 
 
-def _coset_points(G: GroupModel, H: frozenset) -> dict:
-    """Map each element to the least member of its coset gH."""
-    canon = {}
-    for g in range(G.order):
-        if g not in canon:
-            members = {G.mult[g][h] for h in H}
-            least = min(members)
-            for m in members:
-                canon[m] = least
-    return canon
+def _classes_in(H: SubgroupClass) -> tuple:
+    """The standard model of H's representative, and the class in G of each
+    of its subgroup classes."""
+    G = H.group
+    sub, embed = G.subgroup_model(H.representative)
+    to_G = tuple([
+        G.class_index_of(frozenset([embed[u] for u in U.representative]))
+        for U in sub.subgroup_classes()
+    ])
+    return sub, to_G
 
 
 def restrict(X: VirtualGSet, H) -> VirtualGSet:
     """Restriction to a subgroup: the same points viewed as an H-set.
 
     H is a SubgroupClass (or label) of X's group; the result lives over the
-    standard model of the representative subgroup. Orbits are decomposed by
-    brute force and stabilizers located in the subgroup's own class list.
+    standard model of the representative subgroup. A subgroup U <= H fixes
+    the same points whether X is seen as a G-set or as an H-set, so the marks
+    of the restriction are marks of X read at the G-classes of H's subgroups.
     """
     G = X.group
     if not isinstance(H, SubgroupClass):
         H = G.class_of_label(str(H)) if not isinstance(H, int) else G.subgroup_classes()[H]
     if H.group is not G:
         raise ValueError("subgroup class belongs to a different group")
-    S = H.representative
-    sub, embed = G.subgroup_model(S)
-    back = {g: i for i, g in enumerate(embed)}
-    out = [Fraction(0)] * len(sub.subgroup_classes())
-    for cid, coeff in enumerate(X.coeffs):
-        if coeff == 0:
-            continue
-        K = G.subgroup_classes()[cid].representative
-        canon = _coset_points(G, K)
-        points = sorted(set(canon.values()))
-        seen = set()
-        for pt in points:
-            if pt in seen:
-                continue
-            orbit_pts = {pt}
-            work = [pt]
-            while work:
-                q = work.pop()
-                for s in S:
-                    nxt = canon[G.mult[s][q]]
-                    if nxt not in orbit_pts:
-                        orbit_pts.add(nxt)
-                        work.append(nxt)
-            seen |= orbit_pts
-            stab = frozenset(
-                back[s] for s in S if canon[G.mult[s][pt]] == pt
-            )
-            out[sub.class_index_of(stab)] += coeff
-    return VirtualGSet(sub, out, X.p_local)
+    sub, to_G = _classes_in(H)
+    mx = marks(X)
+    return from_marks(sub, [mx[c] for c in to_G], X.p_local)
 
 
 def induce(H: SubgroupClass, Y: VirtualGSet) -> VirtualGSet:
@@ -201,14 +176,10 @@ def induce(H: SubgroupClass, Y: VirtualGSet) -> VirtualGSet:
     Induction sends [H/U] to [G/U], so this is just class bookkeeping.
     """
     G = H.group
-    sub, embed = G.subgroup_model(H.representative)
+    sub, to_G = _classes_in(H)
     if Y.group is not sub:
         raise ValueError("G-set does not live over the chosen subgroup model")
     out = [Fraction(0)] * len(G.subgroup_classes())
     for cid, coeff in enumerate(Y.coeffs):
-        if coeff == 0:
-            continue
-        U = sub.subgroup_classes()[cid].representative
-        U_in_G = frozenset(embed[u] for u in U)
-        out[G.class_index_of(U_in_G)] += coeff
+        out[to_G[cid]] += coeff
     return VirtualGSet(G, out, Y.p_local)

@@ -18,6 +18,7 @@ import json
 import operator
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -820,7 +821,9 @@ def run(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage and help to the sys streams
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2

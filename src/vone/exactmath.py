@@ -512,9 +512,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -725,8 +722,8 @@ def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
 
 
 def cokernel_data(
-    mat: IntMatrix, with_generators: bool = True
-) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...] | None]:
+    mat: IntMatrix,
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Invariant factors of Z^rows / column-span(mat).
 
     Returns (free_rank, factors > 1 in divisibility order, generators).
@@ -738,16 +735,13 @@ def cokernel_data(
     rank = sum(1 for x in diag if x)
     factors = tuple(x for x in diag if x > 1)
     free_rank = mat.rows - rank
-    gens = None
-    if with_generators:
-        uinv = invert_unimodular(u)
-        cols = []
-        for i, x in enumerate(diag):
-            if x > 1:
-                cols.append(uinv.column(i))
-        for i in range(mat.rows):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                cols.append(uinv.column(i))
-        gens = tuple(cols)
-    return free_rank, factors, gens
+    uinv = invert_unimodular(u)
+    cols = []
+    for i, x in enumerate(diag):
+        if x > 1:
+            cols.append(uinv.column(i))
+    for i in range(mat.rows):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            cols.append(uinv.column(i))
+    return free_rank, factors, tuple(cols)

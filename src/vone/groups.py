@@ -2,12 +2,14 @@
 groups Dic_m (order 4m), which cover generalized quaternion 2-groups as
 Q_{2^n} = Dic_{2^(n-2)}.
 
-Everything downstream is driven from the multiplication table: subgroup
-enumeration is brute force (cyclic subgroups closed under joins), conjugacy
-classes of subgroups get canonical representatives, and each class carries
-its normalizer, Weyl group order, and the invariant factors of the Weyl
-group's abelianization. The table of marks |(G/H)^K| is computed by direct
-coset counting and is lower triangular in the (order, lex) class ordering.
+Everything downstream is driven from the multiplication table: subgroups
+are the joins of cyclic subgroups, each grown from the identity by right
+multiplication with its generators, conjugacy classes of subgroups get
+canonical representatives, and each class carries its normalizer, Weyl
+group order, and the invariant factors of the Weyl group's abelianization.
+The mark |(G/H)^K| is |N(H):H| times the number of conjugates of H that
+contain K (gH is K-fixed exactly when K <= gHg^-1), which makes the table of
+marks lower triangular in the (order, lex) class ordering.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd
 
 from .exactmath import IntMatrix, smith_normal_form
 
-# Brute-force enumeration is quadratic-ish in |G|; keep a guard rail.
+# Every model builds its |G| x |G| multiplication table; keep a guard rail.
 DEFAULT_ORDER_BOUND = 512
 
 __all__ = [
@@ -102,7 +104,6 @@ class SubgroupClass:
     id: int
     label: str
     representative: frozenset
-    sorted_elements: tuple
     order: int
     index: int
     conjugates: tuple
@@ -130,10 +131,10 @@ class GroupModel:
     x^(2m) = e, j^2 = x^m, j x j^(-1) = x^(-1).
     """
 
-    def __init__(self, descriptor: GroupDescriptor, bound: int = DEFAULT_ORDER_BOUND):
+    def __init__(self, descriptor: GroupDescriptor):
         n = descriptor.order
-        if n > bound:
-            raise ValueError(f"group order {n} exceeds bound {bound}")
+        if n > DEFAULT_ORDER_BOUND:
+            raise ValueError(f"group order {n} exceeds bound {DEFAULT_ORDER_BOUND}")
         self.descriptor = descriptor
         self.order = n
         if descriptor.kind == "cyclic":
@@ -196,19 +197,19 @@ class GroupModel:
     # -- subgroup machinery
 
     def closure(self, gens) -> frozenset:
+        """Subgroup generated by gens: g^(-1) = g^(ord g - 1) in a finite
+        group, so the positive words in gens, grown from the identity by
+        right multiplication, are the whole subgroup."""
+        gens = set(gens)
         out = {0}
         work = [0]
-        for g in gens:
-            if g not in out:
-                out.add(g)
-                work.append(g)
         while work:
-            a = work.pop()
-            for b in list(out):
-                for c in (self.mult[a][b], self.mult[b][a]):
-                    if c not in out:
-                        out.add(c)
-                        work.append(c)
+            row = self.mult[work.pop()]
+            for g in gens:
+                c = row[g]
+                if c not in out:
+                    out.add(c)
+                    work.append(c)
         return frozenset(out)
 
     def cyclic_closure(self, g: int) -> frozenset:
@@ -248,7 +249,7 @@ class GroupModel:
             H = work.pop()
             for C in cyclics:
                 if not C <= H:
-                    J = self.closure(tuple(H) + tuple(C))
+                    J = self.closure(H | C)
                     if J not in found:
                         found.add(J)
                         work.append(J)
@@ -296,7 +297,6 @@ class GroupModel:
                 id=cid,
                 label=label,
                 representative=rep,
-                sorted_elements=tuple(sorted(rep)),
                 order=len(rep),
                 index=self.order // len(rep),
                 conjugates=conjs,
@@ -334,17 +334,6 @@ class GroupModel:
                 self.class_index_of(self.cyclic_closure(x)) for x in range(self.order)
             )
         return self._cyclic_class[g]
-
-    def find_conjugator(self, A: frozenset, B: frozenset) -> int | None:
-        """Some x with x A x^(-1) = B, or None."""
-        if len(A) != len(B):
-            return None
-        gens = self.generating_set(A)
-        for x in range(self.order):
-            if all(self.conj(a, x) in B for a in gens):
-                if self.conjugate_subgroup(A, x) == B:
-                    return x
-        return None
 
     # -- element conjugacy classes (for character theory)
 
@@ -562,9 +551,9 @@ def _base_label(group: GroupModel, rep: frozenset) -> str:
 
 
 @cache
-def build_group(descriptor: GroupDescriptor, bound: int = DEFAULT_ORDER_BOUND) -> GroupModel:
+def build_group(descriptor: GroupDescriptor) -> GroupModel:
     """Shared immutable model for a descriptor."""
-    return GroupModel(descriptor, bound)
+    return GroupModel(descriptor)
 
 
 def subgroup_classes(G: GroupModel) -> tuple:
@@ -572,29 +561,14 @@ def subgroup_classes(G: GroupModel) -> tuple:
 
 
 def table_of_marks(G: GroupModel) -> TableOfMarks:
-    """Entry (H, K) counts the K-fixed cosets of G/H."""
+    """Entry (H, K) counts the K-fixed cosets of G/H: gH is K-fixed exactly
+    when K <= gHg^-1, and each conjugate of H arises from |N(H):H| cosets."""
     classes = G.subgroup_classes()
-    coset_reps = {}
-    for cls in classes:
-        H = cls.representative
-        reps = []
-        seen = set()
-        for g in range(G.order):
-            if g not in seen:
-                reps.append(g)
-                seen.update(G.mult[g][h] for h in H)
-        coset_reps[cls.id] = reps
-    rows = []
-    for hcls in classes:
-        H = hcls.representative
-        row = []
-        for kcls in classes:
-            gens = G.generating_set(kcls.representative)
-            cnt = 0
-            for r in coset_reps[hcls.id]:
-                ri = G.inv[r]
-                if all(G.mult[G.mult[ri][k]][r] in H for k in gens):
-                    cnt += 1
-            row.append(cnt)
-        rows.append(tuple(row))
-    return TableOfMarks(tuple(c.label for c in classes), tuple(rows))
+    rows = tuple(
+        tuple(
+            hcls.weyl_order * sum(1 for S in hcls.conjugates if kcls.representative <= S)
+            for kcls in classes
+        )
+        for hcls in classes
+    )
+    return TableOfMarks(tuple(c.label for c in classes), rows)

@@ -99,9 +99,9 @@ class CharacterTable:
             self._conj_rows[m] = tuple(rows)
         return self._conj_rows[m]
 
-    def decompose(self, values, p_local: int | None = None) -> tuple:
-        """Inner products against each irreducible; errors if not a virtual
-        character (or not p-locally integral under the flag)."""
+    def decompose(self, values) -> tuple:
+        """Inner products against each irreducible; errors if the class
+        function is not rational over the irreducibles."""
         values = [
             v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
             for v in values
@@ -335,7 +335,7 @@ class VirtualRep(VirtualElement):
 def from_class_function(G: GroupModel, values, p_local: int | None = None) -> VirtualRep:
     """Expand an exact class function over the irreducible basis."""
     table = character_table(G)
-    coeffs = table.decompose(values, p_local)
+    coeffs = table.decompose(values)
     return VirtualRep(G, coeffs, p_local)
 
 

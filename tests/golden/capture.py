@@ -2,7 +2,8 @@
 
 Runs every invocation in ``cases.json`` through ``vone.cli.run`` and writes
 its stdout to ``<name>.out`` and its exit code and stderr to
-``expected.json``. ``tests/test_golden.py`` compares them byte for byte.
+``expected.json``. ``tests/test_golden.py`` compares them byte for byte,
+also at 80 columns, the width argparse wraps usage text to.
 Regenerate only when an output change is intended:
 
     PYTHONPATH=src python tests/golden/capture.py
@@ -12,11 +13,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 
 from vone.cli import run
 
 HERE = Path(__file__).resolve().parent
+
+
+# argparse wraps its usage text to the terminal width; record at 80 columns
+os.environ["COLUMNS"] = "80"
 
 
 def invoke(argv):

@@ -1,4 +1,7 @@
-"""Burnside ring arithmetic against brute-force G-set decomposition."""
+"""Burnside ring arithmetic against brute-force G-set decomposition.
+
+Restriction reads marks of X at the G-classes of the subgroup's own
+subgroups; its oracle walks the H-orbits of the points of each G/K."""
 
 from __future__ import annotations
 
@@ -184,6 +187,59 @@ def test_restrict_examples() -> None:
     x = 3 * orbit(c4, "C2") - orbit(c4, "C4")
     down = restrict(x, ecls)
     assert down.coeffs == (marks(x)[0],)
+
+
+def orbit_walk_restrict(x, hcls) -> VirtualGSet:
+    """Restriction by decomposing each G/K into H-orbits point by point and
+    locating each stabilizer in the subgroup model's class list."""
+    g = x.group
+    S = hcls.representative
+    sub, embed = g.subgroup_model(S)
+    back = {e: i for i, e in enumerate(embed)}
+    out = [Fraction(0)] * len(sub.subgroup_classes())
+    for cid, coeff in enumerate(x.coeffs):
+        if coeff == 0:
+            continue
+        K = g.subgroup_classes()[cid].representative
+        canon = {}
+        for a in range(g.order):
+            if a not in canon:
+                members = {g.mul(a, k) for k in K}
+                least = min(members)
+                for b in members:
+                    canon[b] = least
+        seen = set()
+        for pt in sorted(set(canon.values())):
+            if pt in seen:
+                continue
+            orbit_pts = {pt}
+            work = [pt]
+            while work:
+                q = work.pop()
+                for s in S:
+                    nxt = canon[g.mul(s, q)]
+                    if nxt not in orbit_pts:
+                        orbit_pts.add(nxt)
+                        work.append(nxt)
+            seen |= orbit_pts
+            stab = frozenset(back[s] for s in S if canon[g.mul(s, pt)] == pt)
+            out[sub.class_index_of(stab)] += coeff
+    return VirtualGSet(sub, out, x.p_local)
+
+
+def test_restrict_matches_orbit_walk() -> None:
+    rng = random.Random(24)
+    names = [f"C{m}" for m in range(1, 49)] + [f"Dic{m}" for m in range(2, 13)]
+    for name in names:
+        g = G(name)
+        r = len(g.subgroup_classes())
+        for hcls in g.subgroup_classes():
+            x = VirtualGSet(g, [rng.randint(-3, 3) for _ in range(r)])
+            # 2-local, denominators 3 and 5
+            y = VirtualGSet(g, [Fraction(rng.randint(-3, 3), rng.choice((1, 3, 5)))
+                                for _ in range(r)], 2)
+            for z in (x, y):
+                assert restrict(z, hcls) == orbit_walk_restrict(z, hcls), (name, hcls.label)
 
 
 def test_induce_examples() -> None:

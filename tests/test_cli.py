@@ -232,6 +232,16 @@ def test_cli_certify_non_prime_power_order_is_an_input_error():
     assert "not a prime power" in err
 
 
+def test_cli_usage_errors_and_help_reach_the_given_streams(capsys):
+    code, out, err = go("certify", "--group", "C4", "--gset", "h")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: vone certify") and "required: --rep" in err
+    code, out, err = go("marks", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: vone marks")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cli_certify_ell_not_prime_to_p_is_an_input_error():
     code, out, err = go(
         "certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "8*W", "--ell", "2"

@@ -23,7 +23,8 @@ def test_corpus_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_golden_invocation(case):
+def test_golden_invocation(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage to
     out, err = io.StringIO(), io.StringIO()
     code = run(list(case["argv"]), out, err)
     expected = EXPECTED[case["name"]]

@@ -2,21 +2,30 @@
 
 The subgroup-enumeration oracle here is independent of the library's join
 closure: it tests every identity-containing subset of Lagrange-compatible
-size for closure under multiplication.
+size for closure under multiplication. The library's closure (right
+multiplication by the generators) and its marks (Weyl order times the
+conjugates containing K) are checked against brute force: the two-sided
+all-pairs closure and direct coset counting.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
+from vone.burnside import bmul, orbit
 from vone.groups import (
+    DEFAULT_ORDER_BOUND,
     GroupDescriptor,
+    GroupModel,
     build_group,
     subgroup_classes,
     table_of_marks,
 )
+
+SWEEP = [f"C{m}" for m in range(1, 65)] + [f"Dic{m}" for m in range(2, 17)]
 
 
 def G(name: str):
@@ -66,6 +75,20 @@ def test_dicyclic_presentation_relations() -> None:
     assert center == [0, 2]
 
 
+def test_one_descriptor_one_model() -> None:
+    # build_group used to take an order bound as part of its cache key, so
+    # build_group(d) and build_group(d, 512) were two models of one group
+    # whose orbits could not be multiplied
+    c4 = G("C4")
+    assert build_group(GroupDescriptor.cyclic(2, 2)) is c4
+    with pytest.raises(TypeError):
+        build_group(GroupDescriptor.parse("C4"), DEFAULT_ORDER_BOUND)
+    other = build_group(GroupDescriptor.cyclic_of_order(4))
+    assert bmul(orbit(c4, "e"), orbit(other, "C2")) == 2 * orbit(c4, "e")
+    with pytest.raises(ValueError, match="exceeds bound"):
+        GroupModel(GroupDescriptor.cyclic_of_order(DEFAULT_ORDER_BOUND + 1))
+
+
 def test_element_orders_cyclic() -> None:
     c12 = G("C12")
     from math import gcd
@@ -102,6 +125,34 @@ def test_subgroup_classes_partition_all_subgroups(name: str) -> None:
         assert len(cls.representative) * cls.index == g.order
     assert len(covered) == len(set(covered)) == len(brute)
     assert set(covered) == brute
+
+
+def two_sided_closure(g, gens) -> frozenset:
+    """Subgroup generated by gens, closed under the products of every pair
+    on both sides (brute-force oracle)."""
+    out = {0}
+    work = [0]
+    for x in gens:
+        if x not in out:
+            out.add(x)
+            work.append(x)
+    while work:
+        a = work.pop()
+        for b in list(out):
+            for c in (g.mult[a][b], g.mult[b][a]):
+                if c not in out:
+                    out.add(c)
+                    work.append(c)
+    return frozenset(out)
+
+
+def test_closure_matches_two_sided_closure() -> None:
+    rng = random.Random(7)
+    for name in SWEEP:
+        g = G(name)
+        for _ in range(5):
+            gens = rng.sample(range(g.order), min(g.order, rng.randint(0, 3)))
+            assert g.closure(gens) == two_sided_closure(g, gens), (name, gens)
 
 
 def test_cyclic_subgroup_classes_are_divisors() -> None:
@@ -194,16 +245,6 @@ def test_weyl_data_is_built_once_per_class(monkeypatch) -> None:
         built.clear()
 
 
-def test_find_conjugator() -> None:
-    q16 = G("Q16")
-    a = q16.closure([8])   # <j>
-    b = q16.closure([10])  # <x^2 j>
-    x = q16.find_conjugator(a, b)
-    assert x is not None
-    assert q16.conjugate_subgroup(a, x) == b
-    assert q16.find_conjugator(a, q16.closure([2])) is None
-
-
 def test_element_conjugacy_classes() -> None:
     q8 = G("Q8")
     cls = q8.element_conjugacy_classes()
@@ -228,6 +269,37 @@ def test_table_of_marks_q8() -> None:
         (2, 2, 0, 0, 2, 0),
         (1, 1, 1, 1, 1, 1),
     )
+
+
+def coset_counting_marks(g) -> tuple:
+    """Entry (H, K) counts the cosets rH with r^-1 K r <= H (brute-force
+    oracle)."""
+    classes = g.subgroup_classes()
+    coset_reps = {}
+    for cls in classes:
+        reps, seen = [], set()
+        for x in range(g.order):
+            if x not in seen:
+                reps.append(x)
+                seen.update(g.mult[x][h] for h in cls.representative)
+        coset_reps[cls.id] = reps
+    rows = []
+    for hcls in classes:
+        H = hcls.representative
+        row = []
+        for kcls in classes:
+            row.append(sum(
+                1 for r in coset_reps[hcls.id]
+                if all(g.mult[g.mult[g.inv[r]][k]][r] in H for k in kcls.representative)
+            ))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_table_of_marks_matches_coset_counting() -> None:
+    for name in SWEEP:
+        g = G(name)
+        assert table_of_marks(g).entries == coset_counting_marks(g), name
 
 
 @pytest.mark.parametrize("name", ["C8", "C12", "Q8", "Q16", "Q32", "Dic3"])

@@ -4,10 +4,11 @@ from math import gcd
 
 import pytest
 
-from vone.burnside import VirtualGSet, orbit
-from vone.exactmath import pvaluation
+from vone.burnside import VirtualGSet, marks, orbit
+from vone.exactmath import IntMatrix, kernel_basis, p_local_in_image, prime_power, pvaluation
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
+    _theta_fixed_mod_X,
     default_ell,
     imj_order_oracle,
     imj_valuation,
@@ -15,7 +16,7 @@ from vone.jtheory import (
     verify_adams_bott,
     verify_bott_fixed_mod_X,
 )
-from vone.repring import VirtualRep, standard_rep
+from vone.repring import VirtualRep, linearize, standard_rep
 
 
 def cyc(m):
@@ -234,6 +235,65 @@ def test_bott_fixed_p_local_scaling():
     c2 = cyc(2)
     X = VirtualGSet(c2, [Fraction(1, 3), 0], p_local=2)
     assert verify_bott_fixed_mod_X(4 * standard_rep(c2, "L"), X, 3)
+
+
+def two_half_fixed_mod_X(diff, X) -> bool:
+    """Step 2 in two halves: p-local membership of diff in the ideal of
+    the permutation character w of X, then diff * a = 0 for every a in an
+    integer basis of the annihilator of w (the kernel of w's circulant)."""
+    G = diff.group
+    p = prime_power(G.order)[0]
+    m = G.order
+    w = list(linearize(X).coeffs)
+    scale = 1
+    for c in w:
+        if isinstance(c, Fraction):
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    w = [int(c * scale) for c in w]
+    M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
+    if not p_local_in_image(M, diff.coeffs, p):
+        return False
+    zero = VirtualRep.zero(G)
+    return all(diff * VirtualRep(G, vec) == zero for vec in kernel_basis(M))
+
+
+def test_bott_fixed_matches_two_half_check():
+    # Membership alone decides: d = w*y gives d*a = y*(w*a) = 0 on the
+    # annihilator. Coefficients stay small because the dense integer SNF
+    # can take seconds to minutes on some X with large ones, e.g. the
+    # zero-cardinality (2, 1, 0, 0, -8, -64) over C32 (ROADMAP item 4).
+    rng = random.Random(31)
+    outcomes = set()
+    for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
+        g = cyc(m)
+        p = prime_power(m)[0]
+        classes = g.subgroup_classes()
+        r = len(classes)
+        W = standard_rep(g, "W")
+        for c in (1, p):
+            diff = theta(default_ell(p), c * W) - VirtualRep.trivial(g)
+            for k in range(3):
+                if k == 1 and r > 1:
+                    # zero cardinality: a([G/H] - p[G/K]) for |K:H| = p
+                    vec = [0] * r
+                    for _ in range(2):
+                        i = rng.randrange(r - 1)
+                        a = rng.choice((-2, -1, 1, 2))
+                        vec[i] += a
+                        vec[i + 1] -= a * p
+                    X = VirtualGSet(g, vec)
+                    assert marks(X)[0] == 0
+                elif k == 2:  # p-local, one denominator prime to p
+                    q = 3 if p == 2 else 2
+                    X = VirtualGSet(
+                        g, [Fraction(rng.randint(-1, 1), rng.choice((1, q))) for _ in range(r)], p
+                    )
+                else:
+                    X = VirtualGSet(g, [rng.randint(-2, 2) for _ in range(r)])
+                fixed = _theta_fixed_mod_X(diff, X)
+                assert fixed == two_half_fixed_mod_X(diff, X), (m, c, X.coeffs)
+                outcomes.add(fixed)
+    assert outcomes == {True, False}
 
 
 def test_bott_fixed_requirements():
