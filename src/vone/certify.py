@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .burnside import VirtualGSet, cardinality
 from .exactmath import euler_phi, prime_power, pvaluation
@@ -247,7 +246,7 @@ def _run_step2(
         )
     divisible = report.valuation <= k + 1 - n
     if G.descriptor.kind == "cyclic":
-        fixedness = _theta_fixed_mod_X(report.theta - VirtualRep.trivial(G), X)
+        fixedness = _theta_fixed_mod_X(report.lam * VirtualRep.regular(G), X)
         detail = "theta - 1 generates enough divisibility and is X-fixed p-locally"
         passed = divisible and fixedness
         if not fixedness:

@@ -22,7 +22,6 @@ __all__ = [
     "prime_power",
     "euler_phi",
     "divisors",
-    "unit_group_generators",
     "pvaluation",
     "cyclotomic_poly",
     "CyclotomicElement",
@@ -93,30 +92,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-@cache
-def unit_group_generators(m: int) -> tuple[int, ...]:
-    """Greedy generating set of the multiplicative group (Z/m)^x."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if m <= 2:
-        return ()
-    gens: list[int] = []
-    have = {1}
-    for u in range(2, m):
-        if gcd(u, m) == 1 and u not in have:
-            gens.append(u)
-            have = {1}
-            work = [1]
-            while work:
-                x = work.pop()
-                for g in gens:
-                    y = x * g % m
-                    if y not in have:
-                        have.add(y)
-                        work.append(y)
-    return tuple(gens)
 
 
 def pvaluation(x: int | Fraction, p: int) -> int:
@@ -704,19 +679,19 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
 def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
     """Whether vec lies in the Z_(p)-span of the columns of mat.
 
-    vec may have Fraction entries whose denominators are prime to p.
+    vec may have rational entries. With U the left transform of the Smith
+    form diag(d_i) and D the lcm of the denominators of vec, y = U*(D*vec)
+    is an integer vector, and vec is in the span exactly when y_i = 0 past
+    the rank and v_p(y_i) >= v_p(d_i) + v_p(D) below it.
     """
     d, u, _ = smith_normal_form(mat)
     rank = _snf_rank(d)
-    y = [sum(Fraction(u.entries[i][j]) * Fraction(vec[j]) for j in range(mat.rows))
-         for i in range(mat.rows)]
-    for i in range(mat.rows):
-        if i < rank:
-            if y[i] == 0:
-                continue
-            if pvaluation(y[i], p) < pvaluation(d.entries[i][i], p):
-                return False
-        elif y[i] != 0:
+    den = lcm(*(x.denominator for x in vec))
+    scaled = [x.numerator * (den // x.denominator) for x in vec]
+    shift = pvaluation(den, p)
+    for i, row in enumerate(u.entries):
+        y = sum(a * b for a, b in zip(row, scaled))
+        if y and (i >= rank or pvaluation(y, p) < pvaluation(d.entries[i][i], p) + shift):
             return False
     return True
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 
 from .exactmath import IntMatrix, smith_normal_form
 
@@ -242,18 +241,23 @@ class GroupModel:
         )
 
     def all_subgroups(self) -> list:
-        cyclics = {self.cyclic_closure(g) for g in range(self.order)}
-        found = set(cyclics)
-        work = list(found)
+        # every subgroup found keeps one generator tuple, so joining H with
+        # C = <g> closes gens(H) + (g,) instead of all of H and C
+        gens: dict[frozenset, tuple] = {}
+        for g in range(self.order):
+            gens.setdefault(self.cyclic_closure(g), (g,))
+        cyclic_gens = [t[0] for t in gens.values()]
+        work = list(gens)
         while work:
             H = work.pop()
-            for C in cyclics:
-                if not C <= H:
-                    J = self.closure(H | C)
-                    if J not in found:
-                        found.add(J)
+            for g in cyclic_gens:
+                if g not in H:
+                    J_gens = gens[H] + (g,)
+                    J = self.closure(J_gens)
+                    if J not in gens:
+                        gens[J] = J_gens
                         work.append(J)
-        return sorted(found, key=lambda S: (len(S), tuple(sorted(S))))
+        return sorted(gens, key=lambda S: (len(S), tuple(sorted(S))))
 
     def subgroup_classes(self) -> tuple:
         if self._classes is None:

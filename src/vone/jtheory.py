@@ -2,11 +2,14 @@
 
 The cannibalistic class theta^ell(V) multiplies eigenvalues z of each group
 element through 1 + z + ... + z^(ell-1). For a fixed point free
-representation with rational characters the class collapses to
-1 + lambda*[regular] with lambda = (ell^dim - 1)/|G|, and the p-adic
-valuation of lambda is the quantity the self-map certificates consume.
-Everything is exact: integer representation rings, cyclotomic character
-values, Bernoulli denominators for the image-of-J oracle.
+representation with rational characters and ell prime to |G| the class
+collapses to 1 + lambda*[regular] with lambda = (ell^dim - 1)/|G| (Adams,
+On the groups J(X) II, Topology 3, 1965), so the certificates read lambda
+off that closed form and never convolve; `theta` computes the class itself
+and the tests hold the two against each other. The p-adic valuation of
+lambda is the quantity the self-map certificates consume. Everything is
+exact: integer representation rings, cyclotomic character values,
+Bernoulli denominators for the image-of-J oracle.
 """
 
 from __future__ import annotations
@@ -97,11 +100,13 @@ def default_ell(p: int) -> int:
 
 
 def _q_line(G, a: int, ell: int) -> VirtualRep:
-    # theta of the line L^a: 1 + L^a + ... + L^(a(ell-1))
+    # theta of the line L^a: 1 + L^a + ... + L^(a(ell-1)); with
+    # ell = q*m + r the exponent a*t mod m recurs q + (t < r) times
     m = G.order
+    q, r = divmod(ell, m)
     vec = [0] * m
-    for t in range(ell):
-        vec[a * t % m] += 1
+    for t in range(min(ell, m)):
+        vec[a * t % m] += q + (t < r)
     return VirtualRep(G, vec)
 
 
@@ -152,11 +157,15 @@ class AdamsBottReport:
     p: int
     n: int
     k: int
-    theta: VirtualRep
     lam: int
     valuation: int
     d: Fraction
     matches: bool
+
+    @property
+    def theta(self) -> VirtualRep:
+        """theta^ell(V) by convolution; lambda never needs it."""
+        return theta(self.ell, self.V)
 
 
 def _check_bott_dimension(dim: int, p: int, k: int) -> int:
@@ -175,8 +184,22 @@ def _check_bott_dimension(dim: int, p: int, k: int) -> int:
 
 
 def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsBottReport:
-    """Check that theta^ell(V) - 1 is the expected multiple of the regular
-    representation and report the p-valuation of the multiplier."""
+    """Report lambda with theta^ell(V) - 1 = lambda * [regular] and the
+    p-valuation of lambda, without computing theta.
+
+    The identity holds for every V that passes the checks below (Adams'
+    cannibalistic-class computation). An element g != e has order p^j > 1,
+    and V fixed point free gives it no eigenvalue 1. Rational characters
+    make the eigenvalues of g Galois stable: for each i >= 1 the primitive
+    p^i-th roots of unity occur with one common multiplicity. ell prime to
+    p permutes those roots, z -> z^ell, so
+    theta(g) = prod (1 - z^ell)/(1 - z) = 1. At e every eigenvalue is 1 and
+    theta(e) = ell^dim. The class function that is ell^dim - 1 at e and 0
+    elsewhere is (ell^dim - 1)/|G| times the regular character. It is
+    theta - 1, a virtual representation, so lambda, its multiplicity of the
+    trivial representation, is an integer. The tests hold this closed form
+    against the convolution `theta`.
+    """
     G = V.group
     if G.descriptor.kind == "cyclic":
         if G.order != p**n:
@@ -192,17 +215,13 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
         raise ValueError("V must have rational characters")
     dim = V.dim()
     _check_bott_dimension(dim, p, k)
-    th = theta(ell, V)
-    reg = VirtualRep.regular(G)
-    lam_frac = Fraction(ell**dim - 1, G.order)
-    diff = th - VirtualRep.trivial(G)
-    if [lam_frac * c for c in reg.coeffs] != [Fraction(c) for c in diff.coeffs]:
-        raise ArithmeticError("theta(V) - 1 is not the expected regular multiple")
-    assert lam_frac.denominator == 1
-    lam = int(lam_frac)
+    if ell < 1:
+        raise ValueError("theta needs ell >= 1")
+    lam, rem = divmod(ell**dim - 1, G.order)
+    assert rem == 0
     v = pvaluation(lam, p)
     d = Fraction(lam) * Fraction(p) ** (n - k - 1)
-    return AdamsBottReport(V, ell, p, n, k, th, lam, v, d, v == k + 1 - n)
+    return AdamsBottReport(V, ell, p, n, k, lam, v, d, v == k + 1 - n)
 
 
 def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
@@ -220,8 +239,9 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
 
 def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
     """The fixedness check of `verify_bott_fixed_mod_X` for a given
-    diff = theta^ell(V) - 1 over a cyclic p-group, so that a caller holding
-    theta already does not compute it again."""
+    diff = theta^ell(V) - 1 over a cyclic p-group. The certificate passes
+    lambda * [regular], which `verify_adams_bott` shows equal to it, so no
+    convolution runs on that path."""
     G = diff.group
     if X.group is not G:
         raise ValueError("V and X live over different groups")

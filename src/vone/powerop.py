@@ -13,7 +13,6 @@ needs coordinates for the cross terms that we do not model.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .burnside import VirtualGSet
@@ -25,7 +24,6 @@ __all__ = [
     "ETA",
     "sq1_int",
     "sq1_gset",
-    "sq1_consistency",
 ]
 
 
@@ -104,34 +102,24 @@ class Pi1Element:
         return " + ".join(terms) if terms else "0"
 
 
-def _points_action(G: GroupModel, counts, rng: random.Random | None = None):
+def _points_action(G: GroupModel, counts):
     """Concrete model of the G-set sum(counts[c] * [G/H_c]): returns act with
-    act[g][p] the image of point p. Deterministic (canonical subgroup
-    representatives, least coset representatives, class order) unless rng is
-    given, in which case conjugates, coset representatives, and the orbit
-    enumeration are randomized."""
+    act[g][p] the image of point p. Deterministic: canonical subgroup
+    representatives, least coset representatives, class order."""
     classes = G.subgroup_classes()
-    insts = []
-    for cid, c in enumerate(counts):
-        insts.extend([cid] * c)
-    if rng is not None:
-        rng.shuffle(insts)
     blocks = []
-    for cid in insts:
+    for cid, c in enumerate(counts):
+        if not c:
+            continue
         H = classes[cid].representative
-        if rng is not None:
-            H = G.conjugate_subgroup(H, rng.randrange(G.order))
-        order = list(range(G.order))
-        if rng is not None:
-            rng.shuffle(order)
         rep_of: dict[int, int] = {}
         reps = []
-        for g in order:
+        for g in range(G.order):
             if g not in rep_of:
                 for h in H:
                     rep_of[G.mul(g, h)] = g
                 reps.append(g)
-        blocks.append((reps, rep_of))
+        blocks.extend([(reps, rep_of)] * c)
     points = [(b, r) for b, (reps, _) in enumerate(blocks) for r in reps]
     index = {pt: i for i, pt in enumerate(points)}
     act = [
@@ -231,15 +219,3 @@ def sq1_gset(T: VirtualGSet) -> Pi1Element:
     """Sq1 of a genuine G-set, from the swap involution on T x T."""
     counts = _genuine_counts(T)
     return _sq1_from_action(T.group, _points_action(T.group, counts))
-
-
-def sq1_consistency(T: VirtualGSet, trials: int = 20, seed: int | None = None) -> bool:
-    """Recompute sq1_gset under randomized enumerations; True if stable."""
-    counts = _genuine_counts(T)
-    base = sq1_gset(T)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        again = _sq1_from_action(T.group, _points_action(T.group, counts, rng))
-        if again != base:
-            return False
-    return True

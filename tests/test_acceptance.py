@@ -177,9 +177,12 @@ def test_criterion_4_theta_sweep():
                     mult = 2 ** (k - n) if p == 2 else p ** (k - n + 1)
                     r = verify_adams_bott(mult * W, ell, p, n, k)
                     assert r.matches and r.valuation == k + 1 - n, (p, n, k)
-                    # away from e every value of theta collapses to 1
-                    vals = r.theta.class_values()
+                    # away from e every value of theta collapses to 1, and
+                    # the convolution agrees with the closed-form lambda
+                    th = r.theta
+                    vals = th.class_values()
                     assert all(v.rational_value() == 1 for v in vals[1:]), (p, n, k)
+                    assert th - VirtualRep.trivial(g) == r.lam * VirtualRep.regular(g)
                 # exponentiality on random honest representations
                 for _ in range(3):
                     coeffs = len(VirtualRep.zero(g).coeffs)

@@ -30,7 +30,6 @@ from vone.exactmath import (
     pvaluation,
     smith_normal_form,
     solve_int_columns,
-    unit_group_generators,
 )
 
 
@@ -323,6 +322,41 @@ def test_p_local_membership() -> None:
     assert p_local_in_image(tall, [7, 0], 2)
 
 
+def fraction_in_image(mat: IntMatrix, vec, p: int) -> bool:
+    """p-local membership with y = U*vec formed in Fractions: the rule
+    before denominators were cleared, kept as the oracle."""
+    d, u, _ = smith_normal_form(mat)
+    rank = sum(1 for x in d.diag() if x)
+    y = [sum(Fraction(u.entries[i][j]) * Fraction(vec[j]) for j in range(mat.rows))
+         for i in range(mat.rows)]
+    for i in range(mat.rows):
+        if i < rank:
+            if y[i] != 0 and pvaluation(y[i], p) < pvaluation(d.entries[i][i], p):
+                return False
+        elif y[i] != 0:
+            return False
+    return True
+
+
+def test_p_local_membership_matches_fraction_oracle() -> None:
+    # denominators include multiples of p, where D*vec shifts the valuation
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = IntMatrix([[rng.choice((0, rng.randint(-9, 9))) for _ in range(cols)]
+                         for _ in range(rows)])
+        vec = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 5, 6, 9, 25)))
+               for _ in range(rows)]
+        if rng.random() < 0.3:
+            vec = [int(x * x.denominator) for x in vec]
+        got = p_local_in_image(mat, vec, p)
+        assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_cokernel_data() -> None:
     free, factors, gens = cokernel_data(IntMatrix([[2, 0], [0, 3]]))
     assert (free, factors) == (0, (6,))
@@ -372,25 +406,6 @@ def test_binomial_sum_identity_for_bernoulli() -> None:
     for m in range(1, 20):
         total = sum(comb(m + 1, k) * bernoulli(k) for k in range(m + 1))
         assert total == 0
-
-
-def test_unit_group_generators() -> None:
-    from math import gcd
-
-    for m in (1, 2, 3, 4, 8, 9, 12, 16, 27, 100):
-        gens = unit_group_generators(m)
-        assert all(gcd(u, m) == 1 for u in gens)
-        have = {1 % m}
-        frontier = [1 % m]
-        while frontier:
-            x = frontier.pop()
-            for u in gens:
-                y = x * u % m
-                if y not in have:
-                    have.add(y)
-                    frontier.append(y)
-        units = {u for u in range(m) if gcd(u, m) == 1} or {0}
-        assert have == units
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ from vone.burnside import VirtualGSet, marks, orbit
 from vone.exactmath import IntMatrix, kernel_basis, p_local_in_image, prime_power, pvaluation
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
+    _q_line,
     _theta_fixed_mod_X,
     default_ell,
     imj_order_oracle,
@@ -146,6 +148,54 @@ def test_theta_galois_norm_one():
         assert all(x.rational_value() == 1 for x in vals[1:])
 
 
+def test_q_line_matches_term_by_term_sum():
+    for m in range(1, 33):
+        g = cyc(m)
+        for a in range(m):
+            for ell in range(3 * m + 1):
+                vec = [0] * m
+                for t in range(ell):
+                    vec[a * t % m] += 1
+                assert _q_line(g, a, ell) == VirtualRep(g, vec), (m, a, ell)
+
+
+def test_theta_large_ell_is_bounded():
+    # counting by residue makes a line's theta O(m), not O(ell)
+    c4 = cyc(4)
+    ell = 10000001
+    start = time.perf_counter()
+    th = theta(ell, standard_rep(c4, "W"))
+    assert time.perf_counter() - start < 0.5
+    assert th - VirtualRep.trivial(c4) == (ell**2 - 1) // 4 * VirtualRep.regular(c4)
+
+
+def _bott_k(dim, p):
+    # the k of _check_bott_dimension: dim = p^k c (p-1), or 2^(k-1) c at p = 2
+    return pvaluation(dim, 2) + 1 if p == 2 else pvaluation(dim // (p - 1), p)
+
+
+def test_adams_multiplier_matches_theta_convolution():
+    # the closed form lambda = (ell^dim - 1)/|G| against theta computed
+    # by convolution (cyclic) and cyclotomic character values (dicyclic)
+    cases = []
+    for p, top in ((2, 7), (3, 4), (5, 3)):
+        for n in range(1, top + 1):
+            cases.append((cyc(p**n), "W", p, n))
+    for n in range(3, 7):
+        cases.append((dic(2 ** (n - 2)), "H", 2, n))
+    start = time.perf_counter()
+    for g, name, p, n in cases:
+        for c in sorted({1, 2, p}):
+            V = c * standard_rep(g, name)
+            k = _bott_k(V.dim(), p)
+            for ell in (default_ell(p), 7):
+                r = verify_adams_bott(V, ell, p=p, n=n, k=k)
+                assert r.lam * VirtualRep.regular(g) == theta(ell, V) - VirtualRep.trivial(g), (
+                    g.descriptor.name, c, ell,
+                )
+    assert time.perf_counter() - start < 3.0
+
+
 def test_verify_adams_bott_examples():
     c2 = cyc(2)
     r = verify_adams_bott(4 * standard_rep(c2, "L"), 3, p=2, n=1, k=3)
@@ -190,6 +240,9 @@ def test_verify_adams_bott_rejections():
         verify_adams_bott(W, 3, p=2, n=3, k=2)  # |G| != 2^3
     with pytest.raises(ValueError):
         verify_adams_bott(standard_rep(dic(3), "H"), 5, p=2, n=3, k=3)
+    for ell in (0, -1):
+        with pytest.raises(ValueError):
+            verify_adams_bott(W, ell, p=2, n=2, k=2)
 
 
 def test_verify_adams_bott_small_sweep():

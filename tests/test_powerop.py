@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from vone.burnside import VirtualGSet, orbit
 from vone.groups import GroupDescriptor, build_group
-from vone.powerop import ETA, EtaClass, Pi1Element, sq1_consistency, sq1_gset, sq1_int
+from vone.powerop import ETA, EtaClass, Pi1Element, _sq1_from_action, sq1_gset, sq1_int
 
 
 def G(name):
@@ -143,6 +145,44 @@ def test_sq1_rejects_virtual():
 
     with pytest.raises(ValueError):
         sq1_gset(VirtualGSet(c4, [Fraction(1, 3), 0, 0], p_local=2))
+
+
+def _random_points_action(G, counts, rng):
+    """The action of `_points_action` under a randomized enumeration: orbits
+    in shuffled order, each stabilizer a random conjugate of the class
+    representative, coset representatives in shuffled order."""
+    classes = G.subgroup_classes()
+    insts = [cid for cid, c in enumerate(counts) for _ in range(c)]
+    rng.shuffle(insts)
+    blocks = []
+    for cid in insts:
+        H = G.conjugate_subgroup(classes[cid].representative, rng.randrange(G.order))
+        order = list(range(G.order))
+        rng.shuffle(order)
+        rep_of = {}
+        reps = []
+        for g in order:
+            if g not in rep_of:
+                for h in H:
+                    rep_of[G.mul(g, h)] = g
+                reps.append(g)
+        blocks.append((reps, rep_of))
+    points = [(b, r) for b, (reps, _) in enumerate(blocks) for r in reps]
+    index = {pt: i for i, pt in enumerate(points)}
+    return [
+        tuple(index[(b, blocks[b][1][G.mul(g, r)])] for (b, r) in points)
+        for g in range(G.order)
+    ]
+
+
+def sq1_consistency(T, trials, seed):
+    """Recompute sq1_gset under randomized enumerations; True if stable."""
+    base = sq1_gset(T)
+    rng = random.Random(seed)
+    return all(
+        _sq1_from_action(T.group, _random_points_action(T.group, T.coeffs, rng)) == base
+        for _ in range(trials)
+    )
 
 
 def test_consistency_under_reenumeration():
