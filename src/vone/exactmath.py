@@ -1,10 +1,13 @@
 """Exact arithmetic substrate: rationals, cyclotomic numbers, integer
-matrices with Smith normal form, and Bernoulli numbers.
+matrices with Smith normal form, p-local membership, and Bernoulli numbers.
 
 Rationals are `fractions.Fraction` throughout and integers are Python ints,
 so every computation in this package is exact. An element of Q(zeta_N) is an
 integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
 with one common denominator, reduced modulo the N-th cyclotomic polynomial.
+The Smith form serves kernels, solutions and cokernels over Z; membership in
+a Z_(p)-span (`p_local_in_image`, step 2 of a cyclic certificate) is an
+elimination over the valuation ring Z_(p) and builds no Smith form.
 Nothing here touches floating point.
 """
 
@@ -460,7 +463,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple([tuple([int(x) for x in row]) for row in entries])
         if not rows:
             raise ValueError("IntMatrix needs at least one row")
         width = len(rows[0])
@@ -679,20 +682,68 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
 def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
     """Whether vec lies in the Z_(p)-span of the columns of mat.
 
-    vec may have rational entries. With U the left transform of the Smith
-    form diag(d_i) and D the lcm of the denominators of vec, y = U*(D*vec)
-    is an integer vector, and vec is in the span exactly when y_i = 0 past
-    the rank and v_p(y_i) >= v_p(d_i) + v_p(D) below it.
+    vec may have rational entries; it needs one entry per row of mat. With
+    D the lcm of its denominators and s = v_p(D), the question is whether
+    A*x = b/p^s has a solution x over Z_(p), where A = mat and b = D*vec is
+    an integer vector (the prime-to-p part of D is a unit).
+
+    Elimination over the discrete valuation ring Z_(p) (Cohen, GTM 138,
+    2.4), with b carried as one extra column. The pivot a = p^v*u is an
+    entry of least valuation among the remaining rows (a row's least
+    valuation is that of its content), so p^v divides every entry of its
+    column, and row_i <- u*row_i - (a_i/p^v)*row_piv clears that column;
+    u is a p-adic unit, so each step is invertible over Z_(p). The pivot
+    equation then fixes its variable in Z_(p) exactly when
+    v_p(b_piv) >= v + s, whatever the other variables are, because every
+    other entry of the pivot row has valuation >= v; its row and column
+    leave the system. A row whose matrix part is zero passes only when its
+    b is 0. Each updated row is divided by the prime-to-p part of its
+    content, a unit, to keep the entries small; their growth can cost only
+    time, never exactness.
     """
-    d, u, _ = smith_normal_form(mat)
-    rank = _snf_rank(d)
-    den = lcm(*(x.denominator for x in vec))
-    scaled = [x.numerator * (den // x.denominator) for x in vec]
+    if len(vec) != mat.rows:
+        raise ValueError(f"vector of length {len(vec)} against {mat.rows} rows")
+    den = lcm(*[x.denominator for x in vec])
     shift = pvaluation(den, p)
-    for i, row in enumerate(u.entries):
-        y = sum(a * b for a, b in zip(row, scaled))
-        if y and (i >= rank or pvaluation(y, p) < pvaluation(d.entries[i][i], p) + shift):
+    rows = [[*row, x.numerator * (den // x.denominator)]
+            for row, x in zip(mat.entries, vec)]
+    while rows:
+        best = None  # (valuation, row index)
+        for i, row in enumerate(rows):
+            g = gcd(*row[:-1])
+            if not g:
+                if row[-1]:
+                    return False
+                continue
+            v = 0
+            while g % p == 0 and (best is None or v < best[0]):
+                g //= p
+                v += 1
+            if best is None or v < best[0]:
+                best = (v, i)
+                if v == 0:
+                    break
+        if best is None:
+            return True
+        v, pi = best
+        prow = rows.pop(pi)
+        if prow[-1] % p ** (v + shift):
             return False
+        pv = p**v
+        pj = next(j for j, a in enumerate(prow) if a % (pv * p))
+        unit = prow.pop(pj) // pv
+        for i, row in enumerate(rows):
+            q = row.pop(pj)
+            if not q:
+                continue
+            q //= pv
+            row = [unit * x - q * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            while g and g % p == 0:
+                g //= p
+            if g > 1:
+                row = [x // g for x in row]
+            rows[i] = row
     return True
 
 

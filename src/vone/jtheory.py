@@ -7,9 +7,13 @@ collapses to 1 + lambda*[regular] with lambda = (ell^dim - 1)/|G| (Adams,
 On the groups J(X) II, Topology 3, 1965), so the certificates read lambda
 off that closed form and never convolve; `theta` computes the class itself
 and the tests hold the two against each other. The p-adic valuation of
-lambda is the quantity the self-map certificates consume. Everything is
-exact: integer representation rings, cyclotomic character values,
-Bernoulli denominators for the image-of-J oracle.
+lambda is the quantity the self-map certificates consume. Over a cyclic
+p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
+permutation character of X; `_theta_fixed_mod_X` answers by elimination
+over Z_(p), and its docstring proves the closed form in the marks of X
+that the tests hold against it. Everything is exact: integer
+representation rings, cyclotomic character values, Bernoulli denominators
+for the image-of-J oracle.
 """
 
 from __future__ import annotations
@@ -241,7 +245,24 @@ def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
     """The fixedness check of `verify_bott_fixed_mod_X` for a given
     diff = theta^ell(V) - 1 over a cyclic p-group. The certificate passes
     lambda * [regular], which `verify_adams_bott` shows equal to it, so no
-    convolution runs on that path."""
+    convolution runs on that path.
+
+    The test is p-local membership of diff in the column span of the
+    circulant of w = linearize(X), i.e. in the ideal (w) of
+    RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n. For diff = lambda * [regular]
+    it has a closed form, which the tests hold against this function:
+    - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
+      of the Z_(p)[zeta_{p^i}] (x^N - 1 is separable over Q).
+    - w has i-th coordinate phi_i, the mark of X at the subgroup of order
+      p^i; [regular] has coordinates (N, 0, ..., 0).
+    - So w*y = lambda * [regular] asks for y(zeta_{p^i}) = 0 for i in
+      S = {i >= 1 : phi_i != 0}, and phi_0 * y(1) = lambda * N.
+    - y vanishes at those roots exactly when the monic product F of the
+      Phi_{p^i}, i in S, divides y; then y(1) = F(1) z(1) = p^|S| z(1),
+      and z = constant reaches every value in p^|S| Z_(p).
+    - Hence, for lambda != 0: fixed <=> phi_0 != 0 and
+      v_p(lambda) >= v_p(phi_0) + |S| - n.
+    """
     G = diff.group
     if X.group is not G:
         raise ValueError("V and X live over different groups")
@@ -253,5 +274,10 @@ def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
         if isinstance(c, Fraction):
             scale = scale * c.denominator // gcd(scale, c.denominator)
     w = [int(c * scale) for c in w]  # p-local unit rescale; same ideal
-    M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
-    return p_local_in_image(M, diff.coeffs, p)
+    # row a of the circulant is w[(a - b) % m] over b: row 0 rotated a times
+    row = [w[-b] for b in range(m)]
+    rows = []
+    for _ in range(m):
+        rows.append(row)
+        row = row[-1:] + row[:-1]
+    return p_local_in_image(IntMatrix(rows), diff.coeffs, p)

@@ -27,6 +27,7 @@ from .exactmath import (
     CyclotomicElement,
     IntMatrix,
     cokernel_data,
+    is_prime,
     kernel_basis,
     prime_power,
 )
@@ -476,20 +477,23 @@ def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
 
 
 def is_fixed_point_free(V: VirtualRep) -> bool:
-    """No nontrivial element fixes a vector; the unit sphere is free."""
+    """No nontrivial element fixes a vector; the unit sphere is free.
+
+    A vector fixed by g is fixed by every power of g, and g != e has a
+    power of prime order, so only classes of prime order are checked; for
+    Q_{2^n} that is the central involution alone.
+    """
     if not V.is_honest():
         raise ValueError("fixed point freeness is a property of honest representations")
     G = V.group
     if V.is_cyclic_side():
         m = G.order
         return all(gcd(a, m) == 1 for a, c in enumerate(V.coeffs) if c)
-    for cls in G.element_conjugacy_classes():
-        r = cls[0]
-        if r == 0:
-            continue
-        if fixed_space_dim(V, r) != 0:
-            return False
-    return True
+    return all(
+        fixed_space_dim(V, cls[0]) == 0
+        for cls in G.element_conjugacy_classes()
+        if is_prime(G.element_order(cls[0]))
+    )
 
 
 def has_rational_characters(V: VirtualRep) -> bool:

@@ -8,11 +8,13 @@ gcds of minors, Bernoulli denominators by the von Staudt-Clausen theorem.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 
+from vone.burnside import VirtualGSet
 from vone.exactmath import (
     CyclotomicElement,
     IntMatrix,
@@ -31,6 +33,8 @@ from vone.exactmath import (
     smith_normal_form,
     solve_int_columns,
 )
+from vone.groups import GroupDescriptor, build_group
+from vone.repring import linearize
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +359,124 @@ def test_p_local_membership_matches_fraction_oracle() -> None:
         assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_p_local_membership_rejects_wrong_length() -> None:
+    two = IntMatrix([[2, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        p_local_in_image(two, [2, 2, 1], 2)
+    with pytest.raises(ValueError):
+        p_local_in_image(two, [2], 2)
+
+
+def snf_in_image(mat: IntMatrix, vec, p: int) -> bool:
+    """p-local membership read off the Smith form U*mat*V = diag(d_i): with
+    D the lcm of the denominators of vec and y = U*(D*vec), vec is in the
+    span exactly when y_i = 0 past the rank and v_p(y_i) >= v_p(d_i) + v_p(D)
+    below it. The rule before the elimination over Z_(p), kept as the
+    oracle."""
+    d, u, _ = smith_normal_form(mat)
+    rank = sum(1 for x in d.diag() if x)
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    scaled = [int(x * den) for x in vec]
+    shift = pvaluation(den, p)
+    for i, row in enumerate(u.entries):
+        y = sum(a * b for a, b in zip(row, scaled))
+        if y and (i >= rank or pvaluation(y, p) < pvaluation(d.entries[i][i], p) + shift):
+            return False
+    return True
+
+
+def _image_of(mat: IntMatrix, x) -> list:
+    return [sum(a * b for a, b in zip(row, x)) for row in mat.entries]
+
+
+def _random_vec(rng: random.Random, mat: IntMatrix, p: int) -> list:
+    """In the image (x with denominators prime to p), maybe off it after
+    dividing by p, or an arbitrary vector with denominators divisible by p."""
+    q = 3 if p == 2 else 2
+    x = [Fraction(rng.randint(-9, 9), rng.choice((1, q))) for _ in range(mat.cols)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _image_of(mat, x)
+    if kind == 1:
+        return [y / p for y in _image_of(mat, x)]
+    return [Fraction(rng.randint(-20, 20), rng.choice((1, p, p * p, q)))
+            for _ in range(mat.rows)]
+
+
+def _agrees_with_oracles(mat: IntMatrix, vec, p: int) -> bool:
+    got = p_local_in_image(mat, vec, p)
+    assert got == snf_in_image(mat, vec, p), (mat.entries, vec, p)
+    assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
+    return got
+
+
+def test_p_local_membership_matches_snf_oracle_on_small_matrices() -> None:
+    # rectangular, rank-deficient (a product through k < min(rows, cols))
+    # and p-divisible matrices up to 8x8
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(1200):
+        p = rng.choice((2, 3, 5))
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        scale = rng.choice((1, p, p * p))
+        if rng.random() < 0.4:
+            k = rng.randint(1, min(rows, cols))
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+            b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+            entries = [[scale * sum(x * y for x, y in zip(ra, cb)) for cb in zip(*b)]
+                       for ra in a]
+        else:
+            entries = [[scale * rng.choice((0, rng.randint(-6, 6))) for _ in range(cols)]
+                       for _ in range(rows)]
+        mat = IntMatrix(entries)
+        outcomes.add(_agrees_with_oracles(mat, _random_vec(rng, mat, p), p))
+    assert outcomes == {True, False}
+
+
+def _circulant(X: VirtualGSet) -> IntMatrix:
+    """Multiplication by the permutation character w of X in RU(C_m),
+    entry (a, b) = w[(a - b) % m], with w cleared of denominators."""
+    w = [Fraction(c) for c in linearize(X).coeffs]
+    den = lcm(*(c.denominator for c in w))
+    w = [int(c * den) for c in w]
+    m = len(w)
+    return IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
+
+
+def test_p_local_membership_matches_snf_oracle_on_circulants() -> None:
+    # coefficients stay small: the integer Smith form of the oracle can take
+    # minutes on some circulants over C32 with large ones
+    rng = random.Random(29)
+    outcomes = set()
+    for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32):
+        g = build_group(GroupDescriptor.cyclic_of_order(m))
+        p = prime_power(m)[0]
+        r = len(g.subgroup_classes())
+        for _ in range(4):
+            X = VirtualGSet(g, [rng.choice((0, rng.randint(-3, 3))) for _ in range(r)])
+            mat = _circulant(X)
+            lam = p ** rng.randint(0, 3) * rng.choice((1, -1, 7))
+            outcomes.add(_agrees_with_oracles(mat, [lam] * m, p))
+            outcomes.add(_agrees_with_oracles(mat, _random_vec(rng, mat, p), p))
+    assert outcomes == {True, False}
+
+
+def test_p_local_membership_c32_entry_growth_case_is_fast() -> None:
+    # the integer Smith form of this circulant took 147 s
+    g = build_group(GroupDescriptor.cyclic_of_order(32))
+    X = VirtualGSet(g, [2, 1, -1, -1, -2, -64])
+    mat = _circulant(X)
+    rng = random.Random(3)
+    inside = _image_of(mat, [rng.randint(-50, 50) for _ in range(32)])
+    # lambda*[regular] with |X| = 0 is never in the ideal (see jtheory)
+    for vec, want in ((inside, True), ([3**20] * 32, False), ([1] * 32, False)):
+        start = time.perf_counter()
+        got = p_local_in_image(mat, vec, 2)
+        assert time.perf_counter() - start < 0.5
+        assert got == want
 
 
 def test_cokernel_data() -> None:

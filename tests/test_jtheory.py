@@ -349,6 +349,64 @@ def test_bott_fixed_matches_two_half_check():
     assert outcomes == {True, False}
 
 
+def closed_form_fixed(lam: int, X) -> bool:
+    """Step 2 for lambda*[regular] from the marks phi_i of X at C_{p^i}
+    (proof in `_theta_fixed_mod_X`): fixed <=> phi_0 != 0 and
+    v_p(lambda) >= v_p(phi_0) + |S| - n, S = {i >= 1 : phi_i != 0}."""
+    g = X.group
+    p, n = prime_power(g.order)
+    phi = dict(zip((c.order for c in g.subgroup_classes()), marks(X)))
+    if phi[1] == 0:
+        return False
+    s = sum(1 for i in range(1, n + 1) if phi[p**i] != 0)
+    return pvaluation(lam, p) >= pvaluation(phi[1], p) + s - n
+
+
+def test_bott_fixed_matches_closed_form():
+    # every C_{p^n} <= 128, one X of each kind up to order 64 and one of a
+    # rotating kind above (about 0.2 s per elimination at order 128);
+    # lambda straddles the threshold of the closed form
+    rng = random.Random(37)
+    outcomes = set()
+    orders = [m for m in range(2, 129) if prime_power(m) is not None]
+    kinds = ("random", "p-local", "zero")
+    for idx, m in enumerate(orders):
+        g = cyc(m)
+        p, n = prime_power(m)
+        r = len(g.subgroup_classes())
+        reg = VirtualRep.regular(g)
+        q = 3 if p == 2 else 2
+        for kind in kinds if m <= 64 else kinds[idx % 3:idx % 3 + 1]:
+            if kind == "random":
+                X = VirtualGSet(g, [rng.choice((0, rng.randint(-10**6, 10**6)))
+                                    for _ in range(r)])
+            elif kind == "p-local":
+                X = VirtualGSet(g, [Fraction(rng.randint(-999, 999), rng.choice((1, q, q * q)))
+                                    for _ in range(r)], p)
+            else:  # zero cardinality: sums of a([G/H] - p[G/K]), |K:H| = p
+                vec = [0] * r
+                for _ in range(2):
+                    i = rng.randrange(r - 1)
+                    a = rng.randint(-10**4, 10**4)
+                    vec[i] += a
+                    vec[i + 1] -= a * p
+                X = VirtualGSet(g, vec)
+            phi0, *rest = marks(X)
+            if phi0:
+                s = sum(1 for v in rest if v != 0)
+                t = max(pvaluation(phi0, p) + s - n, 0)
+                lams = [p**t * rng.choice((1, -1, q))]
+                if t:
+                    lams.append(p ** (t - 1) * rng.choice((1, q)))
+            else:
+                lams = [p ** rng.randint(0, 2 * n) * rng.choice((1, q))]
+            for lam in lams:
+                fixed = _theta_fixed_mod_X(lam * reg, X)
+                assert fixed == closed_form_fixed(lam, X), (m, X.coeffs, lam)
+                outcomes.add(fixed)
+    assert outcomes == {True, False}
+
+
 def test_bott_fixed_requirements():
     c2, c4 = cyc(2), cyc(4)
     with pytest.raises(ValueError):

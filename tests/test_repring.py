@@ -312,6 +312,44 @@ def test_fpf_cyclic_fast_path_matches_eigenvalue_definition():
             assert is_fixed_point_free(v) == by_eigen
 
 
+def fpf_all_classes(V) -> bool:
+    """Fixed point freeness checked at every nontrivial element class: the
+    rule before only classes of prime order were read, kept as the oracle."""
+    G = V.group
+    return all(
+        fixed_space_dim(V, cls[0]) == 0
+        for cls in G.element_conjugacy_classes()
+        if cls[0] != 0
+    )
+
+
+def test_fpf_prime_order_classes_match_all_classes():
+    # sums of individually fixed point free irreducibles are fixed point
+    # free; random honest sums mostly are not
+    rng = random.Random(43)
+    outcomes = set()
+    for name in ("Q8", "Q16", "Q32", "Q64", "Dic3", "Dic4", "Dic5", "Dic6", "Dic7",
+                 "Dic8", "Dic9"):
+        g = G(name)
+        r = len(character_table(g).names)
+        irreps = [VirtualRep.irreducible(g, i) for i in range(r)]
+        free = [i for i, v in enumerate(irreps) if fpf_all_classes(v)]
+        assert free
+        candidates = [2 * standard_rep(g, "taut")]
+        for _ in range(4):
+            vec = [0] * r
+            for i in rng.sample(free, rng.randint(1, len(free))):
+                vec[i] = rng.randint(1, 3)
+            candidates.append(VirtualRep(g, vec))
+            candidates.append(VirtualRep(g, [rng.randint(0, 2) for _ in range(r)]))
+        candidates.append(VirtualRep(g, vec) + irreps[rng.randrange(r)])
+        for v in candidates:
+            got = is_fixed_point_free(v)
+            assert got == fpf_all_classes(v), (name, v.coeffs)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_fixed_space_dim():
     c4 = G("C4")
     w = standard_rep(c4, "W")
