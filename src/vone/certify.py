@@ -344,6 +344,8 @@ def enumerate_5_1(
         raise ValueError(f"unknown mode {mode!r}")
     if p < 2 or n < 1:
         raise ValueError("need a prime p and n >= 1")
+    if s_max < 0 or d_max < 0:
+        raise ValueError("s_max and d_max must be >= 0")
     rows = []
     for s in range(s_max + 1):
         for i in range(n + 1):

@@ -5,9 +5,10 @@ Rationals are `fractions.Fraction` throughout and integers are Python ints,
 so every computation in this package is exact. An element of Q(zeta_N) is an
 integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
 with one common denominator, reduced modulo the N-th cyclotomic polynomial.
-The Smith form serves kernels, solutions and cokernels over Z; membership in
-a Z_(p)-span (`p_local_in_image`, step 2 of a cyclic certificate) is an
-elimination over the valuation ring Z_(p) and builds no Smith form.
+The Smith form serves kernels and cokernels over Z; it carries U^-1 through
+its elimination for the cokernel generators. Membership in a Z_(p)-span
+(`p_local_in_image`, step 2 of a cyclic certificate) is an elimination over
+the valuation ring Z_(p) and builds no Smith form.
 Nothing here touches floating point.
 """
 
@@ -26,14 +27,13 @@ __all__ = [
     "euler_phi",
     "divisors",
     "pvaluation",
+    "poly_mul",
     "cyclotomic_poly",
     "CyclotomicElement",
     "bernoulli",
     "IntMatrix",
     "smith_normal_form",
     "kernel_basis",
-    "solve_int_columns",
-    "invert_unimodular",
     "p_local_in_image",
     "cokernel_data",
 ]
@@ -119,7 +119,8 @@ def pvaluation(x: int | Fraction, p: int) -> int:
 # integer polynomials (coefficient tuples, constant term first)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials, constant term first."""
     bt = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -363,7 +364,7 @@ class CyclotomicElement:
         a, b = self._pair(self, other)
         n = a.conductor
         # the reduction stays integral since Phi_n is monic
-        red = _reduce_mod_phi(_poly_mul(a.num, b.num), n)
+        red = _reduce_mod_phi(poly_mul(a.num, b.num), n)
         return CyclotomicElement._make(n, red, a.den * b.den)
 
     __rmul__ = __mul__
@@ -537,18 +538,24 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*mat*V = D, U and V unimodular, and D diagonal
-    with nonnegative entries d1 | d2 | ...
+def smith_normal_form(
+    mat: IntMatrix,
+) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """Return (D, U, V, U^-1) with U*mat*V = D, U and V unimodular, and D
+    diagonal with nonnegative entries d1 | d2 | ...
 
-    Elementary row and column operations only; pivots are chosen by minimal
-    absolute value, which keeps intermediate entries tame at the sizes used
-    here.
+    Elementary row and column operations only, with pivots of minimal
+    absolute value. U^-1 is carried through the same elimination (Cohen,
+    GTM 138, 2.4): a row operation E applied to U is applied to U^-1 as
+    the column operation E^-1 on the right, so no second elimination
+    inverts U. Entries are not kept small: U and U^-1 of some circulants
+    reach thousands of bits, which costs time but never exactness.
     """
     r, c = mat.rows, mat.cols
     a = [list(row) for row in mat.entries]
     u = [[int(i == j) for j in range(r)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
+    w = [[int(i == j) for j in range(r)] for i in range(r)]  # rows: columns of U^-1
 
     def row_addmul(i, j, q):
         ai, aj = a[i], a[j]
@@ -557,6 +564,10 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         ui, uj = u[i], u[j]
         for x in range(r):
             ui[x] += q * uj[x]
+        # U^-1 <- U^-1 * (I - q e_ij): column j loses q times column i
+        wi, wj = w[i], w[j]
+        for x in range(r):
+            wj[x] -= q * wi[x]
 
     def col_addmul(i, j, q):
         for row in a:
@@ -567,6 +578,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def col_swap(i, j):
         for row in a:
@@ -577,6 +589,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        w[i] = [-x for x in w[i]]
 
     m = min(r, c)
     for t in range(m):
@@ -632,11 +645,7 @@ def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if bad is None:
                 break
             row_addmul(t, bad, 1)
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
-
-
-def _snf_rank(d: IntMatrix) -> int:
-    return sum(1 for x in d.diag() if x)
+    return IntMatrix(a), IntMatrix(u), IntMatrix(v), IntMatrix.from_columns(w)
 
 
 def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
@@ -644,39 +653,9 @@ def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
 
     Columns of V beyond the rank of the Smith form give a saturated basis.
     """
-    d, _, v = smith_normal_form(mat)
-    rank = _snf_rank(d)
+    d, _, v, _ = smith_normal_form(mat)
+    rank = sum(1 for x in d.diag() if x)
     return [v.column(j) for j in range(rank, mat.cols)]
-
-
-def solve_int_columns(b: IntMatrix, target: IntMatrix) -> IntMatrix | None:
-    """Solve b * Y = target over the integers; None if unsolvable."""
-    if b.rows != target.rows:
-        raise ValueError("shape mismatch")
-    d, u, v = smith_normal_form(b)
-    rank = _snf_rank(d)
-    ut = u * target
-    z = [[0] * target.cols for _ in range(b.cols)]
-    for i in range(b.rows):
-        di = d.entries[i][i] if i < min(b.rows, b.cols) else 0
-        for j in range(target.cols):
-            val = ut.entries[i][j]
-            if i < rank:
-                q, rem = divmod(val, di)
-                if rem:
-                    return None
-                z[i][j] = q
-            elif val:
-                return None
-    return v * IntMatrix(z)
-
-
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv = solve_int_columns(m, IntMatrix.identity(m.rows))
-    if inv is None:
-        raise ArithmeticError("matrix is not unimodular")
-    return inv
 
 
 def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
@@ -754,20 +733,12 @@ def cokernel_data(
 
     Returns (free_rank, factors > 1 in divisibility order, generators).
     Generators are ambient coordinate vectors: one per listed factor, then
-    one per free summand.
+    one per free summand. With U*mat*V = D, the columns of U^-1 are a basis
+    of Z^rows in which the column span is d_i times the i-th basis vector.
     """
-    d, u, _ = smith_normal_form(mat)
-    diag = d.diag()
-    rank = sum(1 for x in diag if x)
+    d, _, _, uinv = smith_normal_form(mat)
+    diag = d.diag() + [0] * (mat.rows - min(mat.rows, mat.cols))
     factors = tuple(x for x in diag if x > 1)
-    free_rank = mat.rows - rank
-    uinv = invert_unimodular(u)
-    cols = []
-    for i, x in enumerate(diag):
-        if x > 1:
-            cols.append(uinv.column(i))
-    for i in range(mat.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            cols.append(uinv.column(i))
-    return free_rank, factors, tuple(cols)
+    gens = [uinv.column(i) for i, x in enumerate(diag) if x > 1]
+    gens += [uinv.column(i) for i, x in enumerate(diag) if x == 0]
+    return diag.count(0), factors, tuple(gens)

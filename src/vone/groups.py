@@ -500,7 +500,7 @@ class WeylData:
                 for i in range(rank)
             ]
         )
-        d, u, _ = smith_normal_form(rel_mat)
+        d, u, _, _ = smith_normal_form(rel_mat)
         diag = d.diag()
         total = 1
         for x in diag:

@@ -27,8 +27,10 @@ from .exactmath import (
     CyclotomicElement,
     IntMatrix,
     cokernel_data,
+    cyclotomic_poly,
     is_prime,
     kernel_basis,
+    poly_mul,
     prime_power,
 )
 from .groups import GroupModel
@@ -578,26 +580,27 @@ class IdealStructure:
     quotient_fixed: AbelianPresentation | None = None
 
 
-def _ann_presentation(M: IntMatrix) -> AbelianPresentation:
-    basis = kernel_basis(M)
-    return AbelianPresentation(len(basis), (), tuple(basis))
-
-
-def _quot_presentation(M: IntMatrix) -> AbelianPresentation:
-    free, factors, gens = cokernel_data(M)
-    return AbelianPresentation(free, factors, gens)
-
-
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     """Presentations of Ann(X) = ker(X * -) and R/XR for R = A(G) or RU(G).
 
-    X must have integer coefficients. For side RU the Galois-fixed
-    sub-presentations are computed inside the fixed subring: the orbit sums
-    gamma_i are a basis of RU^Galois, the permutation character of X lives
-    there, and multiplication by it restricts; Ann and quotient of that
-    restricted map match the side-A answers. (The Galois fixed points of the
-    module RU/XR itself can be strictly smaller: passing to fixed points is
-    not exact, so the subring is where the comparison with A(G) lives.)
+    X must have integer coefficients. For side RU, with |G| = N = p^n, the
+    annihilator has a closed form. Evaluation at the roots of unity
+    zeta_{p^i}, i = 0..n, embeds RU(G) = Z[x]/(x^N - 1) in a product of
+    domains, since x^N - 1 is the product of the distinct Phi_{p^i}. The
+    permutation character w of X takes there the value phi_i, the mark of X
+    at the subgroup of order p^i. So w*y = 0 exactly when y(zeta_{p^i}) = 0
+    for each i with phi_i != 0, that is, when the product F of those monic
+    Phi_{p^i} divides y. F divides x^N - 1, so dividing a representative of
+    degree < N by F shows that Ann(w) is F * Z[x] in degrees < N, with basis
+    x^j F for j < N - deg F; it is saturated, as a kernel must be.
+
+    The Galois-fixed sub-presentations are computed inside the fixed
+    subring: the orbit sums gamma_i are a basis of RU^Galois, the
+    permutation character of X lives there, and multiplication by it
+    restricts; Ann and quotient of that restricted map match the side-A
+    answers. (The Galois fixed points of the module RU/XR itself can be
+    strictly smaller: passing to fixed points is not exact, so the subring
+    is where the comparison with A(G) lives.)
     """
     G = X.group
     if G.descriptor.kind != "cyclic" or prime_power(G.order) is None:
@@ -608,15 +611,24 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
         r = len(G.subgroup_classes())
         cols = [bmul(X, orbit(G, j)).coeffs for j in range(r)]
         M = IntMatrix.from_columns(cols)
-        return IdealStructure("A", _ann_presentation(M), _quot_presentation(M))
+        ann = kernel_basis(M)
+        return IdealStructure(
+            "A",
+            AbelianPresentation(len(ann), (), tuple(ann)),
+            AbelianPresentation(*cokernel_data(M)),
+        )
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
     m = G.order
     lin = linearize(X)
     w = lin.coeffs
+    F = [1]
+    for cls, phi in zip(G.subgroup_classes(), marks(X)):
+        if phi:
+            F = poly_mul(F, cyclotomic_poly(cls.order))
+    pad = m - len(F)
+    ann = tuple((0,) * j + tuple(F) + (0,) * (pad - j) for j in range(pad + 1))
     M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
-    ann = _ann_presentation(M)
-    quot = _quot_presentation(M)
     basis = gamma_orbit_basis(G)
     cols = []
     for gam in basis.gammas:
@@ -632,12 +644,12 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
                 out[a] += c * gam.coeffs[a]
         return tuple(out)
 
-    ann_basis = kernel_basis(MG)
-    ann_fixed = AbelianPresentation(
-        len(ann_basis), (), tuple(ambient(v) for v in ann_basis)
-    )
+    ann_fixed = tuple(ambient(v) for v in kernel_basis(MG))
     free, factors, gens = cokernel_data(MG)
-    quot_fixed = AbelianPresentation(
-        free, factors, tuple(ambient(v) for v in gens or ())
+    return IdealStructure(
+        "RU",
+        AbelianPresentation(len(ann), (), ann),
+        AbelianPresentation(*cokernel_data(M)),
+        AbelianPresentation(len(ann_fixed), (), ann_fixed),
+        AbelianPresentation(free, factors, tuple(ambient(v) for v in gens)),
     )
-    return IdealStructure("RU", ann, quot, ann_fixed, quot_fixed)

@@ -300,6 +300,14 @@ def test_cli_theta_and_sq1():
     assert code == 2
 
 
+def test_cli_enumerate_rejects_negative_bounds():
+    for flag in ("--s-max", "--d-max"):
+        code, out, err = go("enumerate", "--group", "C8", "--json", flag, "-5")
+        assert (code, out) == (2, "") and "must be >= 0" in err, flag
+    code, out, err = go("enumerate", "--group", "Q8", "--json", "--t-max", "-1")
+    assert (code, out) == (2, "") and "must be >= 0" in err
+
+
 def test_cli_enumerate_and_marks_and_telescope():
     code, out, _ = go("enumerate", "--group", "C8", "--json", "--s-max", "1", "--d-max", "2")
     assert code == 0

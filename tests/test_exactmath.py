@@ -24,14 +24,12 @@ from vone.exactmath import (
     divisors,
     euler_phi,
     factorize,
-    invert_unimodular,
     is_prime,
     kernel_basis,
     p_local_in_image,
     prime_power,
     pvaluation,
     smith_normal_form,
-    solve_int_columns,
 )
 from vone.groups import GroupDescriptor, build_group
 from vone.repring import linearize
@@ -224,9 +222,32 @@ def test_bernoulli_von_staudt_clausen() -> None:
 # Smith normal form
 
 
+def solve_int_columns(b: IntMatrix, target: IntMatrix) -> IntMatrix | None:
+    """Solve b * Y = target over the integers; None if unsolvable. Read off
+    the Smith form U*b*V = D: Y = V*Z with D*Z = U*target."""
+    if b.rows != target.rows:
+        raise ValueError("shape mismatch")
+    d, u, v, _ = smith_normal_form(b)
+    rank = sum(1 for x in d.diag() if x)
+    ut = u * target
+    z = [[0] * target.cols for _ in range(b.cols)]
+    for i in range(b.rows):
+        for j in range(target.cols):
+            val = ut.entries[i][j]
+            if i < rank:
+                q, rem = divmod(val, d.entries[i][i])
+                if rem:
+                    return None
+                z[i][j] = q
+            elif val:
+                return None
+    return v * IntMatrix(z)
+
+
 def _check_snf(m: IntMatrix) -> IntMatrix:
-    d, u, v = smith_normal_form(m)
+    d, u, v, uinv = smith_normal_form(m)
     assert u * m * v == d
+    assert u * uinv == IntMatrix.identity(m.rows) == uinv * u
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
     diag = d.diag()
@@ -306,14 +327,6 @@ def test_solve_int_columns() -> None:
     assert solve_int_columns(IntMatrix([[1], [1]]), IntMatrix([[0], [1]])) is None
 
 
-def test_invert_unimodular() -> None:
-    m = IntMatrix([[2, 1], [1, 1]])
-    inv = invert_unimodular(m)
-    assert m * inv == IntMatrix.identity(2)
-    with pytest.raises(ArithmeticError):
-        invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
-
-
 def test_p_local_membership() -> None:
     m = IntMatrix([[2, 0], [0, 3]])
     # (1, 0) is in the 3-local but not the 2-local span
@@ -329,7 +342,7 @@ def test_p_local_membership() -> None:
 def fraction_in_image(mat: IntMatrix, vec, p: int) -> bool:
     """p-local membership with y = U*vec formed in Fractions: the rule
     before denominators were cleared, kept as the oracle."""
-    d, u, _ = smith_normal_form(mat)
+    d, u, _, _ = smith_normal_form(mat)
     rank = sum(1 for x in d.diag() if x)
     y = [sum(Fraction(u.entries[i][j]) * Fraction(vec[j]) for j in range(mat.rows))
          for i in range(mat.rows)]
@@ -375,7 +388,7 @@ def snf_in_image(mat: IntMatrix, vec, p: int) -> bool:
     span exactly when y_i = 0 past the rank and v_p(y_i) >= v_p(d_i) + v_p(D)
     below it. The rule before the elimination over Z_(p), kept as the
     oracle."""
-    d, u, _ = smith_normal_form(mat)
+    d, u, _, _ = smith_normal_form(mat)
     rank = sum(1 for x in d.diag() if x)
     vec = [Fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in vec))
@@ -502,6 +515,33 @@ def test_cokernel_generators_generate() -> None:
     for order, g in zip(factors, gens):
         scaled = IntMatrix([[order * x] for x in g])
         assert solve_int_columns(m, scaled) is not None
+
+
+def test_cokernel_generators_match_solved_inverse() -> None:
+    # U^-1 carried through the elimination equals the inverse solved from U,
+    # and the generators are its columns at the factors > 1, then the zeros
+    rng = random.Random(43)
+    mats = [_circulant(VirtualGSet(g, [rng.randint(-3, 3) for _ in g.subgroup_classes()]))
+            for g in (build_group(GroupDescriptor.cyclic_of_order(m)) for m in (4, 8, 9, 16))]
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(1, min(rows, cols))
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(cols)] for _ in range(k)]
+        mats.append(IntMatrix([[sum(x * y for x, y in zip(ra, cb)) for cb in zip(*b)]
+                               for ra in a]))
+    shapes = set()
+    for mat in mats:
+        d, u, _, uinv = smith_normal_form(mat)
+        inv = solve_int_columns(u, IntMatrix.identity(mat.rows))
+        assert inv == uinv, mat.entries
+        diag = d.diag() + [0] * (mat.rows - d.cols)
+        order = [i for i, x in enumerate(diag) if x > 1] + [i for i, x in enumerate(diag) if not x]
+        free, factors, gens = cokernel_data(mat)
+        assert gens == tuple(inv.column(i) for i in order), mat.entries
+        assert (free, factors) == (diag.count(0), tuple(x for x in diag if x > 1))
+        shapes.add((free > 0, factors != ()))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_bareiss_det_matches_cofactor() -> None:

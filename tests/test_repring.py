@@ -1,11 +1,18 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, from_marks, marks, orbit
-from vone.exactmath import CyclotomicElement, IntMatrix, smith_normal_form
+from vone.exactmath import (
+    CyclotomicElement,
+    IntMatrix,
+    kernel_basis,
+    prime_power,
+    smith_normal_form,
+)
 from vone.groups import GroupDescriptor, build_group
 from vone.repring import (
     VirtualRep,
@@ -22,6 +29,8 @@ from vone.repring import (
     linearize,
     standard_rep,
 )
+
+from test_exactmath import _circulant, solve_int_columns
 
 
 def G(name):
@@ -532,13 +541,71 @@ def test_quotient_generator_orders():
     out = annihilator_and_quotient(x, side="A")
     cols = [bmul(x, orbit(c4, j)).coeffs for j in range(3)]
     M = IntMatrix.from_columns(cols)
-    d, u, v = smith_normal_form(M)
+    d, u, v, _ = smith_normal_form(M)
     for factor, gen in zip(out.quotient.factors, out.quotient.generators):
         scaled = IntMatrix.from_columns([[factor * t for t in gen]])
-        from vone.exactmath import solve_int_columns
-
         assert solve_int_columns(M, scaled) is not None
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
+
+
+def test_ru_annihilator_closed_form_matches_circulant_kernel():
+    # each x^j F lies in the kernel of the circulant and the ranks agree;
+    # the x^j F are in echelon form with unit pivots, so they span a
+    # saturated lattice, as the kernel is, and the two lattices are equal.
+    # Coefficients stay small and zero-cardinality X has one term: the
+    # kernel oracle and the quotient are dense integer Smith forms, whose
+    # entry growth can take minutes on some circulants over C32 and C64.
+    rng = random.Random(41)
+    ranks = set()
+    for m in (2, 4, 8, 16, 32, 64, 3, 9, 27, 5, 25):
+        g = G(f"C{m}")
+        p = prime_power(m)[0]
+        r = len(g.subgroup_classes())
+        # [G/C_{p^i}] - p[G/C_{p^(i+1)}] has marks 0 except -p^(n-i) at C_{p^(i+1)}
+        null = [orbit(g, i) - p * orbit(g, i + 1) for i in range(r - 1)]
+        shapes = [VirtualGSet.zero(g)]
+        for _ in range(4):
+            Y = VirtualGSet(g, [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(r)])
+            shapes += [Y, p * Y, rng.choice((-2, -1, 1, 3)) * rng.choice(null)]
+        for X in shapes:
+            M = _circulant(X)
+            ann = annihilator_and_quotient(X, side="RU").annihilator
+            assert ann.free_rank == len(ann.generators) == len(kernel_basis(M)), (m, X.coeffs)
+            if ann.generators:
+                image = M * IntMatrix.from_columns(ann.generators)
+                assert not any(map(any, image.entries)), (m, X.coeffs)
+            deg = m - len(ann.generators)
+            for j, gen in enumerate(ann.generators):
+                assert gen[j + deg] == 1 and not any(gen[j + deg + 1:]), (m, X.coeffs, j)
+            ranks.add(ann.free_rank)
+    assert len(ranks) > 10
+
+
+def test_ru_presentation_c27_entry_growth_case_is_fast():
+    # U of this circulant has entries of about 10^4 bits and its quotient
+    # generators reach about 21000 bits; inverting U by a second Smith form
+    # took about 7 s
+    X = VirtualGSet(G("C27"), [-2, -1, -4, 1])
+    start = time.perf_counter()
+    out = annihilator_and_quotient(X, side="RU")
+    assert time.perf_counter() - start < 1.0
+    assert out.annihilator.free_rank == out.quotient.free_rank == 0
+    assert out.quotient.factors == (11, 11, 11, 22, 220, 8140)
+    assert (out.quotient_fixed.free_rank, out.quotient_fixed.factors) == (0, (2, 8140))
+    pairs = zip(out.quotient.factors, out.quotient.generators)
+    scaled = IntMatrix.from_columns([[f * x for x in gen] for f, gen in pairs])
+    assert solve_int_columns(_circulant(X), scaled) is not None
+
+
+def test_ru_presentation_c256_free_orbit_is_fast():
+    # the regular character: Ann has rank 255 and the quotient is Z^255
+    X = orbit(G("C256"), 0)
+    start = time.perf_counter()
+    out = annihilator_and_quotient(X, side="RU")
+    assert time.perf_counter() - start < 1.0
+    assert out.annihilator.free_rank == out.quotient.free_rank == 255
+    assert out.quotient.factors == ()
+    assert out.annihilator_fixed.free_rank == out.quotient_fixed.free_rank == 8
 
 
 def test_ann_requires_integral_cyclic():
