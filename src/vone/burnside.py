@@ -78,14 +78,8 @@ class CardinalityDecomposition:
 
 def orbit(group: GroupModel, which) -> VirtualGSet:
     """The orbit [G/H] for a subgroup class, id, or label."""
-    if isinstance(which, SubgroupClass):
-        cid = which.id
-    elif isinstance(which, int):
-        cid = which
-    else:
-        cid = group.class_of_label(str(which)).id
     vec = [0] * len(group.subgroup_classes())
-    vec[cid] = 1
+    vec[group.subgroup_class(which).id] = 1
     return VirtualGSet(group, vec)
 
 
@@ -154,17 +148,12 @@ def _classes_in(H: SubgroupClass) -> tuple:
 def restrict(X: VirtualGSet, H) -> VirtualGSet:
     """Restriction to a subgroup: the same points viewed as an H-set.
 
-    H is a SubgroupClass (or label) of X's group; the result lives over the
+    H is a SubgroupClass, id or label of X's group; the result lives over the
     standard model of the representative subgroup. A subgroup U <= H fixes
     the same points whether X is seen as a G-set or as an H-set, so the marks
     of the restriction are marks of X read at the G-classes of H's subgroups.
     """
-    G = X.group
-    if not isinstance(H, SubgroupClass):
-        H = G.class_of_label(str(H)) if not isinstance(H, int) else G.subgroup_classes()[H]
-    if H.group is not G:
-        raise ValueError("subgroup class belongs to a different group")
-    sub, to_G = _classes_in(H)
+    sub, to_G = _classes_in(X.group.subgroup_class(H))
     mx = marks(X)
     return from_marks(sub, [mx[c] for c in to_G], X.p_local)
 

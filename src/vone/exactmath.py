@@ -489,7 +489,7 @@ class IntMatrix:
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -738,7 +738,7 @@ def cokernel_data(
     """
     d, _, _, uinv = smith_normal_form(mat)
     diag = d.diag() + [0] * (mat.rows - min(mat.rows, mat.cols))
-    factors = tuple(x for x in diag if x > 1)
+    factors = tuple([x for x in diag if x > 1])
     gens = [uinv.column(i) for i, x in enumerate(diag) if x > 1]
     gens += [uinv.column(i) for i, x in enumerate(diag) if x == 0]
     return diag.count(0), factors, tuple(gens)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .burnside import VirtualGSet, marks
-from .groups import SubgroupClass
 
 __all__ = [
     "PowerMapFixedPoints",
@@ -96,14 +95,7 @@ class KUCofiberFixedPoints:
 
 def phi_gset(X: VirtualGSet, H) -> int | Fraction:
     """Geometric fixed points of a virtual G-set: its mark at H."""
-    G = X.group
-    if isinstance(H, SubgroupClass):
-        cid = H.id
-    elif isinstance(H, int):
-        cid = H
-    else:
-        cid = G.class_of_label(str(H)).id
-    value = marks(X)[cid]
+    value = marks(X)[X.group.subgroup_class(H).id]
     return int(value) if value.denominator == 1 else value
 
 

@@ -2,11 +2,16 @@
 groups Dic_m (order 4m), which cover generalized quaternion 2-groups as
 Q_{2^n} = Dic_{2^(n-2)}.
 
-Everything downstream is driven from the multiplication table: subgroups
-are the joins of cyclic subgroups, each grown from the identity by right
-multiplication with its generators, conjugacy classes of subgroups get
-canonical representatives, and each class carries its normalizer, Weyl
-group order, and the invariant factors of the Weyl group's abelianization.
+Subgroup classes are read off the two presentations (tom Dieck,
+*Transformation Groups and Representation Theory*, LNM 766, ch. 1): the
+subgroups <g^d> of C_m, d | m; the normal cyclic <x^d> of Dic_m, d | 2m;
+and the classes of <x^d, x^a j> in Dic_m, d | m, one for odd d and two for
+even d. Each class gets its canonical representative (least sorted element
+tuple), normalizer and Weyl group order in closed form, and the invariant
+factors of its Weyl group's abelianization N/H[N, N]. The multiplication
+table serves element arithmetic, conjugacy classes of elements and Weyl
+coordinates.
+
 The mark |(G/H)^K| is |N(H):H| times the number of conjugates of H that
 contain K (gH is K-fixed exactly when K <= gHg^-1), which makes the table of
 marks lower triangular in the (order, lex) class ordering.
@@ -17,8 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 
-from .exactmath import IntMatrix, smith_normal_form
+from .exactmath import IntMatrix, divisors, smith_normal_form
 
 # Every model builds its |G| x |G| multiplication table; keep a guard rail.
 DEFAULT_ORDER_BOUND = 512
@@ -193,23 +199,7 @@ class GroupModel:
     def elements(self) -> range:
         return range(self.order)
 
-    # -- subgroup machinery
-
-    def closure(self, gens) -> frozenset:
-        """Subgroup generated by gens: g^(-1) = g^(ord g - 1) in a finite
-        group, so the positive words in gens, grown from the identity by
-        right multiplication, are the whole subgroup."""
-        gens = set(gens)
-        out = {0}
-        work = [0]
-        while work:
-            row = self.mult[work.pop()]
-            for g in gens:
-                c = row[g]
-                if c not in out:
-                    out.add(c)
-                    work.append(c)
-        return frozenset(out)
+    # -- subgroup classes
 
     def cyclic_closure(self, g: int) -> frozenset:
         out = [0]
@@ -219,73 +209,54 @@ class GroupModel:
             x = self.mult[x][g]
         return frozenset(out)
 
-    def generating_set(self, H: frozenset) -> tuple:
-        """Small (greedy) generating set of a subgroup."""
-        gens: list[int] = []
-        got = frozenset([0])
-        for g in sorted(H):
-            if g not in got:
-                gens.append(g)
-                got = self.closure(gens)
-                if got == H:
-                    break
-        return tuple(gens)
-
-    def conjugate_subgroup(self, H: frozenset, x: int) -> frozenset:
-        return frozenset(self.conj(h, x) for h in H)
-
-    def normalizer_of(self, H: frozenset) -> frozenset:
-        gens = self.generating_set(H)
-        return frozenset(
-            x for x in range(self.order) if all(self.conj(h, x) in H for h in gens)
-        )
-
-    def all_subgroups(self) -> list:
-        # every subgroup found keeps one generator tuple, so joining H with
-        # C = <g> closes gens(H) + (g,) instead of all of H and C
-        gens: dict[frozenset, tuple] = {}
-        for g in range(self.order):
-            gens.setdefault(self.cyclic_closure(g), (g,))
-        cyclic_gens = [t[0] for t in gens.values()]
-        work = list(gens)
-        while work:
-            H = work.pop()
-            for g in cyclic_gens:
-                if g not in H:
-                    J_gens = gens[H] + (g,)
-                    J = self.closure(J_gens)
-                    if J not in gens:
-                        gens[J] = J_gens
-                        work.append(J)
-        return sorted(gens, key=lambda S: (len(S), tuple(sorted(S))))
-
     def subgroup_classes(self) -> tuple:
         if self._classes is None:
             self._build_classes()
         return self._classes
 
-    def _build_classes(self):
-        subgroups = self.all_subgroups()
-        seen = set()
-        raw = []
-        for H in subgroups:
-            if H in seen:
-                continue
-            conjs = {self.conjugate_subgroup(H, x) for x in range(self.order)}
-            seen |= conjs
-            rep = min(conjs, key=lambda S: tuple(sorted(S)))
-            raw.append((rep, tuple(sorted(conjs, key=lambda S: tuple(sorted(S))))))
-        raw.sort(key=lambda t: (len(t[0]), tuple(sorted(t[0]))))
+    def _class_families(self) -> list:
+        """(conjugates, normalizer, M) per class: conjugates in sorted order,
+        the representative H first, and M = H [N, N] the kernel of
+        N -> (N/H)^ab. With c the cyclic part of order n (c = g, n = m over
+        C_m; c = x, n = 2m over Dic_m), every <c^d>, d | n, is normal with
+        M = <c^d> [G, G], and [Dic_m, Dic_m] = <x^2>. Any other subgroup H of
+        Dic_m holds some x^a j, so H = <x^d, x^a j> with <x^d> the
+        intersection of H and <x>, and d | m since (x^a j)^2 = x^m is in H.
+        Since j x^b j^-1 = x^-b, conjugation moves a to +-a + 2b: one class
+        for odd d and two for even d (a even, a odd); N(H) is H for odd d
+        and <x^(d/2), x^a j> for even d, and M = H."""
+        G = frozenset(range(self.order))
+        cyclic = self.descriptor.kind == "cyclic"
+        n = self.order if cyclic else 2 * self.descriptor.m
+        out = []
+        for d in divisors(n):
+            H = frozenset(range(0, n, d))
+            out.append(((H,), G, H if cyclic else frozenset(range(0, n, gcd(d, 2)))))
+        if cyclic:
+            return out
 
-        base_labels = []
-        for rep, _ in raw:
-            base_labels.append(_base_label(self, rep))
+        def dic(e: int, a: int) -> frozenset:  # <x^e, x^a j>
+            xs = range(0, n, e)
+            return frozenset([*xs, *[n + (a + k) % n for k in xs]])
+
+        for d in divisors(self.descriptor.m):
+            # the least a of each class gives the least sorted element tuple
+            for a0 in ((0,) if d % 2 else (0, 1)):
+                conjs = tuple([dic(d, a) for a in range(a0, d, 1 if d % 2 else 2)])
+                H = conjs[0]
+                out.append((conjs, H if d % 2 else dic(d // 2, a0), H))
+        return out
+
+    def _build_classes(self):
+        raw = sorted(self._class_families(), key=lambda t: (len(t[0][0]), sorted(t[0][0])))
+        base_labels = [_base_label(self, conjs[0]) for conjs, _, _ in raw]
         counts = {b: base_labels.count(b) for b in base_labels}
         suffix_state: dict[str, int] = {}
         classes = []
         weyl = []
         lookup = {}
-        for cid, (rep, conjs) in enumerate(raw):
+        for cid, (conjs, norm, M) in enumerate(raw):
+            rep = conjs[0]
             base = base_labels[cid]
             if counts[base] > 1:
                 k = suffix_state.get(base, 0)
@@ -293,9 +264,7 @@ class GroupModel:
                 label = base + "abcdefgh"[k]
             else:
                 label = base
-            norm = self.normalizer_of(rep)
-            weyl_order = len(norm) // len(rep)
-            weyl.append(WeylData(self, rep, norm))
+            weyl.append(WeylData(self, rep, norm, M))
             cls = SubgroupClass(
                 group=self,
                 id=cid,
@@ -305,7 +274,7 @@ class GroupModel:
                 index=self.order // len(rep),
                 conjugates=conjs,
                 normalizer=norm,
-                weyl_order=weyl_order,
+                weyl_order=len(norm) // len(rep),
                 weyl_invariants=weyl[-1].invariants,
             )
             classes.append(cls)
@@ -330,6 +299,19 @@ class GroupModel:
             if cls.label == label:
                 return cls
         raise ValueError(f"no subgroup class labeled {label!r}")
+
+    def subgroup_class(self, which) -> SubgroupClass:
+        """The class given by a SubgroupClass of this group, an id, or a label."""
+        classes = self.subgroup_classes()
+        if isinstance(which, SubgroupClass):
+            if which.group is not self:
+                raise ValueError("subgroup class belongs to a different group")
+            return which
+        if isinstance(which, int):
+            if not 0 <= which < len(classes):
+                raise ValueError(f"no subgroup class with id {which}")
+            return classes[which]
+        return self.class_of_label(str(which))
 
     def cyclic_class_of(self, g: int) -> int:
         """Class id of the cyclic subgroup generated by g; cached per element."""
@@ -428,22 +410,17 @@ class GroupModel:
 
 
 class WeylData:
-    """Abelianization of N_G(H)/H with computable coordinates.
+    """Abelianization of N_G(H)/H with computable coordinates; M is
+    H [N, N], the kernel of N -> (N/H)^ab.
 
     invariants: cyclic factor orders (each > 1, divisibility chain).
     coords(g): coordinates of gH in the factors, for g in the normalizer.
     """
 
-    def __init__(self, group: GroupModel, H: frozenset, N: frozenset):
+    def __init__(self, group: GroupModel, H: frozenset, N: frozenset, M: frozenset):
         self.group = group
         self.subgroup = H
         self.normalizer = N
-        comms = set(H)
-        for a in N:
-            ai = group.inv[a]
-            for b in N:
-                comms.add(group.mult[group.mult[group.mult[a][b]][ai]][group.inv[b]])
-        M = group.closure(comms)
         # cosets of M in N form the abelian quotient
         coset_of = {}
         reps = []

@@ -84,11 +84,7 @@ class Pi1Element:
 
     def component(self, which) -> tuple:
         """(EtaClass, Weyl exponents) at a subgroup class, id, or label."""
-        if isinstance(which, str):
-            which = self.group.class_of_label(which).id
-        elif not isinstance(which, int):
-            which = which.id
-        s, w = self.components[which]
+        s, w = self.components[self.group.subgroup_class(which).id]
         return EtaClass(s), w
 
     def __repr__(self):

@@ -532,7 +532,7 @@ def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
     orbits = []
     gammas = []
     for i in range(n + 1):
-        orb = tuple(k for k in range(m) if gcd(k, m) == p**i)
+        orb = tuple([k for k in range(m) if gcd(k, m) == p**i])
         vec = [0] * m
         for k in orb:
             vec[k] = 1
@@ -627,7 +627,7 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
         if phi:
             F = poly_mul(F, cyclotomic_poly(cls.order))
     pad = m - len(F)
-    ann = tuple((0,) * j + tuple(F) + (0,) * (pad - j) for j in range(pad + 1))
+    ann = tuple([(0,) * j + tuple(F) + (0,) * (pad - j) for j in range(pad + 1)])
     M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
     basis = gamma_orbit_basis(G)
     cols = []
@@ -644,12 +644,12 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
                 out[a] += c * gam.coeffs[a]
         return tuple(out)
 
-    ann_fixed = tuple(ambient(v) for v in kernel_basis(MG))
+    ann_fixed = tuple([ambient(v) for v in kernel_basis(MG)])
     free, factors, gens = cokernel_data(MG)
     return IdealStructure(
         "RU",
         AbelianPresentation(len(ann), (), ann),
         AbelianPresentation(*cokernel_data(M)),
         AbelianPresentation(len(ann_fixed), (), ann_fixed),
-        AbelianPresentation(free, factors, tuple(ambient(v) for v in gens)),
+        AbelianPresentation(free, factors, tuple([ambient(v) for v in gens])),
     )

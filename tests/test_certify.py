@@ -188,7 +188,7 @@ def test_certify_structured_input_failures():
 def test_certify_warning_region():
     # p = 2, t = 0, c = 3 mod 4, k+1 = n: flagged; hypothesis fails anyway
     q8 = quat(8)
-    X = 3 * orbit(q8, -1)
+    X = 3 * orbit(q8, "Q8")
     cert = certify_self_map(q8, X, standard_rep(q8, "H"))
     assert cert.parameters.k + 1 == cert.parameters.n
     assert any("eta" in w for w in cert.warnings)

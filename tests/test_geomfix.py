@@ -25,7 +25,7 @@ def test_phi_gset_examples():
     free = orbit(c4, 0)
     assert phi_gset(free, "C2") == 0
     assert phi_gset(free, 0) == 4
-    point = orbit(c4, -1)
+    point = orbit(c4, "C4")
     for cls in c4.subgroup_classes():
         assert phi_gset(point, cls) == 1
 

@@ -1,29 +1,36 @@
 """Group models, subgroup classes, Weyl data, table of marks.
 
-The subgroup-enumeration oracle here is independent of the library's join
-closure: it tests every identity-containing subset of Lagrange-compatible
-size for closure under multiplication. The library's closure (right
-multiplication by the generators) and its marks (Weyl order times the
-conjugates containing K) are checked against brute force: the two-sided
-all-pairs closure and direct coset counting.
+The library reads subgroup classes off the presentations. The search it
+replaced lives here as the oracle: subgroups as joins of cyclic subgroups
+(closure by right multiplication with the generators), classes as
+conjugation orbits over all of G, normalizers by testing every element,
+and the Weyl commutator subgroup H [N, N] closed from all commutators.
+That search is itself checked against independent brute force: every
+identity-containing subset of Lagrange-compatible size tested for closure,
+and the two-sided all-pairs closure. Marks (Weyl order times the conjugates
+containing K) are checked against direct coset counting.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from vone.burnside import bmul, orbit
+from vone.burnside import VirtualGSet, bmul, orbit, restrict
+from vone.geomfix import phi_gset
 from vone.groups import (
     DEFAULT_ORDER_BOUND,
     GroupDescriptor,
     GroupModel,
+    WeylData,
     build_group,
     subgroup_classes,
     table_of_marks,
 )
+from vone.powerop import sq1_gset
 
 SWEEP = [f"C{m}" for m in range(1, 65)] + [f"Dic{m}" for m in range(2, 17)]
 
@@ -97,6 +104,175 @@ def test_element_orders_cyclic() -> None:
         assert c12.element_order(a) == 12 // gcd(a, 12)
 
 
+def closure(g, gens) -> frozenset:
+    """Subgroup generated by gens: g^(-1) = g^(ord g - 1) in a finite
+    group, so the positive words in gens, grown from the identity by right
+    multiplication, are the whole subgroup."""
+    gens = set(gens)
+    out = {0}
+    work = [0]
+    while work:
+        row = g.mult[work.pop()]
+        for x in gens:
+            c = row[x]
+            if c not in out:
+                out.add(c)
+                work.append(c)
+    return frozenset(out)
+
+
+def generating_set(g, H: frozenset) -> tuple:
+    """Small (greedy) generating set of a subgroup."""
+    gens: list[int] = []
+    got = frozenset([0])
+    for x in sorted(H):
+        if x not in got:
+            gens.append(x)
+            got = closure(g, gens)
+            if got == H:
+                break
+    return tuple(gens)
+
+
+def conjugate_subgroup(g, H: frozenset, x: int) -> frozenset:
+    return frozenset(g.conj(h, x) for h in H)
+
+
+def normalizer_of(g, H: frozenset) -> frozenset:
+    gens = generating_set(g, H)
+    return frozenset(
+        x for x in range(g.order) if all(g.conj(h, x) in H for h in gens)
+    )
+
+
+def all_subgroups(g) -> list:
+    """Every subgroup as a join of cyclic subgroups; each subgroup found
+    keeps one generator tuple, so joining H with C = <x> closes
+    gens(H) + (x,)."""
+    gens: dict[frozenset, tuple] = {}
+    for x in range(g.order):
+        gens.setdefault(g.cyclic_closure(x), (x,))
+    cyclic_gens = [t[0] for t in gens.values()]
+    work = list(gens)
+    while work:
+        H = work.pop()
+        for x in cyclic_gens:
+            if x not in H:
+                J_gens = gens[H] + (x,)
+                J = closure(g, J_gens)
+                if J not in gens:
+                    gens[J] = J_gens
+                    work.append(J)
+    return sorted(gens, key=lambda S: (len(S), sorted(S)))
+
+
+def commutator_subgroup(g, H: frozenset, N: frozenset) -> frozenset:
+    """H [N, N], closed from every commutator of N."""
+    mult, inv = g.mult, g.inv
+    comms = set(H)
+    for a in N:
+        ai = inv[a]
+        for b in N:
+            comms.add(mult[mult[mult[a][b]][ai]][inv[b]])
+    return closure(g, comms)
+
+
+def brute_force_classes(g) -> list:
+    """(label, conjugates, normalizer, H [N, N]) per subgroup class, in
+    class order; conjugates sorted, the least one the representative."""
+    seen = set()
+    raw = []
+    for H in all_subgroups(g):
+        if H in seen:
+            continue
+        conjs = {conjugate_subgroup(g, H, x) for x in range(g.order)}
+        seen |= conjs
+        conjs = tuple(sorted(conjs, key=sorted))
+        N = normalizer_of(g, conjs[0])
+        raw.append((conjs, N, commutator_subgroup(g, conjs[0], N)))
+    raw.sort(key=lambda t: (len(t[0][0]), sorted(t[0][0])))
+    bases = []
+    for conjs, _, _ in raw:
+        k = len(conjs[0])
+        if k == 1:
+            bases.append("e")
+        elif any(len(g.cyclic_closure(x)) == k for x in conjs[0]):
+            bases.append(f"C{k}")
+        else:
+            bases.append(f"Q{k}" if k & (k - 1) == 0 else f"Dic{k // 4}")
+    out = []
+    for i, (conjs, N, M) in enumerate(raw):
+        label = bases[i]
+        if bases.count(label) > 1:
+            label += "abcdefgh"[bases[:i].count(label)]
+        out.append((label, conjs, N, M))
+    return out
+
+
+ORACLE_SWEEP = [f"C{m}" for m in range(1, 129)] + [f"Dic{m}" for m in range(2, 33)]
+
+
+def test_classes_match_brute_force() -> None:
+    for name in ORACLE_SWEEP:
+        g = G(name)
+        classes = subgroup_classes(g)
+        brute = brute_force_classes(g)
+        assert len(classes) == len(brute), name
+        for cls, (label, conjs, N, M) in zip(classes, brute):
+            H = conjs[0]
+            assert cls.label == label, (name, label)
+            assert cls.representative == H and cls.conjugates == conjs, (name, label)
+            assert cls.order == len(H) and cls.index == g.order // len(H)
+            assert cls.normalizer == N, (name, label)
+            assert cls.weyl_order == len(N) // len(H), (name, label)
+            data, oracle = g.weyl_data(cls.id), WeylData(g, H, N, M)
+            assert data.order == oracle.order, (name, label)
+            assert cls.weyl_invariants == data.invariants == oracle.invariants
+            for x in N:
+                assert data.coords(x) == oracle.coords(x), (name, label, x)
+        for x in range(g.order):
+            cid = g.cyclic_class_of(x)
+            assert g.cyclic_closure(x) in classes[cid].conjugates, (name, x)
+
+
+def test_q512_subgroup_classes_are_fast() -> None:
+    # the closure search took about 5 s here; the families take milliseconds
+    g = GroupModel(GroupDescriptor.parse("Q512"))  # a model of its own
+    start = time.perf_counter()
+    classes = g.subgroup_classes()
+    elapsed = time.perf_counter() - start
+    assert len(classes) == 24
+    assert elapsed < 0.5, f"subgroup_classes of Q512 took {elapsed:.2f} s"
+
+
+def test_resolver_rejects_a_class_of_another_group() -> None:
+    c4, c8 = G("C4"), G("C8")
+    with pytest.raises(ValueError, match="different group"):
+        orbit(c4, c8.class_of_label("C4"))
+
+
+def test_fixed_points_and_sq1_reject_a_class_of_another_group() -> None:
+    c4, c8 = G("C4"), G("C8")
+    free = orbit(c4, "e")
+    with pytest.raises(ValueError, match="different group"):
+        phi_gset(free, c8.class_of_label("C2"))
+    with pytest.raises(ValueError, match="different group"):
+        sq1_gset(free).component(c8.class_of_label("C2"))
+
+
+def test_resolver_rejects_negative_ids() -> None:
+    c4 = G("C4")
+    with pytest.raises(ValueError, match="no subgroup class with id -1"):
+        orbit(c4, -1)
+    with pytest.raises(ValueError, match="no subgroup class with id -1"):
+        restrict(VirtualGSet.unit(c4), -1)
+
+
+def test_resolver_rejects_ids_past_the_last_class() -> None:
+    with pytest.raises(ValueError, match="no subgroup class with id 7"):
+        orbit(G("C4"), 7)
+
+
 def _brute_subgroups(g) -> set:
     """All subgroups by subset closure check (independent oracle)."""
     n = g.order
@@ -116,7 +292,7 @@ def _brute_subgroups(g) -> set:
 def test_subgroup_classes_partition_all_subgroups(name: str) -> None:
     g = G(name)
     brute = _brute_subgroups(g)
-    assert set(g.all_subgroups()) == brute
+    assert set(all_subgroups(g)) == brute
     classes = subgroup_classes(g)
     covered: list = []
     for cls in classes:
@@ -152,7 +328,7 @@ def test_closure_matches_two_sided_closure() -> None:
         g = G(name)
         for _ in range(5):
             gens = rng.sample(range(g.order), min(g.order, rng.randint(0, 3)))
-            assert g.closure(gens) == two_sided_closure(g, gens), (name, gens)
+            assert closure(g, gens) == two_sided_closure(g, gens), (name, gens)
 
 
 def test_cyclic_subgroup_classes_are_divisors() -> None:
@@ -228,9 +404,9 @@ def test_weyl_data_is_built_once_per_class(monkeypatch) -> None:
     built = []
 
     class Counting(groups.WeylData):
-        def __init__(self, group, H, N):
+        def __init__(self, group, H, N, M):
             built.append(H)
-            super().__init__(group, H, N)
+            super().__init__(group, H, N, M)
 
     monkeypatch.setattr(groups, "WeylData", Counting)
     for desc in (GroupDescriptor.parse("C8"), GroupDescriptor.parse("Q16")):
@@ -323,7 +499,7 @@ def test_subgroup_model_cyclic() -> None:
 
 def test_subgroup_model_quaternion_inside_q16() -> None:
     q16 = G("Q16")
-    sub = q16.closure([2, 8])  # <x^2, j> = Q8
+    sub = closure(q16, [2, 8])  # <x^2, j> = Q8
     model, embed = q16.subgroup_model(sub)
     assert model.descriptor == GroupDescriptor.dicyclic(2)
     assert set(embed) == sub

@@ -274,14 +274,14 @@ def test_bott_fixed_examples():
     assert verify_bott_fixed_mod_X(4 * L, h, 3)
     assert verify_bott_fixed_mod_X(L, h, 3)
     # X = 1: everything is a multiple of 1, annihilator vanishes
-    assert verify_bott_fixed_mod_X(4 * L, orbit(c2, -1), 3)
+    assert verify_bott_fixed_mod_X(4 * L, orbit(c2, "C2"), 3)
 
 
 def test_bott_fixed_negative():
     c2, c4 = cyc(2), cyc(4)
     # theta - 1 = 1 + L is not 2-locally divisible by 2
-    assert not verify_bott_fixed_mod_X(standard_rep(c2, "L"), 2 * orbit(c2, -1), 3)
-    assert not verify_bott_fixed_mod_X(standard_rep(c4, "W"), 4 * orbit(c4, -1), 3)
+    assert not verify_bott_fixed_mod_X(standard_rep(c2, "L"), 2 * orbit(c2, "C2"), 3)
+    assert not verify_bott_fixed_mod_X(standard_rep(c4, "W"), 4 * orbit(c4, "C4"), 3)
 
 
 def test_bott_fixed_p_local_scaling():

@@ -156,7 +156,8 @@ def _random_points_action(G, counts, rng):
     rng.shuffle(insts)
     blocks = []
     for cid in insts:
-        H = G.conjugate_subgroup(classes[cid].representative, rng.randrange(G.order))
+        x = rng.randrange(G.order)
+        H = frozenset(G.conj(h, x) for h in classes[cid].representative)
         order = list(range(G.order))
         rng.shuffle(order)
         rep_of = {}
