@@ -10,11 +10,11 @@ any bookkeeping bug. Coefficients may optionally be p-local rationals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import pvaluation
 from .groups import GroupModel, SubgroupClass, table_of_marks
+from .record import record
 from .virtual import VirtualElement
 
 __all__ = [
@@ -67,7 +67,7 @@ class VirtualGSet(VirtualElement):
         return self.p_local is None and all(c >= 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class CardinalityDecomposition:
     """Virtual cardinality split as p^t * c with c a p-local unit."""
 

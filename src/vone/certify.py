@@ -18,7 +18,6 @@ exact arithmetic that the existence argument consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .burnside import VirtualGSet, cardinality
@@ -32,6 +31,7 @@ from .jtheory import (
     verify_adams_bott,
 )
 from .powerop import EtaClass, sq1_int
+from .record import record
 from .repring import VirtualRep, is_fixed_point_free, standard_rep
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SelfMapParameters:
     """p^t c_X is the virtual cardinality of X; the complex dimension of
     V is p^k c_V (p-1) for odd p and 2^(k-1) c_V at p = 2."""
@@ -76,13 +76,13 @@ class SelfMapParameters:
         object.__setattr__(self, "c_x", cx)
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisVerdict:
     passed: bool
     clause: str
 
 
-@dataclass(frozen=True)
+@record
 class StepOne:
     """Order of the underlying image-of-J class: p^(k+1-t) times a
     generator of order p^(valuation) in degree 4s-1."""
@@ -97,7 +97,7 @@ class StepOne:
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class StepTwo:
     report: AdamsBottReport | None
     fixedness: bool | None
@@ -105,7 +105,7 @@ class StepTwo:
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class StepThree:
     sq1: EtaClass | None
     nonzero: bool
@@ -114,7 +114,7 @@ class StepThree:
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     group: GroupModel
     X: VirtualGSet
@@ -319,7 +319,7 @@ def certify_self_map(
     )
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationRow:
     """One (s, i, d) cell: X = p^s [G/C_{p^i}] against the p^d-th Bott
     power, judged by both the direct inequality and the derived
@@ -336,6 +336,11 @@ class EnumerationRow:
     consistent: bool
 
 
+# upper bound on s_max, d_max and t_max; at the bound a sweep over C512
+# has 11 * 10 * 11 = 1210 rows
+SWEEP_LIMIT = 10
+
+
 def enumerate_5_1(
     p: int, n: int, mode: str = "thm1", s_max: int = 3, d_max: int = 4
 ) -> tuple[EnumerationRow, ...]:
@@ -346,6 +351,8 @@ def enumerate_5_1(
         raise ValueError("need a prime p and n >= 1")
     if s_max < 0 or d_max < 0:
         raise ValueError("s_max and d_max must be >= 0")
+    if max(s_max, d_max) > SWEEP_LIMIT:
+        raise ValueError(f"s_max and d_max must be <= {SWEEP_LIMIT}")
     rows = []
     for s in range(s_max + 1):
         for i in range(n + 1):
@@ -367,7 +374,7 @@ def enumerate_5_1(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@record
 class QuaternionRow:
     """Cardinality class 2^t c: the 2^max(2,t)-th multiple of the
     faithful 2-dimensional family is the certified suspension."""
@@ -386,6 +393,8 @@ def enumerate_quaternion(n: int, t_max: int = 6) -> tuple[QuaternionRow, ...]:
         raise ValueError("quaternion groups need n >= 3")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    if t_max > SWEEP_LIMIT:
+        raise ValueError(f"t_max must be <= {SWEEP_LIMIT}")
     rows = []
     for t in range(t_max + 1):
         e = max(2, t)

@@ -19,7 +19,6 @@ import operator
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -31,6 +30,7 @@ from .geomfix import ku_cofiber_fixed_points, telescope_fixed_points
 from .groups import GroupDescriptor, GroupModel, build_group
 from .jtheory import default_ell, imj_order_oracle, theta
 from .powerop import sq1_gset, sq1_int
+from .record import record
 from .repring import (
     VirtualRep,
     character_table,
@@ -64,32 +64,32 @@ class ParseError(ValueError):
 # expression grammar
 
 
-@dataclass(frozen=True)
+@record
 class ExprAST:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Lit(ExprAST):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Sym(ExprAST):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class OrbitTerm(ExprAST):
     inner: str  # text between the brackets, "C8/C2"
 
 
-@dataclass(frozen=True)
+@record
 class Neg(ExprAST):
     arg: ExprAST
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(ExprAST):
     op: str  # "+", "-", "*", "^"
     left: ExprAST
@@ -218,19 +218,32 @@ def _resolve_orbit(G: GroupModel, inner: str) -> VirtualGSet:
     return orbit(G, cls)
 
 
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": operator.pow}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+# bound on a ^ exponent and on the product of nested ones, so that the
+# degree of an expression, and with it the work, stays linear in its length
+MAX_EXPONENT = 4096
 
 
-def _eval(node: ExprAST, symbol):
+def _eval(node: ExprAST, symbol, power: int = 1):
     """Apply the expression's operators to ints and ring elements; symbol
-    resolves a name or an orbit term."""
+    resolves a name or an orbit term. power is the product of the
+    exponents of the ^ nodes above node."""
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, (Sym, OrbitTerm)):
         return symbol(node)
     if isinstance(node, Neg):
-        return -_eval(node.arg, symbol)
-    return _OPS[node.op](_eval(node.left, symbol), _eval(node.right, symbol))
+        return -_eval(node.arg, symbol, power)
+    if node.op == "^":
+        e = node.right.value
+        if e > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
+        power *= max(e, 1)
+        if power > MAX_EXPONENT:
+            raise ParseError(f"nested exponents multiply to {power}, over the limit {MAX_EXPONENT}")
+        return _eval(node.left, symbol, power) ** e
+    return _OPS[node.op](_eval(node.left, symbol, power), _eval(node.right, symbol, power))
 
 
 def _gset_symbol(G: GroupModel, node) -> VirtualGSet:
@@ -248,7 +261,7 @@ def parse_gset(text: str, G: GroupModel) -> VirtualGSet:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class _Sigma:
     """count * sigma, the real sign line of C2: it adds only to itself and
     scales only by integers; parse_rep realifies an even count."""

@@ -15,10 +15,10 @@ Nothing here touches floating point.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
 
 __all__ = [
     "factorize",

@@ -9,10 +9,10 @@ as structured enumerations. No spectra are modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .burnside import VirtualGSet, marks
+from .record import record
 
 __all__ = [
     "PowerMapFixedPoints",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PowerMapFixedPoints:
     """Fixed points of the k-th power self map: a degree-k map of S^2,
     the null map out of S^0, or the identity of S^2."""
@@ -47,7 +47,7 @@ class PowerMapFixedPoints:
         return "Zero" if self.kind == "zero" else "Identity"
 
 
-@dataclass(frozen=True)
+@record
 class BottClassFixedPoints:
     """Fixed points of a Bott-class power: the prime power p^(p^(n-j+d)),
     kept as base and exponent."""
@@ -62,7 +62,7 @@ class BottClassFixedPoints:
         return f"{self.p}^{self.exponent}"
 
 
-@dataclass(frozen=True)
+@record
 class TelescopeFixedPoints:
     """Fixed points of an inverted-v1 cofiber: a v1-telescope of a mod
     p^t Moore space, zero, or a rational sphere pair."""
@@ -80,7 +80,7 @@ class TelescopeFixedPoints:
         return self.kind == "zero"
 
 
-@dataclass(frozen=True)
+@record
 class KUCofiberFixedPoints:
     """KU-level shadow of the telescope table: KU mod p^t, zero, or a
     rational KU pair with p^j-th roots of unity adjoined."""

@@ -20,11 +20,11 @@ marks lower triangular in the (order, lex) class ordering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
 from .exactmath import IntMatrix, divisors, smith_normal_form
+from .record import record
 
 # Every model builds its |G| x |G| multiplication table; keep a guard rail.
 DEFAULT_ORDER_BOUND = 512
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GroupDescriptor:
     """Which group: kind is "cyclic" (order m) or "dicyclic" (order 4m)."""
 
@@ -101,7 +101,7 @@ class GroupDescriptor:
         return f"Dic{self.m}"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SubgroupClass:
     """One conjugacy class of subgroups, with a canonical representative."""
 
@@ -120,7 +120,7 @@ class SubgroupClass:
         return f"<SubgroupClass {self.label} order {self.order}>"
 
 
-@dataclass(frozen=True)
+@record
 class TableOfMarks:
     """Fixed-point counts |(G/H)^K|: rows H, columns K, both in class order."""
 

@@ -18,7 +18,6 @@ for the image-of-J oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -32,6 +31,7 @@ from .exactmath import (
     prime_power,
     pvaluation,
 )
+from .record import record
 from .repring import (
     VirtualRep,
     character_table,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ImJOrder:
     """p-primary order of the image of J in degree 4s-1."""
 
@@ -151,7 +151,7 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
     return from_class_function(G, values)
 
 
-@dataclass(frozen=True)
+@record
 class AdamsBottReport:
     """theta^ell(V) - 1 = lambda * [regular], with the p-valuation of
     lambda compared against the expected k+1-n."""

@@ -13,10 +13,9 @@ needs coordinates for the cross terms that we do not model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .burnside import VirtualGSet
 from .groups import GroupModel
+from .record import record
 
 __all__ = [
     "EtaClass",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class EtaClass:
     """Multiple of the stable Hopf class; 2*eta = 0."""
 
@@ -54,7 +53,7 @@ def sq1_int(n: int) -> EtaClass:
     return EtaClass(1 if n % 4 in (2, 3) else 0)
 
 
-@dataclass(frozen=True)
+@record
 class Pi1Element:
     """One (eta coefficient, Weyl abelianization exponents) pair per
     subgroup class, exponents against the class's invariant factors."""

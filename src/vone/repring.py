@@ -18,7 +18,6 @@ Z[x]/(x^N - 1) with N a common conductor, and reduced modulo Phi_N once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,6 +33,7 @@ from .exactmath import (
     prime_power,
 )
 from .groups import GroupModel
+from .record import record
 from .virtual import VirtualElement
 
 __all__ = [
@@ -511,7 +511,7 @@ def has_rational_characters(V: VirtualRep) -> bool:
     return all(v.is_rational() for v in V.class_values())
 
 
-@dataclass(frozen=True)
+@record
 class GammaOrbitBasis:
     """Galois orbit sums in RU(C_{p^n}): gamma_i sums the characters L^k
     with gcd(k, p^n) = p^i; these span the Galois-fixed subring."""
@@ -558,7 +558,7 @@ def gamma_fixed_check(V: VirtualRep):
 # principal ideal presentations
 
 
-@dataclass(frozen=True)
+@record
 class AbelianPresentation:
     """An abelian group: free rank, invariant factors > 1, and generator
     vectors in the ambient basis (one per factor, then one per free rank)."""
@@ -571,7 +571,7 @@ class AbelianPresentation:
         return self.factors
 
 
-@dataclass(frozen=True)
+@record
 class IdealStructure:
     side: str
     annihilator: AbelianPresentation

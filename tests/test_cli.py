@@ -1,11 +1,17 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, orbit
+from vone.certify import SWEEP_LIMIT, enumerate_5_1, enumerate_quaternion
 from vone.cli import (
+    MAX_EXPONENT,
     ParseError,
     parse_expr,
     parse_gset,
@@ -306,6 +312,60 @@ def test_cli_enumerate_rejects_negative_bounds():
         assert (code, out) == (2, "") and "must be >= 0" in err, flag
     code, out, err = go("enumerate", "--group", "Q8", "--json", "--t-max", "-1")
     assert (code, out) == (2, "") and "must be >= 0" in err
+
+
+def test_cli_enumerate_rejects_sweeps_over_the_limit():
+    for flag in ("--s-max", "--d-max"):
+        code, out, err = go("enumerate", "--group", "C8", "--json", flag, "200")
+        assert (code, out) == (2, "") and f"must be <= {SWEEP_LIMIT}" in err, flag
+    code, out, err = go("enumerate", "--group", "Q8", "--json", "--t-max", str(SWEEP_LIMIT + 1))
+    assert (code, out) == (2, "") and f"must be <= {SWEEP_LIMIT}" in err
+    limit = str(SWEEP_LIMIT)
+    assert go("enumerate", "--group", "C8", "--s-max", limit, "--d-max", limit)[0] == 0
+    assert go("enumerate", "--group", "Q8", "--t-max", limit)[0] == 0
+    with pytest.raises(ValueError):
+        enumerate_5_1(2, 3, s_max=SWEEP_LIMIT + 1)
+    with pytest.raises(ValueError):
+        enumerate_quaternion(3, SWEEP_LIMIT + 1)
+
+
+def test_cli_large_exponent_is_a_vone_input_error():
+    for expr, words in (
+        ("h^200000", f"exponent 200000 exceeds the limit {MAX_EXPONENT}"),
+        ("(h^100)^100", f"nested exponents multiply to 10000, over the limit {MAX_EXPONENT}"),
+        ("((h^2)^2)^2000", f"nested exponents multiply to 8000, over the limit {MAX_EXPONENT}"),
+    ):
+        assert go("marks", "--group", "C2", "--gset", expr) == (2, "", f"error: {words}\n")
+    code, _, err = go("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "L^5000")
+    assert code == 2 and "exceeds the limit" in err
+    code, out, _ = go("marks", "--group", "C2", "--gset", f"h^{MAX_EXPONENT}")
+    assert code == 0 and out.split()[-2:] == [str(2**MAX_EXPONENT), "0"]
+    assert go("marks", "--group", "C2", "--gset", "(h^10)^100")[0] == 0
+
+
+def test_cold_start_loads_no_dataclasses_and_matches_a_golden_case():
+    """A fresh interpreter, site off and only src on the path, as a vone
+    command starts: importing vone.cli loads none of dataclasses, inspect
+    and typing, and one golden request comes out byte for byte."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src"), "COLUMNS": "80"}
+    probe = "import sys, vone.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout == "[]\n"
+    case = next(
+        c
+        for c in json.loads((tests / "golden" / "cases.json").read_text())
+        if c["name"] == "certify-c4-certified"
+    )
+    expected = json.loads((tests / "golden" / "expected.json").read_text())[case["name"]]
+    done = subprocess.run(
+        [sys.executable, "-S", "-m", "vone.cli", *case["argv"]], env=env, capture_output=True
+    )
+    assert done.stdout == (tests / "golden" / f"{case['name']}.out").read_bytes()
+    assert done.returncode == expected["exit"]
+    assert done.stderr == expected["stderr"].encode()
 
 
 def test_cli_enumerate_and_marks_and_telescope():
