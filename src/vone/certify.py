@@ -30,6 +30,7 @@ from .jtheory import (
     imj_valuation,
     verify_adams_bott,
 )
+from .limits import SWEEP_LIMIT
 from .powerop import EtaClass, sq1_int
 from .record import record
 from .repring import VirtualRep, is_fixed_point_free, standard_rep
@@ -334,11 +335,6 @@ class EnumerationRow:
     thm1: bool
     thm511: bool
     consistent: bool
-
-
-# upper bound on s_max, d_max and t_max; at the bound a sweep over C512
-# has 11 * 10 * 11 = 1210 rows
-SWEEP_LIMIT = 10
 
 
 def enumerate_5_1(

@@ -8,12 +8,16 @@ multiple ks realifies to (k/2)L). Precedence is ^ over * over +/-.
 Output is a text table by default and JSON with --json; certify emits
 JSON unless --text is given. All integers in JSON are decimal strings
 so arbitrarily large prime powers survive any consumer. Exit codes:
-0 success or certified, 1 negative mathematical verdict, 2 bad input.
+0 success or certified, 1 negative mathematical verdict, 2 bad input,
+including an input over one of the limits in vone.limits. An input error
+under --json is a {"schema", "error"} document on stdout; argparse usage
+errors stay text on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import operator
 import re
@@ -29,6 +33,7 @@ from .exactmath import factorize, prime_power, pvaluation
 from .geomfix import ku_cofiber_fixed_points, telescope_fixed_points
 from .groups import GroupDescriptor, GroupModel, build_group
 from .jtheory import default_ell, imj_order_oracle, theta
+from .limits import MAX_DIGITS, MAX_EXPONENT
 from .powerop import sq1_gset, sq1_int
 from .record import record
 from .repring import (
@@ -219,10 +224,6 @@ def _resolve_orbit(G: GroupModel, inner: str) -> VirtualGSet:
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-# bound on a ^ exponent and on the product of nested ones, so that the
-# degree of an expression, and with it the work, stays linear in its length
-MAX_EXPONENT = 4096
 
 
 def _eval(node: ExprAST, symbol, power: int = 1):
@@ -840,11 +841,22 @@ def run(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
+    # the whole output is rendered before any of it is written, so an
+    # error leaves stdout empty
+    buf = io.StringIO()
     try:
-        return _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args, buf)
     except (ParseError, ValueError, ArithmeticError) as exc:
-        err.write(f"error: {exc}\n")
+        message = str(exc)
+        if "integer string conversion" in message:  # Python's int/str digit limit
+            message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
+        if args.json:
+            out.write(json.dumps({"schema": SCHEMA_VERSION, "error": message}, indent=2) + "\n")
+        else:
+            err.write(f"error: {message}\n")
         return 2
+    out.write(buf.getvalue())
+    return code
 
 
 def main(argv=None) -> None:

@@ -8,9 +8,9 @@ subgroups <g^d> of C_m, d | m; the normal cyclic <x^d> of Dic_m, d | 2m;
 and the classes of <x^d, x^a j> in Dic_m, d | m, one for odd d and two for
 even d. Each class gets its canonical representative (least sorted element
 tuple), normalizer and Weyl group order in closed form, and the invariant
-factors of its Weyl group's abelianization N/H[N, N]. The multiplication
-table serves element arithmetic, conjugacy classes of elements and Weyl
-coordinates.
+factors of its Weyl group's abelianization N/H[N, N]. Element products,
+inverses, powers, orders, conjugates and conjugacy classes are read off the
+presentations too; no model stores a table of its group law.
 
 The mark |(G/H)^K| is |N(H):H| times the number of conjugates of H that
 contain K (gH is K-fixed exactly when K <= gHg^-1), which makes the table of
@@ -24,13 +24,10 @@ from functools import cache
 from math import gcd
 
 from .exactmath import IntMatrix, divisors, smith_normal_form
+from .limits import DEFAULT_ORDER_BOUND
 from .record import record
 
-# Every model builds its |G| x |G| multiplication table; keep a guard rail.
-DEFAULT_ORDER_BOUND = 512
-
 __all__ = [
-    "DEFAULT_ORDER_BOUND",
     "GroupDescriptor",
     "GroupModel",
     "SubgroupClass",
@@ -129,11 +126,13 @@ class TableOfMarks:
 
 
 class GroupModel:
-    """A finite group as explicit tables. Element 0 is the identity.
+    """A finite group given by its presentation; element 0 is the identity.
 
-    Cyclic order m: element a is g^a, addition mod m. Dicyclic order 4m:
-    elements 0..2m-1 are x^a, elements 2m..4m-1 are x^a j, with relations
-    x^(2m) = e, j^2 = x^m, j x j^(-1) = x^(-1).
+    Cyclic order m: element a is g^a, and g^a g^b = g^((a + b) mod m).
+    Dicyclic order 4m: elements 0..2m-1 are x^a, elements 2m..4m-1 are
+    x^a j, with relations x^(2m) = e, j^2 = x^m, j x j^(-1) = x^(-1).
+    Products, inverses, powers, orders and conjugates are read off the
+    presentation; no table is stored.
     """
 
     def __init__(self, descriptor: GroupDescriptor):
@@ -142,22 +141,11 @@ class GroupModel:
             raise ValueError(f"group order {n} exceeds bound {DEFAULT_ORDER_BOUND}")
         self.descriptor = descriptor
         self.order = n
-        if descriptor.kind == "cyclic":
-            m = descriptor.m
-            self.mult = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-            self.inv = tuple((-a) % m for a in range(m))
-        else:
-            m = descriptor.m
-            self.mult = tuple(
-                tuple(_dic_mul(a, b, m) for b in range(4 * m)) for a in range(4 * m)
-            )
-            self.inv = tuple(
-                (-a) % (2 * m) if a < 2 * m else 2 * m + (a - 2 * m + m) % (2 * m)
-                for a in range(4 * m)
-            )
+        self._cyclic = descriptor.kind == "cyclic"
+        self._n = n if self._cyclic else 2 * descriptor.m  # order of <g> or <x>
         self._classes = None
         self._class_by_subgroup = None
-        self._cyclic_class = None
+        self._cyclic_class = {}
         self._elem_classes = None
         self._weyl = None
         self._submodels = {}
@@ -169,32 +157,39 @@ class GroupModel:
     # -- basic operations
 
     def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
+        if self._cyclic:
+            return (a + b) % self._n
+        return _dic_mul(a, b, self.descriptor.m)
 
     def inv_of(self, a: int) -> int:
-        return self.inv[a]
+        """(x^a j)^-1 = x^(a+m) j, since (x^a j)^2 = x^m is central."""
+        n = self._n
+        if a < n:
+            return -a % n
+        return n + (a + n // 2) % n
 
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv[g], -k
-        out = 0
-        while k:
-            if k & 1:
-                out = self.mult[out][g]
-            g = self.mult[g][g]
-            k >>= 1
-        return out
+        """g^k for any integer k; x^a j has order 4 with square x^m."""
+        n = self._n
+        if g < n:
+            return g * k % n
+        return (0, g, n // 2, self.inv_of(g))[k % 4]
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = self.mult[x][g]
-            k += 1
-        return k
+        n = self._n
+        return n // gcd(g, n) if g < n else 4
 
     def conj(self, g: int, x: int) -> int:
-        """x g x^(-1)."""
-        return self.mult[self.mult[x][g]][self.inv[x]]
+        """x g x^(-1): x^b fixes x^a and sends x^c j to x^(c+2b) j; x^b j
+        sends x^a to x^-a and x^c j to x^(2b-c) j."""
+        n = self._n
+        if self._cyclic or (x < n and g < n):
+            return g
+        if x < n:
+            return n + (g + 2 * x) % n
+        if g < n:
+            return -g % n
+        return n + (2 * x - g) % n
 
     def elements(self) -> range:
         return range(self.order)
@@ -202,12 +197,10 @@ class GroupModel:
     # -- subgroup classes
 
     def cyclic_closure(self, g: int) -> frozenset:
-        out = [0]
-        x = g
-        while x != 0:
-            out.append(x)
-            x = self.mult[x][g]
-        return frozenset(out)
+        n = self._n
+        if g < n:
+            return frozenset(range(0, n, gcd(g, n)))
+        return frozenset((0, g, n // 2, self.inv_of(g)))
 
     def subgroup_classes(self) -> tuple:
         if self._classes is None:
@@ -226,13 +219,12 @@ class GroupModel:
         for odd d and two for even d (a even, a odd); N(H) is H for odd d
         and <x^(d/2), x^a j> for even d, and M = H."""
         G = frozenset(range(self.order))
-        cyclic = self.descriptor.kind == "cyclic"
-        n = self.order if cyclic else 2 * self.descriptor.m
+        n = self._n
         out = []
         for d in divisors(n):
             H = frozenset(range(0, n, d))
-            out.append(((H,), G, H if cyclic else frozenset(range(0, n, gcd(d, 2)))))
-        if cyclic:
+            out.append(((H,), G, H if self._cyclic else frozenset(range(0, n, gcd(d, 2)))))
+        if self._cyclic:
             return out
 
         def dic(e: int, a: int) -> frozenset:  # <x^e, x^a j>
@@ -314,27 +306,30 @@ class GroupModel:
         return self.class_of_label(str(which))
 
     def cyclic_class_of(self, g: int) -> int:
-        """Class id of the cyclic subgroup generated by g; cached per element."""
-        if self._cyclic_class is None:
-            self._cyclic_class = tuple(
-                self.class_index_of(self.cyclic_closure(x)) for x in range(self.order)
-            )
-        return self._cyclic_class[g]
+        """Class id of the cyclic subgroup generated by g. <x^a> = <x^d>
+        with d = gcd(a, n), and <x^a j> is conjugate to <x^(a mod 2) j>;
+        cached per generator."""
+        n = self._n
+        key = gcd(g, n) % n if g < n else n + (g - n) % 2
+        cid = self._cyclic_class.get(key)
+        if cid is None:
+            cid = self._cyclic_class[key] = self.class_index_of(self.cyclic_closure(key))
+        return cid
 
     # -- element conjugacy classes (for character theory)
 
     def element_conjugacy_classes(self) -> tuple:
-        """Tuples of elements, each sorted; classes ordered by least member."""
+        """Tuples of elements, each sorted; classes ordered by least member.
+        C_m is abelian. In Dic_m the classes are {x^a, x^-a}, 0 <= a <= m,
+        then the x^a j with a even and with a odd (see conj)."""
         if self._elem_classes is None:
-            seen = set()
-            out = []
-            for g in range(self.order):
-                if g in seen:
-                    continue
-                cls = {self.conj(g, x) for x in range(self.order)}
-                seen |= cls
-                out.append(tuple(sorted(cls)))
-            out.sort(key=lambda c: c[0])
+            n = self._n
+            if self._cyclic:
+                out = [(a,) for a in range(n)]
+            else:
+                m = n // 2
+                out = [(0,), *[(a, n - a) for a in range(1, m)], (m,)]
+                out += [tuple(range(n, 2 * n, 2)), tuple(range(n + 1, 2 * n, 2))]
             self._elem_classes = tuple(out)
         return self._elem_classes
 
@@ -370,7 +365,7 @@ class GroupModel:
             x = 0
             for _ in range(order):
                 embed.append(x)
-                x = self.mult[x][gen]
+                x = self.mul(x, gen)
         else:
             if order % 4:
                 raise ValueError("subgroup is neither cyclic nor dicyclic")
@@ -385,22 +380,25 @@ class GroupModel:
             cyc = self.cyclic_closure(a)
             b = min(g for g in key if g not in cyc)
             ak = self.power(a, m)
-            if self.mult[b][b] != ak or self.conj(a, b) != self.inv[a]:
+            if self.mul(b, b) != ak or self.conj(a, b) != self.inv_of(a):
                 raise ValueError("subgroup is neither cyclic nor dicyclic")
             desc = GroupDescriptor.dicyclic(m)
             embed = []
             x = 0
             for _ in range(2 * m):
                 embed.append(x)
-                x = self.mult[x][a]
+                x = self.mul(x, a)
             for i in range(2 * m):
-                embed.append(self.mult[embed[i]][b])
+                embed.append(self.mul(embed[i], b))
         model = build_group(desc)
-        # sanity: embedding must be a homomorphism
+        # sanity: embedding must be a homomorphism. It is one if it respects
+        # right multiplication by the generators g (or x and j), as every
+        # element is a product of generators.
+        gens = range(1, min(order, 2)) if desc.kind == "cyclic" else (1, 2 * desc.m)
         assert all(
-            embed[model.mult[i][j]] == self.mult[embed[i]][embed[j]]
+            embed[model.mul(i, s)] == self.mul(embed[i], embed[s])
             for i in range(order)
-            for j in range(order)
+            for s in gens
         )
         self._submodels[key] = (model, tuple(embed))
         return self._submodels[key]
@@ -421,21 +419,22 @@ class WeylData:
         self.group = group
         self.subgroup = H
         self.normalizer = N
-        # cosets of M in N form the abelian quotient
-        coset_of = {}
+        # cosets of M in N form the abelian quotient; coset_of[g] is the
+        # coset of g, None off N
+        coset_of = [None] * group.order
         reps = []
         for g in sorted(N):
-            if g not in coset_of:
+            if coset_of[g] is None:
                 cid = len(reps)
                 reps.append(g)
                 for m in M:
-                    coset_of[group.mult[g][m]] = cid
+                    coset_of[group.mul(g, m)] = cid
         self._coset_of = coset_of
         size = len(reps)
         self.order = size
 
         def cmul(c1: int, c2: int) -> int:
-            return coset_of[group.mult[reps[c1]][reps[c2]]]
+            return coset_of[group.mul(reps[c1], reps[c2])]
 
         # greedy generator chain; every element gets an exponent vector
         vectors = {0: ()}
@@ -490,9 +489,10 @@ class WeylData:
 
     def coords(self, g: int) -> tuple:
         """Image of g N-coset in the invariant-factor coordinates."""
-        if g not in self._coset_of:
+        cid = self._coset_of[g] if 0 <= g < len(self._coset_of) else None
+        if cid is None:
             raise ValueError("element does not normalize the subgroup")
-        vec = self._vectors[self._coset_of[g]]
+        vec = self._vectors[cid]
         if not self.invariants:
             return ()
         u = self._U

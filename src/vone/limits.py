@@ -1,0 +1,24 @@
+"""The bounds that keep a short input from asking for unbounded work. Going
+over one is an input error: the library raises ValueError with a message
+that names the limit, and the CLI exits 2."""
+
+from __future__ import annotations
+
+import sys
+
+# largest group order a model is built for; step 2 of a certificate still
+# eliminates over the |G| x |G| circulant
+DEFAULT_ORDER_BOUND = 512
+
+# bound on a ^ exponent and on the product of nested ones, so that the
+# degree of an expression, and with it the work, stays linear in its length
+MAX_EXPONENT = 4096
+
+# upper bound on s_max, d_max and t_max; at the bound a sweep over C512
+# has 11 * 10 * 11 = 1210 rows
+SWEEP_LIMIT = 10
+
+# most decimal digits Python converts between int and str: 4300 unless
+# PYTHONINTMAXSTRDIGITS sets another value, 0 for none (as before Python
+# 3.10.7). vone keeps the interpreter's limit and never lifts it.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()

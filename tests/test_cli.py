@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, orbit
-from vone.certify import SWEEP_LIMIT, enumerate_5_1, enumerate_quaternion
+from vone.certify import enumerate_5_1, enumerate_quaternion
 from vone.cli import (
-    MAX_EXPONENT,
     ParseError,
     parse_expr,
     parse_gset,
@@ -21,6 +20,7 @@ from vone.cli import (
     run,
 )
 from vone.groups import GroupDescriptor, GroupModel, build_group
+from vone.limits import DEFAULT_ORDER_BOUND, MAX_DIGITS, MAX_EXPONENT, SWEEP_LIMIT
 from vone.repring import VirtualRep, standard_rep
 
 
@@ -306,20 +306,35 @@ def test_cli_theta_and_sq1():
     assert code == 2
 
 
+def json_error(*argv) -> str:
+    """The message of the error document a --json request prints."""
+    code, out, err = go(*argv)
+    doc = json.loads(out)
+    assert (code, err, list(doc)) == (2, "", ["schema", "error"]), argv
+    assert doc["schema"] == "1"
+    return doc["error"]
+
+
 def test_cli_enumerate_rejects_negative_bounds():
     for flag in ("--s-max", "--d-max"):
-        code, out, err = go("enumerate", "--group", "C8", "--json", flag, "-5")
+        code, out, err = go("enumerate", "--group", "C8", flag, "-5")
         assert (code, out) == (2, "") and "must be >= 0" in err, flag
-    code, out, err = go("enumerate", "--group", "Q8", "--json", "--t-max", "-1")
+        assert "must be >= 0" in json_error("enumerate", "--group", "C8", "--json", flag, "-5")
+    code, out, err = go("enumerate", "--group", "Q8", "--t-max", "-1")
     assert (code, out) == (2, "") and "must be >= 0" in err
+    assert "must be >= 0" in json_error("enumerate", "--group", "Q8", "--json", "--t-max", "-1")
 
 
 def test_cli_enumerate_rejects_sweeps_over_the_limit():
     for flag in ("--s-max", "--d-max"):
-        code, out, err = go("enumerate", "--group", "C8", "--json", flag, "200")
+        code, out, err = go("enumerate", "--group", "C8", flag, "200")
         assert (code, out) == (2, "") and f"must be <= {SWEEP_LIMIT}" in err, flag
-    code, out, err = go("enumerate", "--group", "Q8", "--json", "--t-max", str(SWEEP_LIMIT + 1))
+        words = json_error("enumerate", "--group", "C8", "--json", flag, "200")
+        assert f"must be <= {SWEEP_LIMIT}" in words, flag
+    code, out, err = go("enumerate", "--group", "Q8", "--t-max", str(SWEEP_LIMIT + 1))
     assert (code, out) == (2, "") and f"must be <= {SWEEP_LIMIT}" in err
+    words = json_error("enumerate", "--group", "Q8", "--json", "--t-max", str(SWEEP_LIMIT + 1))
+    assert f"must be <= {SWEEP_LIMIT}" in words
     limit = str(SWEEP_LIMIT)
     assert go("enumerate", "--group", "C8", "--s-max", limit, "--d-max", limit)[0] == 0
     assert go("enumerate", "--group", "Q8", "--t-max", limit)[0] == 0
@@ -341,6 +356,33 @@ def test_cli_large_exponent_is_a_vone_input_error():
     code, out, _ = go("marks", "--group", "C2", "--gset", f"h^{MAX_EXPONENT}")
     assert code == 0 and out.split()[-2:] == [str(2**MAX_EXPONENT), "0"]
     assert go("marks", "--group", "C2", "--gset", "(h^10)^100")[0] == 0
+
+
+def test_cli_result_over_the_digit_limit_is_an_input_error():
+    """A value past Python's int-to-str digit limit: exit 2, nothing on
+    stdout, one vone error line; the limit is kept, not lifted."""
+    message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
+    # a 5330-digit mark, rendered after the label line
+    assert go("marks", "--group", "C2", "--gset", "(10*h)^4096") == (2, "", f"error: {message}\n")
+    assert go("marks", "--group", "C2", "--gset", "1" * (MAX_DIGITS + 1)) == (2, "", f"error: {message}\n")
+    assert json_error("marks", "--json", "--group", "C2", "--gset", "(10*h)^4096") == message
+    assert go("marks", "--group", "C2", "--gset", "10^4")[0] == 0
+
+
+def test_cli_input_errors_under_json_are_json_documents():
+    assert json_error("marks", "--json", "--group", "C7x") == "unrecognized group name 'C7x'"
+    text = go("marks", "--group", "C8", "--gset", "[C8/C2")[2]
+    assert text == f"error: {json_error('marks', '--json', '--group', 'C8', '--gset', '[C8/C2')}\n"
+    words = json_error("certify", "--json", "--group", "C1", "--gset", "1", "--rep", "1")
+    assert "not a prime power" in words
+    words = json_error("marks", "--json", "--group", f"C{DEFAULT_ORDER_BOUND + 1}")
+    assert words == f"group order {DEFAULT_ORDER_BOUND + 1} exceeds bound {DEFAULT_ORDER_BOUND}"
+    assert "exceeds the limit" in json_error("sq1", "--json", "--group", "C2", "--gset", "h^5000")
+    # argparse usage errors stay text on stderr, certify without --json too
+    code, out, err = go("marks", "--json")
+    assert (code, out) == (2, "") and err.startswith("usage: vone marks")
+    code, out, err = go("certify", "--group", "C1", "--gset", "1", "--rep", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_cold_start_loads_no_dataclasses_and_matches_a_golden_case():

@@ -9,20 +9,28 @@ That search is itself checked against independent brute force: every
 identity-containing subset of Lagrange-compatible size tested for closure,
 and the two-sided all-pairs closure. Marks (Weyl order times the conjugates
 containing K) are checked against direct coset counting.
+
+The library reads products, inverses, powers, orders, conjugates and
+element classes off the presentations. The oracle for those is the full
+multiplication table of a faithful monomial representation: g -> zeta_m
+over C_m, and x -> diag(zeta, zeta^-1), j -> [[0, -1], [1, 0]] with zeta a
+primitive 2m-th root of unity over Dic_m.
 """
 
 from __future__ import annotations
 
 import random
 import time
+import tracemalloc
+from functools import cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, orbit, restrict
 from vone.geomfix import phi_gset
 from vone.groups import (
-    DEFAULT_ORDER_BOUND,
     GroupDescriptor,
     GroupModel,
     WeylData,
@@ -30,6 +38,7 @@ from vone.groups import (
     subgroup_classes,
     table_of_marks,
 )
+from vone.limits import DEFAULT_ORDER_BOUND
 from vone.powerop import sq1_gset
 
 SWEEP = [f"C{m}" for m in range(1, 65)] + [f"Dic{m}" for m in range(2, 17)]
@@ -37,6 +46,37 @@ SWEEP = [f"C{m}" for m in range(1, 65)] + [f"Dic{m}" for m in range(2, 17)]
 
 def G(name: str):
     return build_group(GroupDescriptor.parse(name))
+
+
+def monomial(desc: GroupDescriptor, a: int) -> tuple:
+    """Element a in the faithful monomial representation: row i holds
+    zeta^e in column c, stored as (c, e) with e modulo the order of zeta."""
+    if desc.kind == "cyclic":
+        return ((0, a),)
+    m, n = desc.m, 2 * desc.m
+    if a < n:  # x^a
+        return ((0, a), (1, -a % n))
+    a -= n  # x^a j = diag(zeta^a, zeta^-a) [[0, zeta^m], [1, 0]]
+    return ((1, (a + m) % n), (0, -a % n))
+
+
+def monomial_product(desc: GroupDescriptor, u: tuple, v: tuple) -> tuple:
+    n = desc.m if desc.kind == "cyclic" else 2 * desc.m
+    return tuple((v[c][0], (e + v[c][1]) % n) for c, e in u)
+
+
+@cache
+def _table(desc: GroupDescriptor) -> tuple:
+    mats = [monomial(desc, a) for a in range(desc.order)]
+    index = {u: a for a, u in enumerate(mats)}
+    assert len(index) == desc.order  # the representation is faithful
+    mult = tuple(tuple(index[monomial_product(desc, u, v)] for v in mats) for u in mats)
+    return mult, tuple(row.index(0) for row in mult)
+
+
+def table(g) -> tuple:
+    """(mult, inv): the |G| x |G| multiplication table and the inverses."""
+    return _table(g.descriptor)
 
 
 def test_descriptor_parse_and_names() -> None:
@@ -58,10 +98,10 @@ def test_group_axioms_exhaustive() -> None:
         g = G(name)
         n = g.order
         assert g.descriptor.order == n
-        mult = g.mult
+        mult, inv = table(g)
         for a in range(n):
             assert mult[0][a] == a == mult[a][0]
-            assert mult[a][g.inv[a]] == 0 == mult[g.inv[a]][a]
+            assert mult[a][inv[a]] == 0 == mult[inv[a]][a]
         if n <= 64:
             for a in range(n):
                 for b in range(n):
@@ -82,6 +122,141 @@ def test_dicyclic_presentation_relations() -> None:
     assert center == [0, 2]
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 31, 64, 128])
+def test_presentation_relations_hold_in_model_and_oracle(m: int) -> None:
+    """x^2m = e, j^2 = x^m and j x j^-1 = x^-1, with x of order exactly 2m;
+    in the oracle, which the closed forms are checked against, too."""
+    desc = GroupDescriptor.dicyclic(m)
+    g = GroupModel(desc)
+    x, j = 1, 2 * m
+    assert g.element_order(x) == 2 * m and g.power(x, 2 * m) == 0
+    assert g.mul(j, j) == g.power(x, m) == m
+    assert g.conj(x, j) == g.inv_of(x) == 2 * m - 1
+    X, J = monomial(desc, x), monomial(desc, j)
+    power = monomial(desc, 0)
+    for k in range(1, 2 * m + 1):
+        power = monomial_product(desc, power, X)
+        assert (power == monomial(desc, 0)) == (k == 2 * m)
+        if k == m:
+            assert monomial_product(desc, J, J) == power
+    Jinv = monomial(desc, g.inv_of(j))
+    assert monomial_product(desc, J, Jinv) == monomial(desc, 0)
+    assert monomial_product(desc, monomial_product(desc, J, X), Jinv) == monomial(desc, 2 * m - 1)
+    c = GroupModel(GroupDescriptor.cyclic_of_order(2 * m))
+    assert c.element_order(1) == 2 * m and c.power(1, 2 * m) == 0
+
+
+def assert_closed_forms_match_table(g) -> None:
+    """mul, inv_of, power, element_order, conj, cyclic_closure,
+    cyclic_class_of and element_conjugacy_classes against the table."""
+    mult, inv = table(g)
+    n = g.order
+    classes = g.subgroup_classes()
+    elem_classes = set()
+    for a in range(n):
+        row = mult[a]
+        assert [g.mul(a, b) for b in range(n)] == list(row), (g, a)
+        assert g.inv_of(a) == inv[a], (g, a)
+        powers, x = [0], a
+        while x:
+            powers.append(x)
+            x = mult[x][a]
+        k = len(powers)
+        assert g.element_order(a) == k, (g, a)
+        assert all(g.power(a, e) == powers[e % k] for e in range(-k - 1, k + 2)), (g, a)
+        assert g.cyclic_closure(a) == frozenset(powers), (g, a)
+        assert g.cyclic_closure(a) in classes[g.cyclic_class_of(a)].conjugates, (g, a)
+        conjugates = [mult[mult[x][a]][inv[x]] for x in range(n)]
+        assert [g.conj(a, x) for x in range(n)] == conjugates, (g, a)
+        elem_classes.add(tuple(sorted(set(conjugates))))
+    assert g.element_conjugacy_classes() == tuple(sorted(elem_classes)), g
+
+
+def test_closed_forms_match_the_table_up_to_order_128() -> None:
+    for m in range(1, 129):
+        assert_closed_forms_match_table(G(f"C{m}"))
+    for m in range(2, 33):
+        assert_closed_forms_match_table(G(f"Dic{m}"))
+
+
+@pytest.mark.parametrize("name", ["C512", "Q512"])
+def test_closed_forms_spot_checks_at_order_512(name: str) -> None:
+    """The same checks without the table: random products and conjugates,
+    every element's inverse, order, powers and cyclic subgroup, and element
+    classes as orbits under conjugation by the generators."""
+    g = G(name)
+    desc, n = g.descriptor, g.order
+    mats = [monomial(desc, a) for a in range(n)]
+    index = {u: a for a, u in enumerate(mats)}
+
+    def prod(a: int, b: int) -> int:
+        return index[monomial_product(desc, mats[a], mats[b])]
+
+    rng = random.Random(512)
+    for _ in range(3000):
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert g.mul(a, b) == prod(a, b), (a, b)
+        assert g.conj(a, b) == prod(prod(b, a), g.inv_of(b)), (a, b)
+    classes = g.subgroup_classes()
+    for a in range(n):
+        assert prod(a, g.inv_of(a)) == 0, a
+        powers, x = [0], a
+        while x:
+            powers.append(x)
+            x = prod(x, a)
+        k = len(powers)
+        assert g.element_order(a) == k, a
+        assert [g.power(a, e) for e in (-1, 2, k - 1, k + 3)] == [
+            powers[e % k] for e in (-1, 2, k - 1, k + 3)
+        ], a
+        assert g.cyclic_closure(a) == frozenset(powers), a
+        assert g.cyclic_closure(a) in classes[g.cyclic_class_of(a)].conjugates, a
+    gens = (1,) if desc.kind == "cyclic" else (1, 2 * desc.m)
+    seen, elem_classes = set(), []
+    for a in range(n):
+        if a not in seen:
+            orbit_, work = {a}, [a]
+            while work:
+                y = work.pop()
+                for s in gens:
+                    z = prod(prod(s, y), g.inv_of(s))
+                    if z not in orbit_:
+                        orbit_.add(z)
+                        work.append(z)
+            seen |= orbit_
+            elem_classes.append(tuple(sorted(orbit_)))
+    assert g.element_conjugacy_classes() == tuple(elem_classes)
+
+
+def test_q512_model_builds_no_table() -> None:
+    """A fresh Q512 model with its subgroup classes, element classes and
+    one cyclic class stays under 50 ms and 1 MiB; a |G| x |G| table alone
+    took 6.5 MiB."""
+
+    def build() -> GroupModel:
+        g = GroupModel(GroupDescriptor.parse("Q512"))
+        g.subgroup_classes()
+        g.element_conjugacy_classes()
+        g.cyclic_class_of(1)
+        return g
+
+    build()  # imports and caches outside the model are warm
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        build()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05, f"Q512 model took {min(times) * 1000:.1f} ms"
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"Q512 model peaked at {peak / 2**20:.2f} MiB"
+    assert not hasattr(build(), "mult")
+
+
 def test_one_descriptor_one_model() -> None:
     # build_group used to take an order bound as part of its cache key, so
     # build_group(d) and build_group(d, 512) were two models of one group
@@ -98,8 +273,6 @@ def test_one_descriptor_one_model() -> None:
 
 def test_element_orders_cyclic() -> None:
     c12 = G("C12")
-    from math import gcd
-
     for a in range(12):
         assert c12.element_order(a) == 12 // gcd(a, 12)
 
@@ -111,8 +284,9 @@ def closure(g, gens) -> frozenset:
     gens = set(gens)
     out = {0}
     work = [0]
+    mult = table(g)[0]
     while work:
-        row = g.mult[work.pop()]
+        row = mult[work.pop()]
         for x in gens:
             c = row[x]
             if c not in out:
@@ -168,7 +342,7 @@ def all_subgroups(g) -> list:
 
 def commutator_subgroup(g, H: frozenset, N: frozenset) -> frozenset:
     """H [N, N], closed from every commutator of N."""
-    mult, inv = g.mult, g.inv
+    mult, inv = table(g)
     comms = set(H)
     for a in N:
         ai = inv[a]
@@ -278,12 +452,13 @@ def _brute_subgroups(g) -> set:
     n = g.order
     rest = [x for x in range(1, n)]
     sizes = [d for d in range(1, n + 1) if n % d == 0]
+    mult = table(g)[0]
     found = set()
     for size in sizes:
         for extra in combinations(rest, size - 1):
             sub = (0,) + extra
             members = set(sub)
-            if all(g.mult[a][b] in members for a in sub for b in sub):
+            if all(mult[a][b] in members for a in sub for b in sub):
                 found.add(frozenset(members))
     return found
 
@@ -306,6 +481,7 @@ def test_subgroup_classes_partition_all_subgroups(name: str) -> None:
 def two_sided_closure(g, gens) -> frozenset:
     """Subgroup generated by gens, closed under the products of every pair
     on both sides (brute-force oracle)."""
+    mult = table(g)[0]
     out = {0}
     work = [0]
     for x in gens:
@@ -315,7 +491,7 @@ def two_sided_closure(g, gens) -> frozenset:
     while work:
         a = work.pop()
         for b in list(out):
-            for c in (g.mult[a][b], g.mult[b][a]):
+            for c in (mult[a][b], mult[b][a]):
                 if c not in out:
                     out.add(c)
                     work.append(c)
@@ -450,6 +626,7 @@ def test_table_of_marks_q8() -> None:
 def coset_counting_marks(g) -> tuple:
     """Entry (H, K) counts the cosets rH with r^-1 K r <= H (brute-force
     oracle)."""
+    mult, inv = table(g)
     classes = g.subgroup_classes()
     coset_reps = {}
     for cls in classes:
@@ -457,7 +634,7 @@ def coset_counting_marks(g) -> tuple:
         for x in range(g.order):
             if x not in seen:
                 reps.append(x)
-                seen.update(g.mult[x][h] for h in cls.representative)
+                seen.update(mult[x][h] for h in cls.representative)
         coset_reps[cls.id] = reps
     rows = []
     for hcls in classes:
@@ -466,7 +643,7 @@ def coset_counting_marks(g) -> tuple:
         for kcls in classes:
             row.append(sum(
                 1 for r in coset_reps[hcls.id]
-                if all(g.mult[g.mult[g.inv[r]][k]][r] in H for k in kcls.representative)
+                if all(mult[mult[inv[r]][k]][r] in H for k in kcls.representative)
             ))
         rows.append(tuple(row))
     return tuple(rows)
