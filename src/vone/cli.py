@@ -58,6 +58,12 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 
+def _json_document(doc: dict) -> str:
+    """The one JSON format of every --json output: the schema version first,
+    then doc, indented by 2, with a trailing newline."""
+    return json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, text: str | None = None, pos: int | None = None):
         if text is not None and pos is not None:
@@ -369,7 +375,6 @@ def _jval(x):
 def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) -> str:
     par = cert.parameters
     doc = {
-        "schema": SCHEMA_VERSION,
         "command": "certify",
         "group": cert.group.descriptor.name,
         "inputs": {
@@ -431,7 +436,7 @@ def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) ->
         "verdict": cert.verdict,
         "warnings": list(cert.warnings),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(doc)
 
 
 def _certificate_text(cert: Certificate, notes) -> str:
@@ -498,7 +503,6 @@ def _cmd_enumerate(args, out) -> int:
         rows = enumerate_quaternion(pp[1], args.t_max)
         if args.json:
             doc = {
-                "schema": SCHEMA_VERSION,
                 "command": "enumerate",
                 "group": desc.name,
                 "rows": [
@@ -513,7 +517,7 @@ def _cmd_enumerate(args, out) -> int:
                     for r in rows
                 ],
             }
-            out.write(json.dumps(doc, indent=2) + "\n")
+            out.write(_json_document(doc))
         else:
             out.write(f"{desc.name}: 2^max(2,t) multiples of the induced H\n")
             out.write("t  exponent  multiplicity  k  hypothesis\n")
@@ -531,7 +535,6 @@ def _cmd_enumerate(args, out) -> int:
     rows = enumerate_5_1(p, n, mode=args.mode, s_max=args.s_max, d_max=args.d_max)
     if args.json:
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "enumerate",
             "group": desc.name,
             "mode": args.mode,
@@ -550,7 +553,7 @@ def _cmd_enumerate(args, out) -> int:
                 for r in rows
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         out.write(f"{desc.name} (p={p}, n={n}), mode {args.mode}\n")
         out.write("s  i  d  t  k  thm1  thm511  agree\n")
@@ -569,12 +572,11 @@ def _cmd_sq1(args, out) -> int:
         value = sq1_int(args.int)
         if args.json:
             doc = {
-                "schema": SCHEMA_VERSION,
                 "command": "sq1",
                 "input": _jval(args.int),
                 "value": repr(value),
             }
-            out.write(json.dumps(doc, indent=2) + "\n")
+            out.write(_json_document(doc))
         else:
             out.write(f"Sq1({args.int}) = {value!r}\n")
         return 0
@@ -586,7 +588,6 @@ def _cmd_sq1(args, out) -> int:
     if args.json:
         classes = G.subgroup_classes()
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "sq1",
             "group": G.descriptor.name,
             "gset": render_gset(X),
@@ -598,7 +599,7 @@ def _cmd_sq1(args, out) -> int:
                 for cls, comp in zip(classes, value.components)
             },
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         out.write(f"Sq1({render_gset(X)}) = {value!r}\n")
     return 0
@@ -617,14 +618,13 @@ def _cmd_imj(args, out) -> int:
     parts = {p: p**e for p, e in sorted(factorize(order).items())}
     if args.json:
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "imj",
             "degree": _jval(4 * s - 1),
             "s": _jval(s),
             "order": _jval(order),
             "parts": {str(p): _jval(v) for p, v in parts.items()},
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         out.write(f"degree {4 * s - 1} (s = {s}): order {order}\n")
         for p, v in parts.items():
@@ -647,7 +647,6 @@ def _cmd_theta(args, out) -> int:
             lam = q
     if args.json:
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "theta",
             "group": G.descriptor.name,
             "ell": _jval(ell),
@@ -661,7 +660,7 @@ def _cmd_theta(args, out) -> int:
                 for p in sorted(factorize(G.order))
             },
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         out.write(f"theta_{ell}({render_rep(V)}) over {G.descriptor.name} = {render_rep(th)}\n")
         if lam is not None:
@@ -683,13 +682,12 @@ def _cmd_marks(args, out) -> int:
         mk = marks(X)
         if args.json:
             doc = {
-                "schema": SCHEMA_VERSION,
                 "command": "marks",
                 "group": G.descriptor.name,
                 "gset": render_gset(X),
                 "marks": {lab: _jval(v) for lab, v in zip(labels, mk)},
             }
-            out.write(json.dumps(doc, indent=2) + "\n")
+            out.write(_json_document(doc))
         else:
             out.write("  ".join(labels) + "\n")
             out.write("  ".join(str(v) for v in mk) + "\n")
@@ -697,7 +695,6 @@ def _cmd_marks(args, out) -> int:
     rows = [marks(orbit(G, cls)) for cls in classes]
     if args.json:
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "marks",
             "group": G.descriptor.name,
             "columns": labels,
@@ -706,7 +703,7 @@ def _cmd_marks(args, out) -> int:
                 for lab, row in zip(labels, rows)
             },
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         name = G.descriptor.name
         width = max(len(f"[{name}/{lab}]") for lab in labels)
@@ -728,7 +725,6 @@ def _cmd_telescope(args, out) -> int:
         rows.append((j, tel, ku))
     if args.json:
         doc = {
-            "schema": SCHEMA_VERSION,
             "command": "telescope",
             "p": _jval(args.p),
             "n": _jval(args.n),
@@ -746,7 +742,7 @@ def _cmd_telescope(args, out) -> int:
                 for j, tel, ku in rows
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json_document(doc))
     else:
         out.write(f"p={args.p} n={args.n} s={args.s} i={args.i}\n")
         out.write("j  telescope fixed points        KU shadow\n")
@@ -851,7 +847,7 @@ def run(argv=None, out=None, err=None) -> int:
         if "integer string conversion" in message:  # Python's int/str digit limit
             message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
         if args.json:
-            out.write(json.dumps({"schema": SCHEMA_VERSION, "error": message}, indent=2) + "\n")
+            out.write(_json_document({"error": message}))
         else:
             err.write(f"error: {message}\n")
         return 2

@@ -480,26 +480,12 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple([row[j] for row in self.entries])
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        bt = list(zip(*other.entries))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -512,30 +498,6 @@ class IntMatrix:
 
     def diag(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def smith_normal_form(

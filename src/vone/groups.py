@@ -6,11 +6,13 @@ Subgroup classes are read off the two presentations (tom Dieck,
 *Transformation Groups and Representation Theory*, LNM 766, ch. 1): the
 subgroups <g^d> of C_m, d | m; the normal cyclic <x^d> of Dic_m, d | 2m;
 and the classes of <x^d, x^a j> in Dic_m, d | m, one for odd d and two for
-even d. Each class gets its canonical representative (least sorted element
-tuple), normalizer and Weyl group order in closed form, and the invariant
-factors of its Weyl group's abelianization N/H[N, N]. Element products,
-inverses, powers, orders, conjugates and conjugacy classes are read off the
-presentations too; no model stores a table of its group law.
+even d. Each family gives its classes' canonical representatives (least
+sorted element tuple), normalizers, labels, Weyl groups N/H with their
+abelianizations N/H[N, N], and the embedding of each subgroup's standard
+model, all in closed form (see WeylData and GroupModel.subgroup_model).
+Element products, inverses, powers, orders, conjugates and conjugacy
+classes are read off the presentations too; no model stores a table of its
+group law or searches its elements.
 
 The mark |(G/H)^K| is |N(H):H| times the number of conjugates of H that
 contain K (gH is K-fixed exactly when K <= gHg^-1), which makes the table of
@@ -23,7 +25,7 @@ import re
 from functools import cache
 from math import gcd
 
-from .exactmath import IntMatrix, divisors, smith_normal_form
+from .exactmath import divisors
 from .limits import DEFAULT_ORDER_BOUND
 from .record import record
 
@@ -34,7 +36,6 @@ __all__ = [
     "TableOfMarks",
     "WeylData",
     "build_group",
-    "subgroup_classes",
     "table_of_marks",
 ]
 
@@ -132,7 +133,8 @@ class GroupModel:
     Dicyclic order 4m: elements 0..2m-1 are x^a, elements 2m..4m-1 are
     x^a j, with relations x^(2m) = e, j^2 = x^m, j x j^(-1) = x^(-1).
     Products, inverses, powers, orders and conjugates are read off the
-    presentation; no table is stored.
+    presentation; no table is stored. Every operation but mul raises
+    ValueError for an element outside range(|G|).
     """
 
     def __init__(self, descriptor: GroupDescriptor):
@@ -156,13 +158,22 @@ class GroupModel:
 
     # -- basic operations
 
+    def check_element(self, g: int) -> None:
+        """ValueError unless g is an element, i.e. in range(|G|)."""
+        if not 0 <= g < self.order:
+            raise ValueError(f"{g} is not an element of {self.descriptor.name}")
+
     def mul(self, a: int, b: int) -> int:
+        """Unchecked, unlike the other operations: it is the inner loop of
+        the Sq1 points action, and an a or b outside range(|G|) gives a
+        meaningless product."""
         if self._cyclic:
             return (a + b) % self._n
         return _dic_mul(a, b, self.descriptor.m)
 
     def inv_of(self, a: int) -> int:
         """(x^a j)^-1 = x^(a+m) j, since (x^a j)^2 = x^m is central."""
+        self.check_element(a)
         n = self._n
         if a < n:
             return -a % n
@@ -170,18 +181,22 @@ class GroupModel:
 
     def power(self, g: int, k: int) -> int:
         """g^k for any integer k; x^a j has order 4 with square x^m."""
+        self.check_element(g)
         n = self._n
         if g < n:
             return g * k % n
         return (0, g, n // 2, self.inv_of(g))[k % 4]
 
     def element_order(self, g: int) -> int:
+        self.check_element(g)
         n = self._n
         return n // gcd(g, n) if g < n else 4
 
     def conj(self, g: int, x: int) -> int:
         """x g x^(-1): x^b fixes x^a and sends x^c j to x^(c+2b) j; x^b j
         sends x^a to x^-a and x^c j to x^(2b-c) j."""
+        self.check_element(g)
+        self.check_element(x)
         n = self._n
         if self._cyclic or (x < n and g < n):
             return g
@@ -191,12 +206,10 @@ class GroupModel:
             return -g % n
         return n + (2 * x - g) % n
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- subgroup classes
 
     def cyclic_closure(self, g: int) -> frozenset:
+        self.check_element(g)
         n = self._n
         if g < n:
             return frozenset(range(0, n, gcd(g, n)))
@@ -208,22 +221,22 @@ class GroupModel:
         return self._classes
 
     def _class_families(self) -> list:
-        """(conjugates, normalizer, M) per class: conjugates in sorted order,
-        the representative H first, and M = H [N, N] the kernel of
-        N -> (N/H)^ab. With c the cyclic part of order n (c = g, n = m over
-        C_m; c = x, n = 2m over Dic_m), every <c^d>, d | n, is normal with
-        M = <c^d> [G, G], and [Dic_m, Dic_m] = <x^2>. Any other subgroup H of
-        Dic_m holds some x^a j, so H = <x^d, x^a j> with <x^d> the
-        intersection of H and <x>, and d | m since (x^a j)^2 = x^m is in H.
-        Since j x^b j^-1 = x^-b, conjugation moves a to +-a + 2b: one class
-        for odd d and two for even d (a even, a odd); N(H) is H for odd d
-        and <x^(d/2), x^a j> for even d, and M = H."""
+        """(conjugates, normalizer, base label) per class: conjugates in
+        sorted order, the representative H first. With c the cyclic part of
+        order n (c = g, n = m over C_m; c = x, n = 2m over Dic_m), every
+        <c^d>, d | n, is normal and cyclic. Any other subgroup H of Dic_m
+        holds some x^a j, so H = <x^d, x^a j> with <x^d> the intersection of
+        H and <x>, and d | m since (x^a j)^2 = x^m is in H. Since
+        j x^b j^-1 = x^-b, conjugation moves a to +-a + 2b: one class for odd
+        d and two for even d (a even, a odd); N(H) is H for odd d and
+        <x^(d/2), x^a j> for even d. H has order 4m/d: for d = m it is the
+        cyclic <x^a j>, otherwise it is Dic_(m/d), as x^d has order 2m/d,
+        (x^a j)^2 = x^m = (x^d)^(m/d) and x^a j inverts x^d."""
         G = frozenset(range(self.order))
         n = self._n
         out = []
         for d in divisors(n):
-            H = frozenset(range(0, n, d))
-            out.append(((H,), G, H if self._cyclic else frozenset(range(0, n, gcd(d, 2)))))
+            out.append(((frozenset(range(0, n, d)),), G, f"C{n // d}" if d < n else "e"))
         if self._cyclic:
             return out
 
@@ -231,32 +244,33 @@ class GroupModel:
             xs = range(0, n, e)
             return frozenset([*xs, *[n + (a + k) % n for k in xs]])
 
-        for d in divisors(self.descriptor.m):
+        m = self.descriptor.m
+        for d in divisors(m):
+            k = 4 * m // d
+            base = "C4" if k == 4 else f"Q{k}" if k & (k - 1) == 0 else f"Dic{k // 4}"
             # the least a of each class gives the least sorted element tuple
             for a0 in ((0,) if d % 2 else (0, 1)):
                 conjs = tuple([dic(d, a) for a in range(a0, d, 1 if d % 2 else 2)])
-                H = conjs[0]
-                out.append((conjs, H if d % 2 else dic(d // 2, a0), H))
+                out.append((conjs, conjs[0] if d % 2 else dic(d // 2, a0), base))
         return out
 
     def _build_classes(self):
         raw = sorted(self._class_families(), key=lambda t: (len(t[0][0]), sorted(t[0][0])))
-        base_labels = [_base_label(self, conjs[0]) for conjs, _, _ in raw]
+        base_labels = [base for _, _, base in raw]
         counts = {b: base_labels.count(b) for b in base_labels}
         suffix_state: dict[str, int] = {}
         classes = []
         weyl = []
         lookup = {}
-        for cid, (conjs, norm, M) in enumerate(raw):
+        for cid, (conjs, norm, base) in enumerate(raw):
             rep = conjs[0]
-            base = base_labels[cid]
             if counts[base] > 1:
                 k = suffix_state.get(base, 0)
                 suffix_state[base] = k + 1
                 label = base + "abcdefgh"[k]
             else:
                 label = base
-            weyl.append(WeylData(self, rep, norm, M))
+            weyl.append(WeylData(self, rep, norm))
             cls = SubgroupClass(
                 group=self,
                 id=cid,
@@ -309,6 +323,7 @@ class GroupModel:
         """Class id of the cyclic subgroup generated by g. <x^a> = <x^d>
         with d = gcd(a, n), and <x^a j> is conjugate to <x^(a mod 2) j>;
         cached per generator."""
+        self.check_element(g)
         n = self._n
         key = gcd(g, n) % n if g < n else n + (g - n) % 2
         cid = self._cyclic_class.get(key)
@@ -347,49 +362,35 @@ class GroupModel:
         """Standard model of a subgroup plus the embedding list into G.
 
         Returns (model, embed) where embed[i] is the G-element realizing
-        element i of the standard model. The subgroup must be cyclic or
-        dicyclic, which covers every subgroup of the supported families.
+        element i of the standard model, read off the subgroup's family
+        (see _class_families; n is the order of c):
+        - <c^d> is C_(n/d), with g^i -> c^(id);
+        - <x^m, x^a j>, a the least such index, is C4, with
+          (e, g, g^2, g^3) -> (e, x^a j, x^m, x^(a+m) j);
+        - any other <x^d, x^a j>, a the least such index, is Dic_(m/d), with
+          x^i -> x^(id) and x^i j -> x^(id) x^a j = x^(id+a) j.
+        ValueError if elems is not a subgroup.
         """
         key = elems if isinstance(elems, frozenset) else frozenset(elems)
         if key in self._submodels:
             return self._submodels[key]
-        order = len(key)
-        gen = None
-        for g in sorted(key):
-            if self.element_order(g) == order:
-                gen = g
-                break
-        if gen is not None:
+        self.class_index_of(key)
+        n, order = self._n, len(key)
+        top = max(key)
+        if top < n:
             desc = GroupDescriptor.cyclic_of_order(order)
-            embed = []
-            x = 0
-            for _ in range(order):
-                embed.append(x)
-                x = self.mul(x, gen)
+            embed = range(0, n, n // order)
         else:
-            if order % 4:
-                raise ValueError("subgroup is neither cyclic nor dicyclic")
-            m = order // 4
-            a = None
-            for g in sorted(key):
-                if self.element_order(g) == 2 * m:
-                    a = g
-                    break
-            if a is None:
-                raise ValueError("subgroup is neither cyclic nor dicyclic")
-            cyc = self.cyclic_closure(a)
-            b = min(g for g in key if g not in cyc)
-            ak = self.power(a, m)
-            if self.mul(b, b) != ak or self.conj(a, b) != self.inv_of(a):
-                raise ValueError("subgroup is neither cyclic nor dicyclic")
-            desc = GroupDescriptor.dicyclic(m)
-            embed = []
-            x = 0
-            for _ in range(2 * m):
-                embed.append(x)
-                x = self.mul(x, a)
-            for i in range(2 * m):
-                embed.append(self.mul(embed[i], b))
+            # the x^a j of <x^d, x^a j> are those with a = a0 mod d, a0 < d
+            d = 2 * n // order
+            a = (top - n) % d
+            if order == 4:
+                desc = GroupDescriptor.cyclic_of_order(4)
+                embed = (0, n + a, d, n + a + d)
+            else:
+                desc = GroupDescriptor.dicyclic(order // 4)
+                xs = range(0, n, d)
+                embed = (*xs, *[n + i + a for i in xs])
         model = build_group(desc)
         # sanity: embedding must be a homomorphism. It is one if it respects
         # right multiplication by the generators g (or x and j), as every
@@ -408,99 +409,60 @@ class GroupModel:
 
 
 class WeylData:
-    """Abelianization of N_G(H)/H with computable coordinates; M is
-    H [N, N], the kernel of N -> (N/H)^ab.
+    """The abelianization N/H[N, N] of the Weyl group N/H, N = N_G(H), read
+    off H's family (see GroupModel._class_families). Write x^a j^b for an
+    element of Dic_m, a in range(2m), b in {0, 1}.
 
+    order: |N/H[N, N]|, the product of the invariants.
     invariants: cyclic factor orders (each > 1, divisibility chain).
-    coords(g): coordinates of gH in the factors, for g in the normalizer.
+    coords(g): coordinates of gH in the factors, for g in the normalizer;
+    ValueError for any other g.
+
+    - C_m, H = <g^d>: N = G is abelian, so N/H = C_m/<g^d> = C_d, generated
+      by gH: invariants (d,), or () for d = 1, and g^a -> (a mod d).
+    - Dic_m, H = <x^d>, d | 2m: H is characteristic in the normal <x>, so
+      N = G. j x j^-1 x^-1 = x^-2 and G/<x^2> has order 4, hence abelian, so
+      [G, G] = <x^2> and H[G, G] = <x^gcd(d, 2)>.
+      - d odd: G/<x> = C2, generated by j: invariants (2,), x^a j^b -> (b).
+      - d even, m even: j^2 = x^m and x^2 lie in <x^2>, so the images of x
+        and j generate G/<x^2> = C2 x C2: (2, 2), x^a j^b -> (a mod 2, b).
+      - d even, m odd: j^2 = x^m = x mod <x^2>, so j generates
+        G/<x^2> = C4 and x^a j^b = j^(2a + b): (4,), x^a j^b -> (2a + b mod 4).
+    - Dic_m, H = <x^d, x^a j>, d | m: N = H for odd d, so N/H = 1 and the
+      invariants are (); N = <x^(d/2), x^a j> for even d, so N/H = C2:
+      invariants (2,), and g -> (0) for g in H, (1) otherwise.
     """
 
-    def __init__(self, group: GroupModel, H: frozenset, N: frozenset, M: frozenset):
-        self.group = group
+    def __init__(self, group: GroupModel, H: frozenset, N: frozenset):
         self.subgroup = H
         self.normalizer = N
-        # cosets of M in N form the abelian quotient; coset_of[g] is the
-        # coset of g, None off N
-        coset_of = [None] * group.order
-        reps = []
-        for g in sorted(N):
-            if coset_of[g] is None:
-                cid = len(reps)
-                reps.append(g)
-                for m in M:
-                    coset_of[group.mul(g, m)] = cid
-        self._coset_of = coset_of
-        size = len(reps)
-        self.order = size
-
-        def cmul(c1: int, c2: int) -> int:
-            return coset_of[group.mul(reps[c1], reps[c2])]
-
-        # greedy generator chain; every element gets an exponent vector
-        vectors = {0: ()}
-        gens: list[int] = []
-        mods: list[int] = []
-        rels: list[list[int]] = []
-        while len(vectors) < size:
-            g = min(c for c in range(size) if c not in vectors)
-            x, k = g, 1
-            while x not in vectors:
-                x = cmul(x, g)
-                k += 1
-            tail = vectors[x]  # g^k lands in the previous stage
-            r = len(gens)
-            rel = [0] * (r + 1)
-            rel[r] = k
-            for i, c in enumerate(tail):
-                rel[i] -= c
-            for old, vec in list(vectors.items()):
-                acc = old
-                for e in range(1, k):
-                    acc = cmul(acc, g)
-                    vectors[acc] = vec + (0,) * (r - len(vec)) + (e,)
-            for old, vec in list(vectors.items()):
-                if len(vec) < r + 1:
-                    vectors[old] = vec + (0,) * (r + 1 - len(vec))
-            gens.append(g)
-            mods.append(k)
-            rels.append(rel)
-        rank = len(gens)
-        if rank == 0:
-            self.invariants = ()
-            self._U = None
-            self._vectors = {0: ()}
-            return
-        rel_mat = IntMatrix(
-            [
-                [rels[j][i] if i < len(rels[j]) else 0 for j in range(rank)]
-                for i in range(rank)
-            ]
-        )
-        d, u, _, _ = smith_normal_form(rel_mat)
-        diag = d.diag()
-        total = 1
-        for x in diag:
-            total *= x
-        assert total == size
-        self._U = u
-        self._keep = tuple(i for i, x in enumerate(diag) if x > 1)
-        self.invariants = tuple(diag[i] for i in self._keep)
-        self._vectors = {c: tuple(v) for c, v in vectors.items()}
+        n = group._n
+        if group._cyclic:
+            d = n // len(H)
+            self.invariants = (d,) if d > 1 else ()
+            self._coords = lambda g: (g % d,)
+        elif max(H) < n:  # <x^d>
+            if (n // len(H)) % 2:
+                self.invariants = (2,)
+                self._coords = lambda g: (g // n,)
+            elif group.descriptor.m % 2 == 0:
+                self.invariants = (2, 2)
+                self._coords = lambda g: (g % n % 2, g // n)
+            else:
+                self.invariants = (4,)
+                self._coords = lambda g: ((2 * (g % n) + g // n) % 4,)
+        else:  # <x^d, x^a j>
+            self.invariants = (2,) if len(N) > len(H) else ()
+            self._coords = lambda g: (int(g not in H),)
+        self.order = 1
+        for f in self.invariants:
+            self.order *= f
 
     def coords(self, g: int) -> tuple:
-        """Image of g N-coset in the invariant-factor coordinates."""
-        cid = self._coset_of[g] if 0 <= g < len(self._coset_of) else None
-        if cid is None:
+        """Image of the coset gH in the invariant-factor coordinates."""
+        if g not in self.normalizer:
             raise ValueError("element does not normalize the subgroup")
-        vec = self._vectors[cid]
-        if not self.invariants:
-            return ()
-        u = self._U
-        out = []
-        for pos, inv_f in zip(self._keep, self.invariants):
-            val = sum(u.entries[pos][j] * vec[j] for j in range(len(vec)))
-            out.append(val % inv_f)
-        return tuple(out)
+        return self._coords(g) if self.invariants else ()
 
     def zero(self) -> tuple:
         return (0,) * len(self.invariants)
@@ -520,25 +482,10 @@ def _dic_mul(a: int, b: int, m: int) -> int:
     return (ar - br + m) % two_m
 
 
-def _base_label(group: GroupModel, rep: frozenset) -> str:
-    order = len(rep)
-    if order == 1:
-        return "e"
-    if any(group.element_order(g) == order for g in rep):
-        return f"C{order}"
-    if order & (order - 1) == 0:
-        return f"Q{order}"
-    return f"Dic{order // 4}"
-
-
 @cache
 def build_group(descriptor: GroupDescriptor) -> GroupModel:
     """Shared immutable model for a descriptor."""
     return GroupModel(descriptor)
-
-
-def subgroup_classes(G: GroupModel) -> tuple:
-    return G.subgroup_classes()
 
 
 def table_of_marks(G: GroupModel) -> TableOfMarks:

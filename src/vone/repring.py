@@ -273,6 +273,7 @@ class VirtualRep(VirtualElement):
         return sum(c * d for c, d in zip(self.coeffs, dims))
 
     def character(self, g: int) -> CyclotomicElement:
+        self.group.check_element(g)
         if self.is_cyclic_side():
             m = self.group.order
             acc: dict[int, Fraction] = {}
@@ -461,6 +462,7 @@ def _eigenvalue_sums(V: VirtualRep, g: int, js) -> list:
 
 def fixed_space_dim(V: VirtualRep, g: int):
     """Dimension of the subspace of V fixed by g (averaging over <g>)."""
+    V.group.check_element(g)
     return _eigenvalue_sums(V, g, (0,))[0]
 
 

@@ -222,6 +222,42 @@ def test_bernoulli_von_staudt_clausen() -> None:
 # Smith normal form
 
 
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b.entries))
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def det(mat: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = mat.rows
+    m = [list(r) for r in mat.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def solve_int_columns(b: IntMatrix, target: IntMatrix) -> IntMatrix | None:
     """Solve b * Y = target over the integers; None if unsolvable. Read off
     the Smith form U*b*V = D: Y = V*Z with D*Z = U*target."""
@@ -229,7 +265,7 @@ def solve_int_columns(b: IntMatrix, target: IntMatrix) -> IntMatrix | None:
         raise ValueError("shape mismatch")
     d, u, v, _ = smith_normal_form(b)
     rank = sum(1 for x in d.diag() if x)
-    ut = u * target
+    ut = matmul(u, target)
     z = [[0] * target.cols for _ in range(b.cols)]
     for i in range(b.rows):
         for j in range(target.cols):
@@ -241,15 +277,15 @@ def solve_int_columns(b: IntMatrix, target: IntMatrix) -> IntMatrix | None:
                 z[i][j] = q
             elif val:
                 return None
-    return v * IntMatrix(z)
+    return matmul(v, IntMatrix(z))
 
 
 def _check_snf(m: IntMatrix) -> IntMatrix:
     d, u, v, uinv = smith_normal_form(m)
-    assert u * m * v == d
-    assert u * uinv == IntMatrix.identity(m.rows) == uinv * u
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    assert matmul(matmul(u, m), v) == d
+    assert matmul(u, uinv) == identity(m.rows) == matmul(uinv, u)
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     diag = d.diag()
     for i in range(d.rows):
         for j in range(d.cols):
@@ -280,7 +316,7 @@ def _minors_gcd(m: IntMatrix, k: int) -> int:
     for rows in combinations(range(m.rows), k):
         for cols in combinations(range(m.cols), k):
             sub = IntMatrix([[m.entries[i][j] for j in cols] for i in rows])
-            g = gcd(g, sub.det())
+            g = gcd(g, det(sub))
     return g
 
 
@@ -321,7 +357,7 @@ def test_solve_int_columns() -> None:
     b = IntMatrix([[2, 0], [0, 3]])
     sol = solve_int_columns(b, IntMatrix([[4], [9]]))
     assert sol is not None
-    assert b * sol == IntMatrix([[4], [9]])
+    assert matmul(b, sol) == IntMatrix([[4], [9]])
     assert solve_int_columns(b, IntMatrix([[1], [0]])) is None
     # inconsistent system
     assert solve_int_columns(IntMatrix([[1], [1]]), IntMatrix([[0], [1]])) is None
@@ -533,7 +569,7 @@ def test_cokernel_generators_match_solved_inverse() -> None:
     shapes = set()
     for mat in mats:
         d, u, _, uinv = smith_normal_form(mat)
-        inv = solve_int_columns(u, IntMatrix.identity(mat.rows))
+        inv = solve_int_columns(u, identity(mat.rows))
         assert inv == uinv, mat.entries
         diag = d.diag() + [0] * (mat.rows - d.cols)
         order = [i for i, x in enumerate(diag) if x > 1] + [i for i, x in enumerate(diag) if not x]
@@ -560,7 +596,7 @@ def test_bareiss_det_matches_cofactor() -> None:
     for _ in range(15):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert IntMatrix(rows).det() == cofactor_det(rows)
+        assert det(IntMatrix(rows)) == cofactor_det(rows)
 
 
 def test_binomial_sum_identity_for_bernoulli() -> None:

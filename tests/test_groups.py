@@ -5,6 +5,10 @@ replaced lives here as the oracle: subgroups as joins of cyclic subgroups
 (closure by right multiplication with the generators), classes as
 conjugation orbits over all of G, normalizers by testing every element,
 and the Weyl commutator subgroup H [N, N] closed from all commutators.
+The Weyl abelianizations and subgroup embeddings, also read off the
+families, are checked against the searches they replaced: a greedy
+generator chain over the cosets of H [N, N] with a Smith form of its
+relations, and generators found by element order.
 That search is itself checked against independent brute force: every
 identity-containing subset of Lagrange-compatible size tested for closure,
 and the two-sided all-pairs closure. Marks (Weyl order times the conjugates
@@ -24,20 +28,14 @@ import time
 import tracemalloc
 from functools import cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, orbit, restrict
+from vone.exactmath import IntMatrix, smith_normal_form
 from vone.geomfix import phi_gset
-from vone.groups import (
-    GroupDescriptor,
-    GroupModel,
-    WeylData,
-    build_group,
-    subgroup_classes,
-    table_of_marks,
-)
+from vone.groups import GroupDescriptor, GroupModel, build_group, table_of_marks
 from vone.limits import DEFAULT_ORDER_BOUND
 from vone.powerop import sq1_gset
 
@@ -118,7 +116,8 @@ def test_dicyclic_presentation_relations() -> None:
     assert q8.mul(j, j) == q8.mul(x, x)  # j^2 = x^2
     assert q8.power(j, 4) == 0
     assert q8.conj(x, j) == q8.inv_of(x)  # j x j^-1 = x^-1
-    center = [g for g in q8.elements() if all(q8.mul(g, h) == q8.mul(h, g) for h in q8.elements())]
+    elems = range(q8.order)
+    center = [g for g in elems if all(q8.mul(g, h) == q8.mul(h, g) for h in elems)]
     assert center == [0, 2]
 
 
@@ -383,13 +382,101 @@ def brute_force_classes(g) -> list:
     return out
 
 
+class ChainWeylData:
+    """Abelianization of N/H by search: the cosets of M = H [N, N] in N, a
+    greedy generator chain of N/M with its relations, and their Smith form
+    U R V = D. The exponent vector of a coset in the chain, times U, gives
+    its coordinates in the invariant factors."""
+
+    def __init__(self, group, H: frozenset, N: frozenset, M: frozenset):
+        mult = table(group)[0]
+        coset_of = {}
+        reps = []
+        for g in sorted(N):
+            if g not in coset_of:
+                cid = len(reps)
+                reps.append(g)
+                for m in M:
+                    coset_of[mult[g][m]] = cid
+        self._coset_of = coset_of
+        size = self.order = len(reps)
+
+        def cmul(c1: int, c2: int) -> int:
+            return coset_of[mult[reps[c1]][reps[c2]]]
+
+        vectors = {0: ()}
+        rels: list[list[int]] = []
+        while len(vectors) < size:
+            g = min(c for c in range(size) if c not in vectors)
+            x, k = g, 1
+            while x not in vectors:
+                x = cmul(x, g)
+                k += 1
+            r = len(rels)  # g^k lands in the previous stage
+            rels.append([-c for c in vectors[x]] + [k])
+            for old, vec in list(vectors.items()):
+                acc = old
+                for e in range(1, k):
+                    acc = cmul(acc, g)
+                    vectors[acc] = vec + (0,) * (r - len(vec)) + (e,)
+            for old, vec in list(vectors.items()):
+                vectors[old] = vec + (0,) * (r + 1 - len(vec))
+        self._vectors = vectors
+        if not rels:
+            self.invariants, self._keep = (), ()
+            return
+        rank = len(rels)
+        d, self._u, _, _ = smith_normal_form(IntMatrix(
+            [[rels[j][i] if i < len(rels[j]) else 0 for j in range(rank)] for i in range(rank)]
+        ))
+        diag = d.diag()
+        assert prod(diag) == size
+        self._keep = tuple(i for i, x in enumerate(diag) if x > 1)
+        self.invariants = tuple(diag[i] for i in self._keep)
+
+    def coords(self, g: int) -> tuple:
+        vec = self._vectors[self._coset_of[g]]
+        return tuple(
+            sum(u * v for u, v in zip(self._u.entries[pos], vec)) % f
+            for pos, f in zip(self._keep, self.invariants)
+        )
+
+
+def searched_subgroup_model(g, S: frozenset) -> tuple:
+    """(descriptor, embedding) by search: the least element of order |S|
+    generates a cyclic S; otherwise the least element a of order |S|/2 and
+    the least b outside <a> must satisfy b^2 = a^(|S|/4) and b a b^-1 =
+    a^-1, and x^i -> a^i, x^i j -> a^i b."""
+    mult, inv = table(g)
+
+    def powers(a: int) -> list:
+        out, x = [0], a
+        while x:
+            out.append(x)
+            x = mult[x][a]
+        return out
+
+    order = len(S)
+    gen = next((x for x in sorted(S) if len(powers(x)) == order), None)
+    if gen is not None:
+        return GroupDescriptor.cyclic_of_order(order), tuple(powers(gen))
+    m = order // 4
+    a = next(x for x in sorted(S) if len(powers(x)) == 2 * m)
+    xs = powers(a)
+    b = min(x for x in S if x not in xs)
+    assert mult[b][b] == xs[m] and mult[mult[b][a]][inv[b]] == inv[a]
+    return GroupDescriptor.dicyclic(m), tuple(xs + [mult[x][b] for x in xs])
+
+
 ORACLE_SWEEP = [f"C{m}" for m in range(1, 129)] + [f"Dic{m}" for m in range(2, 33)]
 
 
 def test_classes_match_brute_force() -> None:
+    """Classes, labels, Weyl data and the embedding of every subgroup,
+    conjugates included, against the searches they replaced."""
     for name in ORACLE_SWEEP:
         g = G(name)
-        classes = subgroup_classes(g)
+        classes = g.subgroup_classes()
         brute = brute_force_classes(g)
         assert len(classes) == len(brute), name
         for cls, (label, conjs, N, M) in zip(classes, brute):
@@ -399,11 +486,14 @@ def test_classes_match_brute_force() -> None:
             assert cls.order == len(H) and cls.index == g.order // len(H)
             assert cls.normalizer == N, (name, label)
             assert cls.weyl_order == len(N) // len(H), (name, label)
-            data, oracle = g.weyl_data(cls.id), WeylData(g, H, N, M)
+            data, oracle = g.weyl_data(cls.id), ChainWeylData(g, H, N, M)
             assert data.order == oracle.order, (name, label)
             assert cls.weyl_invariants == data.invariants == oracle.invariants
             for x in N:
                 assert data.coords(x) == oracle.coords(x), (name, label, x)
+            for S in conjs:
+                model, embed = g.subgroup_model(S)
+                assert (model.descriptor, embed) == searched_subgroup_model(g, S), (name, label)
         for x in range(g.order):
             cid = g.cyclic_class_of(x)
             assert g.cyclic_closure(x) in classes[cid].conjugates, (name, x)
@@ -468,7 +558,7 @@ def test_subgroup_classes_partition_all_subgroups(name: str) -> None:
     g = G(name)
     brute = _brute_subgroups(g)
     assert set(all_subgroups(g)) == brute
-    classes = subgroup_classes(g)
+    classes = g.subgroup_classes()
     covered: list = []
     for cls in classes:
         covered.extend(cls.conjugates)
@@ -509,7 +599,7 @@ def test_closure_matches_two_sided_closure() -> None:
 
 def test_cyclic_subgroup_classes_are_divisors() -> None:
     c16 = G("C16")
-    classes = subgroup_classes(c16)
+    classes = c16.subgroup_classes()
     assert [c.order for c in classes] == [1, 2, 4, 8, 16]
     assert [c.label for c in classes] == ["e", "C2", "C4", "C8", "C16"]
     # abelian: every Weyl group is the full quotient
@@ -521,7 +611,7 @@ def test_cyclic_subgroup_classes_are_divisors() -> None:
 
 def test_q8_subgroup_classes() -> None:
     q8 = G("Q8")
-    classes = subgroup_classes(q8)
+    classes = q8.subgroup_classes()
     assert [c.label for c in classes] == ["e", "C2", "C4a", "C4b", "C4c", "Q8"]
     assert [c.order for c in classes] == [1, 2, 4, 4, 4, 8]
     # all subgroups of Q8 are normal
@@ -537,7 +627,7 @@ def test_q8_subgroup_classes() -> None:
 
 def test_q16_subgroup_classes() -> None:
     q16 = G("Q16")
-    classes = subgroup_classes(q16)
+    classes = q16.subgroup_classes()
     labels = [c.label for c in classes]
     assert labels == ["e", "C2", "C4a", "C4b", "C4c", "C8", "Q8a", "Q8b", "Q16"]
     sizes = {c.label: len(c.conjugates) for c in classes}
@@ -555,7 +645,7 @@ def test_q16_subgroup_classes() -> None:
 def test_weyl_coordinates_are_homomorphisms() -> None:
     for name in ("C8", "Q8", "Q16", "Dic3"):
         g = G(name)
-        for cls in subgroup_classes(g):
+        for cls in g.subgroup_classes():
             data = g.weyl_data(cls.id)
             order = 1
             for d in data.invariants:
@@ -580,9 +670,9 @@ def test_weyl_data_is_built_once_per_class(monkeypatch) -> None:
     built = []
 
     class Counting(groups.WeylData):
-        def __init__(self, group, H, N, M):
+        def __init__(self, group, H, N):
             built.append(H)
-            super().__init__(group, H, N, M)
+            super().__init__(group, H, N)
 
     monkeypatch.setattr(groups, "WeylData", Counting)
     for desc in (GroupDescriptor.parse("C8"), GroupDescriptor.parse("Q16")):
@@ -595,6 +685,63 @@ def test_weyl_data_is_built_once_per_class(monkeypatch) -> None:
             assert data.subgroup == cls.representative
         assert len(built) == len(classes)
         built.clear()
+
+
+@pytest.mark.parametrize("name", ["C512", "Q512"])
+def test_classes_and_weyl_data_multiply_no_elements(name: str, monkeypatch) -> None:
+    """Every class and its Weyl data are read off the families; the search
+    they replaced ran a product for each coset and each chain step."""
+    calls = []
+    mul = GroupModel.mul
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GroupModel, "mul", counting)
+    g = GroupModel(GroupDescriptor.parse(name))  # a model of its own
+    for cls in g.subgroup_classes():
+        g.weyl_data(cls.id).coords(max(cls.normalizer))
+    assert calls == []
+
+
+def test_classes_of_c_2_16_with_the_order_bound_lifted(monkeypatch) -> None:
+    import vone.groups as groups
+
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**16)
+    GroupModel(GroupDescriptor.cyclic(2, 4)).subgroup_classes()  # warm
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g = GroupModel(GroupDescriptor.cyclic(2, 16))
+        classes = g.subgroup_classes()
+        weyl = [g.weyl_data(cls.id) for cls in classes]
+        times.append(time.perf_counter() - start)
+    assert [d.invariants for d in weyl] == [(2**(16 - i),) for i in range(16)] + [()]
+    assert weyl[0].coords(2**16 - 1) == (2**16 - 1,)
+    assert min(times) < 0.1, f"classes of C_2^16 took {min(times) * 1000:.1f} ms"
+
+
+@pytest.mark.parametrize("name, outside", [("C512", (-1, 512, 600, 1000)), ("Q16", (-1, 16, 99))])
+def test_elements_outside_the_group_are_rejected(name: str, outside: tuple) -> None:
+    """Over C512, cyclic_class_of(-1) answered for the generator and
+    inv_of(600) returned 856; over Q16, fixed_space_dim(H, 99) returned 0."""
+    from vone.repring import VirtualRep, eigenvalue_multiplicities, fixed_space_dim, standard_rep
+
+    g = G(name)
+    V = standard_rep(g, "W" if name[0] == "C" else "H")
+    checks = [
+        g.inv_of, lambda x: g.power(x, 3), g.element_order, lambda x: g.conj(x, 1),
+        lambda x: g.conj(1, x), g.cyclic_closure, g.cyclic_class_of, V.character,
+        lambda x: fixed_space_dim(V, x), lambda x: eigenvalue_multiplicities(V, x),
+        VirtualRep.regular(g).character,
+    ]
+    for x in outside:
+        for check in checks:
+            with pytest.raises(ValueError, match="not an element"):
+                check(x)
+    for check in checks:
+        check(g.order - 1)  # the last element is one
 
 
 def test_element_conjugacy_classes() -> None:
@@ -658,7 +805,7 @@ def test_table_of_marks_matches_coset_counting() -> None:
 @pytest.mark.parametrize("name", ["C8", "C12", "Q8", "Q16", "Q32", "Dic3"])
 def test_table_of_marks_shape(name: str) -> None:
     g = G(name)
-    classes = subgroup_classes(g)
+    classes = g.subgroup_classes()
     tom = table_of_marks(g)
     for i, hcls in enumerate(classes):
         assert tom.entries[i][0] == hcls.index  # free column: [G:H]
@@ -688,5 +835,5 @@ def test_subgroup_model_quaternion_inside_q16() -> None:
 
 def test_cyclic_class_of() -> None:
     c8 = G("C8")
-    labels = [subgroup_classes(c8)[c8.cyclic_class_of(g)].label for g in range(8)]
+    labels = [c8.subgroup_classes()[c8.cyclic_class_of(g)].label for g in range(8)]
     assert labels == ["e", "C8", "C4", "C8", "C2", "C8", "C4", "C8"]

@@ -30,7 +30,7 @@ from vone.repring import (
     standard_rep,
 )
 
-from test_exactmath import _circulant, solve_int_columns
+from test_exactmath import _circulant, matmul, solve_int_columns
 
 
 def G(name):
@@ -572,7 +572,7 @@ def test_ru_annihilator_closed_form_matches_circulant_kernel():
             ann = annihilator_and_quotient(X, side="RU").annihilator
             assert ann.free_rank == len(ann.generators) == len(kernel_basis(M)), (m, X.coeffs)
             if ann.generators:
-                image = M * IntMatrix.from_columns(ann.generators)
+                image = matmul(M, IntMatrix.from_columns(ann.generators))
                 assert not any(map(any, image.entries)), (m, X.coeffs)
             deg = m - len(ann.generators)
             for j, gen in enumerate(ann.generators):
