@@ -1,8 +1,9 @@
 """Existence certificates for v1 self maps of cofibers of virtual G-sets.
 
-A candidate self map of Sigma^V C(X) is certified in three steps after
-the parameters (p, n, t, c_X, k, c_V) are derived and the numerical
-hypotheses checked:
+`certify_self_map` raises ValueError for a setting outside the theorem's
+(see its docstring); every other outcome is a verdict. A candidate self
+map of Sigma^V C(X) is certified in three steps after the parameters
+(p, n, t, c_X, k, c_V) are derived and the numerical hypotheses checked:
 
   1. the restriction of the transfer class to the trivial group is an
      image-of-J element of order exactly p^t (im-J valuation bookkeeping);
@@ -19,9 +20,10 @@ exact arithmetic that the existence argument consumes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .burnside import VirtualGSet, cardinality
-from .exactmath import euler_phi, prime_power, pvaluation
+from .exactmath import euler_phi, is_prime, prime_power, pvaluation
 from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
@@ -100,7 +102,7 @@ class StepOne:
 
 @record
 class StepTwo:
-    report: AdamsBottReport | None
+    report: AdamsBottReport
     fixedness: bool | None
     passed: bool
     detail: str
@@ -132,14 +134,28 @@ class Certificate:
 
 
 def _group_prime(G: GroupModel) -> tuple[int, int]:
-    """(p, n) with |G| = p^n; quaternion groups count as p = 2."""
+    """(p, n) with |G| = p^n. A dicyclic group of prime-power order 4m is
+    the quaternion group Q_4m, with p = 2."""
     pp = prime_power(G.order)
     if pp is None:
         raise ValueError(f"group order {G.order} is not a prime power")
-    p, n = pp
-    if G.descriptor.kind == "dicyclic" and p != 2:
-        raise ValueError("dicyclic groups must be quaternion (order a power of 2)")
-    return p, n
+    return pp
+
+
+def _setting(G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None) -> tuple[int, int, int]:
+    """The front door of `certify_self_map`: (p, n, ell) for a setting the
+    theorem covers, with ell defaulted; ValueError for any other."""
+    p, n = _group_prime(G)
+    for name, side in (("X", X), ("V", V)):
+        if side.group is not G:
+            raise ValueError(f"{name} lives over {side.group.descriptor.name}, not {G.descriptor.name}")
+    if ell is None:
+        return p, n, default_ell(p)
+    if not isinstance(ell, int) or ell < 2:
+        raise ValueError(f"ell = {ell} must be an integer >= 2")
+    if gcd(ell, p) != 1:
+        raise ValueError(f"ell = {ell} is not prime to p = {p}")
+    return p, n, ell
 
 
 def standardize_rep(V: VirtualRep) -> int:
@@ -172,7 +188,10 @@ def derive_parameters(
     gp, n = _group_prime(G)
     if p is not None and p != gp:
         raise ValueError(f"group {G.descriptor.name} is not a {p}-group")
-    p = gp
+    return _parameters(gp, n, X, V, default_ell(gp) if ell is None else ell)
+
+
+def _parameters(p: int, n: int, X: VirtualGSet, V: VirtualRep, ell: int) -> SelfMapParameters:
     card = cardinality(X, p)
     dim = V.dim()
     if dim < 1:
@@ -186,8 +205,6 @@ def derive_parameters(
         if rest % (p - 1):
             raise ValueError(f"dimension {dim} is not p^k*c*(p-1) shaped at p={p}")
         c_v = rest // (p - 1)
-    if ell is None:
-        ell = default_ell(p)
     return SelfMapParameters(p, n, card.t, card.c, k, c_v, ell)
 
 
@@ -236,10 +253,7 @@ def _run_step2(
     warnings: list,
 ) -> StepTwo:
     p, n, k, ell = params.p, params.n, params.k, params.ell
-    try:
-        report = verify_adams_bott(V_std, ell, p=p, n=n, k=k)
-    except (ValueError, ArithmeticError) as exc:
-        return StepTwo(None, None, False, f"Adams multiplier check failed: {exc}")
+    report = verify_adams_bott(V_std, ell, p=p, n=n, k=k)
     if report.valuation != k + 1 - n:
         warnings.append(
             f"Adams multiplier valuation {report.valuation} differs from the "
@@ -286,18 +300,21 @@ def _run_step3(params: SelfMapParameters, warnings: list) -> StepThree:
 def certify_self_map(
     G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None = None
 ) -> Certificate:
-    """Assemble the full certificate; failures are structured verdicts,
-    never exceptions."""
+    """Assemble the full certificate. ValueError when G is not a cyclic
+    p-group or a generalized quaternion group, X or V lives over another
+    group, ell is not an integer >= 2 prime to p, or ell^dim(V) is over
+    `vone.limits.MAX_ADAMS_BITS`. Every other failure is a verdict, e.g.
+    "step-failed" for a V that is not fixed point free or an X of
+    cardinality zero, with the reason in the warnings."""
+    p, n, adams_ell = _setting(G, X, V, ell)
     warnings: list = []
     try:
-        p, n = _group_prime(G)
         mult = standardize_rep(V)
-        params = derive_parameters(G, X, V, ell=ell)
+        params = _parameters(p, n, X, V, adams_ell)
     except (ValueError, ArithmeticError) as exc:
-        warnings.append(str(exc))
         return Certificate(
             G, X, V, ell, None, None, None, None, None, None,
-            "step-failed", tuple(warnings),
+            "step-failed", (str(exc),),
         )
     hyp = check_hypotheses(params)
     if G.descriptor.kind == "cyclic":
@@ -343,8 +360,10 @@ def enumerate_5_1(
     """Sweep s, i, d; the mode picks which verdict column is primary."""
     if mode not in ("thm1", "thm511"):
         raise ValueError(f"unknown mode {mode!r}")
-    if p < 2 or n < 1:
-        raise ValueError("need a prime p and n >= 1")
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if s_max < 0 or d_max < 0:
         raise ValueError("s_max and d_max must be >= 0")
     if max(s_max, d_max) > SWEEP_LIMIT:

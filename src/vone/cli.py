@@ -9,9 +9,11 @@ Output is a text table by default and JSON with --json; certify emits
 JSON unless --text is given. All integers in JSON are decimal strings
 so arbitrarily large prime powers survive any consumer. Exit codes:
 0 success or certified, 1 negative mathematical verdict, 2 bad input,
-including an input over one of the limits in vone.limits. An input error
-under --json is a {"schema", "error"} document on stdout; argparse usage
-errors stay text on stderr.
+including an input over one of the limits in vone.limits. For certify
+the setting (group, ell) is checked by certify_self_map alone, which
+raises ValueError for a bad one. An input error under --json is a
+{"schema", "error"} document on stdout; argparse usage errors stay text
+on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 from .burnside import VirtualGSet, marks, orbit
 from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_quaternion
@@ -60,8 +61,9 @@ SCHEMA_VERSION = "1"
 
 def _json_document(doc: dict) -> str:
     """The one JSON format of every --json output: the schema version first,
-    then doc, indented by 2, with a trailing newline."""
-    return json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+    then doc with every integer as a decimal string (`_jval`), indented by
+    2, with a trailing newline."""
+    return json.dumps(_jval({"schema": SCHEMA_VERSION, **doc}), indent=2) + "\n"
 
 
 class ParseError(ValueError):
@@ -372,6 +374,12 @@ def _jval(x):
     return repr(x)
 
 
+def _fields(rec) -> dict:
+    """A record as JSON: its fields by name, in declaration order, so the
+    keys are the record's field names."""
+    return {name: getattr(rec, name) for name in rec.__record_fields__}
+
+
 def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) -> str:
     par = cert.parameters
     doc = {
@@ -382,56 +390,33 @@ def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) ->
             "gset_value": render_gset(cert.X),
             "rep": rep_text,
             "rep_value": render_rep(cert.V),
-            "ell": _jval(cert.ell),
+            "ell": cert.ell,
         },
         "notes": list(notes),
-        "parameters": None
-        if par is None
-        else {
-            "p": _jval(par.p),
-            "n": _jval(par.n),
-            "t": _jval(par.t),
-            "c_x": _jval(par.c_x),
-            "k": _jval(par.k),
-            "c_v": _jval(par.c_v),
-            "ell": _jval(par.ell),
-            "multiplicity": _jval(cert.multiplicity),
-        },
-        "hypothesis": None
-        if cert.hypothesis is None
-        else {"passed": cert.hypothesis.passed, "clause": cert.hypothesis.clause},
+        "parameters": None if par is None else {**_fields(par), "multiplicity": cert.multiplicity},
+        "hypothesis": None if cert.hypothesis is None else _fields(cert.hypothesis),
         "steps": {
             "im_j_order": None
             if cert.step1 is None
             else {
-                "degree": _jval(cert.step1.degree),
-                "valuation": _jval(cert.step1.valuation),
-                "expected": _jval(cert.step1.expected),
-                "claimed_order": _jval(cert.step1.claimed_order),
-                "transfer_exponent": _jval(cert.step1.transfer_exponent),
+                "degree": cert.step1.degree,
+                "valuation": cert.step1.valuation,
+                "expected": cert.step1.expected,
+                "claimed_order": cert.step1.claimed_order,
+                "transfer_exponent": cert.step1.transfer_exponent,
                 "passed": cert.step1.passed,
                 "detail": cert.step1.detail,
             },
             "adams_divisibility": None
             if cert.step2 is None
             else {
-                "lam": _jval(cert.step2.report.lam if cert.step2.report else None),
-                "valuation": _jval(
-                    cert.step2.report.valuation if cert.step2.report else None
-                ),
+                "lam": cert.step2.report.lam,
+                "valuation": cert.step2.report.valuation,
                 "fixedness": cert.step2.fixedness,
                 "passed": cert.step2.passed,
                 "detail": cert.step2.detail,
             },
-            "bracket": None
-            if cert.step3 is None
-            else {
-                "sq1": repr(cert.step3.sq1) if cert.step3.sq1 is not None else None,
-                "nonzero": cert.step3.nonzero,
-                "coefficient_exponent": _jval(cert.step3.coefficient_exponent),
-                "passed": cert.step3.passed,
-                "detail": cert.step3.detail,
-            },
+            "bracket": None if cert.step3 is None else _fields(cert.step3),
         },
         "verdict": cert.verdict,
         "warnings": list(cert.warnings),
@@ -479,12 +464,6 @@ def _build_group(name: str) -> GroupModel:
 
 def _cmd_certify(args, out) -> int:
     G = _build_group(args.group)
-    # input errors exit 2; certify_self_map would report them as a verdict
-    pp = prime_power(G.order)
-    if pp is None:
-        raise ValueError(f"group order {G.order} is not a prime power")
-    if args.ell is not None and gcd(args.ell, pp[0]) != 1:
-        raise ValueError(f"ell = {args.ell} is not prime to p = {pp[0]}")
     notes: list = []
     X = parse_gset(args.gset, G)
     V = parse_rep(args.rep, G, notes)
@@ -498,19 +477,23 @@ def _cmd_certify(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     desc = GroupDescriptor.parse(args.group)
+    pp = prime_power(desc.order)
+    if pp is None:
+        kind = "quaternion" if desc.kind == "dicyclic" else "prime power cyclic"
+        raise ParseError(f"group {desc.name} is not a {kind} group")
+    p, n = pp
     if desc.kind == "dicyclic":
-        pp = prime_power(desc.order)
-        rows = enumerate_quaternion(pp[1], args.t_max)
+        rows = enumerate_quaternion(n, args.t_max)
         if args.json:
             doc = {
                 "command": "enumerate",
                 "group": desc.name,
                 "rows": [
                     {
-                        "t": _jval(r.t),
-                        "exponent": _jval(r.exponent),
-                        "multiplicity": _jval(r.multiplicity),
-                        "k": _jval(r.parameters.k),
+                        "t": r.t,
+                        "exponent": r.exponent,
+                        "multiplicity": r.multiplicity,
+                        "k": r.parameters.k,
                         "passed": r.hypothesis.passed,
                         "clause": r.hypothesis.clause,
                     }
@@ -528,30 +511,13 @@ def _cmd_enumerate(args, out) -> int:
                     f"{r.parameters.k}  {word}\n"
                 )
         return 0
-    pp = prime_power(desc.order)
-    if pp is None:
-        raise ParseError(f"group {desc.name} is not a prime power cyclic group")
-    p, n = pp
     rows = enumerate_5_1(p, n, mode=args.mode, s_max=args.s_max, d_max=args.d_max)
     if args.json:
         doc = {
             "command": "enumerate",
             "group": desc.name,
             "mode": args.mode,
-            "rows": [
-                {
-                    "s": _jval(r.s),
-                    "i": _jval(r.i),
-                    "d": _jval(r.d),
-                    "t": _jval(r.t),
-                    "k": _jval(r.k),
-                    "verdict": r.verdict,
-                    "thm1": r.thm1,
-                    "thm511": r.thm511,
-                    "consistent": r.consistent,
-                }
-                for r in rows
-            ],
+            "rows": [_fields(r) for r in rows],
         }
         out.write(_json_document(doc))
     else:
@@ -573,7 +539,7 @@ def _cmd_sq1(args, out) -> int:
         if args.json:
             doc = {
                 "command": "sq1",
-                "input": _jval(args.int),
+                "input": args.int,
                 "value": repr(value),
             }
             out.write(_json_document(doc))
@@ -593,8 +559,8 @@ def _cmd_sq1(args, out) -> int:
             "gset": render_gset(X),
             "components": {
                 cls.label: {
-                    "eta": _jval(comp[0]),
-                    "weyl": _jval(list(comp[1])),
+                    "eta": comp[0],
+                    "weyl": comp[1],
                 }
                 for cls, comp in zip(classes, value.components)
             },
@@ -619,10 +585,10 @@ def _cmd_imj(args, out) -> int:
     if args.json:
         doc = {
             "command": "imj",
-            "degree": _jval(4 * s - 1),
-            "s": _jval(s),
-            "order": _jval(order),
-            "parts": {str(p): _jval(v) for p, v in parts.items()},
+            "degree": 4 * s - 1,
+            "s": s,
+            "order": order,
+            "parts": {str(p): v for p, v in parts.items()},
         }
         out.write(_json_document(doc))
     else:
@@ -649,14 +615,14 @@ def _cmd_theta(args, out) -> int:
         doc = {
             "command": "theta",
             "group": G.descriptor.name,
-            "ell": _jval(ell),
+            "ell": ell,
             "rep": render_rep(V),
             "theta": render_rep(th),
-            "lam": _jval(lam),
+            "lam": lam,
             "valuations": None
             if lam is None or lam == 0
             else {
-                str(p): _jval(pvaluation(lam, p))
+                str(p): pvaluation(lam, p)
                 for p in sorted(factorize(G.order))
             },
         }
@@ -685,7 +651,7 @@ def _cmd_marks(args, out) -> int:
                 "command": "marks",
                 "group": G.descriptor.name,
                 "gset": render_gset(X),
-                "marks": {lab: _jval(v) for lab, v in zip(labels, mk)},
+                "marks": dict(zip(labels, mk)),
             }
             out.write(_json_document(doc))
         else:
@@ -699,7 +665,7 @@ def _cmd_marks(args, out) -> int:
             "group": G.descriptor.name,
             "columns": labels,
             "rows": {
-                f"[{G.descriptor.name}/{lab}]": _jval(list(row))
+                f"[{G.descriptor.name}/{lab}]": row
                 for lab, row in zip(labels, rows)
             },
         }
@@ -726,18 +692,18 @@ def _cmd_telescope(args, out) -> int:
     if args.json:
         doc = {
             "command": "telescope",
-            "p": _jval(args.p),
-            "n": _jval(args.n),
-            "s": _jval(args.s),
-            "i": _jval(args.i),
+            "p": args.p,
+            "n": args.n,
+            "s": args.s,
+            "i": args.i,
             "rows": [
                 {
-                    "j": _jval(j),
+                    "j": j,
                     "telescope": tel.kind,
-                    "modulus": _jval(tel.modulus),
+                    "modulus": tel.modulus,
                     "ku": ku.kind,
-                    "ku_modulus": _jval(ku.modulus),
-                    "ku_conductor": _jval(ku.conductor),
+                    "ku_modulus": ku.modulus,
+                    "ku_conductor": ku.conductor,
                 }
                 for j, tel, ku in rows
             ],

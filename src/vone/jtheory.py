@@ -27,10 +27,12 @@ from .exactmath import (
     IntMatrix,
     bernoulli,
     factorize,
+    is_prime,
     p_local_in_image,
     prime_power,
     pvaluation,
 )
+from .limits import MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
@@ -92,6 +94,8 @@ def default_ell(p: int) -> int:
     root mod p^2."""
     if p == 2:
         return 3
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     m = p * p
     phi = p * (p - 1)
     prime_divs = list(factorize(phi))
@@ -221,6 +225,10 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
     _check_bott_dimension(dim, p, k)
     if ell < 1:
         raise ValueError("theta needs ell >= 1")
+    if dim * ell.bit_length() > MAX_ADAMS_BITS:
+        raise ValueError(
+            f"ell^dim = {ell}^{dim} exceeds the limit {MAX_ADAMS_BITS} on dim * bit_length(ell)"
+        )
     lam, rem = divmod(ell**dim - 1, G.order)
     assert rem == 0
     v = pvaluation(lam, p)

@@ -14,6 +14,12 @@ DEFAULT_ORDER_BOUND = 512
 # degree of an expression, and with it the work, stays linear in its length
 MAX_EXPONENT = 4096
 
+# bound on dim(V) * bit_length(ell), and so on the bits of the ell^dim(V)
+# that step 2 computes exactly: V = 8W over C_{2^16} with ell = 3 needs
+# about 415,000 bits, and a certificate at the bound takes well under a
+# second
+MAX_ADAMS_BITS = 2**20
+
 # upper bound on s_max, d_max and t_max; at the bound a sweep over C512
 # has 11 * 10 * 11 = 1210 rows
 SWEEP_LIMIT = 10

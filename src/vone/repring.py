@@ -86,6 +86,7 @@ class CharacterTable:
         self._conj_rows: dict[int, tuple] = {}
 
     def value(self, row: int, g: int) -> CyclotomicElement:
+        self.group.check_element(g)
         return self.rows[row][self.class_of_element[g]]
 
     def _conjugate_rows(self, m: int) -> tuple:
@@ -343,31 +344,25 @@ def from_class_function(G: GroupModel, values, p_local: int | None = None) -> Vi
     return VirtualRep(G, coeffs, p_local)
 
 
-def standard_rep(G: GroupModel, name: str, power: int = 1, param: int | None = None) -> VirtualRep:
+def standard_rep(G: GroupModel, name: str) -> VirtualRep:
     """Named representations: L (cyclic line), W (cyclic fixed point free
     rational), H (dicyclic fixed point free rational), taut (dicyclic
-    2-dimensional), regular, reduced_regular."""
+    2-dimensional), regular."""
     kind = G.descriptor.kind
     if name == "L":
-        return VirtualRep.line(G, power)
+        return VirtualRep.line(G, 1)
     if name == "regular":
         return VirtualRep.regular(G)
-    if name == "reduced_regular":
-        return VirtualRep.regular(G) - VirtualRep.trivial(G)
     if name == "W":
         if kind != "cyclic":
             raise ValueError("W is defined over cyclic groups")
         m = G.order
-        if param is not None and param != m:
-            raise ValueError(f"W_{param} does not live over C{m}")
         vec = [1 if gcd(a, m) == 1 else 0 for a in range(m)]
         return VirtualRep(G, vec)
     if name in ("H", "taut"):
         if kind != "dicyclic":
             raise ValueError(f"{name} is defined over dicyclic groups")
         m = G.descriptor.m
-        if param is not None and param != m:
-            raise ValueError(f"H_{param} does not live over {G.descriptor.name}")
         table = character_table(G)
         vec = [0] * (m + 3)
         if name == "taut":

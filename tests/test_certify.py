@@ -268,3 +268,29 @@ def test_certified_matches_quaternion_table():
         mult = rows[t].multiplicity
         cert = certify_self_map(q8, X, mult * H)
         assert cert.verdict == "certified", t
+
+
+def test_certify_rejects_a_setting_outside_the_theorem():
+    """The setting is checked before any step runs and a bad one raises.
+    Q8 with X over C4 used to come out certified, and the others as
+    step-failed verdicts."""
+    c1, c4, c8, q8 = cyc(1), cyc(4), cyc(8), quat(8)
+    X, V = orbit(c4, 0), 8 * standard_rep(c4, "W")
+    with pytest.raises(ValueError, match="^group order 1 is not a prime power$"):
+        certify_self_map(c1, orbit(c1, 0), VirtualRep.trivial(c1))
+    with pytest.raises(ValueError, match="^ell = 2 is not prime to p = 2$"):
+        certify_self_map(c4, X, V, ell=2)
+    for ell in (-3, 0, 1):
+        with pytest.raises(ValueError, match=f"^ell = {ell} must be an integer >= 2$"):
+            certify_self_map(c4, X, V, ell=ell)
+    with pytest.raises(ValueError, match="^X lives over C4, not Q8$"):
+        certify_self_map(q8, X, 4 * standard_rep(q8, "H"))
+    with pytest.raises(ValueError, match="^V lives over C8, not C4$"):
+        certify_self_map(c4, X, 4 * standard_rep(c8, "W"))
+    assert certify_self_map(c4, X, V, ell=5).verdict == "certified"
+
+
+def test_enumerate_5_1_needs_a_prime():
+    for p in (4, 6, 1):
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            enumerate_5_1(p, 1)

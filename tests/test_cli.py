@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from vone.burnside import VirtualGSet, bmul, orbit
-from vone.certify import enumerate_5_1, enumerate_quaternion
+from vone.certify import certify_self_map, enumerate_5_1, enumerate_quaternion
 from vone.cli import (
     ParseError,
     parse_expr,
@@ -431,3 +432,73 @@ def test_cli_enumerate_and_marks_and_telescope():
     assert rows[2]["ku"] == "ku-rational-pair" and rows[2]["ku_conductor"] == "9"
     code, _, _ = go("telescope", "--p", "3", "--n", "2", "--s", "1", "--i", "4")
     assert code == 2
+
+
+def test_cli_certify_ell_below_two_is_an_input_error():
+    """Both exited 1 before; --ell 1 also printed "valuation of zero is
+    undefined" as a step detail."""
+    for ell in ("-3", "1"):
+        code, out, err = go(
+            "certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "8*W", "--ell", ell
+        )
+        assert (code, out, err) == (2, "", f"error: ell = {ell} must be an integer >= 2\n")
+
+
+def test_cli_enumerate_over_a_non_quaternion_dicyclic_group_is_an_input_error():
+    """Dic3 died with a TypeError traceback and exit 1."""
+    message = "group Dic3 is not a quaternion group"
+    assert go("enumerate", "--group", "Dic3") == (2, "", f"error: {message}\n")
+    assert json_error("enumerate", "--group", "Dic3", "--json") == message
+
+
+def test_cli_telescope_with_a_composite_p_is_an_input_error():
+    assert go("telescope", "--p", "4", "--n", "2", "--i", "1") == (2, "", "error: p must be a prime\n")
+
+
+def test_cli_certify_work_is_bounded():
+    """ell^dim for 32000000-dimensional V took 25 s to compute."""
+    start = time.perf_counter()
+    code, out, err = go("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "16000000*W", "--text")
+    assert (code, out) == (2, "") and "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_certify_input(rng: random.Random, G: GroupModel) -> tuple[str, str]:
+    """A G-set and a representation expression over G: mostly multiples of
+    the standard W or H, sometimes any honest combination of irreducibles."""
+    X = VirtualGSet(G, [rng.randrange(-2, 3) for _ in G.subgroup_classes()])
+    std = "W" if G.descriptor.kind == "cyclic" else "H"
+    if rng.random() < 0.7:
+        rep = f"{rng.randrange(1, 9)}*{std}"
+    else:
+        size = len(VirtualRep.trivial(G).coeffs)
+        rep = render_rep(VirtualRep(G, [rng.randrange(0, 3) for _ in range(size)]))
+    return render_gset(X), rep
+
+
+def test_cli_and_library_share_one_input_policy():
+    """vone certify exits 2 exactly when certify_self_map raises
+    ValueError; otherwise 0 for certified and 1 for any other verdict."""
+    rng = random.Random(14)
+    names = [f"C{m}" for m in range(1, 17)] + ["Q8", "Q16", "Dic3"]
+    seen = set()
+    for _ in range(400):
+        G = build_group(GroupDescriptor.parse(rng.choice(names)))
+        gset, rep = _random_certify_input(rng, G)
+        ell = rng.choice((None, None, -3, 0, 1, 2, 3, 5, 7, 9, 10, 11))
+        # --gset=... because a leading minus would read as an option
+        argv = ["certify", "--group", G.descriptor.name, f"--gset={gset}", f"--rep={rep}"]
+        if ell is not None:
+            argv.append(f"--ell={ell}")
+        code, out, _ = go(*argv)
+        try:
+            cert = certify_self_map(G, parse_gset(gset, G), parse_rep(rep, G), ell)
+        except ValueError:
+            want = 2
+        else:
+            want = 0 if cert.verdict == "certified" else 1
+        assert code == want, argv
+        if want != 2:
+            assert json.loads(out)["verdict"] == cert.verdict
+        seen.add(want)
+    assert seen == {0, 1, 2}

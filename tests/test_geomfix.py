@@ -109,6 +109,8 @@ def test_phi_bott_valuation_range():
         phi_bott_valuation(3, 2, 3)
     with pytest.raises(ValueError):
         phi_bott_valuation(3, 2, 1, -1)
+    with pytest.raises(ValueError, match="^p must be a prime$"):
+        phi_bott_valuation(6, 2, 1)  # returned 6^6 before
 
 
 def test_telescope_table():
@@ -161,3 +163,10 @@ def test_ku_cofiber_mirrors_telescope():
                     elif j > i:
                         assert ku.kind == "ku-rational-pair"
                         assert ku.conductor == p**j
+
+
+def test_telescope_needs_a_prime():
+    """p = 4 returned a table before."""
+    for table in (telescope_fixed_points, ku_cofiber_fixed_points):
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            table(4, 2, 0, 1, 0)

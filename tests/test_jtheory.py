@@ -416,3 +416,36 @@ def test_bott_fixed_requirements():
         verify_bott_fixed_mod_X(standard_rep(q8, "H"), orbit(q8, 0), 3)
     with pytest.raises(ValueError):
         verify_bott_fixed_mod_X(standard_rep(c4, "L"), orbit(c4, 0), 3)
+
+
+def test_adams_multiplier_work_is_bounded():
+    """ell^dim is computed exactly, so dim * bit_length(ell) is bounded:
+    at the bound a certificate takes well under a second, and one past it
+    raises at once where it used to compute for as long as it took."""
+    from vone.certify import certify_self_map
+    from vone.limits import MAX_ADAMS_BITS
+
+    c4 = cyc(4)
+    W = standard_rep(c4, "W")  # dim 2, ell = 3 has 2 bits
+    c = MAX_ADAMS_BITS // 4
+    start = time.perf_counter()
+    cert = certify_self_map(c4, orbit(c4, 0), c * W)
+    took = time.perf_counter() - start
+    assert cert.step2.report.valuation == pvaluation(3 ** (2 * c) - 1, 2) - 2
+    assert took < 0.5, f"a certificate at the bound took {took:.2f} s"
+    start = time.perf_counter()
+    for V in ((c + 1) * W, 16000000 * W):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            certify_self_map(c4, orbit(c4, 0), V)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            verify_adams_bott(V, 3, p=2, n=2, k=pvaluation(V.dim(), 2) + 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_adams_multiplier_of_c_2_16_fits_the_bound(monkeypatch):
+    import vone.groups as groups
+
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**16)
+    g = groups.GroupModel(GroupDescriptor.cyclic(2, 16))
+    r = verify_adams_bott(8 * standard_rep(g, "W"), 3, p=2, n=16, k=19)
+    assert r.matches and r.valuation == 4

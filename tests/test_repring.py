@@ -136,7 +136,7 @@ def test_regular_and_reduced_regular():
         assert reg.character(0) == g.order
         for x in range(1, g.order):
             assert reg.character(x) == 0
-        red = standard_rep(g, "reduced_regular")
+        red = reg - VirtualRep.trivial(g)
         assert red.dim() == g.order - 1
         assert red.character(1) == -1
 
@@ -768,3 +768,13 @@ def test_character_table_lives_with_its_model():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_character_table_value_rejects_elements_outside_the_group():
+    """Over Q16, value(1, -1) read element 15 and value(1, 16) raised
+    IndexError."""
+    table = character_table(G("Q16"))
+    for g in (-1, 16):
+        with pytest.raises(ValueError, match="not an element"):
+            table.value(1, g)
+    assert table.value(1, 15) == table.rows[1][table.class_of_element[15]]
