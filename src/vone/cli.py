@@ -605,12 +605,11 @@ def _cmd_theta(args, out) -> int:
     V = parse_rep(args.rep, G, [])
     th = theta(ell, V)
     diff = th - VirtualRep.trivial(G)
-    reg = VirtualRep.regular(G)
+    # lambda is the multiplicity of the trivial representation in theta - 1,
+    # provided theta - 1 is lambda * [regular] at all
     lam = None
-    if G.order > 1:
-        q = Fraction(ell ** V.dim() - 1, G.order)
-        if tuple(q * c for c in reg.coeffs) == tuple(Fraction(c) for c in diff.coeffs):
-            lam = q
+    if G.order > 1 and diff.coeffs[0] * VirtualRep.regular(G) == diff:
+        lam = diff.coeffs[0]
     if args.json:
         doc = {
             "command": "theta",

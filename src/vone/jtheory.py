@@ -118,13 +118,25 @@ def _q_line(G, a: int, ell: int) -> VirtualRep:
     return VirtualRep(G, vec)
 
 
+def _check_adams_bits(ell: int, dim: int) -> None:
+    """ValueError when ell^dim, the value of theta^ell(V) at e, has more
+    than `MAX_ADAMS_BITS` bits by the bound dim * bit_length(ell)."""
+    if dim * ell.bit_length() > MAX_ADAMS_BITS:
+        raise ValueError(
+            f"ell^dim = {ell}^{dim} exceeds the limit {MAX_ADAMS_BITS} on dim * bit_length(ell)"
+        )
+
+
 def theta(ell: int, V: VirtualRep) -> VirtualRep:
     """Multiplicative Bott class: eigenvalue z of g on V contributes the
-    factor 1 + z + ... + z^(ell-1) to the character at g."""
+    factor 1 + z + ... + z^(ell-1) to the character at g. Its value at e
+    is ell^dim(V), bounded by `MAX_ADAMS_BITS` before anything is
+    convolved."""
     if ell < 1:
         raise ValueError("theta needs ell >= 1")
     if not V.is_honest():
         raise ValueError("theta is defined on honest representations")
+    _check_adams_bits(ell, V.dim())
     G = V.group
     if V.is_cyclic_side():
         # group equal multiplicities so high powers run on one base product
@@ -225,10 +237,7 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
     _check_bott_dimension(dim, p, k)
     if ell < 1:
         raise ValueError("theta needs ell >= 1")
-    if dim * ell.bit_length() > MAX_ADAMS_BITS:
-        raise ValueError(
-            f"ell^dim = {ell}^{dim} exceeds the limit {MAX_ADAMS_BITS} on dim * bit_length(ell)"
-        )
+    _check_adams_bits(ell, dim)
     lam, rem = divmod(ell**dim - 1, G.order)
     assert rem == 0
     v = pvaluation(lam, p)

@@ -20,6 +20,12 @@ MAX_EXPONENT = 4096
 # second
 MAX_ADAMS_BITS = 2**20
 
+# bound on |T|^2 * |G| for Sq1 of a G-set T over a dicyclic group, which
+# decomposes T x T on points: the free orbit of Q128 is at the bound and
+# takes about a second, that of Q256 would take ten (cyclic groups use a
+# closed form and need no bound)
+MAX_SQ1_WORK = 2**21
+
 # upper bound on s_max, d_max and t_max; at the bound a sweep over C512
 # has 11 * 10 * 11 = 1210 rows
 SWEEP_LIMIT = 10

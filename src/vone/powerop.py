@@ -1,11 +1,16 @@
 """The quadratic power operation Sq1 on integers and genuine G-sets.
 
 Values live in the additive model of pi_1 of the G-sphere: one summand per
-conjugacy class of subgroups (H), each summand {0, eta} x W_GH^{ab}. For a
-genuine G-set T the operation is computed literally: decompose T x T into
-orbits, read off the swap involution tau(a, b) = (b, a) as an element of the
-product of wreath products Sigma_{n_K} wr W_GK, and collapse each factor
-through (sigma, (x_1, ..., x_n)) -> (sgn sigma, x_1 ... x_n).
+conjugacy class of subgroups (H), each summand {0, eta} x W_GH^{ab}. The swap
+involution tau(a, b) = (b, a) on T x T is an element of the product of
+wreath products Sigma_{n_K} wr W_GK, and Sq1 collapses each factor through
+(sigma, (x_1, ..., x_n)) -> (sgn sigma, x_1 ... x_n).
+
+Over a cyclic group that collapse is a closed form in the orbit counts of T
+and the subgroup indices (`_sq1_cyclic`, proof in its docstring). Over a
+dicyclic group it is computed directly: T x T is decomposed into orbits on
+points and tau is read off them, which costs about |T|^2 |G| steps and is
+bounded by `vone.limits.MAX_SQ1_WORK`.
 
 Virtual inputs are rejected: the extension of Sq1 to differences of G-sets
 needs coordinates for the cross terms that we do not model.
@@ -13,8 +18,11 @@ needs coordinates for the cross terms that we do not model.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .burnside import VirtualGSet
 from .groups import GroupModel
+from .limits import MAX_SQ1_WORK
 from .record import record
 
 __all__ = [
@@ -210,7 +218,62 @@ def _genuine_counts(T: VirtualGSet):
     return T.coeffs
 
 
+def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
+    """Sq1 of T = sum n_H [G/H] over G = C_m from the subgroup indices alone.
+
+    Write d_H = |G/H|. G is abelian, so every point of [G/H] x [G/K] has
+    the intersection L of H and K as its stabilizer, and d_L = lcm(d_H, d_K);
+    the d_H d_K points fall into d_H d_K / d_L = gcd(d_H, d_K) orbits, each
+    a copy of [G/L]. So the number of orbits of type L in T x T is
+    N_L = sum over (H, K) with lcm(d_H, d_K) = d_L of n_H n_K gcd(d_H, d_K).
+
+    tau maps the orbits of the block (copy i of [G/H]) x (copy j of [G/K])
+    to those of the block (j, i). No orbit of a block with i != j is fixed.
+    A diagonal block [G/L] x [G/L] has one orbit per x in G/L, that of
+    (y, y + x), and tau sends it to the orbit of (y + x, y) = x + (y, y - x),
+    the orbit of -x. It is fixed exactly when 2x lies in L, i.e. for x = 0,
+    and also for x = d_L / 2 when d_L is even. So tau fixes
+    s_L = n_L (2 if d_L is even, else 1) orbits of type L and swaps the
+    other N_L - s_L in pairs: sgn sigma_L = (N_L - s_L) / 2 mod 2.
+
+    The Weyl part sums the coordinates of the g_o with tau(b_o) = g_o b_o',
+    b_o the base point of orbit o and o' = tau(o). For a swapped pair o, o',
+    b_o = tau^2(b_o) = g_o g_o' b_o, so g_o g_o' lies in the stabilizer L
+    and the pair adds 0 to W_GL = G/L. A fixed orbit of x adds
+    g_o = x mod L: 0 for x = 0, d_L / 2 for the other one. Hence
+    Weyl_L = n_L d_L / 2 mod d_L when d_L is even, 0 when d_L is odd, and
+    () when d_L = 1. The tests hold this against `_sq1_from_action`.
+    """
+    classes = G.subgroup_classes()
+    class_of_index = {cls.index: cls.id for cls in classes}
+    present = [(cls.index, n) for cls, n in zip(classes, counts) if n]
+    orbits = [0] * len(classes)
+    for dH, nH in present:
+        for dK, nK in present:
+            g = gcd(dH, dK)
+            orbits[class_of_index[dH * dK // g]] += nH * nK * g
+    components = []
+    for cls, n, N in zip(classes, counts, orbits):
+        d = cls.index
+        even = d % 2 == 0
+        eta = (N - n * (2 if even else 1)) // 2 % 2
+        weyl = () if d == 1 else (n * (d // 2) % d if even else 0,)
+        components.append((eta, weyl))
+    return Pi1Element(G, tuple(components))
+
+
 def sq1_gset(T: VirtualGSet) -> Pi1Element:
-    """Sq1 of a genuine G-set, from the swap involution on T x T."""
+    """Sq1 of a genuine G-set, from the swap involution on T x T: in closed
+    form over a cyclic group, on points over a dicyclic one, where
+    |T|^2 |G| over `MAX_SQ1_WORK` raises ValueError."""
     counts = _genuine_counts(T)
-    return _sq1_from_action(T.group, _points_action(T.group, counts))
+    G = T.group
+    if G.descriptor.kind == "cyclic":
+        return _sq1_cyclic(G, counts)
+    classes = G.subgroup_classes()
+    points = sum(n * cls.index for cls, n in zip(classes, counts))
+    if points * points * G.order > MAX_SQ1_WORK:
+        raise ValueError(
+            f"Sq1 over {G.descriptor.name} exceeds the limit {MAX_SQ1_WORK} on |T|^2 * |G|"
+        )
+    return _sq1_from_action(G, _points_action(G, counts))

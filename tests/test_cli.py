@@ -21,7 +21,14 @@ from vone.cli import (
     run,
 )
 from vone.groups import GroupDescriptor, GroupModel, build_group
-from vone.limits import DEFAULT_ORDER_BOUND, MAX_DIGITS, MAX_EXPONENT, SWEEP_LIMIT
+from vone.limits import (
+    DEFAULT_ORDER_BOUND,
+    MAX_ADAMS_BITS,
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    MAX_SQ1_WORK,
+    SWEEP_LIMIT,
+)
 from vone.repring import VirtualRep, standard_rep
 
 
@@ -502,3 +509,45 @@ def test_cli_and_library_share_one_input_policy():
             assert json.loads(out)["verdict"] == cert.verdict
         seen.add(want)
     assert seen == {0, 1, 2}
+
+
+def test_cli_expression_with_a_leading_minus_needs_the_equals_form():
+    """argparse reads '-[...]' after --gset as an option, so the expression
+    has to be attached: --gset=-[...]."""
+    expr = "-[Q8/e]+2*[Q8/C4a]"
+    code, out, err = go("certify", "--group", "Q8", "--gset", expr, "--rep", "2*H")
+    assert (code, out) == (2, "") and "argument --gset: expected one argument" in err
+    code, out, err = go("certify", "--group", "Q8", f"--gset={expr}", "--rep", "2*H")
+    assert code == 1 and json.loads(out)["inputs"]["gset"] == expr and err == ""
+    assert go("marks", "--group", "C4", "--gset=-[C4/e]+[C4/C4]") == (0, "e  C2  C4\n-3  1  1\n", "")
+
+
+def test_cli_sq1_is_bounded_and_cyclic_sq1_is_closed_form():
+    """The free orbit of C256 is a closed form; over a dicyclic group the
+    point action is bounded by MAX_SQ1_WORK: Q256's free orbit (about ten
+    seconds of work) exits 2 at once, and Q128's, at the bound, answers."""
+    start = time.perf_counter()
+    code, out, _ = go("sq1", "--group", "C256", "--gset", "[C256/e]", "--json")
+    assert code == 0 and json.loads(out)["components"]["e"] == {"eta": "1", "weyl": ["128"]}
+    assert time.perf_counter() - start < 0.3
+    start = time.perf_counter()
+    message = f"Sq1 over Q256 exceeds the limit {MAX_SQ1_WORK} on |T|^2 * |G|"
+    assert go("sq1", "--group", "Q256", "--gset", "[Q256/e]") == (2, "", f"error: {message}\n")
+    assert json_error("sq1", "--json", "--group", "Q256", "--gset", "[Q256/e]") == message
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    code, out, _ = go("sq1", "--group", "Q128", "--gset", "[Q128/e]", "--json")
+    components = json.loads(out)["components"]
+    assert code == 0 and components.pop("e") == {"eta": "1", "weyl": ["0", "0"]}
+    assert all(c["eta"] == "0" and not any(int(w) for w in c["weyl"]) for c in components.values())
+    assert time.perf_counter() - start < 20
+
+
+def test_cli_theta_work_is_bounded():
+    """theta convolved for 2.6 s (400000*W) and 18.5 s (1600000*W) before
+    the printed digits gave out; the Adams-bits bound now stops it first."""
+    start = time.perf_counter()
+    for c in (400000, 1600000):
+        code, out, err = go("theta", "--group", "C4", "--rep", f"{c}*W")
+        assert (code, out) == (2, "") and f"exceeds the limit {MAX_ADAMS_BITS}" in err
+    assert time.perf_counter() - start < 0.5

@@ -1,10 +1,21 @@
 import random
+import time
+from math import isqrt
 
 import pytest
 
 from vone.burnside import VirtualGSet, orbit
 from vone.groups import GroupDescriptor, build_group
-from vone.powerop import ETA, EtaClass, Pi1Element, _sq1_from_action, sq1_gset, sq1_int
+from vone.limits import MAX_SQ1_WORK
+from vone.powerop import (
+    ETA,
+    EtaClass,
+    Pi1Element,
+    _points_action,
+    _sq1_from_action,
+    sq1_gset,
+    sq1_int,
+)
 
 
 def G(name):
@@ -207,3 +218,112 @@ def test_sq1_sum_of_free_orbits_matches_regular_pattern():
         wd = c2.weyl_data(0)
         parity = weyl[0] * 1 if weyl else 0  # translation by g on C2 is a 2-cycle
         assert EtaClass(eta.coefficient * 2 * k + parity) == sq1_int(2 * k)
+
+
+def _check_against_point_action(G, counts):
+    """The closed form, within 50 ms, equals the point action on counts."""
+    start = time.perf_counter()
+    fast = sq1_gset(VirtualGSet(G, counts))
+    assert time.perf_counter() - start < 0.05, (G, counts)
+    assert fast == _sq1_from_action(G, _points_action(G, counts)), (G, counts)
+
+
+def _gsets_up_to(G, size):
+    """Every count vector of a genuine G-set with at most `size` points."""
+    indices = [cls.index for cls in G.subgroup_classes()]
+
+    def grow(i, room):
+        if i == len(indices):
+            yield ()
+            return
+        for n in range(room // indices[i] + 1):
+            for rest in grow(i + 1, room - n * indices[i]):
+                yield (n, *rest)
+
+    return grow(0, size)
+
+
+def test_cyclic_closed_form_matches_the_point_action_on_every_small_gset():
+    """The closed form against the point action on every genuine T over
+    C_m, m <= 64, prime-power or not, whose point action has at most 2^11
+    steps (|T|^2 m <= 2^11, so |T| <= 45 over C1 and |T| <= 5 over C64):
+    3151 G-sets."""
+    start = time.perf_counter()
+    checked = 0
+    for m in range(1, 65):
+        cm = G(f"C{m}")
+        for counts in _gsets_up_to(cm, min(64, isqrt(2**11 // m))):
+            _check_against_point_action(cm, counts)
+            checked += 1
+    assert checked == 3151
+    assert time.perf_counter() - start < 30
+
+
+def test_cyclic_closed_form_matches_the_point_action_on_large_gsets():
+    """One seeded G-set of 32 to 64 points over every C_m, m <= 64, built
+    from randomly drawn orbits that still fit; the free orbit can be drawn
+    whenever m is at most the target size."""
+    rng = random.Random(2024)
+    start = time.perf_counter()
+    for m in range(1, 65):
+        cm = G(f"C{m}")
+        indices = [cls.index for cls in cm.subgroup_classes()]
+        counts = [0] * len(indices)
+        target = rng.randrange(32, 65)
+        size = 0
+        while True:
+            fits = [i for i, d in enumerate(indices) if size + d <= target]
+            if not fits:
+                break
+            i = rng.choice(fits)
+            counts[i] += 1
+            size += indices[i]
+        _check_against_point_action(cm, counts)
+    assert time.perf_counter() - start < 30
+
+
+def test_cyclic_free_orbits_match_the_sign_and_product_oracle():
+    """[C_m/e] for m <= 512: tau permutes the free orbits of G x G as
+    x -> x^-1, so the eta part is the sign of inversion and the Weyl part
+    is the product of all elements; every other component vanishes. Each
+    case runs in closed form, within 50 ms."""
+    for m in range(1, 513):
+        cm = G(f"C{m}")
+        inverse = [cm.inv_of(x) for x in range(m)]
+        seen = [False] * m
+        parity = 0
+        for x in range(m):
+            if seen[x]:
+                continue
+            length = 0
+            t = x
+            while not seen[t]:
+                seen[t] = True
+                t = inverse[t]
+                length += 1
+            parity += length - 1
+        product = 0
+        for x in range(m):
+            product = cm.mul(product, x)
+        start = time.perf_counter()
+        out = sq1_gset(orbit(cm, "e"))
+        assert time.perf_counter() - start < 0.05, m
+        eta, weyl = out.component("e")
+        assert eta == EtaClass(parity), m
+        assert weyl == (cm.weyl_data(0).coords(product) if m > 1 else ()), m
+        for cls in cm.subgroup_classes()[1:]:
+            s, w = out.component(cls)
+            assert not s and not any(w), (m, cls.label)
+
+
+def test_dicyclic_point_action_is_bounded():
+    """|T|^2 |G| over MAX_SQ1_WORK raises at once: the free orbit of Q256
+    would take about ten seconds, and one point more than Q128's free
+    orbit, which is at the bound, is already too much."""
+    q128, q256 = G("Q128"), G("Q256")
+    assert 128**3 == MAX_SQ1_WORK
+    start = time.perf_counter()
+    for T in (orbit(q256, "e"), orbit(q128, "e") + orbit(q128, "Q128")):
+        with pytest.raises(ValueError, match=f"exceeds the limit {MAX_SQ1_WORK}"):
+            sq1_gset(T)
+    assert time.perf_counter() - start < 0.5
