@@ -23,11 +23,13 @@ from fractions import Fraction
 from math import gcd
 
 from .burnside import VirtualGSet, cardinality
-from .exactmath import euler_phi, is_prime, prime_power, pvaluation
+from .exactmath import check_prime, euler_phi
 from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
+    _group_prime,
     _theta_fixed_mod_X,
+    bott_shape,
     default_ell,
     imj_valuation,
     verify_adams_bott,
@@ -133,15 +135,6 @@ class Certificate:
     warnings: tuple
 
 
-def _group_prime(G: GroupModel) -> tuple[int, int]:
-    """(p, n) with |G| = p^n. A dicyclic group of prime-power order 4m is
-    the quaternion group Q_4m, with p = 2."""
-    pp = prime_power(G.order)
-    if pp is None:
-        raise ValueError(f"group order {G.order} is not a prime power")
-    return pp
-
-
 def _setting(G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None) -> tuple[int, int, int]:
     """The front door of `certify_self_map`: (p, n, ell) for a setting the
     theorem covers, with ell defaulted; ValueError for any other."""
@@ -176,35 +169,16 @@ def standardize_rep(V: VirtualRep) -> int:
     return dim // phi
 
 
-def derive_parameters(
-    G: GroupModel,
-    X: VirtualGSet,
-    V: VirtualRep,
-    p: int | None = None,
-    ell: int | None = None,
-) -> SelfMapParameters:
+def derive_parameters(G: GroupModel, X: VirtualGSet, V: VirtualRep) -> SelfMapParameters:
     """Read t, c_X off the virtual cardinality of X and k, c_V off the
-    dimension of V."""
-    gp, n = _group_prime(G)
-    if p is not None and p != gp:
-        raise ValueError(f"group {G.descriptor.name} is not a {p}-group")
-    return _parameters(gp, n, X, V, default_ell(gp) if ell is None else ell)
+    dimension of V, with the default ell."""
+    p, n = _group_prime(G)
+    return _parameters(p, n, X, V, default_ell(p))
 
 
 def _parameters(p: int, n: int, X: VirtualGSet, V: VirtualRep, ell: int) -> SelfMapParameters:
     card = cardinality(X, p)
-    dim = V.dim()
-    if dim < 1:
-        raise ValueError("V must have positive dimension")
-    if p == 2:
-        k = pvaluation(dim, 2) + 1
-        c_v = dim >> (k - 1)
-    else:
-        k = pvaluation(dim, p)
-        rest = dim // p**k
-        if rest % (p - 1):
-            raise ValueError(f"dimension {dim} is not p^k*c*(p-1) shaped at p={p}")
-        c_v = rest // (p - 1)
+    k, c_v = bott_shape(V.dim(), p)
     return SelfMapParameters(p, n, card.t, card.c, k, c_v, ell)
 
 
@@ -252,9 +226,9 @@ def _run_step2(
     params: SelfMapParameters,
     warnings: list,
 ) -> StepTwo:
-    p, n, k, ell = params.p, params.n, params.k, params.ell
-    report = verify_adams_bott(V_std, ell, p=p, n=n, k=k)
-    if report.valuation != k + 1 - n:
+    n, k, ell = params.n, params.k, params.ell
+    report = verify_adams_bott(V_std, ell)
+    if not report.matches:
         warnings.append(
             f"Adams multiplier valuation {report.valuation} differs from the "
             f"expected {k + 1 - n} at ell = {ell}"
@@ -360,14 +334,14 @@ def enumerate_5_1(
     """Sweep s, i, d; the mode picks which verdict column is primary."""
     if mode not in ("thm1", "thm511"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not is_prime(p):
-        raise ValueError("p must be a prime")
+    check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if s_max < 0 or d_max < 0:
         raise ValueError("s_max and d_max must be >= 0")
     if max(s_max, d_max) > SWEEP_LIMIT:
         raise ValueError(f"s_max and d_max must be <= {SWEEP_LIMIT}")
+    ell = default_ell(p)
     rows = []
     for s in range(s_max + 1):
         for i in range(n + 1):
@@ -378,7 +352,7 @@ def enumerate_5_1(
                     direct = d >= max(1, 3 - n, s + n - i - 1)
                 else:
                     direct = d >= s + n - i - 1
-                params = SelfMapParameters(p, n, t, Fraction(1), k, 1, default_ell(p))
+                params = SelfMapParameters(p, n, t, Fraction(1), k, 1, ell)
                 derived = check_hypotheses(params).passed
                 verdict = derived if mode == "thm1" else direct
                 rows.append(
@@ -410,11 +384,12 @@ def enumerate_quaternion(n: int, t_max: int = 6) -> tuple[QuaternionRow, ...]:
         raise ValueError("t_max must be >= 0")
     if t_max > SWEEP_LIMIT:
         raise ValueError(f"t_max must be <= {SWEEP_LIMIT}")
+    ell = default_ell(2)
     rows = []
     for t in range(t_max + 1):
         e = max(2, t)
         # dim of 2^e * Ind(H) = 2^e * 2^(n-2), so k = e + n - 1
         k = e + n - 1
-        params = SelfMapParameters(2, n, t, Fraction(1), k, 1, default_ell(2))
+        params = SelfMapParameters(2, n, t, Fraction(1), k, 1, ell)
         rows.append(QuaternionRow(t, e, 2**e, params, check_hypotheses(params)))
     return tuple(rows)

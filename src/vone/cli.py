@@ -33,7 +33,7 @@ from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_qua
 from .exactmath import factorize, prime_power, pvaluation
 from .geomfix import ku_cofiber_fixed_points, telescope_fixed_points
 from .groups import GroupDescriptor, GroupModel, build_group
-from .jtheory import default_ell, imj_order_oracle, theta
+from .jtheory import _check_adams_bits, default_ell, imj_order_oracle, theta
 from .limits import MAX_DIGITS, MAX_EXPONENT
 from .powerop import sq1_gset, sq1_int
 from .record import record
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+
+_DIGITS_MESSAGE = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
 
 
 def _json_document(doc: dict) -> str:
@@ -603,6 +605,13 @@ def _cmd_theta(args, out) -> int:
     pp = prime_power(G.order)
     ell = args.ell if args.ell is not None else default_ell(pp[0] if pp else 2)
     V = parse_rep(args.rep, G, [])
+    if ell >= 1 and V.is_honest():
+        # theta's coefficients are >= 0 and sum to ell^dim against
+        # dimensions totalling at most |G|, so one of them is at least
+        # ell^dim // |G|: refuse before convolving when it cannot print
+        _check_adams_bits(ell, V.dim())
+        if MAX_DIGITS and ell ** V.dim() // G.order >= 10**MAX_DIGITS:
+            raise ValueError(_DIGITS_MESSAGE)
     th = theta(ell, V)
     diff = th - VirtualRep.trivial(G)
     # lambda is the multiplicity of the trivial representation in theta - 1,
@@ -683,6 +692,16 @@ def _cmd_marks(args, out) -> int:
 
 def _cmd_telescope(args, out) -> int:
     js = range(args.n + 1) if args.j is None else [args.j]
+    if js:
+        # the first row checks the input; the largest number printed is the
+        # modulus p^(s+n-i) at j = 0 or the conductor p^j at the top j above
+        # i, refused unformed when it is at least 2^(3.33 MAX_DIGITS)
+        p = args.p
+        telescope_fixed_points(p, args.n, args.s, args.i, js[0])
+        e = max(args.s + args.n - args.i if js[0] == 0 else 0, js[-1] if js[-1] > args.i else 0)
+        if MAX_DIGITS and (100 * e * (p.bit_length() - 1) >= 333 * MAX_DIGITS
+                           or p**e >= 10**MAX_DIGITS):
+            raise ValueError(_DIGITS_MESSAGE)
     rows = []
     for j in js:
         tel = telescope_fixed_points(args.p, args.n, args.s, args.i, j)
@@ -810,7 +829,7 @@ def run(argv=None, out=None, err=None) -> int:
     except (ParseError, ValueError, ArithmeticError) as exc:
         message = str(exc)
         if "integer string conversion" in message:  # Python's int/str digit limit
-            message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
+            message = _DIGITS_MESSAGE
         if args.json:
             out.write(_json_document({"error": message}))
         else:

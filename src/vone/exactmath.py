@@ -20,10 +20,13 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
 
+from .limits import MAX_PRIME
+
 __all__ = [
     "factorize",
     "is_prime",
     "prime_power",
+    "check_prime",
     "euler_phi",
     "divisors",
     "pvaluation",
@@ -63,15 +66,57 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
+def check_prime(p: int) -> None:
+    """ValueError unless p is a prime at most `MAX_PRIME`, which is checked
+    first, so trial division never runs past sqrt(MAX_PRIME)."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds the limit {MAX_PRIME}")
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
+
+
+def _int_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by bisection between 2^a and 2^(a+1),
+    a = (bit_length(n) - 1) // k."""
+    a = (n.bit_length() - 1) // k
+    lo, hi = 1 << a, 1 << (a + 1)  # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k and k >= 1, or None."""
+    """(p, k) with n = p^k, k >= 1 and p at most `MAX_PRIME`, with no trial
+    division past sqrt(MAX_PRIME): a factor up to that bound is found by
+    trial division; otherwise n = p^k with p <= MAX_PRIME has p = n^(1/k),
+    which is prime because it has no factor up to its square root. None
+    when n < 2 or a small factor shows n is not a prime power, ValueError
+    when n is not a power of a prime at most `MAX_PRIME` (it may be one of
+    a larger prime)."""
     if n < 2:
         return None
-    f = factorize(n)
-    if len(f) != 1:
-        return None
-    [(p, k)] = f.items()
-    return p, k
+    d = 2
+    while d * d <= min(n, MAX_PRIME):
+        if n % d == 0:
+            k = pvaluation(n, d)
+            return (d, k) if n == d**k else None
+        d += 1 if d == 2 else 2
+    if n <= MAX_PRIME:
+        return n, 1
+    for k in range(2, n.bit_length()):
+        a = (n.bit_length() - 1) // k  # 2^a <= n^(1/k) < 2^(a+1)
+        if 1 << a > MAX_PRIME:
+            continue
+        if 1 << (a + 1) <= d:
+            break  # every prime factor of n is at least d
+        r = _int_root(n, k)
+        if r <= MAX_PRIME and r**k == n:
+            return r, k
+    raise ValueError(f"{n} is not a power of a prime p <= {MAX_PRIME}, the limit on p")
 
 
 @cache

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .burnside import VirtualGSet, marks
-from .exactmath import is_prime
+from .exactmath import check_prime
 from .record import record
 
 __all__ = [
@@ -116,8 +116,7 @@ def psi_power_fixed(d: int, k: int) -> PowerMapFixedPoints:
 def phi_bott_valuation(p: int, n: int, j: int, d: int = 0) -> BottClassFixedPoints:
     """C_{p^j}-fixed points of the p^d-th power of the Bott class of the,
     faithful fixed point free representation of C_{p^n}: p^(p^(n-j+d))."""
-    if not is_prime(p):
-        raise ValueError("p must be a prime")
+    check_prime(p)
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
     if d < 0:
@@ -129,8 +128,7 @@ def telescope_fixed_points(p: int, n: int, s: int, i: int, j: int) -> TelescopeF
     """C_{p^j}-fixed points of the inverted-v1 cofiber attached to
     p^s[C_{p^n}/C_{p^i}]: the telescope mod p^(s+n-i) at j = 0, zero for
     1 <= j <= i, a rational pair above i."""
-    if not is_prime(p):
-        raise ValueError("p must be a prime")
+    check_prime(p)
     if s < 0:
         raise ValueError("s must be >= 0")
     if not (0 <= i <= n and 0 <= j <= n):

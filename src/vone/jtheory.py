@@ -26,13 +26,13 @@ from .exactmath import (
     CyclotomicElement,
     IntMatrix,
     bernoulli,
+    check_prime,
     factorize,
-    is_prime,
     p_local_in_image,
     prime_power,
     pvaluation,
 )
-from .limits import MAX_ADAMS_BITS
+from .limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
@@ -50,6 +50,7 @@ __all__ = [
     "imj_valuation",
     "imj_order_oracle",
     "default_ell",
+    "bott_shape",
     "theta",
     "verify_adams_bott",
     "verify_bott_fixed_mod_X",
@@ -80,25 +81,26 @@ def imj_valuation(s: int, p: int) -> ImJOrder:
     return ImJOrder(4 * s - 1, p, v)
 
 
-def imj_order_oracle(s: int, bound: int = 50) -> int:
-    """Full image-of-J order in degree 4s-1: the denominator of B_{2s}/4s."""
+def imj_order_oracle(s: int) -> int:
+    """Full image-of-J order in degree 4s-1: the denominator of B_{2s}/4s,
+    for s up to `IMJ_ORACLE_BOUND`."""
     if s < 1:
         raise ValueError("degree parameter s must be >= 1")
-    if s > bound:
-        raise ValueError(f"oracle bound {bound} exceeded")
+    if s > IMJ_ORACLE_BOUND:
+        raise ValueError(f"oracle bound {IMJ_ORACLE_BOUND} exceeded")
     return (bernoulli(2 * s) / (4 * s)).denominator
 
 
 def default_ell(p: int) -> int:
     """Adams-operation generator: 3 for p = 2, else the least primitive
-    root mod p^2."""
+    root mod p^2. The primes of p(p-1) are p and those of p - 1, so only
+    p - 1 is factored."""
     if p == 2:
         return 3
-    if not is_prime(p):
-        raise ValueError("p must be a prime")
+    check_prime(p)
     m = p * p
     phi = p * (p - 1)
-    prime_divs = list(factorize(phi))
+    prime_divs = [p, *factorize(p - 1)]
     for g in range(2, m):
         if gcd(g, p) != 1:
             continue
@@ -169,8 +171,9 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
 
 @record
 class AdamsBottReport:
-    """theta^ell(V) - 1 = lambda * [regular], with the p-valuation of
-    lambda compared against the expected k+1-n."""
+    """theta^ell(V) - 1 = lambda * [regular], with (p, n) read off |G|, k
+    off dim V (`bott_shape`), and the p-valuation of lambda compared
+    against the expected k+1-n."""
 
     V: VirtualRep
     ell: int
@@ -182,30 +185,36 @@ class AdamsBottReport:
     d: Fraction
     matches: bool
 
-    @property
-    def theta(self) -> VirtualRep:
-        """theta^ell(V) by convolution; lambda never needs it."""
-        return theta(self.ell, self.V)
+
+def _group_prime(G) -> tuple[int, int]:
+    """(p, n) with |G| = p^n. A dicyclic group of prime-power order 4m is
+    the quaternion group Q_4m, with p = 2."""
+    pp = prime_power(G.order)
+    if pp is None:
+        raise ValueError(f"group order {G.order} is not a prime power")
+    return pp
 
 
-def _check_bott_dimension(dim: int, p: int, k: int) -> int:
-    """Multiplier c with dim = p^k c (p-1) (p odd) or 2^(k-1) c (p = 2),
-    c prime to p; raises when no such c exists."""
+def bott_shape(dim: int, p: int) -> tuple[int, int]:
+    """(k, c_V) with dim = p^k c_V (p-1) for odd p and 2^(k-1) c_V at
+    p = 2, c_V prime to p; ValueError when dim < 1 or, at odd p, p - 1
+    does not divide dim."""
+    if dim < 1:
+        raise ValueError("V must have positive dimension")
     if p == 2:
-        denom = 2 ** (k - 1)
-    else:
-        denom = p**k * (p - 1)
-    if denom <= 0 or dim <= 0 or dim % denom:
-        raise ValueError(f"dimension {dim} is not p^k*c*(p-1) shaped for p={p}, k={k}")
-    c = dim // denom
-    if c % p == 0:
-        raise ValueError(f"dimension {dim} gives c = {c} divisible by p = {p}")
-    return c
+        k = pvaluation(dim, 2) + 1
+        return k, dim >> (k - 1)
+    k = pvaluation(dim, p)
+    rest = dim // p**k
+    if rest % (p - 1):
+        raise ValueError(f"dimension {dim} is not p^k*c*(p-1) shaped at p={p}")
+    return k, rest // (p - 1)
 
 
-def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsBottReport:
+def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     """Report lambda with theta^ell(V) - 1 = lambda * [regular] and the
-    p-valuation of lambda, without computing theta.
+    p-valuation of lambda, without computing theta. (p, n) come from |G|
+    and k from dim V.
 
     The identity holds for every V that passes the checks below (Adams'
     cannibalistic-class computation). An element g != e has order p^j > 1,
@@ -221,12 +230,7 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
     against the convolution `theta`.
     """
     G = V.group
-    if G.descriptor.kind == "cyclic":
-        if G.order != p**n:
-            raise ValueError(f"group order {G.order} is not {p}^{n}")
-    else:
-        if p != 2 or G.order != 2**n:
-            raise ValueError("dicyclic verification needs p = 2 and |G| = 2^n")
+    p, n = _group_prime(G)
     if gcd(ell, p) != 1:
         raise ValueError("ell must be prime to p")
     if not is_fixed_point_free(V):
@@ -234,7 +238,7 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
     if not has_rational_characters(V):
         raise ValueError("V must have rational characters")
     dim = V.dim()
-    _check_bott_dimension(dim, p, k)
+    k, _ = bott_shape(dim, p)
     if ell < 1:
         raise ValueError("theta needs ell >= 1")
     _check_adams_bits(ell, dim)
@@ -247,22 +251,23 @@ def verify_adams_bott(V: VirtualRep, ell: int, p: int, n: int, k: int) -> AdamsB
 
 def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
     """Whether theta^ell(V) - 1 lies in the ideal generated by the
-    permutation character w of X p-locally. It then also kills the
-    annihilator of w: RU(G)_(p) is commutative, so d = w*y gives
-    d*a = y*(w*a) = 0 for every a with w*a = 0."""
+    permutation character w of X p-locally, over a cyclic p-group. V and
+    ell must pass `verify_adams_bott` (ell prime to p among its checks),
+    whose lambda * [regular] is theta^ell(V) - 1, so nothing is convolved.
+    The difference then also kills the annihilator of w: RU(G)_(p) is
+    commutative, so d = w*y gives d*a = y*(w*a) = 0 for every a with
+    w*a = 0."""
     G = V.group
-    if G.descriptor.kind != "cyclic" or prime_power(G.order) is None:
+    if G.descriptor.kind != "cyclic":
         raise ValueError("the fixedness check runs over cyclic p-groups")
-    if not is_fixed_point_free(V) or not has_rational_characters(V):
-        raise ValueError("V must be fixed point free with rational characters")
-    return _theta_fixed_mod_X(theta(ell, V) - VirtualRep.trivial(G), X)
+    report = verify_adams_bott(V, ell)
+    return _theta_fixed_mod_X(report.lam * VirtualRep.regular(G), X)
 
 
 def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
     """The fixedness check of `verify_bott_fixed_mod_X` for a given
-    diff = theta^ell(V) - 1 over a cyclic p-group. The certificate passes
-    lambda * [regular], which `verify_adams_bott` shows equal to it, so no
-    convolution runs on that path.
+    diff = theta^ell(V) - 1 over a cyclic p-group. Both callers pass
+    lambda * [regular], which `verify_adams_bott` shows equal to it.
 
     The test is p-local membership of diff in the column span of the
     circulant of w = linearize(X), i.e. in the ideal (w) of

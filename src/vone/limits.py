@@ -26,6 +26,15 @@ MAX_ADAMS_BITS = 2**20
 # closed form and need no bound)
 MAX_SQ1_WORK = 2**21
 
+# largest prime p that `enumerate` and `telescope` accept: trial division
+# up to sqrt(p) then stays under 50,000 steps (p = 10^14 + 31 takes over a
+# second), and 10^9 + 7 is below it
+MAX_PRIME = 2**31
+
+# largest s for which the image-of-J order is read off the Bernoulli number
+# B_2s: B_100 takes about 10 ms, B_1000 about 5 s
+IMJ_ORACLE_BOUND = 50
+
 # upper bound on s_max, d_max and t_max; at the bound a sweep over C512
 # has 11 * 10 * 11 = 1210 rows
 SWEEP_LIMIT = 10

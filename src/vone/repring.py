@@ -363,7 +363,6 @@ def standard_rep(G: GroupModel, name: str) -> VirtualRep:
         if kind != "dicyclic":
             raise ValueError(f"{name} is defined over dicyclic groups")
         m = G.descriptor.m
-        table = character_table(G)
         vec = [0] * (m + 3)
         if name == "taut":
             vec[4] = 1  # rho_1

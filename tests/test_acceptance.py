@@ -175,11 +175,12 @@ def test_criterion_4_theta_sweep():
                 k_lo = max(3, n) if p == 2 else n - 1
                 for k in range(k_lo, k_lo + 3):
                     mult = 2 ** (k - n) if p == 2 else p ** (k - n + 1)
-                    r = verify_adams_bott(mult * W, ell, p, n, k)
+                    r = verify_adams_bott(mult * W, ell)
+                    assert (r.p, r.n, r.k) == (p, n, k)
                     assert r.matches and r.valuation == k + 1 - n, (p, n, k)
                     # away from e every value of theta collapses to 1, and
                     # the convolution agrees with the closed-form lambda
-                    th = r.theta
+                    th = theta(ell, mult * W)
                     vals = th.class_values()
                     assert all(v.rational_value() == 1 for v in vals[1:]), (p, n, k)
                     assert th - VirtualRep.trivial(g) == r.lam * VirtualRep.regular(g)

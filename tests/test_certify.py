@@ -1,5 +1,9 @@
+import importlib.util
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +17,13 @@ from vone.certify import (
     enumerate_quaternion,
     standardize_rep,
 )
+from vone.cli import ParseError, parse_gset, parse_rep
+from vone.exactmath import pvaluation
 from vone.groups import GroupDescriptor, build_group
+from vone.limits import MAX_PRIME
 from vone.repring import VirtualRep, standard_rep
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cyc(m):
@@ -64,8 +73,6 @@ def test_derive_parameters_errors():
         derive_parameters(c3, orbit(c3, 0), 3 * standard_rep(c3, "L"))
     with pytest.raises(ValueError):
         derive_parameters(cyc(6), orbit(cyc(6), 0), standard_rep(cyc(6), "L"))
-    with pytest.raises(ValueError):
-        derive_parameters(c3, orbit(c3, 0), standard_rep(c3, "W"), p=2)
 
 
 def test_parameter_invariants():
@@ -294,3 +301,57 @@ def test_enumerate_5_1_needs_a_prime():
     for p in (4, 6, 1):
         with pytest.raises(ValueError, match="^p must be a prime$"):
             enumerate_5_1(p, 1)
+    # a bound on p, checked before any trial division
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PRIME}"):
+        enumerate_5_1(10**14 + 31, 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def _corpus_certificates():
+    """(G, X, V, ell) of every golden certify request that parses, and of
+    the perfbench certify-cyclic and certify-quaternion corpora, seeds 1-5."""
+    for case in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text()):
+        argv = case["argv"]
+        if argv[0] != "certify" or "--rep" not in argv:
+            continue
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        try:
+            G = build_group(GroupDescriptor.parse(opts["--group"]))
+            X, V = parse_gset(opts["--gset"], G), parse_rep(opts["--rep"], G)
+        except (ParseError, ValueError):
+            continue
+        ell = int(opts["--ell"]) if "--ell" in opts else None
+        yield case["name"], G, X, V, ell
+    spec = importlib.util.spec_from_file_location("corpus", ROOT / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    for workload in ("certify-cyclic", "certify-quaternion"):
+        for seed in range(1, 6):
+            for item in corpus.generate(workload, seed):
+                name = item["group"]
+                G = build_group(GroupDescriptor.parse(name))
+                X = VirtualGSet(G, corpus.coeff_vector(name, item["X"]))
+                V = item["c"] * standard_rep(G, "W" if name[0] == "C" else "H")
+                yield f"{workload}:{seed}", G, X, V, None
+
+
+def test_adams_bott_report_matches_the_certificate_parameters():
+    """verify_adams_bott derives (p, n, k) itself; on every certificate it
+    agrees with the parameters, and lambda, its valuation and `matches`
+    are their formulas."""
+    checked = 0
+    for label, G, X, V, ell in _corpus_certificates():
+        try:
+            cert = certify_self_map(G, X, V, ell)
+        except ValueError:
+            continue
+        if cert.step2 is None:
+            continue
+        par, r = cert.parameters, cert.step2.report
+        assert (r.p, r.n, r.k, r.ell) == (par.p, par.n, par.k, par.ell), label
+        assert r.lam == (par.ell ** V.dim() - 1) // G.order, label
+        assert r.valuation == pvaluation(r.lam, par.p), label
+        assert r.matches == (r.valuation == par.k + 1 - par.n), label
+        checked += 1
+    assert checked > 500

@@ -26,6 +26,7 @@ from vone.limits import (
     MAX_ADAMS_BITS,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_PRIME,
     MAX_SQ1_WORK,
     SWEEP_LIMIT,
 )
@@ -550,4 +551,65 @@ def test_cli_theta_work_is_bounded():
     for c in (400000, 1600000):
         code, out, err = go("theta", "--group", "C4", "--rep", f"{c}*W")
         assert (code, out) == (2, "") and f"exceeds the limit {MAX_ADAMS_BITS}" in err
+    assert time.perf_counter() - start < 0.5
+
+
+def test_cli_enumerate_over_a_large_prime_answers_at_once():
+    """`default_ell` trial-divided p(p-1), 36 s at p = 10^9 + 7, once for
+    each of the 40 rows: about 24 minutes in all."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "vone.cli", "enumerate", "--group", "C1000000007", "--json"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["rows"]) == 40
+
+
+def test_cli_enumerate_and_telescope_bound_p():
+    """p = 10^14 + 31 took over a second of trial division; above
+    `MAX_PRIME` it is an input error before any. A power of a prime below
+    the bound still answers, read off an integer root."""
+    big = 10**14 + 31
+    start = time.perf_counter()
+    message = f"{big} is not a power of a prime p <= {MAX_PRIME}, the limit on p"
+    assert go("enumerate", "--group", f"C{big}") == (2, "", f"error: {message}\n")
+    assert json_error("enumerate", "--group", f"C{big}", "--json") == message
+    message = f"p = {big} exceeds the limit {MAX_PRIME}"
+    assert go("telescope", "--p", str(big), "--n", "1", "--i", "0") == (2, "", f"error: {message}\n")
+    assert json_error("telescope", "--p", str(big), "--n", "1", "--i", "0", "--json") == message
+    code, out, _ = go("enumerate", "--group", f"C{(10**9 + 7) ** 2}")
+    assert code == 0 and out.startswith(f"C{(10**9 + 7) ** 2} (p=1000000007, n=2)")
+    assert go("enumerate", "--group", "C6")[0] == 2
+    assert time.perf_counter() - start < 0.5
+
+
+def test_cli_telescope_checks_its_digits_before_the_rows():
+    """--p 2 --n 50000 --i 0 rendered rows for 5.2 s before the 4300-digit
+    limit stopped it; the largest number printed is checked first."""
+    message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
+    start = time.perf_counter()
+    assert go("telescope", "--p", "2", "--n", "50000", "--i", "0") == (2, "", f"error: {message}\n")
+    assert json_error("telescope", "--p", "2", "--n", "10000000", "--i", "0", "--json") == message
+    assert time.perf_counter() - start < 0.5
+    e = (10**MAX_DIGITS).bit_length() - 1  # 2^e has MAX_DIGITS digits, 2^(e+1) one more
+    code, out, _ = go("telescope", "--p", "2", "--n", str(e), "--i", "0", "--j", "0", "--json")
+    assert code == 0 and json.loads(out)["rows"][0]["modulus"] == str(2**e)
+    code, out, _ = go("telescope", "--p", "2", "--n", str(e), "--i", "1", "--j", str(e), "--json")
+    assert code == 0 and json.loads(out)["rows"][0]["ku_conductor"] == str(2**e)
+    for i, j in (("0", "0"), ("1", str(e + 1))):
+        argv = ("telescope", "--p", "2", "--n", str(e + 1), "--i", i, "--j", j)
+        assert go(*argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_theta_checks_its_digits_before_convolving():
+    """`--group C128 --rep 2000*W` convolved for 144 s before printing ran
+    into the digit limit: a coefficient of theta is at least
+    ell^dim // |G|, checked after the Adams-bits bound."""
+    message = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
+    start = time.perf_counter()
+    assert go("theta", "--group", "C128", "--rep", "2000*W") == (2, "", f"error: {message}\n")
+    assert json_error("theta", "--group", "C128", "--rep", "2000*W", "--json") == message
+    code, _, err = go("theta", "--group", "C128", "--rep", "100000*W")
+    assert code == 2 and f"exceeds the limit {MAX_ADAMS_BITS}" in err
     assert time.perf_counter() - start < 0.5

@@ -19,6 +19,7 @@ from vone.exactmath import (
     CyclotomicElement,
     IntMatrix,
     bernoulli,
+    check_prime,
     cokernel_data,
     cyclotomic_poly,
     divisors,
@@ -32,6 +33,7 @@ from vone.exactmath import (
     smith_normal_form,
 )
 from vone.groups import GroupDescriptor, build_group
+from vone.limits import MAX_PRIME
 from vone.repring import linearize
 
 
@@ -671,3 +673,36 @@ def test_exponent_terms_lift_without_reduction() -> None:
     assert back == a
     with pytest.raises(ValueError):
         a.exponent_terms(12)
+
+
+def test_prime_power_stops_at_the_prime_bound():
+    """Trial division of n, 1.1 s at n = 10^14 + 31, stops at
+    sqrt(MAX_PRIME); past it a power of a prime under the bound is an
+    integer root, and anything else is an input error."""
+    for n in range(1, 20000):
+        f = factorize(n) if n > 1 else {}
+        assert prime_power(n) == (next(iter(f.items())) if len(f) == 1 else None), n
+    # past sqrt(MAX_PRIME) a power of a prime under the bound is an integer root
+    start = time.perf_counter()
+    for p in (46349, 1000000007, 2147483647):
+        for k in (1, 2, 3, 7):
+            assert prime_power(p**k) == (p, k)
+    assert prime_power(2**40) == (2, 40)
+    assert prime_power(46351**900) == (46351, 900)
+    assert prime_power(3 * 1000000007**2) is None
+    for n in (10**14 + 31, (10**14 + 31) ** 2, 46351 * 46381, (2**61 - 1) ** 3):
+        with pytest.raises(ValueError, match=f"not a power of a prime p <= {MAX_PRIME}"):
+            prime_power(n)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_check_prime():
+    for p in (2, 3, 1000000007, 2147483647):
+        check_prime(p)
+    for p in (-3, 0, 1, 4, 2147483645):
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            check_prime(p)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PRIME}"):
+        check_prime(10**14 + 31)
+    assert time.perf_counter() - start < 0.1

@@ -6,11 +6,19 @@ from math import gcd
 import pytest
 
 from vone.burnside import VirtualGSet, marks, orbit
-from vone.exactmath import IntMatrix, kernel_basis, p_local_in_image, prime_power, pvaluation
+from vone.exactmath import (
+    IntMatrix,
+    factorize,
+    kernel_basis,
+    p_local_in_image,
+    prime_power,
+    pvaluation,
+)
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
     _q_line,
     _theta_fixed_mod_X,
+    bott_shape,
     default_ell,
     imj_order_oracle,
     imj_valuation,
@@ -18,6 +26,7 @@ from vone.jtheory import (
     verify_adams_bott,
     verify_bott_fixed_mod_X,
 )
+from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
 from vone.repring import VirtualRep, linearize, standard_rep
 
 
@@ -65,9 +74,9 @@ def test_imj_specialization_gives_k_plus_one():
 def test_imj_errors():
     with pytest.raises(ValueError):
         imj_valuation(0, 2)
-    with pytest.raises(ValueError):
-        imj_order_oracle(51)
-    assert imj_order_oracle(51, bound=60) > 1
+    with pytest.raises(ValueError, match=f"oracle bound {IMJ_ORACLE_BOUND} exceeded"):
+        imj_order_oracle(IMJ_ORACLE_BOUND + 1)
+    assert imj_order_oracle(IMJ_ORACLE_BOUND) > 1
 
 
 def test_default_ell():
@@ -83,6 +92,42 @@ def test_default_ell():
             x = x * ell % (p * p)
             order += 1
         assert order == p * (p - 1)
+
+
+def test_default_ell_factors_only_p_minus_one():
+    """It trial-divided p(p-1), 36 s at p = 10^9 + 7; the primes of p(p-1)
+    are p and those of p - 1."""
+    for p in (3, 5, 7, 11, 13, 101, 257, 401, 409, 487, 1093):
+        primes = factorize(p * (p - 1))
+        least = next(g for g in range(2, p * p) if g % p
+                     and all(pow(g, p * (p - 1) // q, p * p) != 1 for q in primes))
+        assert default_ell(p) == least, p
+    start = time.perf_counter()
+    assert default_ell(1000000007) == 5
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_PRIME}"):
+        default_ell(10**14 + 31)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        default_ell(9)
+
+
+def test_bott_shape():
+    assert bott_shape(4, 2) == (3, 1)
+    assert bott_shape(12, 2) == (3, 3)
+    assert bott_shape(2, 3) == (0, 1)
+    assert bott_shape(54, 3) == (3, 1)
+    assert bott_shape(40, 5) == (1, 2)
+    for p in (2, 3, 5, 7):
+        for dim in range(1, 200):
+            if p > 2 and dim % (p - 1):
+                with pytest.raises(ValueError, match="shaped at p="):
+                    bott_shape(dim, p)
+                continue
+            k, c = bott_shape(dim, p)
+            assert k == _bott_k(dim, p) and c % p
+            assert dim == (2 ** (k - 1) * c if p == 2 else p**k * c * (p - 1))
+    with pytest.raises(ValueError, match="positive dimension"):
+        bott_shape(0, 2)
 
 
 def test_theta_examples():
@@ -170,7 +215,7 @@ def test_theta_large_ell_is_bounded():
 
 
 def _bott_k(dim, p):
-    # the k of _check_bott_dimension: dim = p^k c (p-1), or 2^(k-1) c at p = 2
+    # k with dim = p^k c (p-1), or 2^(k-1) c at p = 2, c prime to p
     return pvaluation(dim, 2) + 1 if p == 2 else pvaluation(dim // (p - 1), p)
 
 
@@ -189,7 +234,8 @@ def test_adams_multiplier_matches_theta_convolution():
             V = c * standard_rep(g, name)
             k = _bott_k(V.dim(), p)
             for ell in (default_ell(p), 7):
-                r = verify_adams_bott(V, ell, p=p, n=n, k=k)
+                r = verify_adams_bott(V, ell)
+                assert (r.p, r.n, r.k) == (p, n, k)
                 assert r.lam * VirtualRep.regular(g) == theta(ell, V) - VirtualRep.trivial(g), (
                     g.descriptor.name, c, ell,
                 )
@@ -198,30 +244,34 @@ def test_adams_multiplier_matches_theta_convolution():
 
 def test_verify_adams_bott_examples():
     c2 = cyc(2)
-    r = verify_adams_bott(4 * standard_rep(c2, "L"), 3, p=2, n=1, k=3)
+    r = verify_adams_bott(4 * standard_rep(c2, "L"), 3)
+    assert (r.p, r.n, r.k) == (2, 1, 3)
     assert (r.lam, r.valuation, r.d, r.matches) == (40, 3, 5, True)
 
     c3 = cyc(3)
-    r = verify_adams_bott(standard_rep(c3, "W"), 2, p=3, n=1, k=0)
+    r = verify_adams_bott(standard_rep(c3, "W"), 2)
+    assert (r.p, r.n, r.k) == (3, 1, 0)
     assert (r.lam, r.valuation, r.d, r.matches) == (1, 0, 1, True)
 
     c4 = cyc(4)
-    r = verify_adams_bott(2 * standard_rep(c4, "W"), 3, p=2, n=2, k=3)
+    r = verify_adams_bott(2 * standard_rep(c4, "W"), 3)
+    assert (r.p, r.n, r.k) == (2, 2, 3)
     assert (r.lam, r.valuation, r.d, r.matches) == (20, 2, 5, True)
 
 
 def test_verify_adams_bott_quaternion():
     q8 = dic(2)
-    r = verify_adams_bott(4 * standard_rep(q8, "H"), 3, p=2, n=3, k=4)
+    r = verify_adams_bott(4 * standard_rep(q8, "H"), 3)
+    assert (r.p, r.n, r.k) == (2, 3, 4)
     assert (r.lam, r.valuation, r.matches) == (820, 2, True)
     assert r.d == 205 and r.d.denominator == 1 and r.d % 2 == 1
 
 
 def test_verify_adams_bott_identity_is_exact():
     c8 = cyc(8)
-    r = verify_adams_bott(2 * standard_rep(c8, "W"), 3, p=2, n=3, k=4)
+    r = verify_adams_bott(2 * standard_rep(c8, "W"), 3)
     reg = VirtualRep.regular(c8)
-    assert r.theta - VirtualRep.trivial(c8) == r.lam * reg
+    assert theta(r.ell, r.V) - VirtualRep.trivial(c8) == r.lam * reg
     assert r.valuation == 2 and r.matches
 
 
@@ -229,20 +279,16 @@ def test_verify_adams_bott_rejections():
     c4 = cyc(4)
     W = standard_rep(c4, "W")
     with pytest.raises(ValueError):
-        verify_adams_bott(W + VirtualRep.trivial(c4), 3, p=2, n=2, k=1)
+        verify_adams_bott(W + VirtualRep.trivial(c4), 3)
     with pytest.raises(ValueError):
-        verify_adams_bott(standard_rep(c4, "L"), 3, p=2, n=2, k=1)
+        verify_adams_bott(standard_rep(c4, "L"), 3)
     with pytest.raises(ValueError):
-        verify_adams_bott(W, 3, p=2, n=2, k=3)  # dim 2 is not 4c
+        verify_adams_bott(W, 6)  # ell not prime to p
     with pytest.raises(ValueError):
-        verify_adams_bott(W, 6, p=2, n=2, k=2)  # ell not prime to p
-    with pytest.raises(ValueError):
-        verify_adams_bott(W, 3, p=2, n=3, k=2)  # |G| != 2^3
-    with pytest.raises(ValueError):
-        verify_adams_bott(standard_rep(dic(3), "H"), 5, p=2, n=3, k=3)
+        verify_adams_bott(standard_rep(dic(3), "H"), 5)  # |G| = 12
     for ell in (0, -1):
         with pytest.raises(ValueError):
-            verify_adams_bott(W, ell, p=2, n=2, k=2)
+            verify_adams_bott(W, ell)
 
 
 def test_verify_adams_bott_small_sweep():
@@ -253,15 +299,15 @@ def test_verify_adams_bott_small_sweep():
         for extra in range(3):
             k = (n - 1) + extra + (4 - n if p == 2 and n < 4 else 0)
             mult = 2 ** (k - n) if p == 2 else p ** (k - n + 1)
-            r = verify_adams_bott(mult * W, ell, p=p, n=n, k=k)
-            assert r.matches, (p, n, k)
+            r = verify_adams_bott(mult * W, ell)
+            assert (r.n, r.k) == (n, k) and r.matches, (p, n, k)
             assert r.valuation == k + 1 - n
 
 
 def test_mismatched_valuation_is_flagged_not_hidden():
     # ell = 1 mod p^2 inflates the valuation; report it, don't mask it
     c3 = cyc(3)
-    r = verify_adams_bott(standard_rep(c3, "W"), 10, p=3, n=1, k=0)
+    r = verify_adams_bott(standard_rep(c3, "W"), 10)
     assert r.lam == 33
     assert r.valuation == 1
     assert not r.matches
@@ -323,8 +369,9 @@ def test_bott_fixed_matches_two_half_check():
         classes = g.subgroup_classes()
         r = len(classes)
         W = standard_rep(g, "W")
+        ell = default_ell(p)
         for c in (1, p):
-            diff = theta(default_ell(p), c * W) - VirtualRep.trivial(g)
+            diff = theta(ell, c * W) - VirtualRep.trivial(g)
             for k in range(3):
                 if k == 1 and r > 1:
                     # zero cardinality: a([G/H] - p[G/K]) for |K:H| = p
@@ -345,6 +392,8 @@ def test_bott_fixed_matches_two_half_check():
                     X = VirtualGSet(g, [rng.randint(-2, 2) for _ in range(r)])
                 fixed = _theta_fixed_mod_X(diff, X)
                 assert fixed == two_half_fixed_mod_X(diff, X), (m, c, X.coeffs)
+                # lambda * [regular] from the report against the convolution
+                assert verify_bott_fixed_mod_X(c * W, X, ell) == fixed, (m, c, X.coeffs)
                 outcomes.add(fixed)
     assert outcomes == {True, False}
 
@@ -416,6 +465,9 @@ def test_bott_fixed_requirements():
         verify_bott_fixed_mod_X(standard_rep(q8, "H"), orbit(q8, 0), 3)
     with pytest.raises(ValueError):
         verify_bott_fixed_mod_X(standard_rep(c4, "L"), orbit(c4, 0), 3)
+    # lambda is read off the Adams-Bott report, which needs ell prime to p
+    with pytest.raises(ValueError, match="ell must be prime to p"):
+        verify_bott_fixed_mod_X(standard_rep(c2, "L"), orbit(c2, 0), 2)
 
 
 def test_adams_multiplier_work_is_bounded():
@@ -438,7 +490,7 @@ def test_adams_multiplier_work_is_bounded():
         with pytest.raises(ValueError, match="exceeds the limit"):
             certify_self_map(c4, orbit(c4, 0), V)
         with pytest.raises(ValueError, match="exceeds the limit"):
-            verify_adams_bott(V, 3, p=2, n=2, k=pvaluation(V.dim(), 2) + 1)
+            verify_adams_bott(V, 3)
     assert time.perf_counter() - start < 0.5
 
 
@@ -447,5 +499,6 @@ def test_adams_multiplier_of_c_2_16_fits_the_bound(monkeypatch):
 
     monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**16)
     g = groups.GroupModel(GroupDescriptor.cyclic(2, 16))
-    r = verify_adams_bott(8 * standard_rep(g, "W"), 3, p=2, n=16, k=19)
+    r = verify_adams_bott(8 * standard_rep(g, "W"), 3)
+    assert (r.p, r.n, r.k) == (2, 16, 19)
     assert r.matches and r.valuation == 4

@@ -154,6 +154,18 @@ def test_h_rep_dimension_and_fpf():
     assert standard_rep(q8, "H") == standard_rep(q8, "taut")
 
 
+def test_standard_rep_builds_no_character_table():
+    """standard_rep(G, "H") built the character table into an unused local,
+    0.32 s at Q512."""
+    from vone.groups import GroupModel
+
+    for name in ("Q8", "Q512", "Dic3"):
+        g = GroupModel(GroupDescriptor.parse(name))
+        for rep in ("H", "taut"):
+            standard_rep(g, rep)
+        assert g._character_table is None, name
+
+
 def test_cyclic_product_is_convolution():
     g = G("C4")
     l = standard_rep(g, "L")
