@@ -64,7 +64,9 @@ class VirtualGSet(VirtualElement):
         return bmul(self, other)
 
     def is_genuine(self) -> bool:
-        return self.p_local is None and all(c >= 0 for c in self.coeffs)
+        """Whether X is a G-set: every coefficient a nonnegative integer,
+        with or without a p-local flag."""
+        return all(isinstance(c, int) and c >= 0 for c in self.coeffs)
 
 
 @record

@@ -28,13 +28,13 @@ from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
     _group_prime,
-    _theta_fixed_mod_X,
+    _lambda_fixed_mod_X,
     bott_shape,
     default_ell,
     imj_valuation,
     verify_adams_bott,
 )
-from .limits import SWEEP_LIMIT
+from .limits import SWEEP_LIMIT, check_rows
 from .powerop import EtaClass, sq1_int
 from .record import record
 from .repring import VirtualRep, is_fixed_point_free, standard_rep
@@ -235,7 +235,7 @@ def _run_step2(
         )
     divisible = report.valuation <= k + 1 - n
     if G.descriptor.kind == "cyclic":
-        fixedness = _theta_fixed_mod_X(report.lam * VirtualRep.regular(G), X)
+        fixedness = _lambda_fixed_mod_X(report.lam, X)
         detail = "theta - 1 generates enough divisibility and is X-fixed p-locally"
         passed = divisible and fixedness
         if not fixedness:
@@ -341,6 +341,7 @@ def enumerate_5_1(
         raise ValueError("s_max and d_max must be >= 0")
     if max(s_max, d_max) > SWEEP_LIMIT:
         raise ValueError(f"s_max and d_max must be <= {SWEEP_LIMIT}")
+    check_rows((s_max + 1) * (n + 1) * (d_max + 1))
     ell = default_ell(p)
     rows = []
     for s in range(s_max + 1):

@@ -31,10 +31,10 @@ from functools import partial
 from .burnside import VirtualGSet, marks, orbit
 from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_quaternion
 from .exactmath import factorize, prime_power, pvaluation
-from .geomfix import ku_cofiber_fixed_points, telescope_fixed_points
+from .geomfix import _ku_shadow, _telescope_row, telescope_fixed_points
 from .groups import GroupDescriptor, GroupModel, build_group
 from .jtheory import _check_adams_bits, default_ell, imj_order_oracle, theta
-from .limits import MAX_DIGITS, MAX_EXPONENT
+from .limits import MAX_DIGITS, MAX_EXPONENT, check_rows
 from .powerop import sq1_gset, sq1_int
 from .record import record
 from .repring import (
@@ -49,8 +49,6 @@ __all__ = [
     "parse_expr",
     "parse_gset",
     "parse_rep",
-    "render_gset",
-    "render_rep",
     "certificate_json",
     "run",
     "main",
@@ -350,14 +348,6 @@ def parse_rep(text: str, G: GroupModel, notes: list | None = None) -> VirtualRep
     return value
 
 
-def render_gset(X: VirtualGSet) -> str:
-    return repr(X)
-
-
-def render_rep(V: VirtualRep) -> str:
-    return repr(V)
-
-
 # ---------------------------------------------------------------------------
 # JSON rendering: every integer as a decimal string
 
@@ -389,9 +379,9 @@ def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) ->
         "group": cert.group.descriptor.name,
         "inputs": {
             "gset": gset_text,
-            "gset_value": render_gset(cert.X),
+            "gset_value": repr(cert.X),
             "rep": rep_text,
-            "rep_value": render_rep(cert.V),
+            "rep_value": repr(cert.V),
             "ell": cert.ell,
         },
         "notes": list(notes),
@@ -428,8 +418,8 @@ def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) ->
 
 def _certificate_text(cert: Certificate, notes) -> str:
     lines = [f"group      {cert.group.descriptor.name}"]
-    lines.append(f"X          {render_gset(cert.X)}")
-    lines.append(f"V          {render_rep(cert.V)}")
+    lines.append(f"X          {cert.X!r}")
+    lines.append(f"V          {cert.V!r}")
     for note in notes:
         lines.append(f"note       {note}")
     if cert.parameters is not None:
@@ -558,7 +548,7 @@ def _cmd_sq1(args, out) -> int:
         doc = {
             "command": "sq1",
             "group": G.descriptor.name,
-            "gset": render_gset(X),
+            "gset": repr(X),
             "components": {
                 cls.label: {
                     "eta": comp[0],
@@ -569,7 +559,7 @@ def _cmd_sq1(args, out) -> int:
         }
         out.write(_json_document(doc))
     else:
-        out.write(f"Sq1({render_gset(X)}) = {value!r}\n")
+        out.write(f"Sq1({X!r}) = {value!r}\n")
     return 0
 
 
@@ -624,8 +614,8 @@ def _cmd_theta(args, out) -> int:
             "command": "theta",
             "group": G.descriptor.name,
             "ell": ell,
-            "rep": render_rep(V),
-            "theta": render_rep(th),
+            "rep": repr(V),
+            "theta": repr(th),
             "lam": lam,
             "valuations": None
             if lam is None or lam == 0
@@ -636,7 +626,7 @@ def _cmd_theta(args, out) -> int:
         }
         out.write(_json_document(doc))
     else:
-        out.write(f"theta_{ell}({render_rep(V)}) over {G.descriptor.name} = {render_rep(th)}\n")
+        out.write(f"theta_{ell}({V!r}) over {G.descriptor.name} = {th!r}\n")
         if lam is not None:
             out.write(f"theta - 1 = {lam} * [regular]\n")
             if lam != 0:
@@ -658,7 +648,7 @@ def _cmd_marks(args, out) -> int:
             doc = {
                 "command": "marks",
                 "group": G.descriptor.name,
-                "gset": render_gset(X),
+                "gset": repr(X),
                 "marks": dict(zip(labels, mk)),
             }
             out.write(_json_document(doc))
@@ -691,29 +681,30 @@ def _cmd_marks(args, out) -> int:
 
 
 def _cmd_telescope(args, out) -> int:
-    js = range(args.n + 1) if args.j is None else [args.j]
+    p, n, s, i = args.p, args.n, args.s, args.i
+    js = range(n + 1) if args.j is None else [args.j]
     if js:
-        # the first row checks the input; the largest number printed is the
-        # modulus p^(s+n-i) at j = 0 or the conductor p^j at the top j above
-        # i, refused unformed when it is at least 2^(3.33 MAX_DIGITS)
-        p = args.p
-        telescope_fixed_points(p, args.n, args.s, args.i, js[0])
-        e = max(args.s + args.n - args.i if js[0] == 0 else 0, js[-1] if js[-1] > args.i else 0)
+        # the first row checks the input, p included, once per request;
+        # the largest number printed is the modulus p^(s+n-i) at j = 0 or
+        # the conductor p^j at the top j above i, refused unformed when it
+        # is at least 2^(3.33 MAX_DIGITS); the row count is checked after
+        telescope_fixed_points(p, n, s, i, js[0])
+        e = max(s + n - i if js[0] == 0 else 0, js[-1] if js[-1] > i else 0)
         if MAX_DIGITS and (100 * e * (p.bit_length() - 1) >= 333 * MAX_DIGITS
                            or p**e >= 10**MAX_DIGITS):
             raise ValueError(_DIGITS_MESSAGE)
+        check_rows(len(js))
     rows = []
     for j in js:
-        tel = telescope_fixed_points(args.p, args.n, args.s, args.i, j)
-        ku = ku_cofiber_fixed_points(args.p, args.n, args.s, args.i, j)
-        rows.append((j, tel, ku))
+        tel = _telescope_row(p, n, s, i, j)
+        rows.append((j, tel, _ku_shadow(p, j, tel)))
     if args.json:
         doc = {
             "command": "telescope",
-            "p": args.p,
-            "n": args.n,
-            "s": args.s,
-            "i": args.i,
+            "p": p,
+            "n": n,
+            "s": s,
+            "i": i,
             "rows": [
                 {
                     "j": j,
@@ -728,7 +719,7 @@ def _cmd_telescope(args, out) -> int:
         }
         out.write(_json_document(doc))
     else:
-        out.write(f"p={args.p} n={args.n} s={args.s} i={args.i}\n")
+        out.write(f"p={p} n={n} s={s} i={i}\n")
         out.write("j  telescope fixed points        KU shadow\n")
         for j, tel, ku in rows:
             if tel.kind == "v1-telescope":

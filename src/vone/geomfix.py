@@ -133,6 +133,11 @@ def telescope_fixed_points(p: int, n: int, s: int, i: int, j: int) -> TelescopeF
         raise ValueError("s must be >= 0")
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("need 0 <= i <= n and 0 <= j <= n")
+    return _telescope_row(p, n, s, i, j)
+
+
+def _telescope_row(p: int, n: int, s: int, i: int, j: int) -> TelescopeFixedPoints:
+    # `telescope_fixed_points` on input it has checked
     if j == 0:
         return TelescopeFixedPoints("v1-telescope", p ** (s + n - i))
     if j <= i:
@@ -143,7 +148,11 @@ def telescope_fixed_points(p: int, n: int, s: int, i: int, j: int) -> TelescopeF
 def ku_cofiber_fixed_points(p: int, n: int, s: int, i: int, j: int) -> KUCofiberFixedPoints:
     """Same three-case table after smashing with KU: KU/(p^(s+n-i)) at
     j = 0, zero for 1 <= j <= i, rational KU with zeta_{p^j} above i."""
-    t = telescope_fixed_points(p, n, s, i, j)
+    return _ku_shadow(p, j, telescope_fixed_points(p, n, s, i, j))
+
+
+def _ku_shadow(p: int, j: int, t: TelescopeFixedPoints) -> KUCofiberFixedPoints:
+    # the KU row of the telescope row t at C_{p^j}
     if t.kind == "v1-telescope":
         return KUCofiberFixedPoints("ku-mod", modulus=t.modulus)
     if t.kind == "zero":

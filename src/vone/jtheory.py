@@ -9,9 +9,9 @@ off that closed form and never convolve; `theta` computes the class itself
 and the tests hold the two against each other. The p-adic valuation of
 lambda is the quantity the self-map certificates consume. Over a cyclic
 p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
-permutation character of X; `_theta_fixed_mod_X` answers by elimination
-over Z_(p), and its docstring proves the closed form in the marks of X
-that the tests hold against it. Everything is exact: integer
+permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
+elimination over Z_(p), and its docstring proves the closed form in the
+marks of X that the tests hold against it. Everything is exact: integer
 representation rings, cyclotomic character values, Bernoulli denominators
 for the image-of-J oracle.
 """
@@ -59,12 +59,11 @@ __all__ = [
 
 @record
 class ImJOrder:
-    """p-primary order of the image of J in degree 4s-1."""
+    """p-primary order p^valuation of the image of J in degree 4s-1."""
 
     degree: int
     p: int
     valuation: int
-    order: int | None = None
 
 
 def imj_valuation(s: int, p: int) -> ImJOrder:
@@ -260,19 +259,19 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
     G = V.group
     if G.descriptor.kind != "cyclic":
         raise ValueError("the fixedness check runs over cyclic p-groups")
-    report = verify_adams_bott(V, ell)
-    return _theta_fixed_mod_X(report.lam * VirtualRep.regular(G), X)
+    if X.group is not G:
+        raise ValueError("V and X live over different groups")
+    return _lambda_fixed_mod_X(verify_adams_bott(V, ell).lam, X)
 
 
-def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
-    """The fixedness check of `verify_bott_fixed_mod_X` for a given
-    diff = theta^ell(V) - 1 over a cyclic p-group. Both callers pass
-    lambda * [regular], which `verify_adams_bott` shows equal to it.
+def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
+    """The fixedness check of `verify_bott_fixed_mod_X` and certify step 2
+    for the lambda of `verify_adams_bott`, over a cyclic p-group.
 
-    The test is p-local membership of diff in the column span of the
-    circulant of w = linearize(X), i.e. in the ideal (w) of
-    RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n. For diff = lambda * [regular]
-    it has a closed form, which the tests hold against this function:
+    The test is p-local membership of lambda * [regular] = (lambda, ...,
+    lambda) in the column span of the circulant of w = linearize(X), i.e. in
+    the ideal (w) of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n. It has a
+    closed form, which the tests hold against this function:
     - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
       of the Z_(p)[zeta_{p^i}] (x^N - 1 is separable over Q).
     - w has i-th coordinate phi_i, the mark of X at the subgroup of order
@@ -285,9 +284,7 @@ def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
     - Hence, for lambda != 0: fixed <=> phi_0 != 0 and
       v_p(lambda) >= v_p(phi_0) + |S| - n.
     """
-    G = diff.group
-    if X.group is not G:
-        raise ValueError("V and X live over different groups")
+    G = X.group
     p = prime_power(G.order)[0]
     m = G.order
     w = list(linearize(X).coeffs)
@@ -302,4 +299,4 @@ def _theta_fixed_mod_X(diff: VirtualRep, X: VirtualGSet) -> bool:
     for _ in range(m):
         rows.append(row)
         row = row[-1:] + row[:-1]
-    return p_local_in_image(IntMatrix(rows), diff.coeffs, p)
+    return p_local_in_image(IntMatrix(rows), [lam] * m, p)

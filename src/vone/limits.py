@@ -39,7 +39,19 @@ IMJ_ORACLE_BOUND = 50
 # has 11 * 10 * 11 = 1210 rows
 SWEEP_LIMIT = 10
 
+# most rows one request makes: `telescope` prints n + 1 of them and
+# `enumerate` (s_max + 1)(n + 1)(d_max + 1), with n read off the input, so
+# n is bounded through the rows; 10,000 telescope rows take well under a
+# second
+MAX_ROWS = 10_000
+
 # most decimal digits Python converts between int and str: 4300 unless
 # PYTHONINTMAXSTRDIGITS sets another value, 0 for none (as before Python
 # 3.10.7). vone keeps the interpreter's limit and never lifts it.
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def check_rows(count: int) -> None:
+    """ValueError when a request would make more than `MAX_ROWS` rows."""
+    if count > MAX_ROWS:
+        raise ValueError(f"the request makes {count} rows, over the limit {MAX_ROWS}")

@@ -212,12 +212,6 @@ def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
     return Pi1Element(G, tuple(components))
 
 
-def _genuine_counts(T: VirtualGSet):
-    if any(not isinstance(c, int) or c < 0 for c in T.coeffs):
-        raise ValueError("virtual G-sets are not accepted; Sq1 needs a genuine G-set")
-    return T.coeffs
-
-
 def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
     """Sq1 of T = sum n_H [G/H] over G = C_m from the subgroup indices alone.
 
@@ -266,7 +260,9 @@ def sq1_gset(T: VirtualGSet) -> Pi1Element:
     """Sq1 of a genuine G-set, from the swap involution on T x T: in closed
     form over a cyclic group, on points over a dicyclic one, where
     |T|^2 |G| over `MAX_SQ1_WORK` raises ValueError."""
-    counts = _genuine_counts(T)
+    if not T.is_genuine():
+        raise ValueError("virtual G-sets are not accepted; Sq1 needs a genuine G-set")
+    counts = T.coeffs
     G = T.group
     if G.descriptor.kind == "cyclic":
         return _sq1_cyclic(G, counts)

@@ -71,10 +71,11 @@ class CharacterTable:
                 class_of[g] = k
         self.class_of_element = tuple(class_of[g] for g in range(group.order))
         if group.descriptor.kind == "cyclic":
+            # m^2 entries but m values: build each root of unity once
             m = group.order
+            zetas = [CyclotomicElement.zeta(m, e) for e in range(m)]
             self.rows = tuple(
-                tuple(CyclotomicElement.zeta(m, a * b % m) for b in range(m))
-                for a in range(m)
+                tuple([zetas[a * b % m] for b in range(m)]) for a in range(m)
             )
             self.dims = (1,) * m
             self.names = tuple(_line_name(a) for a in range(m))
@@ -495,6 +496,10 @@ def is_fixed_point_free(V: VirtualRep) -> bool:
 
 
 def has_rational_characters(V: VirtualRep) -> bool:
+    """Whether the character of V takes rational values. Over C_m the
+    Galois group (Z/m)^x sends L^a to L^(ua), so the orbit of L^a is the
+    set of L^b with gcd(b, m) = gcd(a, m): V is rational exactly when its
+    coefficients are constant on each such set."""
     if V.is_cyclic_side():
         m = V.group.order
         level: dict[int, object] = {}
@@ -519,11 +524,15 @@ class GammaOrbitBasis:
     gammas: tuple
 
 
-def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
+def _cyclic_p_group(G: GroupModel) -> tuple[int, int]:
     pp = prime_power(G.order)
     if G.descriptor.kind != "cyclic" or pp is None:
         raise ValueError("orbit basis requires a nontrivial cyclic p-group")
-    p, n = pp
+    return pp
+
+
+def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
+    p, n = _cyclic_p_group(G)
     m = G.order
     orbits = []
     gammas = []
@@ -538,16 +547,15 @@ def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
 
 
 def gamma_fixed_check(V: VirtualRep):
-    """Whether V is fixed by the full Galois action; if so, also return its
-    coordinates in the orbit-sum basis (index i = 0..n)."""
-    basis = gamma_orbit_basis(V.group)
-    coords = []
-    for orb in basis.orbits:
-        vals = {V.coeffs[k] for k in orb}
-        if len(vals) != 1:
-            return False, None
-        coords.append(vals.pop())
-    return True, tuple(coords)
+    """Whether V is fixed by the full Galois action, that is, has rational
+    characters; if so, also return its coordinates in the orbit-sum basis
+    (index i = 0..n), the coefficient of L^(p^i), one member of the orbit
+    of gamma_i."""
+    p, n = _cyclic_p_group(V.group)
+    if not has_rational_characters(V):
+        return False, None
+    m = V.group.order
+    return True, tuple([V.coeffs[p**i % m] for i in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +570,6 @@ class AbelianPresentation:
     free_rank: int
     factors: tuple
     generators: tuple
-
-    def invariant_factors(self) -> tuple:
-        return self.factors
 
 
 @record

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from vone.burnside import VirtualGSet, bmul, from_marks, marks, orbit
 from vone.certify import certify_self_map, enumerate_5_1, enumerate_quaternion
-from vone.cli import parse_gset, parse_rep, render_gset, render_rep
+from vone.cli import parse_gset, parse_rep
 from vone.exactmath import IntMatrix, prime_power, pvaluation, smith_normal_form
 from vone.geomfix import phi_bott_valuation, psi_power_fixed, telescope_fixed_points
 from vone.groups import GroupDescriptor, build_group
@@ -220,10 +220,7 @@ def test_criterion_5_ideal_structures():
                     sr.annihilator_fixed
                 ), (name, X)
                 assert sa.quotient.free_rank == sr.quotient_fixed.free_rank, (name, X)
-                assert (
-                    sa.quotient.invariant_factors()
-                    == sr.quotient_fixed.invariant_factors()
-                ), (name, X)
+                assert sa.quotient.factors == sr.quotient_fixed.factors, (name, X)
 
 
 # -- 6. certifier fidelity
@@ -385,8 +382,8 @@ def test_criterion_8_property_suites():
             if i % 2:
                 t = _rand_gset_text(g, rng)
                 v = parse_gset(t, g)
-                assert parse_gset(render_gset(v), g) == v, t
+                assert parse_gset(repr(v), g) == v, t
             else:
                 t = _rand_rep_text(g, rng)
                 v = parse_rep(t, g)
-                assert parse_rep(render_rep(v), g) == v, t
+                assert parse_rep(repr(v), g) == v, t

@@ -16,8 +16,6 @@ from vone.cli import (
     parse_expr,
     parse_gset,
     parse_rep,
-    render_gset,
-    render_rep,
     run,
 )
 from vone.groups import GroupDescriptor, GroupModel, build_group
@@ -27,6 +25,7 @@ from vone.limits import (
     MAX_DIGITS,
     MAX_EXPONENT,
     MAX_PRIME,
+    MAX_ROWS,
     MAX_SQ1_WORK,
     SWEEP_LIMIT,
 )
@@ -203,13 +202,13 @@ def test_parser_round_trip_corpus():
         G = rng.choice(groups)
         text = _random_gset_text(rng, G)
         value = parse_gset(text, G)
-        again = parse_gset(render_gset(value), G)
+        again = parse_gset(repr(value), G)
         assert again == value, text
     for _ in range(150):
         G = rng.choice(groups)
         text = _random_rep_text(rng, G)
         value = parse_rep(text, G)
-        again = parse_rep(render_rep(value), G)
+        again = parse_rep(repr(value), G)
         assert again == value, text
 
 
@@ -480,8 +479,8 @@ def _random_certify_input(rng: random.Random, G: GroupModel) -> tuple[str, str]:
         rep = f"{rng.randrange(1, 9)}*{std}"
     else:
         size = len(VirtualRep.trivial(G).coeffs)
-        rep = render_rep(VirtualRep(G, [rng.randrange(0, 3) for _ in range(size)]))
-    return render_gset(X), rep
+        rep = repr(VirtualRep(G, [rng.randrange(0, 3) for _ in range(size)]))
+    return repr(X), rep
 
 
 def test_cli_and_library_share_one_input_policy():
@@ -600,6 +599,57 @@ def test_cli_telescope_checks_its_digits_before_the_rows():
     for i, j in (("0", "0"), ("1", str(e + 1))):
         argv = ("telescope", "--p", "2", "--n", str(e + 1), "--i", i, "--j", j)
         assert go(*argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_telescope_bounds_its_rows():
+    """`telescope --p 2 --n 300000 --i 300000` printed 300,001 rows (6.9 s
+    and 45 MB of JSON): a request makes at most `MAX_ROWS` rows, checked
+    after the digit limit."""
+    start = time.perf_counter()
+    message = f"the request makes 300001 rows, over the limit {MAX_ROWS}"
+    argv = ("telescope", "--p", "2", "--n", "300000", "--i", "300000")
+    assert go(*argv) == (2, "", f"error: {message}\n")
+    assert json_error(*argv, "--json") == message
+    assert time.perf_counter() - start < 0.5
+
+
+def test_cli_enumerate_bounds_its_rows():
+    """`enumerate` over C_{2^3000} made 60,020 rows: the sweep makes at
+    most `MAX_ROWS`, in the library and so in the CLI."""
+    start = time.perf_counter()
+    big = f"C{2**3000}"
+    message = f"the request makes 60020 rows, over the limit {MAX_ROWS}"
+    assert go("enumerate", "--group", big) == (2, "", f"error: {message}\n")
+    assert json_error("enumerate", "--group", big, "--json") == message
+    with pytest.raises(ValueError, match=f"over the limit {MAX_ROWS}"):
+        enumerate_5_1(2, 3000)
+    assert time.perf_counter() - start < 0.5
+    # at the limit: (3 + 1)(n + 1)(4 + 1) rows with the default sweep
+    assert len(enumerate_5_1(2, MAX_ROWS // 20 - 1)) == MAX_ROWS
+    message = f"the request makes {MAX_ROWS + 20} rows, over the limit {MAX_ROWS}"
+    assert go("enumerate", "--group", f"C{2 ** (MAX_ROWS // 20)}") == (2, "", f"error: {message}\n")
+
+
+def test_cli_telescope_checks_p_once_per_request(monkeypatch):
+    """Each row checked p by trial division twice, a few ms a check at
+    p = 2^31 - 1, so `--n 2000` took 11.4 s; a request checks it once and
+    answers at the row limit in well under a second of work."""
+    import vone.geomfix
+
+    calls = []
+    check = vone.geomfix.check_prime
+    monkeypatch.setattr(vone.geomfix, "check_prime", lambda p: calls.append(p) or check(p))
+    assert go("telescope", "--p", "3", "--n", "5", "--i", "2", "--json")[0] == 0
+    assert calls == [3]
+    monkeypatch.undo()
+    p, n = 2**31 - 1, MAX_ROWS - 1
+    start = time.perf_counter()
+    code, out, _ = go("telescope", "--p", str(p), "--n", str(n), "--i", str(n), "--json")
+    took = time.perf_counter() - start
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == MAX_ROWS
+    assert rows[0]["modulus"] == "1" and rows[-1]["telescope"] == "zero"
+    assert took < 2, f"{MAX_ROWS} rows at p = 2^31 - 1 took {took:.2f} s"
 
 
 def test_cli_theta_checks_its_digits_before_convolving():

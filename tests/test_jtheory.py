@@ -16,8 +16,8 @@ from vone.exactmath import (
 )
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
+    _lambda_fixed_mod_X,
     _q_line,
-    _theta_fixed_mod_X,
     bott_shape,
     default_ell,
     imj_order_oracle,
@@ -371,7 +371,10 @@ def test_bott_fixed_matches_two_half_check():
         W = standard_rep(g, "W")
         ell = default_ell(p)
         for c in (1, p):
+            # the convolved theta - 1 against lambda * [regular]
             diff = theta(ell, c * W) - VirtualRep.trivial(g)
+            lam = verify_adams_bott(c * W, ell).lam
+            assert diff == lam * VirtualRep.regular(g), (m, c)
             for k in range(3):
                 if k == 1 and r > 1:
                     # zero cardinality: a([G/H] - p[G/K]) for |K:H| = p
@@ -390,9 +393,8 @@ def test_bott_fixed_matches_two_half_check():
                     )
                 else:
                     X = VirtualGSet(g, [rng.randint(-2, 2) for _ in range(r)])
-                fixed = _theta_fixed_mod_X(diff, X)
+                fixed = _lambda_fixed_mod_X(lam, X)
                 assert fixed == two_half_fixed_mod_X(diff, X), (m, c, X.coeffs)
-                # lambda * [regular] from the report against the convolution
                 assert verify_bott_fixed_mod_X(c * W, X, ell) == fixed, (m, c, X.coeffs)
                 outcomes.add(fixed)
     assert outcomes == {True, False}
@@ -400,7 +402,7 @@ def test_bott_fixed_matches_two_half_check():
 
 def closed_form_fixed(lam: int, X) -> bool:
     """Step 2 for lambda*[regular] from the marks phi_i of X at C_{p^i}
-    (proof in `_theta_fixed_mod_X`): fixed <=> phi_0 != 0 and
+    (proof in `_lambda_fixed_mod_X`): fixed <=> phi_0 != 0 and
     v_p(lambda) >= v_p(phi_0) + |S| - n, S = {i >= 1 : phi_i != 0}."""
     g = X.group
     p, n = prime_power(g.order)
@@ -423,7 +425,6 @@ def test_bott_fixed_matches_closed_form():
         g = cyc(m)
         p, n = prime_power(m)
         r = len(g.subgroup_classes())
-        reg = VirtualRep.regular(g)
         q = 3 if p == 2 else 2
         for kind in kinds if m <= 64 else kinds[idx % 3:idx % 3 + 1]:
             if kind == "random":
@@ -450,7 +451,7 @@ def test_bott_fixed_matches_closed_form():
             else:
                 lams = [p ** rng.randint(0, 2 * n) * rng.choice((1, q))]
             for lam in lams:
-                fixed = _theta_fixed_mod_X(lam * reg, X)
+                fixed = _lambda_fixed_mod_X(lam, X)
                 assert fixed == closed_form_fixed(lam, X), (m, X.coeffs, lam)
                 outcomes.add(fixed)
     assert outcomes == {True, False}

@@ -782,6 +782,30 @@ def test_character_table_lives_with_its_model():
     assert ref() is None
 
 
+def test_cyclic_character_table_builds_each_root_of_unity_once():
+    """The table of C_m has m^2 entries but m values, the powers of
+    zeta_m. C512's held 262,144 separate elements, so
+    `fixed_space_dim(standard_rep(C512, "W"), 511)` took 2.9 s and
+    562 MiB; the table now peaks at a few MiB."""
+    import tracemalloc
+
+    from vone.exactmath import CyclotomicElement
+    from vone.groups import GroupModel
+
+    g = GroupModel(GroupDescriptor.parse("C512"))
+    g.element_conjugacy_classes()
+    tracemalloc.start()
+    try:
+        table = character_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"the table of C512 peaked at {peak / 2**20:.0f} MiB"
+    for a, b in ((0, 0), (1, 1), (3, 171), (511, 511)):
+        assert table.value(a, b) == CyclotomicElement.zeta(512, a * b), (a, b)
+    assert fixed_space_dim(standard_rep(g, "W"), 511) == 0
+
+
 def test_character_table_value_rejects_elements_outside_the_group():
     """Over Q16, value(1, -1) read element 15 and value(1, 16) raised
     IndexError."""
