@@ -36,7 +36,6 @@ from .limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
-    character_table,
     eigenvalue_multiplicities,
     from_class_function,
     has_rational_characters,
@@ -108,15 +107,16 @@ def default_ell(p: int) -> int:
     raise AssertionError("every prime square has a primitive root")
 
 
-def _q_line(G, a: int, ell: int) -> VirtualRep:
-    # theta of the line L^a: 1 + L^a + ... + L^(a(ell-1)); with
-    # ell = q*m + r the exponent a*t mod m recurs q + (t < r) times
-    m = G.order
-    q, r = divmod(ell, m)
-    vec = [0] * m
-    for t in range(min(ell, m)):
-        vec[a * t % m] += q + (t < r)
-    return VirtualRep(G, vec)
+def _power_counts(k: int, a: int, ell: int) -> list:
+    """How often each e mod k occurs as a*t mod k for 0 <= t < ell: the
+    exponents of 1 + z + ... + z^(ell-1) at z = zeta_k^a. With
+    ell = q*k + r the exponent a*t recurs q + (t < r) times, so the count
+    takes min(ell, k) steps."""
+    q, r = divmod(ell, k)
+    out = [0] * k
+    for t in range(min(ell, k)):
+        out[a * t % k] += q + (t < r)
+    return out
 
 
 def _check_adams_bits(ell: int, dim: int) -> None:
@@ -149,19 +149,18 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
         for c, exps in by_count.items():
             base = VirtualRep.trivial(G)
             for a in exps:
-                base = base * _q_line(G, a, ell)
+                base = base * VirtualRep(G, _power_counts(G.order, a, ell))
             out = out * base**c
         return out
-    table = character_table(G)
     values = []
-    for r in table.reps:
+    for r, *_ in G.element_conjugacy_classes():
         k = G.element_order(r)
         mults = eigenvalue_multiplicities(V, r)
         val = CyclotomicElement.one()
         for j, nj in enumerate(mults):
             if nj:
                 fac = CyclotomicElement.from_exponents(
-                    k, ((j * t % k, 1) for t in range(ell))
+                    k, enumerate(_power_counts(k, j, ell))
                 )
                 val = val * fac**nj
         values.append(val)

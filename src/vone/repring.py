@@ -8,12 +8,12 @@ cyclic convolution. Dicyclic groups work over the irreducible basis with
 cached structure constants from the exact character table. Coefficients may
 be p-local rationals under the same flag discipline as virtual G-sets.
 
-Characters are class functions, so everything that needs a character on many
-elements (fixed space dimensions, eigenvalue multiplicities) reads the
-cached class values of the representation. Sums of character values times
-roots of unity, the inner products of `CharacterTable.decompose` and the
-eigenvalue transform, are accumulated as integer vectors in exponent space,
-Z[x]/(x^N - 1) with N a common conductor, and reduced modulo Phi_N once.
+Characters are class functions, read off the cached class values. Every
+decomposition is one transform, `_fourier`, of the values along the powers of
+an element, accumulated as integer vectors in exponent space, Z[x]/(x^N - 1)
+with N a common conductor, and reduced modulo Phi_N once: along g for fixed
+spaces and eigenvalues, along the generator of C_m, which has no character
+table, and along x, with the values at j and xj, over Dic_m.
 """
 
 from __future__ import annotations
@@ -58,77 +58,81 @@ __all__ = [
 
 
 class CharacterTable:
-    """Irreducible characters as exact cyclotomic class functions."""
+    """The irreducible characters of Dic_m as exact cyclotomic class
+    functions: 1, u1, u2, u3, rho_1, ..., rho_(m-1). RU(C_m) has no table."""
 
     def __init__(self, group: GroupModel):
+        if group.descriptor.kind != "dicyclic":
+            raise ValueError("character tables are built over dicyclic groups")
         self.group = group
         self.classes = group.element_conjugacy_classes()
-        self.sizes = tuple(len(c) for c in self.classes)
-        self.reps = tuple(c[0] for c in self.classes)
+        self.reps = reps = tuple(c[0] for c in self.classes)
         class_of = {}
         for k, cls in enumerate(self.classes):
             for g in cls:
                 class_of[g] = k
         self.class_of_element = tuple(class_of[g] for g in range(group.order))
-        if group.descriptor.kind == "cyclic":
-            # m^2 entries but m values: build each root of unity once
-            m = group.order
-            zetas = [CyclotomicElement.zeta(m, e) for e in range(m)]
-            self.rows = tuple(
-                tuple([zetas[a * b % m] for b in range(m)]) for a in range(m)
-            )
-            self.dims = (1,) * m
-            self.names = tuple(_line_name(a) for a in range(m))
-        else:
-            self.rows, self.dims, self.names = _dicyclic_table(group, self)
-        self.conductor = lcm(*(v.conductor for row in self.rows for v in row))
+        # the linear characters take s^r at x^r and t s^a at x^a j, where
+        # t0 = u2(j) has t0^2 = u2(x^m) = (-1)^m; rho_h vanishes off <x>
+        m = group.descriptor.m
+        n = 2 * m
+        one, zero = CyclotomicElement.one(), CyclotomicElement.zero()
+        t0 = one if m % 2 == 0 else CyclotomicElement.zeta(4)
+        rows = [
+            tuple([CyclotomicElement.from_rational(s**r) if r < n else t * s ** (r - n)
+                   for r in reps])
+            for s, t in ((1, one), (1, -one), (-1, t0), (-1, -t0))
+        ]
+        for h in range(1, m):
+            rows.append(tuple([
+                CyclotomicElement.zeta(n, h * r) + CyclotomicElement.zeta(n, -h * r)
+                if r < n else zero
+                for r in reps
+            ]))
+        self.rows = tuple(rows)
+        self.dims = (1,) * 4 + (2,) * (m - 1)
+        self.names = ("1", "u1", "u2", "u3", *(f"rho{h}" for h in range(1, m)))
         self._mul_cache: dict[tuple[int, int], tuple] = {}
-        self._power_maps: dict[int, tuple] = {}
-        self._conj_rows: dict[int, tuple] = {}
 
     def value(self, row: int, g: int) -> CyclotomicElement:
         self.group.check_element(g)
         return self.rows[row][self.class_of_element[g]]
 
-    def _conjugate_rows(self, m: int) -> tuple:
-        """Per irreducible and class: exponent terms over Q(zeta_m) of the
-        class size times the conjugate character value (built once per m)."""
-        if m not in self._conj_rows:
-            rows = []
-            for row in self.rows:
-                crow = []
-                for size, chi in zip(self.sizes, row):
-                    # character values are algebraic integers: chi.den == 1
-                    crow.append(tuple((-e % m, c * size) for e, c in chi.exponent_terms(m)))
-                rows.append(tuple(crow))
-            self._conj_rows[m] = tuple(rows)
-        return self._conj_rows[m]
-
     def decompose(self, values) -> tuple:
-        """Inner products against each irreducible; errors if the class
-        function is not rational over the irreducibles."""
-        values = [
-            v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
-            for v in values
-        ]
-        m = lcm(self.conductor, *(v.conductor for v in values))
-        terms = [v.exponent_terms(m) for v in values]
-        den = lcm(*[v.den for v in values])
-        scales = [den // v.den for v in values]
-        n = self.group.order
-        out = []
-        for crow in self._conjugate_rows(m):
-            acc = [0] * m
-            for vt, s, ct in zip(terms, scales, crow):
-                for e, c in vt:
-                    c *= s
-                    for f, d in ct:
-                        acc[(e + f) % m] += c * d
-            total = CyclotomicElement.from_exponents(m, enumerate(acc))
-            if not total.is_rational():
-                raise ArithmeticError("class function is not rational over the irreducibles")
-            out.append(total.rational_value() / (n * den))
-        return tuple(out)
+        """Inner products of a class function f, one value per class,
+        against each irreducible; ArithmeticError unless all are rational.
+
+        The restriction argument for dihedral groups (Serre, *Linear
+        Representations of Finite Groups*, GTM 42, section 5.3): let
+        F(h) = (1/2m) sum_r f(x^r) zeta_2m^(-hr), the coefficient of L^h in
+        the restriction of f to <x> = C_2m; F(h) = F(-h) as x^r and x^-r
+        are conjugate. Split <f, chi> = (1/4m) sum_g f(g) conj(chi(g)) into
+        <x> and the coset <x>j, whose m elements x^a j with a even lie in
+        the class of j and the m with a odd in that of xj.
+        - rho_h restricts to L^h + L^-h and vanishes on the coset, so
+          c(rho_h) = (2m/4m)(F(h) + F(-h)) = F(h).
+        - A linear character with s = chi(x) and t = chi(j) restricts to L^0
+          (u0, u1: s = 1, t = +-1) or to L^m (u2, u3: s = -1, t = +-t0), and
+          its coefficient is F(0)/2 + conj(t)(f(j) + f(xj))/4 or
+          F(m)/2 + conj(t)(f(j) - f(xj))/4.
+        So c(u0) + c(u1) = F(0), c(u0) - c(u1) = (f(j) + f(xj))/2,
+        c(u2) + c(u3) = F(m) and c(u2) - c(u3) = (f(j) - f(xj))/(2 t0), and
+        all m + 3 are rational exactly when the two differences and
+        F(0), ..., F(m), one `_fourier` transform, are.
+        """
+        values = _class_function(self.group, values, len(self.classes))
+        m = self.group.descriptor.m
+        # the class of x^r is {x^r, x^-r}, the class with index min(r, 2m - r)
+        F = _fourier([values[min(r, 2 * m - r)] for r in range(2 * m)], range(m + 1))
+        fj, fxj = values[m + 1], values[m + 2]
+        # twice c(u0) - c(u1) and c(u2) - c(u3), with 1/t0 = conj(t0)
+        s0 = fj + fxj
+        s1 = (fj - fxj) * self.rows[2][m + 1].conjugate()
+        if not (s0.is_rational() and s1.is_rational()):
+            raise ArithmeticError("class function is not rational over the irreducibles")
+        q0, q1 = s0.rational_value() / 4, s1.rational_value() / 4
+        h0, hm = F[0] / 2, F[m] / 2
+        return (h0 + q0, h0 - q0, hm + q1, hm - q1, *F[1:m])
 
     def product_coeffs(self, i: int, j: int) -> tuple:
         """chi_i * chi_j in the irreducible basis (cached)."""
@@ -142,12 +146,8 @@ class CharacterTable:
 
     def power_class_map(self, ell: int) -> tuple:
         """Class index of r^ell for each class representative r."""
-        if ell not in self._power_maps:
-            g = self.group
-            self._power_maps[ell] = tuple(
-                self.class_of_element[g.power(r, ell)] for r in self.reps
-            )
-        return self._power_maps[ell]
+        g = self.group
+        return tuple([self.class_of_element[g.power(r, ell)] for r in self.reps])
 
 
 def _line_name(a: int) -> str:
@@ -158,51 +158,9 @@ def _line_name(a: int) -> str:
     return f"L^{a}"
 
 
-def _dicyclic_table(group: GroupModel, table: CharacterTable):
-    m = group.descriptor.m
-    two_m = 2 * m
-    reps = table.reps
-    rows = []
-    names = []
-    dims = []
-
-    def one_dim(s: int, t: CyclotomicElement):
-        vals = []
-        for r in reps:
-            if r < two_m:
-                vals.append(CyclotomicElement.from_rational(s**r))
-            else:
-                vals.append(t * s ** (r - two_m))
-        return tuple(vals)
-
-    one = CyclotomicElement.one()
-    if m % 2 == 0:
-        combos = [(1, one), (1, -one), (-1, one), (-1, -one)]
-    else:
-        i4 = CyclotomicElement.zeta(4)
-        combos = [(1, one), (1, -one), (-1, i4), (-1, -i4)]
-    for idx, (s, t) in enumerate(combos):
-        rows.append(one_dim(s, t))
-        names.append("1" if idx == 0 else f"u{idx}")
-        dims.append(1)
-    for h in range(1, m):
-        vals = []
-        for r in reps:
-            if r < two_m:
-                vals.append(
-                    CyclotomicElement.zeta(two_m, h * r % two_m)
-                    + CyclotomicElement.zeta(two_m, -h * r % two_m)
-                )
-            else:
-                vals.append(CyclotomicElement.zero(1))
-        rows.append(tuple(vals))
-        names.append(f"rho{h}")
-        dims.append(2)
-    return tuple(rows), tuple(dims), tuple(names)
-
-
 def character_table(G: GroupModel) -> CharacterTable:
-    """The character table of G, built once and kept on the model."""
+    """The character table of Dic_m, built once and kept on the model;
+    ValueError over C_m."""
     if G._character_table is None:
         G._character_table = CharacterTable(G)
     return G._character_table
@@ -297,8 +255,8 @@ class VirtualRep(VirtualElement):
             return self._values
         except AttributeError:
             pass
-        table = character_table(self.group)
-        values = tuple([self.character(r) for r in table.reps])
+        classes = self.group.element_conjugacy_classes()
+        values = tuple([self.character(c[0]) for c in classes])
         object.__setattr__(self, "_values", values)
         return values
 
@@ -338,10 +296,25 @@ class VirtualRep(VirtualElement):
     __pow__ = VirtualElement.__pow__
 
 
+def _class_function(G: GroupModel, values, count: int) -> list:
+    """The values as cyclotomic elements, one per conjugacy class of G."""
+    values = [v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
+              for v in values]
+    if len(values) != count:
+        raise ValueError(f"a class function on {G.descriptor.name} has {count} values, "
+                         f"one per conjugacy class, not {len(values)}")
+    return values
+
+
 def from_class_function(G: GroupModel, values, p_local: int | None = None) -> VirtualRep:
-    """Expand an exact class function over the irreducible basis."""
-    table = character_table(G)
-    coeffs = table.decompose(values)
+    """Expand an exact class function over the irreducible basis. Over C_m,
+    where L^a takes zeta_m^(ab) at g^b for the generator g = 1, the
+    coefficient of L^a is (1/m) sum_b f(g^b) zeta_m^(-ab)."""
+    if G.descriptor.kind == "cyclic":
+        m = G.order
+        coeffs = _fourier(_class_function(G, values, m), range(m))
+    else:
+        coeffs = character_table(G).decompose(values)
     return VirtualRep(G, coeffs, p_local)
 
 
@@ -387,10 +360,9 @@ def adams(ell: int, V: VirtualRep) -> VirtualRep:
             if c:
                 out[a * ell % m] += c
         return VirtualRep(G, out, V.p_local)
-    table = character_table(G)
-    pcm = table.power_class_map(ell)
     vals = V.class_values()
-    return from_class_function(G, [vals[pcm[k]] for k in range(len(pcm))], V.p_local)
+    pcm = character_table(G).power_class_map(ell)
+    return from_class_function(G, [vals[k] for k in pcm], V.p_local)
 
 
 def linearize(X: VirtualGSet) -> VirtualRep:
@@ -414,31 +386,22 @@ def linearize(X: VirtualGSet) -> VirtualRep:
     return from_class_function(G, vals, X.p_local)
 
 
-def _eigenvalue_sums(V: VirtualRep, g: int, js) -> list:
-    """(1/k) sum_b chi(g^b) zeta_k^(-jb) for each j in js, k the order of g:
-    the multiplicity of zeta_k^j as an eigenvalue of g on V.
+def _fourier(values: list, js) -> list:
+    """(1/k) sum_b f(g^b) zeta_k^(-jb) for each j in js, given the k values
+    f(g^b), b = 0..k-1, of a class function along an element g of order k:
+    the coefficient of the character zeta_k^j of <g> in its restriction.
 
-    The k character values are read from the class values and lifted once to
-    exponent vectors over Q(zeta_N), N = lcm(k, their conductors), with one
-    common denominator. Multiplying by zeta_k^(-jb) shifts a vector, so each
-    sum is one integer accumulation, reduced modulo Phi_N once and required
-    to be rational.
+    The values are lifted once to exponent vectors over Q(zeta_N),
+    N = lcm(k, their conductors), with one common denominator. Multiplying
+    by zeta_k^(-jb) shifts a vector, so each sum is one integer
+    accumulation, reduced modulo Phi_N once and required to be rational
+    (ArithmeticError otherwise).
     """
-    G = V.group
-    vals = V.class_values()
-    cls = character_table(G).class_of_element
-    powers = []
-    x = 0
-    while True:
-        powers.append(vals[cls[x]])
-        x = G.mul(x, g)
-        if x == 0:
-            break
-    k = len(powers)
-    n = lcm(k, *(v.conductor for v in powers))
-    den = lcm(*[v.den for v in powers])
+    k = len(values)
+    n = lcm(k, *(v.conductor for v in values))
+    den = lcm(*[v.den for v in values])
     lifted = [
-        [(e, c * (den // v.den)) for e, c in v.exponent_terms(n)] for v in powers
+        [(e, c * (den // v.den)) for e, c in v.exponent_terms(n)] for v in values
     ]
     step = n // k
     out = []
@@ -450,15 +413,30 @@ def _eigenvalue_sums(V: VirtualRep, g: int, js) -> list:
                 acc[(e + shift) % n] += c
         total = CyclotomicElement.from_exponents(n, enumerate(acc))
         if not total.is_rational():
-            raise ArithmeticError("eigenvalue sum is not rational")
+            raise ArithmeticError("class function transform is not rational")
         out.append(total.rational_value() / (k * den))
     return out
+
+
+def _along(V: VirtualRep, g: int) -> list:
+    """The character of V at g^0, g^1, ..., g^(k-1), k the order of g,
+    read off the class values; over C_m each element is its own class."""
+    G = V.group
+    vals = V.class_values()
+    cls = range(G.order) if V.is_cyclic_side() else character_table(G).class_of_element
+    out = []
+    x = 0
+    while True:
+        out.append(vals[cls[x]])
+        x = G.mul(x, g)
+        if x == 0:
+            return out
 
 
 def fixed_space_dim(V: VirtualRep, g: int):
     """Dimension of the subspace of V fixed by g (averaging over <g>)."""
     V.group.check_element(g)
-    return _eigenvalue_sums(V, g, (0,))[0]
+    return _fourier(_along(V, g), (0,))[0]
 
 
 def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
@@ -468,7 +446,7 @@ def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
         raise ValueError("eigenvalues need an honest representation")
     k = V.group.element_order(g)
     out = []
-    for q in _eigenvalue_sums(V, g, range(k)):
+    for q in _fourier(_along(V, g), range(k)):
         if q.denominator != 1 or q < 0:
             raise ArithmeticError("non-integral eigenvalue multiplicity")
         out.append(int(q))

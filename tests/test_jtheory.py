@@ -7,6 +7,7 @@ import pytest
 
 from vone.burnside import VirtualGSet, marks, orbit
 from vone.exactmath import (
+    CyclotomicElement,
     IntMatrix,
     factorize,
     kernel_basis,
@@ -17,7 +18,7 @@ from vone.exactmath import (
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
     _lambda_fixed_mod_X,
-    _q_line,
+    _power_counts,
     bott_shape,
     default_ell,
     imj_order_oracle,
@@ -27,7 +28,13 @@ from vone.jtheory import (
     verify_bott_fixed_mod_X,
 )
 from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
-from vone.repring import VirtualRep, linearize, standard_rep
+from vone.repring import (
+    VirtualRep,
+    eigenvalue_multiplicities,
+    from_class_function,
+    linearize,
+    standard_rep,
+)
 
 
 def cyc(m):
@@ -201,7 +208,44 @@ def test_q_line_matches_term_by_term_sum():
                 vec = [0] * m
                 for t in range(ell):
                     vec[a * t % m] += 1
-                assert _q_line(g, a, ell) == VirtualRep(g, vec), (m, a, ell)
+                assert _power_counts(m, a, ell) == vec, (m, a, ell)
+
+
+def theta_term_by_term(ell, V):
+    """theta over a dicyclic group with each factor 1 + z + ... + z^(ell-1)
+    summed term by term over range(ell): the oracle of the residue count."""
+    G = V.group
+    values = []
+    for cls in G.element_conjugacy_classes():
+        k = G.element_order(cls[0])
+        val = CyclotomicElement.one()
+        for j, nj in enumerate(eigenvalue_multiplicities(V, cls[0])):
+            fac = CyclotomicElement.from_exponents(k, ((j * t % k, 1) for t in range(ell)))
+            val = val * fac**nj
+        values.append(val)
+    return from_class_function(G, values)
+
+
+def test_dicyclic_theta_matches_term_by_term_sum():
+    rng = random.Random(71)
+    for g in (dic(2), dic(4), dic(8), dic(3)):
+        r = g.descriptor.m + 3
+        reps = [standard_rep(g, "H"), VirtualRep(g, [rng.randint(0, 1) for _ in range(r)])]
+        for ell in range(1, 3 * g.order + 1):
+            for v in reps:
+                assert theta(ell, v) == theta_term_by_term(ell, v), (g.order, ell, v.coeffs)
+
+
+def test_dicyclic_theta_large_ell_is_bounded():
+    """Each factor 1 + z + ... + z^(ell-1) was summed over range(ell):
+    ell = 1000001 took 1.9 s over Q8, and ell = 100000001 about three
+    minutes."""
+    q8 = dic(2)
+    ell = 100000001
+    start = time.perf_counter()
+    th = theta(ell, standard_rep(q8, "H"))
+    assert time.perf_counter() - start < 0.5
+    assert th - VirtualRep.trivial(q8) == (ell**2 - 1) // 8 * VirtualRep.regular(q8)
 
 
 def test_theta_large_ell_is_bounded():

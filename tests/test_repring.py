@@ -39,34 +39,40 @@ def G(name):
 
 def inner(table, u, v):
     acc = CyclotomicElement.zero(1)
-    for size, a, b in zip(table.sizes, u, v):
-        acc = acc + a * b.conjugate() * size
+    for cls, a, b in zip(table.classes, u, v):
+        acc = acc + a * b.conjugate() * len(cls)
     return acc * Fraction(1, table.group.order)
+
+
+class CyclicTable:
+    """The m x m character table of C_m, an oracle kept on the test side:
+    L^a takes zeta_m^(ab) at g^b, and every element is its own class."""
+
+    def __init__(self, group):
+        m = group.order
+        self.group = group
+        self.classes = group.element_conjugacy_classes()
+        self.reps = tuple(range(m))
+        self.rows = tuple(
+            tuple(CyclotomicElement.zeta(m, a * b) for b in range(m)) for a in range(m)
+        )
+        self.dims = (1,) * m
+
+
+def table_of(g):
+    return CyclicTable(g) if g.descriptor.kind == "cyclic" else character_table(g)
+
+
+def decompose(g, values, p_local=None):
+    """The library's expansion of a class function: the transform over C_m,
+    `CharacterTable.decompose` over Dic_m."""
+    if g.descriptor.kind == "cyclic":
+        return from_class_function(g, values, p_local).coeffs
+    return character_table(g).decompose(values)
 
 
 # ---------------------------------------------------------------------------
 # character tables
-
-
-def test_cyclic_orthogonality_small():
-    for name in ("C2", "C3", "C4", "C8", "C9", "C12"):
-        table = character_table(G(name))
-        n = len(table.rows)
-        for i in range(n):
-            for j in range(n):
-                assert inner(table, table.rows[i], table.rows[j]) == (1 if i == j else 0)
-
-
-def test_cyclic_orthogonality_c64_via_character_sums():
-    # <chi_a, chi_b> = (1/m) sum_c zeta^{(a-b)c}, so orthogonality for C64
-    # reduces to: the full sum of each nontrivial character vanishes.
-    table = character_table(G("C64"))
-    m = 64
-    for d in range(m):
-        acc = CyclotomicElement.zero(1)
-        for c in range(m):
-            acc = acc + table.rows[d][c]
-        assert acc == (m if d == 0 else 0)
 
 
 def test_dicyclic_orthogonality():
@@ -82,7 +88,7 @@ def test_dicyclic_orthogonality():
 def test_q8_character_table_values():
     # classes of Q8: (e), (x, x^3), (x^2), (j, x^2 j), (xj, x^3 j)
     table = character_table(G("Q8"))
-    assert table.sizes == (1, 2, 1, 2, 2)
+    assert tuple(len(c) for c in table.classes) == (1, 2, 1, 2, 2)
     assert table.dims == (1, 1, 1, 1, 2)
     got = [[v.rational_value() for v in row] for row in table.rows]
     assert got == [
@@ -96,7 +102,7 @@ def test_q8_character_table_values():
 
 def test_trivial_row_first_and_dims():
     for name in ("C8", "Q16", "Dic3"):
-        table = character_table(G(name))
+        table = table_of(G(name))
         assert all(v == 1 for v in table.rows[0])
         total = sum(d * d for d in table.dims)
         assert total == table.group.order
@@ -684,11 +690,12 @@ def oracle_eigenvalue_multiplicities(v, x):
 
 
 def oracle_decompose(table, values):
+    """Inner products against the rows of the table, class by class."""
     out = []
     for row in table.rows:
         acc = CyclotomicElement.zero(1)
-        for size, val, chi in zip(table.sizes, values, row):
-            acc = acc + val * chi.conjugate() * size
+        for cls, val, chi in zip(table.classes, values, row):
+            acc = acc + val * chi.conjugate() * len(cls)
         if not acc.is_rational():
             raise ArithmeticError("not rational")
         out.append(acc.rational_value() / table.group.order)
@@ -700,13 +707,25 @@ def _basis_size(g):
 
 
 def _check_against_oracles(v):
-    table = character_table(v.group)
+    table = table_of(v.group)
     for r in table.reps:
         assert fixed_space_dim(v, r) == oracle_fixed_space_dim(v, r)
         if v.is_honest():
             assert eigenvalue_multiplicities(v, r) == oracle_eigenvalue_multiplicities(v, r)
     values = v.class_values()
-    assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+    assert decompose(v.group, values, v.p_local) == oracle_decompose(table, values) == v.coeffs
+
+
+def _same_or_both_raise(g, table, values):
+    # 101 divides none of the denominators of these class functions
+    try:
+        want = oracle_decompose(table, values)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            decompose(g, values, 101)
+        return False
+    assert decompose(g, values, 101) == want
+    return True
 
 
 def _random_reps(g, rng, count):
@@ -722,6 +741,44 @@ def test_fast_paths_match_oracles_cyclic():
         g = G(f"C{m}")
         for v in _random_reps(g, rng, 1):
             _check_against_oracles(v)
+        # a rational class function has rational coefficients only when it
+        # is constant on each Galois orbit, so most of these raise
+        values = [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(m)]
+        _same_or_both_raise(g, CyclicTable(g), values)
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_decompose_matches_oracle_every_dicyclic(m):
+    """The restriction to <x> and the values at j and xj against the
+    conjugate-row inner products; for odd m, u2 and u3 take +-i at j."""
+    rng = random.Random(1000 + m)
+    g = G(f"Dic{m}")
+    table = character_table(g)
+    r = m + 3
+    for prime in (2, 3):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.choice((1, 5, 7))) for _ in range(r)]
+        v = VirtualRep(g, coeffs, p_local=prime)
+        values = v.class_values()
+        assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+    # rational combinations of irreducibles, with any denominators
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(r)]
+    values = [
+        sum((c * row[k] for c, row in zip(coeffs, table.rows)), CyclotomicElement.zero(1))
+        for k in range(r)
+    ]
+    assert table.decompose(values) == oracle_decompose(table, values) == tuple(coeffs)
+    # rational and cyclotomic class functions that are mostly not characters
+    outcomes = set()
+    for _ in range(2):
+        values = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(r)]
+        values[m + 2] = values[m + 1]  # rational at j and xj: only F decides
+        outcomes.add(_same_or_both_raise(g, table, values))
+        values = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(r)]
+        outcomes.add(_same_or_both_raise(g, table, values))
+        conductor = rng.choice((3, 8, 2 * m))
+        values = [CyclotomicElement.zeta(conductor, rng.randrange(24)) for _ in range(r)]
+        outcomes.add(_same_or_both_raise(g, table, values))
+    assert False in outcomes
 
 
 @pytest.mark.parametrize("name", ["Q8", "Q16", "Q32", "Q64", "Dic3", "Dic5"])
@@ -746,20 +803,36 @@ def test_fast_paths_mixed_denominators():
     for x in range(12):
         assert fixed_space_dim(v, x) == oracle_fixed_space_dim(v, x)
     values = v.class_values()
-    table = character_table(g)
-    assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+    table = CyclicTable(g)
+    assert decompose(g, values, 2) == oracle_decompose(table, values) == v.coeffs
 
 
 def test_decompose_rejects_non_characters_like_oracle():
     for name in ("C8", "Q16", "Dic3"):
         g = G(name)
-        table = character_table(g)
+        table = table_of(g)
         values = [CyclotomicElement.zero(1)] * len(table.reps)
         values[1] = CyclotomicElement.zeta(8)
         with pytest.raises(ArithmeticError):
             oracle_decompose(table, values)
         with pytest.raises(ArithmeticError):
-            table.decompose(values)
+            decompose(g, values)
+
+
+def test_class_function_of_wrong_length_is_rejected():
+    """The values were zipped against the classes: over Q8 decompose([1, 2])
+    returned (5/8, 5/8, -3/8, -3/8, 1/4) and decompose([1] * 9) the trivial
+    character, and over C4 from_class_function([4]) returned 1 + L + L^2 +
+    L^3."""
+    q8, c4 = G("Q8"), G("C4")
+    for values in ([1, 2], [1] * 9, []):
+        with pytest.raises(ValueError, match="Q8 has 5 values, one per conjugacy class"):
+            character_table(q8).decompose(values)
+        with pytest.raises(ValueError, match="Q8 has 5 values"):
+            from_class_function(q8, values)
+    for values in ([4], [1] * 5):
+        with pytest.raises(ValueError, match="C4 has 4 values, one per conjugacy class"):
+            from_class_function(c4, values)
 
 
 def test_eigenvalue_multiplicities_rejects_virtual():
@@ -782,28 +855,24 @@ def test_character_table_lives_with_its_model():
     assert ref() is None
 
 
-def test_cyclic_character_table_builds_each_root_of_unity_once():
-    """The table of C_m has m^2 entries but m values, the powers of
-    zeta_m. C512's held 262,144 separate elements, so
-    `fixed_space_dim(standard_rep(C512, "W"), 511)` took 2.9 s and
-    562 MiB; the table now peaks at a few MiB."""
-    import tracemalloc
-
-    from vone.exactmath import CyclotomicElement
+def test_cyclic_groups_build_no_character_table():
+    """C_m has no table: the m x m table of C512 held 262,144 entries, and
+    the fixed spaces, eigenvalues, class values and class functions over C_m
+    read nothing from it."""
     from vone.groups import GroupModel
 
     g = GroupModel(GroupDescriptor.parse("C512"))
-    g.element_conjugacy_classes()
-    tracemalloc.start()
-    try:
-        table = character_table(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, f"the table of C512 peaked at {peak / 2**20:.0f} MiB"
-    for a, b in ((0, 0), (1, 1), (3, 171), (511, 511)):
-        assert table.value(a, b) == CyclotomicElement.zeta(512, a * b), (a, b)
-    assert fixed_space_dim(standard_rep(g, "W"), 511) == 0
+    with pytest.raises(ValueError, match="dicyclic"):
+        character_table(g)
+    start = time.perf_counter()
+    w, line = standard_rep(g, "W"), standard_rep(g, "L")
+    assert fixed_space_dim(w, 511) == 0
+    assert fixed_space_dim(w + 1, 256) == 1
+    mults = eigenvalue_multiplicities(line, 1)
+    assert mults == (0, 1) + (0,) * 510
+    assert from_class_function(g, line.class_values()) == line
+    assert time.perf_counter() - start < 3.0
+    assert g._character_table is None
 
 
 def test_character_table_value_rejects_elements_outside_the_group():
