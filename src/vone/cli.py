@@ -32,9 +32,9 @@ from .burnside import VirtualGSet, marks, orbit
 from .certify import Certificate, certify_self_map, enumerate_5_1, enumerate_quaternion
 from .exactmath import factorize, prime_power, pvaluation
 from .geomfix import _ku_shadow, _telescope_row, telescope_fixed_points
-from .groups import GroupDescriptor, GroupModel, build_group
+from .groups import GroupDescriptor, GroupModel, build_group, table_of_marks
 from .jtheory import _check_adams_bits, default_ell, imj_order_oracle, theta
-from .limits import MAX_DIGITS, MAX_EXPONENT, check_rows
+from .limits import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, check_rows
 from .powerop import sq1_gset, sq1_int
 from .record import record
 from .repring import (
@@ -135,6 +135,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # calls of _factor open at once
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -175,19 +176,25 @@ class _Parser:
             node = BinOp("*", node, self._factor())
 
     def _factor(self) -> ExprAST:
-        # unary minus binds looser than ^, so -L^4 means -(L^4)
+        # unary minus binds looser than ^, so -L^4 means -(L^4); each
+        # parenthesis and unary minus nests one more call of _factor
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than the limit {MAX_NESTING}")
         tok = self._peek()
         if tok is not None and tok[1] == "-":
             self.i += 1
-            return Neg(self._factor())
-        node = self._atom()
-        tok = self._peek()
-        if tok is not None and tok[1] == "^":
-            self.i += 1
-            kind, value, pos = self._next()
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal", self.text, pos)
-            return BinOp("^", node, Lit(int(value)))
+            node = Neg(self._factor())
+        else:
+            node = self._atom()
+            tok = self._peek()
+            if tok is not None and tok[1] == "^":
+                self.i += 1
+                kind, value, pos = self._next()
+                if kind != "int":
+                    raise ParseError("exponent must be an integer literal", self.text, pos)
+                node = BinOp("^", node, Lit(int(value)))
+        self.depth -= 1
         return node
 
     def _atom(self) -> ExprAST:
@@ -237,7 +244,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 def _eval(node: ExprAST, symbol, power: int = 1):
     """Apply the expression's operators to ints and ring elements; symbol
     resolves a name or an orbit term. power is the product of the
-    exponents of the ^ nodes above node."""
+    exponents of the ^ nodes above node. The left spine of a chain
+    a + b - c ... is walked in a loop; the parser bounds other nesting."""
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, (Sym, OrbitTerm)):
@@ -252,7 +260,14 @@ def _eval(node: ExprAST, symbol, power: int = 1):
         if power > MAX_EXPONENT:
             raise ParseError(f"nested exponents multiply to {power}, over the limit {MAX_EXPONENT}")
         return _eval(node.left, symbol, power) ** e
-    return _OPS[node.op](_eval(node.left, symbol, power), _eval(node.right, symbol, power))
+    spine = []
+    while isinstance(node, BinOp) and node.op in _OPS:
+        spine.append(node)
+        node = node.left
+    value = _eval(node, symbol, power)
+    for op in reversed(spine):
+        value = _OPS[op.op](value, _eval(op.right, symbol, power))
+    return value
 
 
 def _gset_symbol(G: GroupModel, node) -> VirtualGSet:
@@ -639,8 +654,7 @@ def _cmd_theta(args, out) -> int:
 
 def _cmd_marks(args, out) -> int:
     G = _build_group(args.group)
-    classes = G.subgroup_classes()
-    labels = [cls.label for cls in classes]
+    labels = [cls.label for cls in G.subgroup_classes()]
     if args.gset is not None:
         X = parse_gset(args.gset, G)
         mk = marks(X)
@@ -656,7 +670,7 @@ def _cmd_marks(args, out) -> int:
             out.write("  ".join(labels) + "\n")
             out.write("  ".join(str(v) for v in mk) + "\n")
         return 0
-    rows = [marks(orbit(G, cls)) for cls in classes]
+    rows = table_of_marks(G).entries
     if args.json:
         doc = {
             "command": "marks",
@@ -683,17 +697,16 @@ def _cmd_marks(args, out) -> int:
 def _cmd_telescope(args, out) -> int:
     p, n, s, i = args.p, args.n, args.s, args.i
     js = range(n + 1) if args.j is None else [args.j]
-    if js:
-        # the first row checks the input, p included, once per request;
-        # the largest number printed is the modulus p^(s+n-i) at j = 0 or
-        # the conductor p^j at the top j above i, refused unformed when it
-        # is at least 2^(3.33 MAX_DIGITS); the row count is checked after
-        telescope_fixed_points(p, n, s, i, js[0])
-        e = max(s + n - i if js[0] == 0 else 0, js[-1] if js[-1] > i else 0)
-        if MAX_DIGITS and (100 * e * (p.bit_length() - 1) >= 333 * MAX_DIGITS
-                           or p**e >= 10**MAX_DIGITS):
-            raise ValueError(_DIGITS_MESSAGE)
-        check_rows(len(js))
+    # row j = 0 (the first, or the refused one for n < 0) checks the input,
+    # p included, once per request; the largest number printed is the
+    # modulus p^(s+n-i) at j = 0 or the conductor p^j at the top j above i,
+    # refused unformed at 2^(3.33 MAX_DIGITS); the row count is checked after
+    telescope_fixed_points(p, n, s, i, js[0] if js else 0)
+    e = max(s + n - i if js[0] == 0 else 0, js[-1] if js[-1] > i else 0)
+    if MAX_DIGITS and (100 * e * (p.bit_length() - 1) >= 333 * MAX_DIGITS
+                       or p**e >= 10**MAX_DIGITS):
+        raise ValueError(_DIGITS_MESSAGE)
+    check_rows(len(js))
     rows = []
     for j in js:
         tel = _telescope_row(p, n, s, i, j)

@@ -314,12 +314,15 @@ class CyclotomicElement:
 
     @classmethod
     def from_exponents(cls, conductor: int, pairs) -> "CyclotomicElement":
-        """Sum of coeff * zeta^exponent over (exponent, coeff) pairs."""
+        """Sum of coeff * zeta^exponent over (exponent, coeff) pairs; the
+        denominator is read off the Fraction coefficients as they come."""
         acc = [0] * conductor
+        den = 1
         for e, c in pairs:
             if c:
                 acc[e % conductor] += c
-        den = lcm(*[c.denominator for c in acc if isinstance(c, Fraction)])
+                if type(c) is not int:
+                    den = lcm(den, c.denominator)
         if den != 1:
             acc = [int(c * den) for c in acc]
         return cls._make(conductor, _reduce_mod_phi(acc, conductor), den)

@@ -348,6 +348,16 @@ class GroupModel:
             self._elem_classes = tuple(out)
         return self._elem_classes
 
+    def element_class_index(self, g: int) -> int:
+        """Position of g's class in `element_conjugacy_classes`: g over
+        C_m; over Dic_m min(a, 2m - a) for x^a and m + 1 + (a mod 2) for
+        x^a j (see conj)."""
+        self.check_element(g)
+        n = self._n
+        if g < n:
+            return g if self._cyclic else min(g, n - g)
+        return n // 2 + 1 + (g - n) % 2
+
     # -- Weyl abelianization with coordinates
 
     def weyl_data(self, class_id: int) -> "WeylData":

@@ -18,13 +18,11 @@ for the image-of-J oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .burnside import VirtualGSet
 from .exactmath import (
     CyclotomicElement,
-    IntMatrix,
     bernoulli,
     check_prime,
     factorize,
@@ -36,6 +34,7 @@ from .limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
+    _circulant,
     eigenvalue_multiplicities,
     from_class_function,
     has_rational_characters,
@@ -171,7 +170,8 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
 class AdamsBottReport:
     """theta^ell(V) - 1 = lambda * [regular], with (p, n) read off |G|, k
     off dim V (`bott_shape`), and the p-valuation of lambda compared
-    against the expected k+1-n."""
+    against the expected k+1-n: matches says that lambda * p^(n-k-1) is a
+    p-local unit."""
 
     V: VirtualRep
     ell: int
@@ -180,7 +180,6 @@ class AdamsBottReport:
     k: int
     lam: int
     valuation: int
-    d: Fraction
     matches: bool
 
 
@@ -243,8 +242,7 @@ def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     lam, rem = divmod(ell**dim - 1, G.order)
     assert rem == 0
     v = pvaluation(lam, p)
-    d = Fraction(lam) * Fraction(p) ** (n - k - 1)
-    return AdamsBottReport(V, ell, p, n, k, lam, v, d, v == k + 1 - n)
+    return AdamsBottReport(V, ell, p, n, k, lam, v, v == k + 1 - n)
 
 
 def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
@@ -285,17 +283,4 @@ def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
     """
     G = X.group
     p = prime_power(G.order)[0]
-    m = G.order
-    w = list(linearize(X).coeffs)
-    scale = 1
-    for c in w:
-        if isinstance(c, Fraction):
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    w = [int(c * scale) for c in w]  # p-local unit rescale; same ideal
-    # row a of the circulant is w[(a - b) % m] over b: row 0 rotated a times
-    row = [w[-b] for b in range(m)]
-    rows = []
-    for _ in range(m):
-        rows.append(row)
-        row = row[-1:] + row[:-1]
-    return p_local_in_image(IntMatrix(rows), [lam] * m, p)
+    return p_local_in_image(_circulant(linearize(X).coeffs), [lam] * G.order, p)

@@ -14,6 +14,10 @@ DEFAULT_ORDER_BOUND = 512
 # degree of an expression, and with it the work, stays linear in its length
 MAX_EXPONENT = 4096
 
+# deepest nesting of parentheses and unary minus in an expression, so that
+# parsing and evaluating it stay well inside Python's recursion limit
+MAX_NESTING = 100
+
 # bound on dim(V) * bit_length(ell), and so on the bits of the ell^dim(V)
 # that step 2 computes exactly: V = 8W over C_{2^16} with ell = 3 needs
 # about 415,000 bits, and a certificate at the bound takes well under a

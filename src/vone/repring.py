@@ -67,11 +67,6 @@ class CharacterTable:
         self.group = group
         self.classes = group.element_conjugacy_classes()
         self.reps = reps = tuple(c[0] for c in self.classes)
-        class_of = {}
-        for k, cls in enumerate(self.classes):
-            for g in cls:
-                class_of[g] = k
-        self.class_of_element = tuple(class_of[g] for g in range(group.order))
         # the linear characters take s^r at x^r and t s^a at x^a j, where
         # t0 = u2(j) has t0^2 = u2(x^m) = (-1)^m; rho_h vanishes off <x>
         m = group.descriptor.m
@@ -93,10 +88,6 @@ class CharacterTable:
         self.dims = (1,) * 4 + (2,) * (m - 1)
         self.names = ("1", "u1", "u2", "u3", *(f"rho{h}" for h in range(1, m)))
         self._mul_cache: dict[tuple[int, int], tuple] = {}
-
-    def value(self, row: int, g: int) -> CyclotomicElement:
-        self.group.check_element(g)
-        return self.rows[row][self.class_of_element[g]]
 
     def decompose(self, values) -> tuple:
         """Inner products of a class function f, one value per class,
@@ -122,12 +113,13 @@ class CharacterTable:
         """
         values = _class_function(self.group, values, len(self.classes))
         m = self.group.descriptor.m
-        # the class of x^r is {x^r, x^-r}, the class with index min(r, 2m - r)
-        F = _fourier([values[min(r, 2 * m - r)] for r in range(2 * m)], range(m + 1))
-        fj, fxj = values[m + 1], values[m + 2]
+        idx = self.group.element_class_index
+        F = _fourier([values[idx(r)] for r in range(2 * m)], range(m + 1))
+        cj = idx(2 * m)  # the class of j; xj is 2m + 1
+        fj, fxj = values[cj], values[idx(2 * m + 1)]
         # twice c(u0) - c(u1) and c(u2) - c(u3), with 1/t0 = conj(t0)
         s0 = fj + fxj
-        s1 = (fj - fxj) * self.rows[2][m + 1].conjugate()
+        s1 = (fj - fxj) * self.rows[2][cj].conjugate()
         if not (s0.is_rational() and s1.is_rational()):
             raise ArithmeticError("class function is not rational over the irreducibles")
         q0, q1 = s0.rational_value() / 4, s1.rational_value() / 4
@@ -147,7 +139,7 @@ class CharacterTable:
     def power_class_map(self, ell: int) -> tuple:
         """Class index of r^ell for each class representative r."""
         g = self.group
-        return tuple([self.class_of_element[g.power(r, ell)] for r in self.reps])
+        return tuple([g.element_class_index(g.power(r, ell)) for r in self.reps])
 
 
 def _line_name(a: int) -> str:
@@ -235,18 +227,13 @@ class VirtualRep(VirtualElement):
     def character(self, g: int) -> CyclotomicElement:
         self.group.check_element(g)
         if self.is_cyclic_side():
-            m = self.group.order
-            acc: dict[int, Fraction] = {}
-            for a, c in enumerate(self.coeffs):
-                if c:
-                    e = a * g % m
-                    acc[e] = acc.get(e, 0) + c
-            return CyclotomicElement.from_exponents(m, acc.items())
-        table = character_table(self.group)
+            pairs = [(a * g, c) for a, c in enumerate(self.coeffs)]
+            return CyclotomicElement.from_exponents(self.group.order, pairs)
+        k = self.group.element_class_index(g)
         out = CyclotomicElement.zero(1)
-        for c, row in zip(self.coeffs, table.rows):
+        for c, row in zip(self.coeffs, character_table(self.group).rows):
             if c:
-                out = out + c * row[table.class_of_element[g]]
+                out = out + c * row[k]
         return out
 
     def class_values(self) -> tuple:
@@ -418,19 +405,25 @@ def _fourier(values: list, js) -> list:
     return out
 
 
+def _circulant(w) -> IntMatrix:
+    """Multiplication by w in Z[x]/(x^m - 1), m = len(w): entry (a, b) is
+    w[(a - b) % m], row 0 rotated a times, after clearing the denominators
+    of w by their lcm, a unit when w is p-local, so the ideal is the same."""
+    den = lcm(*[c.denominator for c in w if isinstance(c, Fraction)])
+    row = [int(w[-b] * den) for b in range(len(w))]
+    rows = []
+    for _ in w:
+        rows.append(row)
+        row = row[-1:] + row[:-1]
+    return IntMatrix(rows)
+
+
 def _along(V: VirtualRep, g: int) -> list:
     """The character of V at g^0, g^1, ..., g^(k-1), k the order of g,
-    read off the class values; over C_m each element is its own class."""
+    read off the class values."""
     G = V.group
     vals = V.class_values()
-    cls = range(G.order) if V.is_cyclic_side() else character_table(G).class_of_element
-    out = []
-    x = 0
-    while True:
-        out.append(vals[cls[x]])
-        x = G.mul(x, g)
-        if x == 0:
-            return out
+    return [vals[G.element_class_index(G.power(g, b))] for b in range(G.element_order(g))]
 
 
 def fixed_space_dim(V: VirtualRep, g: int):
@@ -498,7 +491,6 @@ class GammaOrbitBasis:
     group: GroupModel
     p: int
     n: int
-    orbits: tuple
     gammas: tuple
 
 
@@ -512,16 +504,8 @@ def _cyclic_p_group(G: GroupModel) -> tuple[int, int]:
 def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
     p, n = _cyclic_p_group(G)
     m = G.order
-    orbits = []
-    gammas = []
-    for i in range(n + 1):
-        orb = tuple([k for k in range(m) if gcd(k, m) == p**i])
-        vec = [0] * m
-        for k in orb:
-            vec[k] = 1
-        orbits.append(orb)
-        gammas.append(VirtualRep(G, vec))
-    return GammaOrbitBasis(G, p, n, tuple(orbits), tuple(gammas))
+    gammas = [VirtualRep(G, [int(gcd(k, m) == p**i) for k in range(m)]) for i in range(n + 1)]
+    return GammaOrbitBasis(G, p, n, tuple(gammas))
 
 
 def gamma_fixed_check(V: VirtualRep):
@@ -600,14 +584,13 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
         raise ValueError("side must be 'A' or 'RU'")
     m = G.order
     lin = linearize(X)
-    w = lin.coeffs
     F = [1]
     for cls, phi in zip(G.subgroup_classes(), marks(X)):
         if phi:
             F = poly_mul(F, cyclotomic_poly(cls.order))
     pad = m - len(F)
     ann = tuple([(0,) * j + tuple(F) + (0,) * (pad - j) for j in range(pad + 1)])
-    M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
+    M = _circulant(lin.coeffs)
     basis = gamma_orbit_basis(G)
     cols = []
     for gam in basis.gammas:

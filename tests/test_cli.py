@@ -24,6 +24,7 @@ from vone.limits import (
     MAX_ADAMS_BITS,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_PRIME,
     MAX_ROWS,
     MAX_SQ1_WORK,
@@ -611,6 +612,37 @@ def test_cli_telescope_bounds_its_rows():
     assert go(*argv) == (2, "", f"error: {message}\n")
     assert json_error(*argv, "--json") == message
     assert time.perf_counter() - start < 0.5
+
+
+def test_cli_expressions_bound_their_nesting():
+    """400 parentheses, or 1000 unary minus signs, raised RecursionError out
+    of `run`, and so did a chain of 1000 sums in the evaluator: nesting is
+    bounded by `MAX_NESTING`, counted over both, and a chain of any length
+    is evaluated in a loop."""
+    message = f"expression nests deeper than the limit {MAX_NESTING}"
+    ok = "(" * (MAX_NESTING - 1) + "[C8/e]" + ")" * (MAX_NESTING - 1)
+    assert go("marks", "--group", "C8", "--gset", ok)[0] == 0
+    for text in ("(" * 400 + "h" + ")" * 400, "-(" * (MAX_NESTING // 2) + "h" + ")" * 50,
+                 "-" * 1000 + "h", "(" * MAX_NESTING + "h" + ")" * MAX_NESTING):
+        assert go("marks", "--group", "C2", f"--gset={text}") == (2, "", f"error: {message}\n")
+        assert json_error("marks", "--group", "C2", f"--gset={text}", "--json") == message
+    code, out, _ = go("marks", "--group", "C2", "--gset", "+".join(["h"] * 5000), "--json")
+    assert code == 0 and json.loads(out)["marks"] == {"e": "10000", "C2": "0"}
+    assert parse_rep("-" * (MAX_NESTING - 1) + "L", cyc(4)) == -standard_rep(cyc(4), "L")
+
+
+@pytest.mark.parametrize("n", ["-1", "-5"])
+def test_cli_telescope_refuses_a_negative_n(n: str):
+    """n < 0 leaves no row j = 0..n: `--p 2 --n -1 --i 0` printed its header
+    and exited 0, and `--p 0 --n -1 --i 0 --json` printed "rows": [] without
+    checking p. The request is checked as the library checks its row 0."""
+    message = "need 0 <= i <= n and 0 <= j <= n"
+    argv = ("telescope", "--p", "2", "--n", n, "--i", "0")
+    assert go(*argv) == (2, "", f"error: {message}\n")
+    assert json_error(*argv, "--json") == message
+    argv = ("telescope", "--p", "0", "--n", n, "--i", "0")
+    assert go(*argv) == (2, "", "error: p must be a prime\n")
+    assert json_error(*argv, "--json") == "p must be a prime"
 
 
 def test_cli_enumerate_bounds_its_rows():

@@ -663,6 +663,37 @@ def test_cyclotomic_mixed_denominators() -> None:
     assert (b * b.conjugate()).rational_value() == Fraction(1, 36)
 
 
+def _zeta_sum(conductor: int, pairs) -> CyclotomicElement:
+    out = CyclotomicElement.zero(conductor)
+    for e, c in pairs:
+        out = out + CyclotomicElement.zeta(conductor, e) * c
+    return out
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed"])
+def test_from_exponents_matches_the_sum_of_powers(kind: str) -> None:
+    """Integer coefficients, and ints mixed with Fractions of several
+    denominators (1 among them), give the element sum c * zeta^e, stored
+    as numerators over the least common denominator."""
+    rng = random.Random(61)
+    dens = (1, 2, 3, 4, 6, 9)
+    for conductor in (1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 27, 64):
+        for _ in range(20):
+            pairs = []
+            for _ in range(rng.randrange(0, 2 * conductor + 2)):
+                c = rng.randint(-5, 5)
+                if kind == "mixed" and rng.random() < 0.5:
+                    c = Fraction(c, rng.choice(dens))
+                pairs.append((rng.randrange(-conductor, 3 * conductor), c))
+            got = CyclotomicElement.from_exponents(conductor, pairs)
+            want = _zeta_sum(conductor, pairs)
+            assert got == want, (conductor, pairs)
+            assert (got.conductor, got.num, got.den) == (want.conductor, want.num, want.den)
+    z = CyclotomicElement.from_exponents(4, [(0, Fraction(1, 2)), (1, 3), (2, Fraction(1, 3))])
+    assert (z.num, z.den) == ((1, 18), 6)  # 1/6 + 3i
+    assert CyclotomicElement.from_exponents(4, [(0, Fraction(2, 1)), (5, 1)]).num == (2, 1)
+
+
 def test_exponent_terms_lift_without_reduction() -> None:
     a = CyclotomicElement(8, [1, 0, Fraction(-1, 2), 3])
     assert a.den == 2

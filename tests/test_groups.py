@@ -752,6 +752,20 @@ def test_element_conjugacy_classes() -> None:
     assert len(dic3.element_conjugacy_classes()) == 6  # m + 3
 
 
+def test_element_class_index_matches_the_class_scan() -> None:
+    """The closed form against the position of each element in the element
+    classes, found by scanning them."""
+    groups = [G(f"C{m}") for m in range(1, 65)] + [G(f"Dic{m}") for m in range(2, 65)]
+    for g in groups:
+        scan = {x: k for k, cls in enumerate(g.element_conjugacy_classes()) for x in cls}
+        assert [g.element_class_index(x) for x in range(g.order)] == [
+            scan[x] for x in range(g.order)
+        ], g
+        for x in (-1, g.order):
+            with pytest.raises(ValueError, match="not an element"):
+                g.element_class_index(x)
+
+
 def test_table_of_marks_c2_c4() -> None:
     assert table_of_marks(G("C2")).entries == ((2, 0), (1, 1))
     assert table_of_marks(G("C4")).entries == ((4, 0, 0), (2, 2, 0), (1, 1, 1))

@@ -112,7 +112,7 @@ def test_dic3_one_dims_use_i():
     # m odd: the two characters killing x take +-i on the j coset
     table = character_table(G("Dic3"))
     i4 = CyclotomicElement.zeta(4)
-    jcls = table.class_of_element[6]
+    jcls = table.group.element_class_index(6)
     vals = {
         repr(table.rows[2][jcls]),
         repr(table.rows[3][jcls]),
@@ -427,7 +427,6 @@ def test_rational_fast_path_matches_generic():
 def test_gamma_orbit_basis_c4():
     basis = gamma_orbit_basis(G("C4"))
     assert basis.p == 2 and basis.n == 2
-    assert basis.orbits == ((1, 3), (2,), (0,))
     assert [g.coeffs for g in basis.gammas] == [
         (0, 1, 0, 1),
         (0, 0, 1, 0),
@@ -564,6 +563,45 @@ def test_quotient_generator_orders():
         scaled = IntMatrix.from_columns([[factor * t for t in gen]])
         assert solve_int_columns(M, scaled) is not None
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
+
+
+def test_one_circulant_builder_serves_step_2_and_the_ru_quotient(monkeypatch):
+    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) and the RU quotient
+    take the circulant of w = linearize(X) from `repring._circulant`, and it
+    equals the test-side `_circulant` over every cyclic p-group C2-C81. The
+    spy stops each caller once its matrix is built."""
+    import vone.jtheory as jtheory
+    import vone.repring as repring
+
+    class Built(Exception):
+        pass
+
+    build = repring._circulant
+    built = []
+
+    def spy(w):
+        built.append(build(w))
+        raise Built
+
+    monkeypatch.setattr(repring, "_circulant", spy)
+    monkeypatch.setattr(jtheory, "_circulant", spy)
+    rng = random.Random(53)
+    orders = [m for m in range(2, 82) if prime_power(m) is not None]
+    for m in orders:
+        g = G(f"C{m}")
+        p = prime_power(m)[0]
+        r = len(g.subgroup_classes())
+        for _ in range(3):
+            X = VirtualGSet(g, [rng.randint(-4, 4) for _ in range(r)])
+            den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
+            Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
+            for call, Z in ((lambda Z: annihilator_and_quotient(Z, side="RU"), X),
+                            (lambda Z: jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z), X),
+                            (lambda Z: jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z), Y)):
+                with pytest.raises(Built):
+                    call(Z)
+                assert built.pop() == _circulant(Z), (m, Z.coeffs)
+    assert len(orders) == 32 and not built
 
 
 def test_ru_annihilator_closed_form_matches_circulant_kernel():
@@ -875,11 +913,12 @@ def test_cyclic_groups_build_no_character_table():
     assert g._character_table is None
 
 
-def test_character_table_value_rejects_elements_outside_the_group():
-    """Over Q16, value(1, -1) read element 15 and value(1, 16) raised
-    IndexError."""
-    table = character_table(G("Q16"))
-    for g in (-1, 16):
+def test_character_rejects_elements_outside_the_group():
+    """A character is read at the closed-form class index, which refuses
+    -1 (once read as element 15) and 16 over Q16."""
+    g = G("Q16")
+    u1 = VirtualRep.irreducible(g, 1)
+    for x in (-1, 16):
         with pytest.raises(ValueError, match="not an element"):
-            table.value(1, g)
-    assert table.value(1, 15) == table.rows[1][table.class_of_element[15]]
+            u1.character(x)
+    assert u1.character(15) == character_table(g).rows[1][g.element_class_index(15)]
