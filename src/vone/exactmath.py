@@ -315,15 +315,16 @@ class CyclotomicElement:
     @classmethod
     def from_exponents(cls, conductor: int, pairs) -> "CyclotomicElement":
         """Sum of coeff * zeta^exponent over (exponent, coeff) pairs; the
-        denominator is read off the Fraction coefficients as they come."""
+        denominator is read off the Fraction coefficients as they come, and
+        the numerators are ints whenever one was not."""
         acc = [0] * conductor
-        den = 1
+        den, ints = 1, True
         for e, c in pairs:
             if c:
                 acc[e % conductor] += c
                 if type(c) is not int:
-                    den = lcm(den, c.denominator)
-        if den != 1:
+                    den, ints = lcm(den, c.denominator), False
+        if not ints:
             acc = [int(c * den) for c in acc]
         return cls._make(conductor, _reduce_mod_phi(acc, conductor), den)
 

@@ -4,9 +4,11 @@ annihilator/quotient presentations of principal ideals.
 
 Cyclic groups use the concrete form Z[L]/(L^m - 1): a virtual representation
 is a coefficient vector indexed by the exponent of L, and multiplication is
-cyclic convolution. Dicyclic groups work over the irreducible basis with
-cached structure constants from the exact character table. Coefficients may
-be p-local rationals under the same flag discipline as virtual G-sets.
+cyclic convolution. Dicyclic groups work over the irreducible basis, and
+their products and Adams operations run on the restriction to <x> = C_2m and
+two numbers more (`_restrict`), through the same convolution and exponent
+map. Coefficients may be p-local rationals under the same flag discipline as
+virtual G-sets.
 
 Characters are class functions, read off the cached class values. Every
 decomposition is one transform, `_fourier`, of the values along the powers of
@@ -87,7 +89,6 @@ class CharacterTable:
         self.rows = tuple(rows)
         self.dims = (1,) * 4 + (2,) * (m - 1)
         self.names = ("1", "u1", "u2", "u3", *(f"rho{h}" for h in range(1, m)))
-        self._mul_cache: dict[tuple[int, int], tuple] = {}
 
     def decompose(self, values) -> tuple:
         """Inner products of a class function f, one value per class,
@@ -107,9 +108,10 @@ class CharacterTable:
           its coefficient is F(0)/2 + conj(t)(f(j) + f(xj))/4 or
           F(m)/2 + conj(t)(f(j) - f(xj))/4.
         So c(u0) + c(u1) = F(0), c(u0) - c(u1) = (f(j) + f(xj))/2,
-        c(u2) + c(u3) = F(m) and c(u2) - c(u3) = (f(j) - f(xj))/(2 t0), and
-        all m + 3 are rational exactly when the two differences and
-        F(0), ..., F(m), one `_fourier` transform, are.
+        c(u2) + c(u3) = F(m) and c(u2) - c(u3) = (f(j) - f(xj))/(2 t0): the
+        restriction F and the numbers a, b of `_restrict`, whose inverse
+        `_lift` gives the coefficients. All m + 3 are rational exactly when
+        a, b and F(0), ..., F(m), one `_fourier` transform, are.
         """
         values = _class_function(self.group, values, len(self.classes))
         m = self.group.descriptor.m
@@ -117,29 +119,18 @@ class CharacterTable:
         F = _fourier([values[idx(r)] for r in range(2 * m)], range(m + 1))
         cj = idx(2 * m)  # the class of j; xj is 2m + 1
         fj, fxj = values[cj], values[idx(2 * m + 1)]
-        # twice c(u0) - c(u1) and c(u2) - c(u3), with 1/t0 = conj(t0)
+        # twice a and b, with 1/t0 = conj(t0)
         s0 = fj + fxj
         s1 = (fj - fxj) * self.rows[2][cj].conjugate()
         if not (s0.is_rational() and s1.is_rational()):
             raise ArithmeticError("class function is not rational over the irreducibles")
-        q0, q1 = s0.rational_value() / 4, s1.rational_value() / 4
-        h0, hm = F[0] / 2, F[m] / 2
-        return (h0 + q0, h0 - q0, hm + q1, hm - q1, *F[1:m])
+        return tuple(_lift(F, Fraction(s0.rational_value(), 2),
+                           Fraction(s1.rational_value(), 2), m))
 
     def product_coeffs(self, i: int, j: int) -> tuple:
-        """chi_i * chi_j in the irreducible basis (cached)."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._mul_cache:
-            vals = [a * b for a, b in zip(self.rows[key[0]], self.rows[key[1]])]
-            coeffs = self.decompose(vals)
-            assert all(c.denominator == 1 for c in coeffs)
-            self._mul_cache[key] = tuple(int(c) for c in coeffs)
-        return self._mul_cache[key]
-
-    def power_class_map(self, ell: int) -> tuple:
-        """Class index of r^ell for each class representative r."""
-        g = self.group
-        return tuple([g.element_class_index(g.power(r, ell)) for r in self.reps])
+        """chi_i * chi_j in the irreducible basis."""
+        G = self.group
+        return (VirtualRep.irreducible(G, i) * VirtualRep.irreducible(G, j)).coeffs
 
 
 def _line_name(a: int) -> str:
@@ -200,6 +191,9 @@ class VirtualRep(VirtualElement):
     @classmethod
     def irreducible(cls, group: GroupModel, index: int) -> "VirtualRep":
         vec = [0] * cls._size(group)
+        if not 0 <= index < len(vec):
+            raise ValueError(f"no irreducible with index {index}: "
+                             f"the basis has {len(vec)} elements")
         vec[index] = 1
         return cls(group, vec)
 
@@ -247,34 +241,19 @@ class VirtualRep(VirtualElement):
         object.__setattr__(self, "_values", values)
         return values
 
-    # -- ring product: cyclic convolution, or structure constants
+    # -- ring product: cyclic convolution, over Dic_m on the restriction
 
     def _product(self, other: "VirtualRep") -> "VirtualRep":
         if other.group is not self.group:
             raise ValueError("different groups")
         flag = self._merge_flag(other)
         if self.is_cyclic_side():
-            m = self.group.order
-            a, b = self.coeffs, other.coeffs
-            out = [0] * m
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            out[(i + j) % m] += x * y
-            return VirtualRep(self.group, out, flag)
-        table = character_table(self.group)
-        n = len(self.coeffs)
-        out2 = [Fraction(0)] * n
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod = table.product_coeffs(i, j)
-                        for k in range(n):
-                            if prod[k]:
-                                out2[k] += x * y * prod[k]
-        return VirtualRep(self.group, out2, flag)
+            return VirtualRep(self.group, _convolve(self.coeffs, other.coeffs), flag)
+        m = self.group.descriptor.m
+        r1, a1, b1 = _restrict(self.coeffs, m)
+        r2, a2, b2 = _restrict(other.coeffs, m)
+        a = a1 * a2 + (-1) ** m * b1 * b2
+        return VirtualRep(self.group, _lift(_convolve(r1, r2), a, a1 * b2 + a2 * b1, m), flag)
 
     # perfbench/tracing.py times rep products and powers by wrapping these
     # names in this class's own __dict__, so the inherited operators are
@@ -336,20 +315,20 @@ def standard_rep(G: GroupModel, name: str) -> VirtualRep:
 
 
 def adams(ell: int, V: VirtualRep) -> VirtualRep:
-    """Adams operation: the class function g -> character(g^ell)."""
+    """Adams operation: the class function g -> character(g^ell). Over C_m
+    it sends L^s to L^(s ell); over Dic_m see `_restrict`."""
     if ell < 0:
         raise ValueError("Adams index must be >= 0")
     G = V.group
     if V.is_cyclic_side():
-        m = G.order
-        out = [0] * m
-        for a, c in enumerate(V.coeffs):
-            if c:
-                out[a * ell % m] += c
-        return VirtualRep(G, out, V.p_local)
-    vals = V.class_values()
-    pcm = character_table(G).power_class_map(ell)
-    return from_class_function(G, [vals[k] for k in pcm], V.p_local)
+        return VirtualRep(G, _exponent_map(V.coeffs, ell), V.p_local)
+    m = G.descriptor.m
+    r, a, b = _restrict(V.coeffs, m)
+    if ell % 2 == 0:
+        a, b = sum(-c if s * ell // 2 % 2 else c for s, c in enumerate(r)), 0
+    elif m % 2 and ell % 4 == 3:  # (-1)^(m(ell-1)/2) = -1
+        b = -b
+    return VirtualRep(G, _lift(_exponent_map(r, ell), a, b, m), V.p_local)
 
 
 def linearize(X: VirtualGSet) -> VirtualRep:
@@ -371,6 +350,67 @@ def linearize(X: VirtualGSet) -> VirtualRep:
         CyclotomicElement.from_rational(mk[G.cyclic_class_of(r)]) for r in table.reps
     ]
     return from_class_function(G, vals, X.p_local)
+
+
+def _convolve(u, v) -> list:
+    """The product of u and v in Z[x]/(x^n - 1), n = len(u) = len(v)."""
+    n = len(u)
+    out = [0] * n
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    out[(i + j) % n] += x * y
+    return out
+
+
+def _exponent_map(u, ell: int) -> list:
+    """The ring endomorphism x -> x^ell of Z[x]/(x^n - 1), n = len(u)."""
+    n = len(u)
+    out = [0] * n
+    for s, c in enumerate(u):
+        if c:
+            out[s * ell % n] += c
+    return out
+
+
+def _restrict(coeffs, m: int) -> tuple:
+    """A Dic_m coefficient vector c as (r, a, b): r in Q^2m the coefficients
+    of its restriction to <x> = C_2m over the lines L^s (L(x) = zeta_2m),
+    a = c(u0) - c(u1) and b = c(u2) - c(u3). `_lift` is the inverse.
+
+    Restriction: u0 and u1 restrict to L^0, u2 and u3 (which send x to -1)
+    to L^m, and rho_h to L^h + L^(2m-h), so r[0] = c(u0) + c(u1),
+    r[m] = c(u2) + c(u3) and r[h] = r[2m-h] = c(rho_h) for 0 < h < m. At j
+    the u's take 1, -1, t0, -t0 with t0^2 = u2(x^m) = (-1)^m, and every
+    rho_h vanishes, so V(j) = a + t0 b; at xj, V(xj) = a - t0 b, as u2 and
+    u3 change sign. Inverse: c(u0), c(u1) = (r[0] +- a)/2, c(u2), c(u3) =
+    (r[m] +- b)/2 and c(rho_h) = r[h]. So V -> (r, a, b) is injective, and
+    as every element of Dic_m is conjugate into <x> or to j or xj, the
+    ring operations may be computed on (r, a, b):
+    - product: restriction is a ring map, so r is the cyclic convolution of
+      r1 and r2, and V1 V2 (j) = (a1 + t0 b1)(a2 + t0 b2) gives
+      a = a1 a2 + (-1)^m b1 b2, b = a1 b2 + a2 b1;
+    - psi^ell: on <x> it sends L^s to L^(s ell). At j, j^2 = x^m, so for
+      odd ell, j^ell is j or j^3 = x^m j, which is conjugate to j for m even
+      and to xj for m odd, and likewise (xj)^ell is xj or x^(m+1) j: b
+      becomes (-1)^(m(ell-1)/2) b. For even ell,
+      j^ell = (xj)^ell = x^(m ell/2), where V takes
+      sum_s r[s] (-1)^(s ell/2), which is a, with b = 0.
+    """
+    n = 2 * m
+    r = [0] * n
+    r[0], r[m] = coeffs[0] + coeffs[1], coeffs[2] + coeffs[3]
+    for h in range(1, m):
+        r[h] = r[n - h] = coeffs[3 + h]
+    return r, coeffs[0] - coeffs[1], coeffs[2] - coeffs[3]
+
+
+def _lift(r, a, b, m: int) -> list:
+    """The Dic_m coefficients with restriction r (read at 0..m) and the
+    numbers a, b; the inverse of `_restrict`, halving exactly."""
+    return [Fraction(r[0] + a, 2), Fraction(r[0] - a, 2),
+            Fraction(r[m] + b, 2), Fraction(r[m] - b, 2), *r[1:m]]
 
 
 def _fourier(values: list, js) -> list:

@@ -694,6 +694,15 @@ def test_from_exponents_matches_the_sum_of_powers(kind: str) -> None:
     assert CyclotomicElement.from_exponents(4, [(0, Fraction(2, 1)), (5, 1)]).num == (2, 1)
 
 
+def test_from_exponents_integral_fractions_give_int_numerators() -> None:
+    """Fraction coefficients of denominator 1 were kept as Fraction
+    numerators, and every product of the element ran Fraction arithmetic."""
+    z = CyclotomicElement.from_exponents(4, [(0, Fraction(2, 1)), (1, 3)])
+    assert z == CyclotomicElement(4, [2, 3])
+    assert [type(c) for c in z.num] == [int, int] and z.den == 1
+    assert [type(c) for c in (z * z).num] == [int, int]
+
+
 def test_exponent_terms_lift_without_reduction() -> None:
     a = CyclotomicElement(8, [1, 0, Fraction(-1, 2), 3])
     assert a.den == 2

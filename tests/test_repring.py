@@ -194,6 +194,20 @@ def test_dicyclic_product_against_characters():
             assert ab.character(r) == a.character(r) * b.character(r)
 
 
+def test_irreducible_checks_its_index():
+    """Over Q8 irreducible(G, -1) returned rho1 and irreducible(G, 9)
+    raised IndexError."""
+    q8, c4 = G("Q8"), G("C4")
+    for g, size in ((q8, 5), (c4, 4)):
+        for index in (-1, size, 9):
+            with pytest.raises(ValueError, match=f"the basis has {size} elements"):
+                VirtualRep.irreducible(g, index)
+        assert [VirtualRep.irreducible(g, i).coeffs[i] for i in range(size)] == [1] * size
+    for i, j in ((-1, 0), (0, 5)):
+        with pytest.raises(ValueError, match="the basis has 5 elements"):
+            character_table(q8).product_coeffs(i, j)
+
+
 def test_rep_addition_scaling_and_p_local():
     g = G("C2")
     l = standard_rep(g, "L")
@@ -252,6 +266,128 @@ def test_adams_matches_power_characters():
         psi = adams(ell, h)
         for x in range(g.order):
             assert psi.character(x) == h.character(g.power(x, ell))
+
+
+# ---------------------------------------------------------------------------
+# Dic_m products and Adams operations on the restriction to <x>
+#
+# The oracles are the brute-force paths the library used before: products
+# through structure constants, each the decomposed pointwise product of two
+# character-table rows, and psi^ell through the class values, the power map
+# on classes and `from_class_function`.
+
+def oracle_product_coeffs(g, i, j):
+    """chi_i * chi_j in the irreducible basis, from the product of rows."""
+    table = character_table(g)
+    coeffs = table.decompose([a * b for a, b in zip(table.rows[i], table.rows[j])])
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)
+
+
+def oracle_product(v, w):
+    g = v.group
+    out = [Fraction(0)] * len(v.coeffs)
+    for i, x in enumerate(v.coeffs):
+        if x:
+            for j, y in enumerate(w.coeffs):
+                if y:
+                    for k, c in enumerate(oracle_product_coeffs(g, i, j)):
+                        if c:
+                            out[k] += x * y * c
+    return VirtualRep(g, out, v._merge_flag(w))
+
+
+def oracle_adams(ell, v):
+    g = v.group
+    vals = v.class_values()
+    pcm = [g.element_class_index(g.power(r, ell)) for r in character_table(g).reps]
+    return from_class_function(g, [vals[k] for k in pcm], v.p_local)
+
+
+def _dicyclic_samples(g, rng, terms=None):
+    """An honest, a virtual, a 2-local and a 3-local representation, with at
+    most `terms` nonzero coefficients if given."""
+    r = g.descriptor.m + 3
+    draws = [lambda: rng.choice((0, 0, 1, 2)), lambda: rng.randint(-3, 3),
+             lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 3, 5))),
+             lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 5)))]
+    for draw, p in zip(draws, (None, None, 2, 3)):
+        support = range(r) if terms is None else rng.sample(range(r), min(r, terms))
+        coeffs = [0] * r
+        for k in support:
+            coeffs[k] = draw()
+        yield VirtualRep(g, coeffs, p)
+
+
+# every ell mod 4, at both parities of m over Dic2-Dic32
+ELLS = (*range(10), 11, 15)
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_dicyclic_product_and_adams_match_the_class_value_oracles(m):
+    # few terms in the factors keep the oracle to a few structure constants
+    rng = random.Random(2000 + m)
+    g = G(f"Dic{m}")
+    left, right = list(_dicyclic_samples(g, rng, 3)), list(_dicyclic_samples(g, rng, 3))
+    pairs = list(zip(left, right)) + [(left[0], right[2]), (right[3], left[0])]
+    for v, w in pairs:
+        got = v * w
+        assert got == oracle_product(v, w) and got.p_local == v._merge_flag(w), (m, v, w)
+    reps = [*_dicyclic_samples(g, rng), standard_rep(g, "H"), standard_rep(g, "taut")]
+    for v in reps:
+        for ell in ELLS:
+            got = adams(ell, v)
+            assert got == oracle_adams(ell, v) and got.p_local == v.p_local, (m, ell, v)
+
+
+def test_product_coeffs_are_the_row_product_constants():
+    for name in ("Q8", "Dic3", "Q16", "Dic5"):
+        g = G(name)
+        table = character_table(g)
+        r = len(table.names)
+        for i in range(r):
+            for j in range(r):
+                got = table.product_coeffs(i, j)
+                assert got == oracle_product_coeffs(g, i, j), (name, i, j)
+                assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9, 16])
+def test_restriction_to_x_and_its_inverse(m):
+    """`_restrict` gives the restriction to <x> and the values a +- t0 b at
+    j and xj, and `_lift` inverts it on every symmetric r."""
+    from vone.repring import _lift, _restrict
+
+    rng = random.Random(3000 + m)
+    g = G(f"Dic{m}")
+    n = 2 * m
+    t0 = character_table(g).rows[2][g.element_class_index(n)]
+    for v in _dicyclic_samples(g, rng):
+        r, a, b = _restrict(v.coeffs, m)
+        assert tuple(_lift(r, a, b, m)) == v.coeffs
+        for s in range(n):
+            want = CyclotomicElement.from_exponents(n, [(t * s, c) for t, c in enumerate(r)])
+            assert v.character(s) == want
+        assert v.character(n) == t0 * b + a
+        assert v.character(n + 1) == a - t0 * b
+    for _ in range(5):
+        r = [Fraction(rng.randint(-6, 6), rng.choice((1, 3))) for _ in range(m + 1)]
+        r += r[m - 1:0:-1]
+        a, b = (Fraction(rng.randint(-6, 6), rng.choice((1, 7))) for _ in range(2))
+        assert _restrict(_lift(r, a, b, m), m) == (r, a, b)
+
+
+def test_dicyclic_product_over_q256_is_fast():
+    """H * H over Q256 decomposed a product of two table rows for each of
+    its 528 pairs of irreducibles: 4.3 s."""
+    g = G("Q256")
+    h = standard_rep(g, "H")
+    start = time.perf_counter()
+    hh = h * h
+    assert time.perf_counter() - start < 0.5
+    # the restriction of H is the sum of the 64 odd lines of C128
+    assert hh.coeffs == (32,) * 4 + tuple(64 * (h % 2 == 0) for h in range(1, 64))
+    assert hh.dim() == h.dim() ** 2
 
 
 # ---------------------------------------------------------------------------
