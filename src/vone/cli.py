@@ -37,11 +37,7 @@ from .jtheory import _check_adams_bits, default_ell, imj_order_oracle, theta
 from .limits import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, check_rows
 from .powerop import sq1_gset, sq1_int
 from .record import record
-from .repring import (
-    VirtualRep,
-    character_table,
-    standard_rep,
-)
+from .repring import VirtualRep, _irreducible_names, standard_rep
 
 __all__ = [
     "ExprAST",
@@ -227,7 +223,11 @@ def _resolve_orbit(G: GroupModel, inner: str) -> VirtualGSet:
     if "/" not in inner:
         raise ParseError(f"orbit term [{inner}] must have the form [G/H]")
     gname, label = inner.split("/", 1)
-    if gname != G.descriptor.name:
+    try:
+        same = GroupDescriptor.parse(gname) == G.descriptor
+    except ValueError:
+        same = False
+    if not same:
         raise ParseError(
             f"orbit group {gname!r} is not the active group {G.descriptor.name!r}"
         )
@@ -346,9 +346,9 @@ def _rep_symbol(G: GroupModel, node):
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     # cyclic irreducibles are 1, L and L^a, never a single name token, so
-    # only a dicyclic group needs its character table here
+    # only a dicyclic group's names are looked up here
     if G.descriptor.kind == "dicyclic":
-        names = character_table(G).names
+        names = _irreducible_names(G)
         if name in names:
             return VirtualRep.irreducible(G, names.index(name))
     raise ParseError(f"unknown representation name {name!r}")

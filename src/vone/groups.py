@@ -151,10 +151,9 @@ class GroupModel:
         self._elem_classes = None
         self._weyl = None
         self._submodels = {}
-        # tables of other layers, kept here so that they live and die with
-        # the model (burnside: marks entries; repring: character table)
+        # the marks entries of burnside, kept here so that they live and die
+        # with the model
         self._tom_entries = None
-        self._character_table = None
 
     # -- basic operations
 

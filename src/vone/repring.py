@@ -10,12 +10,14 @@ two numbers more (`_restrict`), through the same convolution and exponent
 map. Coefficients may be p-local rationals under the same flag discipline as
 virtual G-sets.
 
-Characters are class functions, read off the cached class values. Every
-decomposition is one transform, `_fourier`, of the values along the powers of
-an element, accumulated as integer vectors in exponent space, Z[x]/(x^N - 1)
-with N a common conductor, and reduced modulo Phi_N once: along g for fixed
-spaces and eigenvalues, along the generator of C_m, which has no character
-table, and along x, with the values at j and xj, over Dic_m.
+No table of character values is kept for either kind. A value is one sum
+over the lines of a cyclic group (`_line_sum`): of the coefficients over C_m,
+and over Dic_m of the restriction to <x> at x^s, or a +- t0 b at the classes
+of j and xj. Every decomposition is one transform, `_fourier`, of the values
+along the powers of an element, accumulated as integer vectors in exponent
+space, Z[x]/(x^N - 1) with N a common conductor, and reduced modulo Phi_N
+once: along g for fixed spaces and eigenvalues, along the generator of C_m,
+and along x, with the values at j and xj, over Dic_m.
 """
 
 from __future__ import annotations
@@ -60,35 +62,19 @@ __all__ = [
 
 
 class CharacterTable:
-    """The irreducible characters of Dic_m as exact cyclotomic class
-    functions: 1, u1, u2, u3, rho_1, ..., rho_(m-1). RU(C_m) has no table."""
+    """The irreducibles of Dic_m, 1, u1, u2, u3, rho_1, ..., rho_(m-1): their
+    names, the class representatives, and the expansion of a class function
+    over them. No character value is stored: `VirtualRep.character` reads
+    them off the restriction to <x> (`_restrict`). RU(C_m) has no table."""
 
     def __init__(self, group: GroupModel):
         if group.descriptor.kind != "dicyclic":
             raise ValueError("character tables are built over dicyclic groups")
         self.group = group
-        self.classes = group.element_conjugacy_classes()
-        self.reps = reps = tuple(c[0] for c in self.classes)
-        # the linear characters take s^r at x^r and t s^a at x^a j, where
-        # t0 = u2(j) has t0^2 = u2(x^m) = (-1)^m; rho_h vanishes off <x>
-        m = group.descriptor.m
-        n = 2 * m
-        one, zero = CyclotomicElement.one(), CyclotomicElement.zero()
-        t0 = one if m % 2 == 0 else CyclotomicElement.zeta(4)
-        rows = [
-            tuple([CyclotomicElement.from_rational(s**r) if r < n else t * s ** (r - n)
-                   for r in reps])
-            for s, t in ((1, one), (1, -one), (-1, t0), (-1, -t0))
-        ]
-        for h in range(1, m):
-            rows.append(tuple([
-                CyclotomicElement.zeta(n, h * r) + CyclotomicElement.zeta(n, -h * r)
-                if r < n else zero
-                for r in reps
-            ]))
-        self.rows = tuple(rows)
-        self.dims = (1,) * 4 + (2,) * (m - 1)
-        self.names = ("1", "u1", "u2", "u3", *(f"rho{h}" for h in range(1, m)))
+
+    # read on demand, so that a table costs nothing to make
+    reps = property(lambda self: tuple([c[0] for c in self.group.element_conjugacy_classes()]))
+    names = property(lambda self: _irreducible_names(self.group))
 
     def decompose(self, values) -> tuple:
         """Inner products of a class function f, one value per class,
@@ -113,15 +99,14 @@ class CharacterTable:
         `_lift` gives the coefficients. All m + 3 are rational exactly when
         a, b and F(0), ..., F(m), one `_fourier` transform, are.
         """
-        values = _class_function(self.group, values, len(self.classes))
         m = self.group.descriptor.m
+        values = _class_function(self.group, values, m + 3)
         idx = self.group.element_class_index
         F = _fourier([values[idx(r)] for r in range(2 * m)], range(m + 1))
-        cj = idx(2 * m)  # the class of j; xj is 2m + 1
-        fj, fxj = values[cj], values[idx(2 * m + 1)]
-        # twice a and b, with 1/t0 = conj(t0)
+        fj, fxj = values[idx(2 * m)], values[idx(2 * m + 1)]
+        # twice a and b, with 1/t0 = t0 / t0^2 = (-1)^m t0
         s0 = fj + fxj
-        s1 = (fj - fxj) * self.rows[2][cj].conjugate()
+        s1 = (fj - fxj) * _T0[m % 2] * (-1) ** m
         if not (s0.is_rational() and s1.is_rational()):
             raise ArithmeticError("class function is not rational over the irreducibles")
         return tuple(_lift(F, Fraction(s0.rational_value(), 2),
@@ -133,20 +118,30 @@ class CharacterTable:
         return (VirtualRep.irreducible(G, i) * VirtualRep.irreducible(G, j)).coeffs
 
 
-def _line_name(a: int) -> str:
-    if a == 0:
-        return "1"
-    if a == 1:
-        return "L"
-    return f"L^{a}"
+def _irreducible_names(G: GroupModel) -> tuple:
+    """The names of the irreducibles in basis order: 1, L, L^2, ... over
+    C_m and 1, u1, u2, u3, rho1, ..., rho(m-1) over Dic_m."""
+    if G.descriptor.kind == "cyclic":
+        return ("1", "L", *[f"L^{a}" for a in range(2, G.order)])[:G.order]
+    return ("1", "u1", "u2", "u3", *[f"rho{h}" for h in range(1, G.descriptor.m)])
+
+
+# t0 = u2(j) over Dic_m, indexed by m % 2: t0^2 = u2(x^m) = (-1)^m, so t0 is
+# 1 for m even and i for m odd
+_T0 = (CyclotomicElement.one(), CyclotomicElement.zeta(4))
+
+
+def _line_sum(coeffs, s: int) -> CyclotomicElement:
+    """sum_a coeffs[a] zeta_k^(a s), k = len(coeffs): the character with
+    these multiplicities of the lines L^a of C_k at the element s."""
+    k = len(coeffs)
+    return CyclotomicElement.from_exponents(k, [(a * s, c) for a, c in enumerate(coeffs)])
 
 
 def character_table(G: GroupModel) -> CharacterTable:
-    """The character table of Dic_m, built once and kept on the model;
-    ValueError over C_m."""
-    if G._character_table is None:
-        G._character_table = CharacterTable(G)
-    return G._character_table
+    """The irreducibles of Dic_m (see `CharacterTable`), which hold no
+    values, so nothing is kept on the model; ValueError over C_m."""
+    return CharacterTable(G)
 
 
 class VirtualRep(VirtualElement):
@@ -167,9 +162,7 @@ class VirtualRep(VirtualElement):
         return group.order if group.descriptor.kind == "cyclic" else group.descriptor.m + 3
 
     def _names(self):
-        if self.is_cyclic_side():
-            return [_line_name(a) for a in range(self.group.order)]
-        return character_table(self.group).names
+        return _irreducible_names(self.group)
 
     # -- constructors
 
@@ -201,8 +194,7 @@ class VirtualRep(VirtualElement):
     def regular(cls, group: GroupModel) -> "VirtualRep":
         if group.descriptor.kind == "cyclic":
             return cls(group, [1] * group.order)
-        table = character_table(group)
-        return cls(group, table.dims)
+        return cls(group, (1,) * 4 + (2,) * (group.descriptor.m - 1))
 
     # -- structure
 
@@ -213,22 +205,24 @@ class VirtualRep(VirtualElement):
         return all(isinstance(c, int) and c >= 0 for c in self.coeffs)
 
     def dim(self):
+        """The value at e, over Dic_m that of the restriction to <x>."""
         if self.is_cyclic_side():
             return sum(self.coeffs)
-        dims = character_table(self.group).dims
-        return sum(c * d for c, d in zip(self.coeffs, dims))
+        return sum(_restrict(self.coeffs, self.group.descriptor.m)[0])
 
     def character(self, g: int) -> CyclotomicElement:
+        """The value at g: over C_m a sum of powers of zeta_m; over Dic_m
+        that of the restriction r to <x> at x^s, and a +- t0 b at x^s j
+        (see `_restrict`)."""
         self.group.check_element(g)
         if self.is_cyclic_side():
-            pairs = [(a * g, c) for a, c in enumerate(self.coeffs)]
-            return CyclotomicElement.from_exponents(self.group.order, pairs)
-        k = self.group.element_class_index(g)
-        out = CyclotomicElement.zero(1)
-        for c, row in zip(self.coeffs, character_table(self.group).rows):
-            if c:
-                out = out + c * row[k]
-        return out
+            return _line_sum(self.coeffs, g)
+        m = self.group.descriptor.m
+        r, a, b = _restrict(self.coeffs, m)
+        if g < 2 * m:
+            return _line_sum(r, g)
+        tb = _T0[m % 2] * b
+        return tb + a if g % 2 == 0 else -tb + a  # j's class or xj's
 
     def class_values(self) -> tuple:
         """Character value at each element conjugacy class, in class order."""
@@ -345,9 +339,9 @@ def linearize(X: VirtualGSet) -> VirtualRep:
                     out[a] += c
         return VirtualRep(G, out, X.p_local)
     mk = marks(X)
-    table = character_table(G)
     vals = [
-        CyclotomicElement.from_rational(mk[G.cyclic_class_of(r)]) for r in table.reps
+        CyclotomicElement.from_rational(mk[G.cyclic_class_of(c[0])])
+        for c in G.element_conjugacy_classes()
     ]
     return from_class_function(G, vals, X.p_local)
 

@@ -277,6 +277,28 @@ def test_certified_matches_quaternion_table():
         assert cert.verdict == "certified", t
 
 
+def test_quaternion_certificate_past_the_order_bound_reads_no_table(monkeypatch):
+    """Over Q2048 with V = 8H the fixed point and rationality checks read
+    the class values off the restriction to <x>; building the 515 x 515
+    cyclotomic table for them took 35.8 s. The closed forms: |G| = 2^11
+    gives n = 11, dim V = 8 phi(1024) = 2^12 gives k = 13 and c_V = 1, and
+    lambda = (3^4096 - 1)/2^11 has valuation 2 + 12 - 11 = 3 = k + 1 - n."""
+    import vone.groups as groups
+
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**11)
+    g = groups.GroupModel(GroupDescriptor.quaternion(2**11))
+    V = 8 * standard_rep(g, "H")
+    for label, t, verdict in ((0, 11, "hypothesis-failed"), ("Q2048", 0, "certified")):
+        start = time.perf_counter()
+        cert = certify_self_map(g, orbit(g, label), V)
+        took = time.perf_counter() - start
+        assert cert.verdict == verdict, label
+        assert cert.parameters == SelfMapParameters(2, 11, t, 1, 13, 1, 3)
+        assert cert.multiplicity == 8
+        assert cert.step2.report.valuation == 3 and cert.step2.passed
+        assert took < 3.0, f"the certificate over Q2048 took {took:.2f} s"
+
+
 def test_certify_rejects_a_setting_outside_the_theorem():
     """The setting is checked before any step runs and a bad one raises.
     Q8 with X over C4 used to come out certified, and the others as

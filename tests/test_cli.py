@@ -128,13 +128,18 @@ def test_parse_rep_errors():
         parse_rep("", c4)
 
 
-def test_parse_rep_unknown_name_over_a_cyclic_group_builds_no_character_table():
-    # a model of its own, not the shared one from build_group
+def test_parse_rep_unknown_name_over_a_cyclic_group_builds_no_character_table(monkeypatch):
+    """Cyclic irreducibles are 1, L and L^a, so no name is looked up."""
+    import vone.cli as cli
+
+    def refuse(G):
+        raise AssertionError("irreducible names were listed")
+
+    monkeypatch.setattr(cli, "_irreducible_names", refuse)
     c64 = GroupModel(GroupDescriptor.cyclic_of_order(64))
     with pytest.raises(ParseError, match="unknown representation name 'u1'"):
         parse_rep("u1", c64)
     assert parse_rep("L^3+reg-W", c64).coeffs[3] == 1
-    assert c64._character_table is None
 
 
 def _random_gset_text(rng, G):
@@ -322,6 +327,32 @@ def json_error(*argv) -> str:
     assert (code, err, list(doc)) == (2, "", ["schema", "error"]), argv
     assert doc["schema"] == "1"
     return doc["error"]
+
+
+def test_orbit_group_is_matched_by_group_not_spelling():
+    """[Dic2/e] under --group Dic2 and [C08/e] under --group C08 name the
+    active group, whose names are Q8 and C8: both exited 2 with "orbit group
+    'Dic2' is not the active group 'Q8'". They certify as the canonical
+    spelling does; only the echoed input text differs."""
+    for group, spelled, name, rep, want_code in (("Dic2", "Dic2", "Q8", "H", 1),
+                                                  ("Q8", "Dic2", "Q8", "H", 1),
+                                                  ("C08", "C08", "C8", "8*W", 0)):
+        code, out, err = go("certify", "--group", group, "--gset", f"[{spelled}/e]",
+                            "--rep", rep, "--json")
+        assert (code, err) == (want_code, ""), (group, spelled)
+        base = go("certify", "--group", name, "--gset", f"[{name}/e]", "--rep", rep, "--json")
+        doc, want = json.loads(out), json.loads(base[1])
+        assert doc["inputs"].pop("gset") == f"[{spelled}/e]"
+        del want["inputs"]["gset"]
+        assert doc == want and base[0] == want_code
+
+
+def test_orbit_of_another_or_no_group_is_an_input_error():
+    for spelled in ("C4", "X", "Dic1", "Q12"):
+        message = f"orbit group {spelled!r} is not the active group 'C8'"
+        argv = ("certify", "--group", "C8", "--gset", f"[{spelled}/e]", "--rep", "8*W")
+        assert go(*argv) == (2, "", f"error: {message}\n"), spelled
+        assert json_error(*argv, "--json") == message, spelled
 
 
 def test_cli_enumerate_rejects_negative_bounds():

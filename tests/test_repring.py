@@ -59,8 +59,45 @@ class CyclicTable:
         self.dims = (1,) * m
 
 
+class DicyclicTable:
+    """The (m+3) x (m+3) table of cyclotomic character values of Dic_m,
+    rows 1, u1, u2, u3, rho_1, ..., rho_(m-1), built entry by entry: the
+    oracle for the values the library reads off the restriction to <x>.
+    The linear characters take s^r at x^r and t s^a at x^a j, where
+    t0 = u2(j) has t0^2 = u2(x^m) = (-1)^m; rho_h takes
+    zeta_2m^(hr) + zeta_2m^(-hr) at x^r and vanishes off <x>."""
+
+    def __init__(self, group):
+        m = group.descriptor.m
+        n = 2 * m
+        self.group = group
+        self.classes = group.element_conjugacy_classes()
+        self.reps = reps = tuple(c[0] for c in self.classes)
+        one, zero = CyclotomicElement.one(), CyclotomicElement.zero()
+        t0 = one if m % 2 == 0 else CyclotomicElement.zeta(4)
+        rows = [
+            tuple([CyclotomicElement.from_rational(s**r) if r < n else t * s ** (r - n)
+                   for r in reps])
+            for s, t in ((1, one), (1, -one), (-1, t0), (-1, -t0))
+        ]
+        for h in range(1, m):
+            rows.append(tuple([
+                CyclotomicElement.zeta(n, h * r) + CyclotomicElement.zeta(n, -h * r)
+                if r < n else zero
+                for r in reps
+            ]))
+        self.rows = tuple(rows)
+        self.dims = (1,) * 4 + (2,) * (m - 1)
+
+    def character(self, v, g):
+        """The value of v at g, summed over the rows."""
+        k = self.group.element_class_index(g)
+        return sum((c * row[k] for c, row in zip(v.coeffs, self.rows) if c),
+                   CyclotomicElement.zero(1))
+
+
 def table_of(g):
-    return CyclicTable(g) if g.descriptor.kind == "cyclic" else character_table(g)
+    return CyclicTable(g) if g.descriptor.kind == "cyclic" else DicyclicTable(g)
 
 
 def decompose(g, values, p_local=None):
@@ -77,7 +114,7 @@ def decompose(g, values, p_local=None):
 
 def test_dicyclic_orthogonality():
     for name in ("Q8", "Q16", "Q32", "Q64", "Dic3", "Dic5", "Dic6"):
-        table = character_table(G(name))
+        table = DicyclicTable(G(name))
         n = len(table.rows)
         assert n == table.group.descriptor.m + 3
         for i in range(n):
@@ -87,17 +124,21 @@ def test_dicyclic_orthogonality():
 
 def test_q8_character_table_values():
     # classes of Q8: (e), (x, x^3), (x^2), (j, x^2 j), (xj, x^3 j)
-    table = character_table(G("Q8"))
+    q8 = G("Q8")
+    table = DicyclicTable(q8)
     assert tuple(len(c) for c in table.classes) == (1, 2, 1, 2, 2)
     assert table.dims == (1, 1, 1, 1, 2)
-    got = [[v.rational_value() for v in row] for row in table.rows]
-    assert got == [
+    want = [
         [1, 1, 1, 1, 1],
         [1, 1, 1, -1, -1],
         [1, -1, 1, 1, -1],
         [1, -1, 1, -1, 1],
         [2, 0, -2, 0, 0],
     ]
+    assert [[v.rational_value() for v in row] for row in table.rows] == want
+    irreps = [VirtualRep.irreducible(q8, i) for i in range(5)]
+    assert [[v.character(r) for r in table.reps] for v in irreps] == want
+    assert [v.dim() for v in irreps] == list(table.dims)
 
 
 def test_trivial_row_first_and_dims():
@@ -110,14 +151,11 @@ def test_trivial_row_first_and_dims():
 
 def test_dic3_one_dims_use_i():
     # m odd: the two characters killing x take +-i on the j coset
-    table = character_table(G("Dic3"))
+    g = G("Dic3")
     i4 = CyclotomicElement.zeta(4)
-    jcls = table.group.element_class_index(6)
-    vals = {
-        repr(table.rows[2][jcls]),
-        repr(table.rows[3][jcls]),
-    }
-    assert vals == {repr(i4), repr(-i4)}
+    for x in (6, 7):  # j and xj
+        vals = {repr(VirtualRep.irreducible(g, k).character(x)) for k in (2, 3)}
+        assert vals == {repr(i4), repr(-i4)}
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +198,37 @@ def test_h_rep_dimension_and_fpf():
     assert standard_rep(q8, "H") == standard_rep(q8, "taut")
 
 
-def test_standard_rep_builds_no_character_table():
+def test_standard_rep_builds_no_character_table(monkeypatch):
     """standard_rep(G, "H") built the character table into an unused local,
     0.32 s at Q512."""
+    import vone.repring as repring
     from vone.groups import GroupModel
 
+    def refuse(self, group):
+        raise AssertionError("a character table was built")
+
+    monkeypatch.setattr(repring.CharacterTable, "__init__", refuse)
     for name in ("Q8", "Q512", "Dic3"):
         g = GroupModel(GroupDescriptor.parse(name))
         for rep in ("H", "taut"):
             standard_rep(g, rep)
-        assert g._character_table is None, name
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_characters_dimensions_and_regular_match_the_table(m):
+    """Characters at every element, class values and dimensions of honest,
+    virtual and p-local representations, read off the restriction to <x>,
+    against the cyclotomic table; m runs over both parities."""
+    rng = random.Random(4000 + m)
+    g = G(f"Dic{m}")
+    table = DicyclicTable(g)
+    reps = [*_dicyclic_samples(g, rng), standard_rep(g, "H"), standard_rep(g, "taut")]
+    for v in reps:
+        for x in range(g.order):
+            assert v.character(x) == table.character(v, x), (m, v, x)
+        assert v.class_values() == tuple(table.character(v, r) for r in table.reps), (m, v)
+        assert v.dim() == sum(c * d for c, d in zip(v.coeffs, table.dims)), (m, v)
+    assert VirtualRep.regular(g).coeffs == table.dims
 
 
 def test_cyclic_product_is_convolution():
@@ -278,8 +337,8 @@ def test_adams_matches_power_characters():
 
 def oracle_product_coeffs(g, i, j):
     """chi_i * chi_j in the irreducible basis, from the product of rows."""
-    table = character_table(g)
-    coeffs = table.decompose([a * b for a, b in zip(table.rows[i], table.rows[j])])
+    rows = DicyclicTable(g).rows
+    coeffs = character_table(g).decompose([a * b for a, b in zip(rows[i], rows[j])])
     assert all(c.denominator == 1 for c in coeffs)
     return tuple(int(c) for c in coeffs)
 
@@ -361,7 +420,7 @@ def test_restriction_to_x_and_its_inverse(m):
     rng = random.Random(3000 + m)
     g = G(f"Dic{m}")
     n = 2 * m
-    t0 = character_table(g).rows[2][g.element_class_index(n)]
+    t0 = DicyclicTable(g).rows[2][g.element_class_index(n)]
     for v in _dicyclic_samples(g, rng):
         r, a, b = _restrict(v.coeffs, m)
         assert tuple(_lift(r, a, b, m)) == v.coeffs
@@ -456,7 +515,6 @@ def test_fpf_examples():
 def test_fpf_dicyclic():
     q8 = G("Q8")
     assert is_fixed_point_free(standard_rep(q8, "taut"))
-    table = character_table(q8)
     one_dim = VirtualRep.irreducible(q8, 1)
     assert not is_fixed_point_free(one_dim)
     assert is_fixed_point_free(2 * standard_rep(q8, "taut"))
@@ -927,20 +985,20 @@ def test_decompose_matches_oracle_every_dicyclic(m):
     conjugate-row inner products; for odd m, u2 and u3 take +-i at j."""
     rng = random.Random(1000 + m)
     g = G(f"Dic{m}")
-    table = character_table(g)
+    table, lib = DicyclicTable(g), character_table(g)
     r = m + 3
     for prime in (2, 3):
         coeffs = [Fraction(rng.randint(-5, 5), rng.choice((1, 5, 7))) for _ in range(r)]
         v = VirtualRep(g, coeffs, p_local=prime)
         values = v.class_values()
-        assert table.decompose(values) == oracle_decompose(table, values) == v.coeffs
+        assert lib.decompose(values) == oracle_decompose(table, values) == v.coeffs
     # rational combinations of irreducibles, with any denominators
     coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(r)]
     values = [
         sum((c * row[k] for c, row in zip(coeffs, table.rows)), CyclotomicElement.zero(1))
         for k in range(r)
     ]
-    assert table.decompose(values) == oracle_decompose(table, values) == tuple(coeffs)
+    assert lib.decompose(values) == oracle_decompose(table, values) == tuple(coeffs)
     # rational and cyclotomic class functions that are mostly not characters
     outcomes = set()
     for _ in range(2):
@@ -1016,15 +1074,20 @@ def test_eigenvalue_multiplicities_rejects_virtual():
 
 
 def test_character_table_lives_with_its_model():
+    """The table holds its model and no values; the model keeps nothing of
+    RU(G), so it dies once no table or representation holds it."""
     import gc
     import weakref
 
     from vone.groups import GroupModel
 
     g = GroupModel(GroupDescriptor.parse("Q16"))
-    assert character_table(g) is character_table(g)
+    table = character_table(g)
+    assert table.group is g and not hasattr(table, "rows")
+    assert not hasattr(g, "_character_table")
+    standard_rep(g, "H").class_values()
     ref = weakref.ref(g)
-    del g
+    del g, table
     gc.collect()
     assert ref() is None
 
@@ -1046,7 +1109,6 @@ def test_cyclic_groups_build_no_character_table():
     assert mults == (0, 1) + (0,) * 510
     assert from_class_function(g, line.class_values()) == line
     assert time.perf_counter() - start < 3.0
-    assert g._character_table is None
 
 
 def test_character_rejects_elements_outside_the_group():
@@ -1057,4 +1119,4 @@ def test_character_rejects_elements_outside_the_group():
     for x in (-1, 16):
         with pytest.raises(ValueError, match="not an element"):
             u1.character(x)
-    assert u1.character(15) == character_table(g).rows[1][g.element_class_index(15)]
+    assert u1.character(15) == DicyclicTable(g).rows[1][g.element_class_index(15)]
