@@ -3,9 +3,12 @@
 A virtual G-set is a coefficient vector over the subgroup conjugacy classes.
 Marks (fixed-point counts) embed A(G) into a product of integers; products
 are computed through marks and recovered by back substitution against the
-triangular table of marks, with an integrality assertion that would expose
-any bookkeeping bug. Coefficients may optionally be p-local rationals
-(denominators prime to p), matching how the surrounding arguments localize.
+triangular table of marks, in integers: each step is an exact division by
+a diagonal mark, and a quotient that does not divide (p-local input, or a
+mark vector that no integral X has) is the only place a Fraction enters.
+An integrality assertion would expose any bookkeeping bug. Coefficients
+may optionally be p-local rationals (denominators prime to p), matching
+how the surrounding arguments localize.
 """
 
 from __future__ import annotations
@@ -30,9 +33,18 @@ __all__ = [
 ]
 
 def _tom(G: GroupModel) -> tuple:
-    if G._tom_entries is None:
-        G._tom_entries = table_of_marks(G).entries
-    return G._tom_entries
+    """The nonzero entries of the table of marks, kept on the model: per
+    row H the (K, mark) pairs, per column K the (H, mark) pairs below the
+    diagonal, and the diagonal |N(H):H|. The table is lower triangular in
+    class order (a K-fixed coset of H needs |K| <= |H|)."""
+    if G._tom_nonzero is None:
+        tom = table_of_marks(G).entries
+        r = len(tom)
+        rows = tuple([tuple([(k, t) for k, t in enumerate(row) if t]) for row in tom])
+        below = tuple([tuple([(h, tom[h][k]) for h in range(k + 1, r) if tom[h][k]])
+                       for k in range(r)])
+        G._tom_nonzero = (rows, below, tuple([tom[k][k] for k in range(r)]))
+    return G._tom_nonzero
 
 
 class VirtualGSet(VirtualElement):
@@ -87,24 +99,33 @@ def orbit(group: GroupModel, which) -> VirtualGSet:
 
 def marks(X: VirtualGSet) -> tuple:
     """Fixed-point count of X at each subgroup class, in class order."""
-    tom = _tom(X.group)
-    r = len(tom)
-    return tuple([sum(X.coeffs[h] * tom[h][k] for h in range(r)) for k in range(r)])
+    rows = _tom(X.group)[0]
+    out = [0] * len(rows)
+    for c, row in zip(X.coeffs, rows):
+        if c:
+            for k, t in row:
+                out[k] += c * t
+    return tuple(out)
 
 
 def from_marks(group: GroupModel, values, p_local: int | None = None) -> VirtualGSet:
-    """Invert the triangular table of marks; errors on non-integral input."""
-    tom = _tom(group)
-    r = len(tom)
-    vals = [Fraction(v) for v in values]
-    if len(vals) != r:
+    """Invert the triangular table of marks; errors on non-integral input.
+
+    Back substitution from [G/G] down: the coefficient at K is the mark at
+    K, less the orbits above it, divided by |N(K):K|. The division is exact
+    in integers while it divides; one that leaves a remainder gives a
+    Fraction, and VirtualGSet then decides whether that is p-local."""
+    _, below, diag = _tom(group)
+    vals = [v if type(v) is int else Fraction(v) for v in values]
+    if len(vals) != len(diag):
         raise ValueError("mark vector length mismatch")
-    coeffs = [Fraction(0)] * r
-    for k in range(r - 1, -1, -1):
+    coeffs = [0] * len(diag)
+    for k in range(len(diag) - 1, -1, -1):
         acc = vals[k]
-        for h in range(k + 1, r):
-            acc -= coeffs[h] * tom[h][k]
-        coeffs[k] = acc / tom[k][k]
+        for h, t in below[k]:
+            acc -= coeffs[h] * t
+        q, rem = divmod(acc, diag[k])
+        coeffs[k] = Fraction(acc, diag[k]) if rem else q
     try:
         return VirtualGSet(group, coeffs, p_local)
     except ValueError as exc:
@@ -126,8 +147,9 @@ def bmul(X: VirtualGSet, Y: VirtualGSet) -> VirtualGSet:
 
 
 def cardinality(X: VirtualGSet, p: int) -> CardinalityDecomposition:
-    """Virtual cardinality of X as p^t * c."""
-    card = marks(X)[0]
+    """Virtual cardinality of X as p^t * c: its mark at e, to which
+    [G/H] contributes its index."""
+    card = sum(c * cls.index for c, cls in zip(X.coeffs, X.group.subgroup_classes()))
     if card == 0:
         raise ValueError("virtual cardinality is zero; no p^t * c decomposition")
     t = pvaluation(Fraction(card), p)

@@ -151,9 +151,9 @@ class GroupModel:
         self._elem_classes = None
         self._weyl = None
         self._submodels = {}
-        # the marks entries of burnside, kept here so that they live and die
+        # the nonzero marks of burnside, kept here so that they live and die
         # with the model
-        self._tom_entries = None
+        self._tom_nonzero = None
 
     # -- basic operations
 

@@ -5,8 +5,9 @@ element through 1 + z + ... + z^(ell-1). For a fixed point free
 representation with rational characters and ell prime to |G| the class
 collapses to 1 + lambda*[regular] with lambda = (ell^dim - 1)/|G| (Adams,
 On the groups J(X) II, Topology 3, 1965), so the certificates read lambda
-off that closed form and never convolve; `theta` computes the class itself
-and the tests hold the two against each other. The p-adic valuation of
+off that closed form and never convolve, and `theta` returns it for such V;
+`_theta_convolution` computes the class factor by factor for any V, and the
+tests hold the two against each other. The p-adic valuation of
 lambda is the quantity the self-map certificates consume. Over a cyclic
 p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
 permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
@@ -130,13 +131,26 @@ def _check_adams_bits(ell: int, dim: int) -> None:
 def theta(ell: int, V: VirtualRep) -> VirtualRep:
     """Multiplicative Bott class: eigenvalue z of g on V contributes the
     factor 1 + z + ... + z^(ell-1) to the character at g. Its value at e
-    is ell^dim(V), bounded by `MAX_ADAMS_BITS` before anything is
-    convolved."""
+    is ell^dim(V), bounded by `MAX_ADAMS_BITS` before anything else. For
+    V fixed point free with rational characters and ell prime to |G| it
+    is 1 + ((ell^dim - 1)/|G|)*[regular] by the argument of
+    `verify_adams_bott`, which needs no more of |G| than that, so nothing
+    is convolved; any other V goes through `_theta_convolution`."""
     if ell < 1:
         raise ValueError("theta needs ell >= 1")
     if not V.is_honest():
         raise ValueError("theta is defined on honest representations")
-    _check_adams_bits(ell, V.dim())
+    dim = V.dim()
+    _check_adams_bits(ell, dim)
+    G = V.group
+    if gcd(ell, G.order) == 1 and is_fixed_point_free(V) and has_rational_characters(V):
+        return VirtualRep.trivial(G) + (ell**dim - 1) // G.order * VirtualRep.regular(G)
+    return _theta_convolution(ell, V)
+
+
+def _theta_convolution(ell: int, V: VirtualRep) -> VirtualRep:
+    """theta^ell(V) for an honest V, factor by factor: over C_m a product
+    of the classes of the lines, over Dic_m a class function decomposed."""
     G = V.group
     if V.is_cyclic_side():
         # group equal multiplicities so high powers run on one base product
@@ -224,7 +238,7 @@ def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     elsewhere is (ell^dim - 1)/|G| times the regular character. It is
     theta - 1, a virtual representation, so lambda, its multiplicity of the
     trivial representation, is an integer. The tests hold this closed form
-    against the convolution `theta`.
+    against `_theta_convolution`.
     """
     G = V.group
     p, n = _group_prime(G)

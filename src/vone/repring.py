@@ -13,11 +13,14 @@ virtual G-sets.
 No table of character values is kept for either kind. A value is one sum
 over the lines of a cyclic group (`_line_sum`): of the coefficients over C_m,
 and over Dic_m of the restriction to <x> at x^s, or a +- t0 b at the classes
-of j and xj. Every decomposition is one transform, `_fourier`, of the values
-along the powers of an element, accumulated as integer vectors in exponent
-space, Z[x]/(x^N - 1) with N a common conductor, and reduced modulo Phi_N
-once: along g for fixed spaces and eigenvalues, along the generator of C_m,
-and along x, with the values at j and xj, over Dic_m.
+of j and xj. Over C_m the eigenvalues of an element are read off the
+coefficients as well. Every decomposition is one transform, `_fourier`, of
+the values along the powers of an element, accumulated as integer vectors
+in exponent space, Z[x]/(x^N - 1) with N a common conductor, and reduced
+modulo Phi_N once: along g for fixed spaces and eigenvalues over Dic_m,
+along the generator of C_m, and along x, with the values at j and xj, over
+Dic_m. Linearization needs no transform: it is read off the marks of X in
+integers, over Dic_m through the restriction to <x>.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .burnside import VirtualGSet, bmul, marks, orbit
+from .burnside import VirtualGSet, bmul, from_marks, marks, orbit
 from .exactmath import (
     CyclotomicElement,
     IntMatrix,
@@ -36,7 +39,7 @@ from .exactmath import (
     poly_mul,
     prime_power,
 )
-from .groups import GroupModel
+from .groups import GroupDescriptor, GroupModel, build_group
 from .record import record
 from .virtual import VirtualElement
 
@@ -326,24 +329,50 @@ def adams(ell: int, V: VirtualRep) -> VirtualRep:
 
 
 def linearize(X: VirtualGSet) -> VirtualRep:
-    """Permutation representation C[X]: character at g is the mark of X
-    at the cyclic subgroup generated by g."""
+    """Permutation representation C[X]: its character at g is the mark of X
+    at <g>, the number of points g fixes.
+
+    Over C_m, [C_m/C_k] is induced from the trivial character of
+    C_k = <g^(m/k)>, so it is the sum of the L^a trivial there, those with
+    k | a (`_permutation_lines`).
+
+    Over Dic_m, write C[X] as (r, a, b) (`_restrict`). Restriction to
+    <x> = C_2m commutes with linearization, as the points fixed by a
+    subgroup of <x> do not depend on the group it is seen in: r is the
+    cyclic rule applied to the restricted G-set, whose marks at <x^d>,
+    d | 2m, are those of X at the classes of <x^d>, and `from_marks` over
+    C_2m recovers it. The values at j and xj are the marks Vj and Vxj of X
+    at <j> and <xj>, and equal a + t0 b and a - t0 b. For m even, t0 = 1
+    and a, b = (Vj +- Vxj)/2. For m odd, x^m j lies in <j> and in the class
+    of xj, so <j> and <xj> are conjugate, Vj = Vxj, and with t0 = i the
+    rational solution is a = Vj, b = 0. `_lift` then gives the
+    coefficients. The tests hold this against the decomposition of the
+    class function of marks.
+    """
     G = X.group
     if G.descriptor.kind == "cyclic":
-        m = G.order
-        classes = G.subgroup_classes()
-        out = [Fraction(0)] * m
-        for cls, c in zip(classes, X.coeffs):
-            if c:
-                for a in range(0, m, cls.order):
-                    out[a] += c
-        return VirtualRep(G, out, X.p_local)
+        return VirtualRep(G, _permutation_lines(X), X.p_local)
+    m = G.descriptor.m
+    n = 2 * m
     mk = marks(X)
-    vals = [
-        CyclotomicElement.from_rational(mk[G.cyclic_class_of(c[0])])
-        for c in G.element_conjugacy_classes()
-    ]
-    return from_class_function(G, vals, X.p_local)
+    C = build_group(GroupDescriptor.cyclic_of_order(n))
+    res = from_marks(C, [mk[G.cyclic_class_of(n // cls.order % n)]
+                         for cls in C.subgroup_classes()], X.p_local)
+    vj, vxj = mk[G.cyclic_class_of(n)], mk[G.cyclic_class_of(n + 1)]
+    a, b = (vj, 0) if m % 2 else (Fraction(vj + vxj, 2), Fraction(vj - vxj, 2))
+    return VirtualRep(G, _lift(_permutation_lines(res), a, b, m), X.p_local)
+
+
+def _permutation_lines(X: VirtualGSet) -> list:
+    """The coefficients of C[X] over the lines of C_m for a C_m-set X:
+    [C_m/C_k] gives each L^a with k | a."""
+    m = X.group.order
+    out = [0] * m
+    for cls, c in zip(X.group.subgroup_classes(), X.coeffs):
+        if c:
+            for a in range(0, m, cls.order):
+                out[a] += c
+    return out
 
 
 def _convolve(u, v) -> list:
@@ -460,9 +489,24 @@ def _along(V: VirtualRep, g: int) -> list:
     return [vals[G.element_class_index(G.power(g, b))] for b in range(G.element_order(g))]
 
 
+def _cyclic_eigenvalues(V: VirtualRep, g: int) -> list:
+    """Over C_m, the multiplicity of zeta_k^j as an eigenvalue of g on V,
+    k the order of g: L^a takes zeta_m^(ag) at g, which is zeta_k^j for
+    ag = j(m/k) mod m, so it is the sum of the c_a over those a."""
+    m = V.group.order
+    step = gcd(g, m)  # m / k
+    out = [0] * (m // step)
+    for a, c in enumerate(V.coeffs):
+        if c:
+            out[a * g % m // step] += c
+    return out
+
+
 def fixed_space_dim(V: VirtualRep, g: int):
     """Dimension of the subspace of V fixed by g (averaging over <g>)."""
     V.group.check_element(g)
+    if V.is_cyclic_side():
+        return _cyclic_eigenvalues(V, g)[0]
     return _fourier(_along(V, g), (0,))[0]
 
 
@@ -471,9 +515,11 @@ def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
     where k is the order of g. Requires an honest representation."""
     if not V.is_honest():
         raise ValueError("eigenvalues need an honest representation")
-    k = V.group.element_order(g)
+    if V.is_cyclic_side():
+        V.group.check_element(g)
+        return tuple(_cyclic_eigenvalues(V, g))
     out = []
-    for q in _fourier(_along(V, g), range(k)):
+    for q in _fourier(_along(V, g), range(V.group.element_order(g))):
         if q.denominator != 1 or q < 0:
             raise ArithmeticError("non-integral eigenvalue multiplicity")
         out.append(int(q))

@@ -20,7 +20,7 @@ from vone.burnside import (
     orbit,
     restrict,
 )
-from vone.groups import GroupDescriptor, build_group
+from vone.groups import GroupDescriptor, build_group, table_of_marks
 
 
 def G(name: str):
@@ -321,3 +321,106 @@ def test_marks_table_is_not_shared_by_a_reused_model_id():
         c9 = GroupModel(GroupDescriptor.parse("C9"))
         assert marks(orbit(c9, 0)) == (9, 0, 0)
         del c9
+
+
+# ---------------------------------------------------------------------------
+# integer back substitution against the all-Fraction one
+
+
+def oracle_marks(X):
+    """Every entry of the table of marks, zero or not, summed per column."""
+    tom = table_of_marks(X.group).entries
+    r = len(tom)
+    return tuple(sum(X.coeffs[h] * tom[h][k] for h in range(r)) for k in range(r))
+
+
+def oracle_from_marks(group, values, p_local=None):
+    """Back substitution with every value and coefficient a Fraction."""
+    tom = table_of_marks(group).entries
+    r = len(tom)
+    vals = [Fraction(v) for v in values]
+    if len(vals) != r:
+        raise ValueError("mark vector length mismatch")
+    coeffs = [Fraction(0)] * r
+    for k in range(r - 1, -1, -1):
+        acc = vals[k]
+        for h in range(k + 1, r):
+            acc -= coeffs[h] * tom[h][k]
+        coeffs[k] = acc / tom[k][k]
+    try:
+        return VirtualGSet(group, coeffs, p_local)
+    except ValueError as exc:
+        raise ValueError(f"mark vector is not realized integrally: {exc}") from None
+
+
+def _same_result(group, values, p_local=None):
+    """from_marks and the oracle agree, or both raise the same message;
+    True when the vector is realized."""
+    try:
+        want = oracle_from_marks(group, values, p_local)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_marks(group, values, p_local)
+        assert str(got.value) == str(exc)
+        return False
+    assert from_marks(group, values, p_local) == want
+    return True
+
+
+def _check_integer_marks(g, rng):
+    r = len(g.subgroup_classes())
+    samples = [VirtualGSet(g, [rng.randint(-9, 9) for _ in range(r)]) for _ in range(3)]
+    samples.append(orbit(g, rng.randrange(r)))
+    for p in (2, 3):
+        samples.append(VirtualGSet(
+            g, [Fraction(rng.randint(-9, 9), rng.choice((1, 5, 7))) for _ in range(r)], p))
+    for x in samples:
+        mx = marks(x)
+        assert mx == oracle_marks(x)
+        assert from_marks(g, mx, x.p_local) == oracle_from_marks(g, mx, x.p_local) == x
+        y = samples[rng.randrange(len(samples))]
+        if x.p_local is None or y.p_local is None or x.p_local == y.p_local:
+            want = oracle_from_marks(g, [a * b for a, b in zip(mx, oracle_marks(y))],
+                                     x._merge_flag(y))
+            assert bmul(x, y) == want
+    # mark vectors that no integral X has, integrally, p-locally and with
+    # denominators; the message names the first bad coefficient either way
+    outcomes = set()
+    for _ in range(3):
+        values = [rng.randint(-9, 9) for _ in range(r)]
+        outcomes.add(_same_result(g, values))
+        outcomes.add(_same_result(g, values, rng.choice((2, 3))))
+        values = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(r)]
+        outcomes.add(_same_result(g, values, rng.choice((2, 3, 5))))
+    if r > 1:
+        assert False in outcomes
+
+
+def test_integer_back_substitution_matches_fractions_every_cyclic() -> None:
+    """C1-C128, prime-power orders and the others that Sq1 reads."""
+    rng = random.Random(77)
+    for m in range(1, 129):
+        _check_integer_marks(G(f"C{m}"), rng)
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_integer_back_substitution_matches_fractions_dicyclic(m: int) -> None:
+    _check_integer_marks(G(f"Dic{m}"), random.Random(7700 + m))
+
+
+def test_non_integral_mark_vector_message() -> None:
+    c2 = G("C2")
+    for values, p_local, why in (
+        ((1, 0), None, "non-integer coefficient on an integral G-set"),
+        ((1, 0), 2, "denominator not prime to 2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            from_marks(c2, values, p_local)
+        assert str(exc.value) == f"mark vector is not realized integrally: {why}"
+    # an integral X comes back with int coefficients, a p-local one with
+    # Fractions only where it has them
+    q16 = G("Q16")
+    x = 3 * orbit(q16, "C2") - orbit(q16, "e") + orbit(q16, "Q8b")
+    assert all(type(c) is int for c in from_marks(q16, marks(x)).coeffs)
+    got = from_marks(c2, (Fraction(3, 5), Fraction(1, 5)), p_local=2).coeffs
+    assert got == (Fraction(1, 5), Fraction(1, 5))

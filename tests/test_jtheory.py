@@ -19,6 +19,7 @@ from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
     _lambda_fixed_mod_X,
     _power_counts,
+    _theta_convolution,
     bott_shape,
     default_ell,
     imj_order_oracle,
@@ -258,6 +259,75 @@ def test_theta_large_ell_is_bounded():
     assert th - VirtualRep.trivial(c4) == (ell**2 - 1) // 4 * VirtualRep.regular(c4)
 
 
+def _fixed_point_free_rational_cases(names):
+    """(G, ell, c) for every V = c W over C_m, c H over Q_{2^n}, the fixed
+    point free honest V with rational characters: c = 0..3 for ell in 2, 3,
+    5, 7, and for the least of them prime to |G| also the largest c with
+    dim * bit_length(ell) <= 2^14. An ell that shares a prime with |G|
+    takes the convolution."""
+    for name in names:
+        g = build_group(GroupDescriptor.parse(name))
+        one = standard_rep(g, "W" if g.descriptor.kind == "cyclic" else "H")
+        least = next(ell for ell in (2, 3, 5, 7) if gcd(ell, g.order) == 1)
+        for ell in (2, 3, 5, 7):
+            cs = {0, 1, 2, 3}
+            if ell == least:
+                cs.add(2**14 // (one.dim() * ell.bit_length()))
+            for c in sorted(cs):
+                yield g, ell, c
+
+
+@pytest.mark.parametrize("names", [
+    [f"C{m}" for m in range(2, 33)], [f"C{m}" for m in range(33, 65)], ["Q8", "Q16", "Q32"],
+])
+def test_theta_closed_form_matches_convolution(names):
+    """theta, read off 1 + lambda [regular] for a fixed point free V with
+    rational characters and ell prime to |G| (C_m of any order), equals the
+    convolution; for other ell it is the convolution."""
+    for g, ell, c in _fixed_point_free_rational_cases(names):
+        V = c * standard_rep(g, "W" if g.descriptor.kind == "cyclic" else "H")
+        assert theta(ell, V) == _theta_convolution(ell, V), (g.descriptor.name, ell, c)
+
+
+def test_cli_theta_closed_form_prints_the_convolved_json(monkeypatch):
+    """`vone theta --json` prints the same bytes when theta convolves, for
+    c = 1..3 and the least ell of each group."""
+    import io
+
+    import vone.cli
+
+    def go(argv):
+        out, err = io.StringIO(), io.StringIO()
+        return vone.cli.run(argv, out, err), out.getvalue(), err.getvalue()
+
+    names = [f"C{m}" for m in range(2, 65)] + ["Q8", "Q16", "Q32"]
+    requests = []
+    for name in names:
+        order = build_group(GroupDescriptor.parse(name)).order
+        ell = next(ell for ell in (2, 3, 5, 7) if gcd(ell, order) == 1)
+        for c in (1, 2, 3):
+            rep = f"{c}*{'W' if name[0] == 'C' else 'H'}"
+            requests.append(["theta", "--group", name, "--rep", rep, "--ell", str(ell), "--json"])
+    closed = [go(argv) for argv in requests]
+    monkeypatch.setattr(vone.cli, "theta", _theta_convolution)
+    assert [go(argv) for argv in requests] == closed
+    assert {code for code, _, _ in closed} == {0}
+
+
+def test_cli_theta_of_35w_over_c512_is_fast():
+    """It convolved for 29.7 s, to print 1 + lambda [regular]."""
+    import io
+
+    from vone.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    assert run(["theta", "--group", "C512", "--rep", "35*W", "--json"], out, err) == 0
+    assert time.perf_counter() - start < 3.0
+    lam = (3 ** (35 * 256) - 1) // 512
+    assert f'"lam": "{lam}",' in out.getvalue()
+
+
 def _bott_k(dim, p):
     # k with dim = p^k c (p-1), or 2^(k-1) c at p = 2, c prime to p
     return pvaluation(dim, 2) + 1 if p == 2 else pvaluation(dim // (p - 1), p)
@@ -280,9 +350,8 @@ def test_adams_multiplier_matches_theta_convolution():
             for ell in (default_ell(p), 7):
                 r = verify_adams_bott(V, ell)
                 assert (r.p, r.n, r.k) == (p, n, k)
-                assert r.lam * VirtualRep.regular(g) == theta(ell, V) - VirtualRep.trivial(g), (
-                    g.descriptor.name, c, ell,
-                )
+                diff = _theta_convolution(ell, V) - VirtualRep.trivial(g)
+                assert r.lam * VirtualRep.regular(g) == diff, (g.descriptor.name, c, ell)
     assert time.perf_counter() - start < 3.0
 
 
@@ -316,7 +385,7 @@ def test_verify_adams_bott_identity_is_exact():
     c8 = cyc(8)
     r = verify_adams_bott(2 * standard_rep(c8, "W"), 3)
     reg = VirtualRep.regular(c8)
-    assert theta(r.ell, r.V) - VirtualRep.trivial(c8) == r.lam * reg
+    assert _theta_convolution(r.ell, r.V) - VirtualRep.trivial(c8) == r.lam * reg
     assert r.valuation == 2 and r.matches
 
 
@@ -417,7 +486,7 @@ def test_bott_fixed_matches_two_half_check():
         ell = default_ell(p)
         for c in (1, p):
             # the convolved theta - 1 against lambda * [regular]
-            diff = theta(ell, c * W) - VirtualRep.trivial(g)
+            diff = _theta_convolution(ell, c * W) - VirtualRep.trivial(g)
             lam = verify_adams_bott(c * W, ell).lam
             assert diff == lam * VirtualRep.regular(g), (m, c)
             for k in range(3):

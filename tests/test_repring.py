@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from vone import repring
 from vone.burnside import VirtualGSet, bmul, from_marks, marks, orbit
 from vone.exactmath import (
     CyclotomicElement,
@@ -495,6 +496,46 @@ def test_linearize_adams_fixed_for_unit_ell():
     lin = linearize(x)
     for ell in (3, 5, 7, 9):
         assert adams(ell, lin) == lin
+
+
+def oracle_linearize(X):
+    """The class function g -> mark of X at <g>, decomposed over the
+    irreducibles: the linearization before it was read off the marks."""
+    g = X.group
+    mk = marks(X)
+    vals = [CyclotomicElement.from_rational(mk[g.cyclic_class_of(c[0])])
+            for c in g.element_conjugacy_classes()]
+    return from_class_function(g, vals, X.p_local)
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_dicyclic_linearize_matches_the_class_function_oracle(m):
+    """Dic2-Dic64, m odd and even: every orbit up to Dic8 and one at random
+    after, random virtual X, and 2- and 3-local X with denominators."""
+    rng = random.Random(3100 + m)
+    g = G(f"Dic{m}")
+    r = len(g.subgroup_classes())
+    samples = [orbit(g, h) for h in range(r)] if m <= 8 else [orbit(g, rng.randrange(r))]
+    samples.append(VirtualGSet(g, [rng.randint(-4, 4) for _ in range(r)]))
+    for p in (2, 3):
+        samples.append(VirtualGSet(
+            g, [Fraction(rng.randint(-4, 4), rng.choice((1, 5, 7))) for _ in range(r)], p))
+    for x in samples:
+        got = linearize(x)
+        assert got == oracle_linearize(x), (m, x.coeffs)
+        assert got.p_local == x.p_local
+
+
+def test_linearize_over_q512_is_fast():
+    """Each orbit of Q512 took about 15 ms through the class function."""
+    g = G("Q512")
+    xs = [orbit(g, h) for h in range(len(g.subgroup_classes()))]
+    linearize(xs[0])
+    start = time.perf_counter()
+    lins = [linearize(x) for x in xs]
+    assert time.perf_counter() - start < 0.05
+    assert lins[0] == VirtualRep.regular(g)
+    assert lins[-1] == VirtualRep.trivial(g)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1078,28 @@ def test_fast_paths_mixed_denominators():
     values = v.class_values()
     table = CyclicTable(g)
     assert decompose(g, values, 2) == oracle_decompose(table, values) == v.coeffs
+
+
+def test_cyclic_eigenvalues_read_off_the_coefficients_match_class_values():
+    """C1-C64: the multiplicities summed over a g = j(m/k) mod m against the
+    transform of the class values along g, the path Dic_m still takes. Every
+    element up to C16, then one element of each order, its inverse and one
+    at random."""
+    rng = random.Random(73)
+    for m in range(1, 65):
+        g = G(f"C{m}")
+        honest = VirtualRep(g, [rng.choice((0, 0, 1, 2)) for _ in range(m)])
+        virtual = VirtualRep(g, [rng.randint(-2, 2) for _ in range(m)])
+        local = VirtualRep(g, [Fraction(rng.randint(-2, 2), rng.choice((1, 3, 5)))
+                               for _ in range(m)], p_local=2)
+        divs = [d for d in range(1, m + 1) if m % d == 0]
+        xs = range(m) if m <= 16 else {*(d % m for d in divs), *(-d % m for d in divs),
+                                       rng.randrange(m)}
+        for x in xs:
+            for v in (honest, virtual, local):
+                assert fixed_space_dim(v, x) == repring._fourier(repring._along(v, x), (0,))[0]
+            want = repring._fourier(repring._along(honest, x), range(g.element_order(x)))
+            assert eigenvalue_multiplicities(honest, x) == tuple(want)
 
 
 def test_decompose_rejects_non_characters_like_oracle():
