@@ -6,7 +6,9 @@ so every computation in this package is exact. An element of Q(zeta_N) is an
 integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
 with one common denominator, reduced modulo the N-th cyclotomic polynomial.
 The Smith form serves kernels and cokernels over Z; it carries U^-1 through
-its elimination for the cokernel generators. Membership in a Z_(p)-span
+its elimination for the cokernel generators. A cokernel of finite order D
+may instead be read off a Smith form modulo D (`cokernel_mod`), whose
+entries stay within D/2 of 0. Membership in a Z_(p)-span
 (`p_local_in_image`, step 2 of a cyclic certificate) is an elimination over
 the valuation ring Z_(p) and builds no Smith form.
 Nothing here touches floating point.
@@ -31,6 +33,7 @@ __all__ = [
     "divisors",
     "pvaluation",
     "poly_mul",
+    "poly_div_exact",
     "cyclotomic_poly",
     "CyclotomicElement",
     "bernoulli",
@@ -39,6 +42,8 @@ __all__ = [
     "kernel_basis",
     "p_local_in_image",
     "cokernel_data",
+    "kernel_and_cokernel",
+    "cokernel_mod",
 ]
 
 
@@ -175,8 +180,9 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # den must be monic and divide num exactly
+def poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for a monic den dividing num in Z[x], constant term first;
+    ArithmeticError when the division leaves a remainder."""
     num = list(num)
     dd = len(den) - 1
     q = [0] * (len(num) - dd)
@@ -204,7 +210,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         return (-1, 1)
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        num = _poly_div_exact(num, cyclotomic_poly(d))
+        num = poly_div_exact(num, cyclotomic_poly(d))
     return tuple(num)
 
 
@@ -525,6 +531,15 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _of(cls, rows) -> "IntMatrix":
+        # rows: a nonempty sequence of equally long nonempty sequences of ints
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", len(rows))
+        object.__setattr__(out, "cols", len(rows[0]))
+        object.__setattr__(out, "entries", tuple([tuple(row) for row in rows]))
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("IntMatrix is immutable")
 
@@ -604,15 +619,18 @@ def smith_normal_form(
 
     m = min(r, c)
     for t in range(m):
+        # the first entry of least absolute value, in row-major order
         best = None
         for i in range(t, r):
-            for j in range(t, c):
-                mag = abs(a[i][j])
-                if mag and (best is None or mag < best[0]):
-                    best = (mag, i, j)
+            least = min(map(abs, filter(None, a[i][t:])), default=0)
+            if least and (best is None or least < best[0]):
+                best = (least, i)
+                if least == 1:
+                    break
         if best is None:
             break
-        _, pi, pj = best
+        least, pi = best
+        pj = next(j for j in range(t, c) if abs(a[pi][j]) == least)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -656,7 +674,7 @@ def smith_normal_form(
             if bad is None:
                 break
             row_addmul(t, bad, 1)
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v), IntMatrix.from_columns(w)
+    return IntMatrix._of(a), IntMatrix._of(u), IntMatrix._of(v), IntMatrix._of(list(zip(*w)))
 
 
 def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
@@ -664,9 +682,13 @@ def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
 
     Columns of V beyond the rank of the Smith form give a saturated basis.
     """
-    d, _, v, _ = smith_normal_form(mat)
+    return _kernel(smith_normal_form(mat))
+
+
+def _kernel(snf) -> list[tuple[int, ...]]:
+    d, _, v, _ = snf
     rank = sum(1 for x in d.diag() if x)
-    return [v.column(j) for j in range(rank, mat.cols)]
+    return [v.column(j) for j in range(rank, v.cols)]
 
 
 def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
@@ -747,9 +769,147 @@ def cokernel_data(
     one per free summand. With U*mat*V = D, the columns of U^-1 are a basis
     of Z^rows in which the column span is d_i times the i-th basis vector.
     """
-    d, _, _, uinv = smith_normal_form(mat)
-    diag = d.diag() + [0] * (mat.rows - min(mat.rows, mat.cols))
+    return _cokernel(smith_normal_form(mat))
+
+
+def _cokernel(snf) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    d, _, _, uinv = snf
+    diag = d.diag() + [0] * (d.rows - min(d.rows, d.cols))
     factors = tuple([x for x in diag if x > 1])
     gens = [uinv.column(i) for i, x in enumerate(diag) if x > 1]
     gens += [uinv.column(i) for i, x in enumerate(diag) if x == 0]
     return diag.count(0), factors, tuple(gens)
+
+
+def kernel_and_cokernel(mat: IntMatrix) -> tuple[list, tuple]:
+    """(`kernel_basis(mat)`, `cokernel_data(mat)`) from one Smith form."""
+    snf = smith_normal_form(mat)
+    return _kernel(snf), _cokernel(snf)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    x, y = abs(a), abs(b)
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, (s0 if a >= 0 else -s0), (t0 if b >= 0 else -t0)
+
+
+def cokernel_mod(
+    mat: IntMatrix, modulus: int,
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`cokernel_data` of a square matrix whose column lattice L contains
+    modulus * Z^k, for instance modulus = |det mat| != 0 or a multiple of
+    it. The answer has the same form, with free rank 0 and each generator
+    entry reduced into [0, d), d the largest factor; the elimination keeps
+    every entry in [-modulus/2, modulus/2].
+
+    The Smith form modulo D = modulus (Cohen, GTM 138, Alg. 2.4.14;
+    Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987). As D*Z^k lies
+    in L, L is spanned by the columns of [mat | D*I]. A row operation U
+    keeps D*U*Z^k = D*Z^k, so throughout, the lattice U*L is spanned by the
+    working matrix together with D*Z^k, and adding multiples of the D*e_i
+    to its columns reduces any entry modulo D: a row with an entry past D/2
+    in absolute value is reduced into [-D/2, D/2]. A generator changed by a
+    vector of D*Z^k, inside L, keeps its class, so the columns of U^-1,
+    carried as in `smith_normal_form`, are reduced the same way.
+
+    Step t takes as pivot p an entry of least absolute value. An entry b of
+    its row or column is cleared by subtracting b/p times the pivot column
+    or row when p divides b; otherwise a 2x2 operation of determinant 1
+    puts gcd(p, b) in the pivot's place, and |p| shrinks. When its row and
+    column vanish, the pivot column is p e_t, and with D e_t it spans d e_t,
+    d = gcd(p, D); d must divide every remaining entry, else the offending
+    row is added to the pivot row and |p| shrinks again. At the end U*L is
+    the sum of the d_t Z e_t, so Z^k / L is the sum of the Z/d_t, generated
+    by the columns of U^-1, which are reduced at last into [0, d) for d the
+    largest d_t, the exponent of Z^k / L.
+    """
+    k = mat.rows
+    if mat.cols != k:
+        raise ValueError(f"a square matrix is needed, not {k} x {mat.cols}")
+    if modulus < 1:
+        raise ValueError("the modulus must be a positive integer")
+    D = modulus
+    half = D // 2
+
+    def reduce(row):
+        if max(row) <= half and min(row) >= -half:
+            return row
+        out = [x % D for x in row]
+        return [x - D if x > half else x for x in out]
+
+    a = [reduce(list(row)) for row in mat.entries]  # the block still to reduce
+    w = [[int(i == j) for j in range(k)] for i in range(k)]  # rows: columns of U^-1
+    diag = []
+    for t in range(k):
+        best = None
+        for i, row in enumerate(a):
+            least = min(map(abs, filter(None, row)), default=0)
+            if least and (best is None or least < best[0]):
+                best = (least, i)
+                if least == 1:
+                    break
+        if best is None:  # the block vanishes
+            diag += [D] * (k - t)
+            break
+        least, pi = best
+        pj = next(j for j, x in enumerate(a[pi]) if abs(x) == least)
+        a[0], a[pi] = a[pi], a[0]
+        w[t], w[t + pi] = w[t + pi], w[t]
+        for row in a:
+            row[0], row[pj] = row[pj], row[0]
+        while True:
+            piv = a[0]
+            p = piv[0]
+            for i in range(1, len(a)):
+                b = a[i][0]
+                if not b:
+                    continue
+                q, rem = divmod(b, p)
+                if rem:
+                    # rows 0, i <- (s, u; -b/h, p/h) (rows 0, i), of
+                    # determinant 1, and columns 0, i of U^-1 <- its inverse
+                    # (p/h, -u; b/h, s) on the right
+                    h, s, u = _xgcd(p, b)
+                    q, r = b // h, p // h
+                    a[0], a[i] = (reduce([s * x + u * y for x, y in zip(piv, a[i])]),
+                                  reduce([r * y - q * x for x, y in zip(piv, a[i])]))
+                    wt, wi = w[t], w[t + i]
+                    w[t] = reduce([r * x + q * y for x, y in zip(wt, wi)])
+                    w[t + i] = reduce([s * y - u * x for x, y in zip(wt, wi)])
+                    piv, p = a[0], a[0][0]
+                else:
+                    # row i -= q row 0; column 0 of U^-1 gains q times column i
+                    a[i] = reduce([x - q * y for x, y in zip(a[i], piv)])
+                    w[t] = reduce([x + q * y for x, y in zip(w[t], w[t + i])])
+            j = next((j for j in range(1, len(piv)) if piv[j] % p), None)
+            if j is None:
+                # column operations against column 0, now zero below p, clear
+                # the pivot row and change nothing else
+                d = gcd(p, D)
+                bad = None if d == 1 else next(
+                    (i for i in range(1, len(a)) if gcd(*a[i]) % d), None)
+                if bad is None:
+                    break
+                # row 0 += row bad; column bad of U^-1 loses column 0
+                a[0] = piv = reduce([x + y for x, y in zip(piv, a[bad])])
+                w[t + bad] = reduce([y - x for x, y in zip(w[t], w[t + bad])])
+                j = next(j for j in range(1, len(piv)) if piv[j] % p)
+            # columns 0, j <- (s, -b/h; u, p/h) on the right, b = piv[j]
+            p = piv[0]
+            h, s, u = _xgcd(p, piv[j])
+            q, r = piv[j] // h, p // h
+            for row in a:
+                x, y = row[0], row[j]
+                row[0], row[j] = s * x + u * y, r * y - q * x
+            a = [reduce(row) for row in a]
+        diag.append(d)
+        a = [row[1:] for row in a[1:]]
+    factors = tuple([x for x in diag if x > 1])
+    top = diag[-1]  # the exponent of Z^k / L: top * Z^k lies in L as well
+    return 0, factors, tuple([tuple([y % top for y in w[t]]) for t, x in enumerate(diag) if x > 1])

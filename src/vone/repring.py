@@ -28,14 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .burnside import VirtualGSet, bmul, from_marks, marks, orbit
+from .burnside import VirtualGSet, from_marks, marks
 from .exactmath import (
     CyclotomicElement,
     IntMatrix,
-    cokernel_data,
+    cokernel_mod,
     cyclotomic_poly,
+    euler_phi,
     is_prime,
-    kernel_basis,
+    kernel_and_cokernel,
+    poly_div_exact,
     poly_mul,
     prime_power,
 )
@@ -359,7 +361,7 @@ def linearize(X: VirtualGSet) -> VirtualRep:
     res = from_marks(C, [mk[G.cyclic_class_of(n // cls.order % n)]
                          for cls in C.subgroup_classes()], X.p_local)
     vj, vxj = mk[G.cyclic_class_of(n)], mk[G.cyclic_class_of(n + 1)]
-    a, b = (vj, 0) if m % 2 else (Fraction(vj + vxj, 2), Fraction(vj - vxj, 2))
+    a, b = (vj, 0) if m % 2 else (_half(vj + vxj), _half(vj - vxj))
     return VirtualRep(G, _lift(_permutation_lines(res), a, b, m), X.p_local)
 
 
@@ -431,9 +433,17 @@ def _restrict(coeffs, m: int) -> tuple:
 
 def _lift(r, a, b, m: int) -> list:
     """The Dic_m coefficients with restriction r (read at 0..m) and the
-    numbers a, b; the inverse of `_restrict`, halving exactly."""
-    return [Fraction(r[0] + a, 2), Fraction(r[0] - a, 2),
-            Fraction(r[m] + b, 2), Fraction(r[m] - b, 2), *r[1:m]]
+    numbers a, b; the inverse of `_restrict`, halving exactly (`_half`).
+    For integral input r[0] +- a = 2c(u0), 2c(u1) and r[m] +- b are even,
+    so the coefficients stay ints; Fractions come only from p-local or
+    non-integral input."""
+    r0, rm = r[0], r[m]
+    return [_half(r0 + a), _half(r0 - a), _half(rm + b), _half(rm - b), *r[1:m]]
+
+
+def _half(x):
+    """x / 2, an int when x is an even int and a Fraction otherwise."""
+    return x >> 1 if type(x) is int and not x & 1 else Fraction(x, 2)
 
 
 def _fourier(values: list, js) -> list:
@@ -626,16 +636,41 @@ class IdealStructure:
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     """Presentations of Ann(X) = ker(X * -) and R/XR for R = A(G) or RU(G).
 
-    X must have integer coefficients. For side RU, with |G| = N = p^n, the
-    annihilator has a closed form. Evaluation at the roots of unity
-    zeta_{p^i}, i = 0..n, embeds RU(G) = Z[x]/(x^N - 1) in a product of
-    domains, since x^N - 1 is the product of the distinct Phi_{p^i}. The
-    permutation character w of X takes there the value phi_i, the mark of X
-    at the subgroup of order p^i. So w*y = 0 exactly when y(zeta_{p^i}) = 0
-    for each i with phi_i != 0, that is, when the product F of those monic
-    Phi_{p^i} divides y. F divides x^N - 1, so dividing a representative of
-    degree < N by F shows that Ann(w) is F * Z[x] in degrees < N, with basis
-    x^j F for j < N - deg F; it is saturated, as a kernel must be.
+    X must have integer coefficients. Side A reads the kernel and the
+    cokernel of multiplication by X on A(G) off one Smith form. Its matrix
+    needs no product of marks: over the chain C_{p^0} < ... < C_{p^n}, the
+    G-set G/H x G/K has |G/H| |G/K| points, each with stabilizer H n K, the
+    smaller of the two, so [G/H][G/K] = (|G| / |H u K|) [G/(H n K)], H u K
+    the larger.
+
+    Side RU, with |G| = N = p^n, has R = Z[x]/(x^N - 1) and w = linearize(X).
+    Evaluation at the roots of unity zeta_{p^i}, i = 0..n, embeds R in a
+    product of domains, since x^N - 1 is the product of the distinct
+    Phi_{p^i}, and w takes there the value phi_i, the mark of X at the
+    subgroup of order p^i. Let S = {i : phi_i != 0}, F the product of the
+    monic Phi_{p^i} over i in S, of degree k, and G' = (x^N - 1)/F the
+    product of the others.
+    - Annihilator: w*y = 0 exactly when y(zeta_{p^i}) = 0 for each i in S,
+      that is, when F divides y. F divides x^N - 1, so dividing a
+      representative of degree < N by F shows that Ann(w) is F * Z[x] in
+      degrees < N, with basis x^j F for j < N - k; it is saturated, as a
+      kernel must be.
+    - Quotient: w vanishes at the roots of G', so G' divides w in Z[x]; set
+      h = (w / G') mod F, which is w / G' itself, of degree < k. Division by
+      the monic G' gives R = P + G'*Q, a direct sum, with P the polynomials
+      of degree < N - k and Q those of degree < k. As x^N - 1 = G' F,
+      w*y mod (x^N - 1) = G' * (h*y mod F), so wR = G' * (h*Q mod F), inside
+      G'*Q. Hence R/wR is Z^(N - k), generated by the x^j with j < N - k,
+      plus Z[x]/(F, h), the cokernel of the k x k matrix A whose column j is
+      x^j h mod F, with generators G'*g for its generators g.
+    - That cokernel has order D = |Res(F, h)| = |det A|, the product over
+      the roots zeta of F of h(zeta) = phi_i / G'(zeta). With
+      Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
+      D = prod_{i in S} |phi_i|^phi(p^i) / p^e with
+      e = sum_{i in S, j not in S} phi(p^min(i, j)). So D*Z^k lies in the
+      column lattice of A, and `cokernel_mod` reads the cokernel off a Smith
+      form modulo D, whose entries stay within D/2 of 0. No N x N matrix
+      is built.
 
     The Galois-fixed sub-presentations are computed inside the fixed
     subring: the orbit sums gamma_i are a basis of RU^Galois, the
@@ -650,48 +685,71 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
         raise ValueError("ideal presentations are computed over cyclic p-groups")
     if X.p_local is not None or any(not isinstance(c, int) for c in X.coeffs):
         raise ValueError("X must have integer coefficients")
+    m = G.order
     if side == "A":
-        r = len(G.subgroup_classes())
-        cols = [bmul(X, orbit(G, j)).coeffs for j in range(r)]
-        M = IntMatrix.from_columns(cols)
-        ann = kernel_basis(M)
+        orders = [cls.order for cls in G.subgroup_classes()]  # increasing
+        cols = []
+        for j, oj in enumerate(orders):
+            col = [0] * len(orders)
+            for i, (oi, c) in enumerate(zip(orders, X.coeffs)):
+                col[min(i, j)] += c * (m // max(oi, oj))
+            cols.append(col)
+        ann, quot = kernel_and_cokernel(IntMatrix.from_columns(cols))
         return IdealStructure(
             "A",
             AbelianPresentation(len(ann), (), tuple(ann)),
-            AbelianPresentation(*cokernel_data(M)),
+            AbelianPresentation(*quot),
         )
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
-    m = G.order
+    p, n = prime_power(m)
     lin = linearize(X)
-    F = [1]
+    F, Gc, order, inside, outside = [1], [1], 1, [], []
     for cls, phi in zip(G.subgroup_classes(), marks(X)):
         if phi:
             F = poly_mul(F, cyclotomic_poly(cls.order))
-    pad = m - len(F)
-    ann = tuple([(0,) * j + tuple(F) + (0,) * (pad - j) for j in range(pad + 1)])
-    M = _circulant(lin.coeffs)
-    basis = gamma_orbit_basis(G)
+            order *= abs(phi) ** euler_phi(cls.order)
+            inside.append(cls.order)
+        else:
+            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
+            outside.append(cls.order)
+    order //= p ** sum([euler_phi(min(a, b)) for a in inside for b in outside])
+    k = len(F) - 1
+    free = m - k
+    ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])
+    torsion, gens = (), []
+    if k:
+        h = poly_div_exact(lin.coeffs, Gc)
+        A = []  # columns x^j h mod F
+        for _ in range(k):
+            A.append(h)
+            top = h[-1]
+            h = [0, *h[:-1]]
+            if top:
+                h = [c - top * f for c, f in zip(h, F)]
+        _, torsion, tgens = cokernel_mod(IntMatrix.from_columns(A), order)
+        gens = [tuple(poly_mul(Gc, g)) for g in tgens]
+    gens += [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(free)]
+
     cols = []
-    for gam in basis.gammas:
+    for gam in gamma_orbit_basis(G).gammas:
         ok, coords = gamma_fixed_check(lin * gam)
         assert ok, "the fixed subring is closed under multiplication"
         cols.append(coords)
-    MG = IntMatrix.from_columns(cols)
+    # gamma_i is the indicator of the a with gcd(a, m) = p^i
+    level = [0] * m
+    for i in range(1, n + 1):
+        level[::p**i] = [i] * (m // p**i)
 
     def ambient(vec):
-        out = [0] * m
-        for c, gam in zip(vec, basis.gammas):
-            for a in range(m):
-                out[a] += c * gam.coeffs[a]
-        return tuple(out)
+        return tuple([vec[i] for i in level])
 
-    ann_fixed = tuple([ambient(v) for v in kernel_basis(MG)])
-    free, factors, gens = cokernel_data(MG)
+    kernel, (free_fixed, factors_fixed, gens_fixed) = kernel_and_cokernel(
+        IntMatrix.from_columns(cols))
     return IdealStructure(
         "RU",
-        AbelianPresentation(len(ann), (), ann),
-        AbelianPresentation(*cokernel_data(M)),
-        AbelianPresentation(len(ann_fixed), (), ann_fixed),
-        AbelianPresentation(free, factors, tuple([ambient(v) for v in gens])),
+        AbelianPresentation(free, (), ann),
+        AbelianPresentation(free, torsion, tuple(gens)),
+        AbelianPresentation(len(kernel), (), tuple([ambient(v) for v in kernel])),
+        AbelianPresentation(free_fixed, factors_fixed, tuple([ambient(v) for v in gens_fixed])),
     )

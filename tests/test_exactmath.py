@@ -21,6 +21,7 @@ from vone.exactmath import (
     bernoulli,
     check_prime,
     cokernel_data,
+    cokernel_mod,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -580,6 +581,58 @@ def test_cokernel_generators_match_solved_inverse() -> None:
         assert (free, factors) == (diag.count(0), tuple(x for x in diag if x > 1))
         shapes.add((free > 0, factors != ()))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_cokernel_mod_matches_cokernel_data() -> None:
+    # 400 random nonsingular k x k matrices, k <= 7, modulo |det| and 3|det|:
+    # the factors of the integer Smith form, and generators of those orders,
+    # reduced below the largest factor, that span Z^k with the columns
+    rng = random.Random(61)
+    seen = 0
+    while seen < 400:
+        k = rng.randint(1, 7)
+        mat = IntMatrix([[rng.choice((0, rng.randint(-6, 6))) for _ in range(k)]
+                         for _ in range(k)])
+        d = abs(det(mat))
+        if not d:
+            continue
+        seen += 1
+        free, factors, _ = cokernel_data(mat)
+        for modulus in (d, 3 * d):
+            got_free, got_factors, gens = cokernel_mod(mat, modulus)
+            assert (got_free, got_factors) == (free, factors), (mat.entries, modulus)
+            assert len(gens) == len(factors)
+            top = factors[-1] if factors else 1
+            assert all(0 <= x < top for gen in gens for x in gen)
+            if gens:
+                scaled = IntMatrix.from_columns([[f * x for x in gen] for f, gen in zip(factors, gens)])
+                assert solve_int_columns(mat, scaled) is not None, (mat.entries, modulus)
+            cols = [mat.column(j) for j in range(k)] + list(gens)
+            assert cokernel_data(IntMatrix.from_columns(cols)) == (0, (), ()), mat.entries
+
+
+def test_cokernel_mod_rejects_bad_input() -> None:
+    with pytest.raises(ValueError):
+        cokernel_mod(IntMatrix([[1, 2]]), 3)
+    with pytest.raises(ValueError):
+        cokernel_mod(IntMatrix([[2]]), 0)
+
+
+def test_kernel_and_cokernel_is_one_smith_form(monkeypatch) -> None:
+    import vone.exactmath as exactmath
+
+    calls = []
+    snf = exactmath.smith_normal_form
+    monkeypatch.setattr(exactmath, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat))
+    rng = random.Random(19)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = IntMatrix([[rng.choice((0, rng.randint(-5, 5))) for _ in range(cols)]
+                         for _ in range(rows)])
+        want = (kernel_basis(mat), cokernel_data(mat))
+        calls.clear()
+        assert exactmath.kernel_and_cokernel(mat) == want
+        assert calls == [mat]
 
 
 def test_bareiss_det_matches_cofactor() -> None:

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +10,9 @@ from vone.burnside import VirtualGSet, bmul, from_marks, marks, orbit
 from vone.exactmath import (
     CyclotomicElement,
     IntMatrix,
+    cokernel_data,
+    euler_phi,
+    factorize,
     kernel_basis,
     prime_power,
     smith_normal_form,
@@ -31,7 +34,7 @@ from vone.repring import (
     standard_rep,
 )
 
-from test_exactmath import _circulant, matmul, solve_int_columns
+from test_exactmath import _circulant, det, matmul, solve_int_columns
 
 
 def G(name):
@@ -437,6 +440,35 @@ def test_restriction_to_x_and_its_inverse(m):
         assert _restrict(_lift(r, a, b, m), m) == (r, a, b)
 
 
+def test_lift_halves_in_ints_as_fraction_halving_does():
+    """`_lift` halves r[0] +- a and r[m] +- b as ints when they are even
+    ints, which integral coefficients give, and agrees with halving by
+    Fraction on integral, p-local and arbitrary input over Dic2-Dic64."""
+    from vone.repring import _lift, _restrict
+
+    def by_fraction(r, a, b, m):
+        return [Fraction(r[0] + a, 2), Fraction(r[0] - a, 2),
+                Fraction(r[m] + b, 2), Fraction(r[m] - b, 2), *r[1:m]]
+
+    rng = random.Random(67)
+    kinds = set()
+    for m in range(2, 65):
+        for _ in range(4):
+            integral = [rng.randint(-9, 9) for _ in range(m + 3)]
+            local = [Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7, 9)))
+                     for _ in range(m + 3)]
+            free = ([rng.randint(-9, 9) for _ in range(2 * m)], rng.randint(-9, 9),
+                    rng.randint(-9, 9))
+            for args in (_restrict(integral, m), _restrict(local, m), free):
+                got, want = _lift(*args, m), by_fraction(*args, m)
+                assert got == want, (m, args)
+                for c, x in zip(got, want):
+                    assert (type(c) is int) == (x.denominator == 1 and type(args[1]) is int)
+                kinds.add(tuple(type(c) is int for c in got[:4]))
+            assert _lift(*_restrict(integral, m), m) == integral
+    assert kinds >= {(True,) * 4, (False,) * 4}
+
+
 def test_dicyclic_product_over_q256_is_fast():
     """H * H over Q256 decomposed a product of two table rows for each of
     its 528 pairs of irreducibles: 4.3 s."""
@@ -801,10 +833,11 @@ def test_quotient_generator_orders():
 
 
 def test_one_circulant_builder_serves_step_2_and_the_ru_quotient(monkeypatch):
-    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) and the RU quotient
-    take the circulant of w = linearize(X) from `repring._circulant`, and it
-    equals the test-side `_circulant` over every cyclic p-group C2-C81. The
-    spy stops each caller once its matrix is built."""
+    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) takes the circulant
+    of w = linearize(X) from `repring._circulant`, and it equals the
+    test-side `_circulant` over every cyclic p-group C2-C81. The spy stops
+    each caller once its matrix is built. The RU quotient never calls
+    `_circulant` (see `test_ru_quotient_builds_no_circulant`)."""
     import vone.jtheory as jtheory
     import vone.repring as repring
 
@@ -830,13 +863,174 @@ def test_one_circulant_builder_serves_step_2_and_the_ru_quotient(monkeypatch):
             X = VirtualGSet(g, [rng.randint(-4, 4) for _ in range(r)])
             den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
-            for call, Z in ((lambda Z: annihilator_and_quotient(Z, side="RU"), X),
-                            (lambda Z: jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z), X),
-                            (lambda Z: jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z), Y)):
+            for Z in (X, Y):
                 with pytest.raises(Built):
-                    call(Z)
+                    jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z)
                 assert built.pop() == _circulant(Z), (m, Z.coeffs)
     assert len(orders) == 32 and not built
+
+
+def test_ru_quotient_builds_no_circulant(monkeypatch):
+    import vone.repring as repring
+
+    def spy(w):
+        raise AssertionError("the RU quotient built the circulant")
+
+    monkeypatch.setattr(repring, "_circulant", spy)
+    rng = random.Random(59)
+    for m in (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 49):
+        g = G(f"C{m}")
+        r = len(g.subgroup_classes())
+        for _ in range(3):
+            X = VirtualGSet(g, [rng.choice((0, rng.randint(-4, 4))) for _ in range(r)])
+            annihilator_and_quotient(X, side="RU")
+
+
+def oracle_ru_quotient(X):
+    """R/wR from one dense integer Smith form of the m x m circulant of
+    w = linearize(X): (free rank, factors, generators)."""
+    return cokernel_data(_circulant(X))
+
+
+def _torsion_order(X) -> int:
+    """D = prod_{i in S} |phi_i|^phi(p^i) / p^e with
+    e = sum_{i in S, j not in S} phi(p^min(i, j)), S the i with phi_i != 0."""
+    g = X.group
+    p = prime_power(g.order)[0]
+    orders = [c.order for c in g.subgroup_classes()]
+    S = {q: phi for q, phi in zip(orders, marks(X)) if phi}
+    num = prod(abs(phi) ** euler_phi(q) for q, phi in S.items())
+    e = sum(euler_phi(min(q, t)) for q in S for t in orders if t not in S)
+    assert num % p**e == 0
+    return num // p**e
+
+
+def _ideal_shapes(g, rng, count):
+    """Random X with small coefficients, their p-multiples, and X of
+    cardinality zero: [G/C_{p^i}] - p[G/C_{p^(i+1)}] has marks 0 except
+    -p^(n-i) at C_{p^(i+1)}."""
+    p = prime_power(g.order)[0]
+    r = len(g.subgroup_classes())
+    null = [orbit(g, i) - p * orbit(g, i + 1) for i in range(r - 1)]
+    shapes = [VirtualGSet.zero(g)]
+    for _ in range(count):
+        Y = VirtualGSet(g, [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(r)])
+        shapes += [Y, p * Y, rng.choice((-2, -1, 1, 3)) * rng.choice(null)]
+    return shapes
+
+
+def test_ru_quotient_matches_dense_oracle():
+    # every C_{p^n} of order <= 81; the dense oracle keeps coefficients small
+    rng = random.Random(47)
+    orders = [m for m in range(2, 82) if prime_power(m) is not None]
+    zero_card = 0
+    for m in orders:
+        g = G(f"C{m}")
+        for X in _ideal_shapes(g, rng, 2 if m > 32 else 3):
+            q = annihilator_and_quotient(X, side="RU").quotient
+            free, factors, _ = oracle_ru_quotient(X)
+            assert (q.free_rank, q.factors) == (free, factors), (m, X.coeffs)
+            assert prod(q.factors) == _torsion_order(X), (m, X.coeffs)
+            assert len(q.generators) == len(q.factors) + q.free_rank
+            zero_card += marks(X)[0] == 0
+    assert len(orders) == 32 and zero_card > 32
+
+
+def _quotient_coords(snf, vec) -> list:
+    """The image of vec in coker(mat) = sum of the Z/d_i, U mat V = D:
+    (U vec)_i modulo d_i (exact where d_i = 0), one entry per d_i != 1."""
+    d, u, _, _ = snf
+    out = []
+    for row, x in zip(u.entries, d.diag()):
+        if x != 1:
+            y = sum(a * b for a, b in zip(row, vec))
+            out.append(y % x if x else y)
+    return out
+
+
+def _rank_mod(rows, q) -> int:
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_ru_quotient_generators_have_their_orders_and_span():
+    """For m <= 27: d_i g_i lies in wR and (d_i/q) g_i does not for each
+    prime q | d_i, and the generators span Z^m together with wR. The
+    quotient A = Z^m/wR is read off the circulant's Smith form as the
+    torsion T plus Z^f. The images B of the generators are all of A when
+    the free generators map onto a basis of Z^f (a determinant +-1) and the
+    torsion generators onto T, which holds when they span T/qT for every
+    prime q dividing |T|. (A dense Smith form of [circulant | generators]
+    ran past 10 s on some of these.)"""
+    rng = random.Random(43)
+    for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        g = G(f"C{m}")
+        for X in _ideal_shapes(g, rng, 2):
+            q = annihilator_and_quotient(X, side="RU").quotient
+            snf = smith_normal_form(_circulant(X))
+            diag = [x for x in snf[0].diag() if x != 1]
+            tors = [i for i, x in enumerate(diag) if x]
+            images = [_quotient_coords(snf, gen) for gen in q.generators]
+            assert len(tors) == len(q.factors) and len(diag) == len(images)
+            for d, img in zip(q.factors, images):
+                assert all(y * d % x == 0 if x else not y for y, x in zip(img, diag))
+                for prime in factorize(d):
+                    assert any(y * (d // prime) % x if x else y
+                               for y, x in zip(img, diag)), (m, X.coeffs, d)
+            free = [[img[i] for i, x in enumerate(diag) if not x] for img in images[len(tors):]]
+            assert not free or abs(det(IntMatrix(free))) == 1, (m, X.coeffs)
+            for prime in factorize(prod(q.factors)) if q.factors else ():
+                rows = [i for i in tors if diag[i] % prime == 0]
+                block = [[img[i] for i in rows] for img in images[:len(tors)]]
+                assert _rank_mod(block, prime) == len(rows), (m, X.coeffs, prime)
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("C32", [2, 1, -1, -1, -2, -64]),  # the dense Smith form took 160 s
+    ("C64", [2, -2, -3, -4, 3, 2, 0]),  # the dense Smith form ran past 30 s
+])
+def test_ru_quotient_entry_growth_circulants_are_fast(name, coeffs):
+    g = G(name)
+    X = VirtualGSet(g, coeffs)
+    start = time.perf_counter()
+    out = annihilator_and_quotient(X, side="RU")
+    assert time.perf_counter() - start < 2.0
+    q = out.quotient
+    assert prod(q.factors) == _torsion_order(X)
+    # deg G' = m - deg F, the product of the Phi_{p^i} where the mark vanishes
+    zeros = [c.order for c, phi in zip(g.subgroup_classes(), marks(X)) if not phi]
+    assert q.free_rank == sum(euler_phi(k) for k in zeros) == out.annihilator.free_rank
+    assert len(q.generators) == len(q.factors) + q.free_rank
+    a_side = annihilator_and_quotient(X, side="A")
+    assert a_side.quotient.free_rank == out.quotient_fixed.free_rank
+    assert a_side.quotient.factors == out.quotient_fixed.factors
+    assert a_side.annihilator.free_rank == out.annihilator_fixed.free_rank
+
+
+def test_ru_quotient_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(37)
+    for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        g = G(f"C{m}")
+        for X in _ideal_shapes(g, rng, 2):
+            q = annihilator_and_quotient(X, side="RU").quotient
+            got = invariant_factors(sympy.Matrix(_circulant(X).entries), domain=sympy.ZZ)
+            got = [abs(int(x)) for x in got]
+            assert (q.free_rank, q.factors) == (got.count(0), tuple(x for x in got if x > 1))
 
 
 def test_ru_annihilator_closed_form_matches_circulant_kernel():
