@@ -9,8 +9,9 @@ The Smith form serves kernels and cokernels over Z; it carries U^-1 through
 its elimination for the cokernel generators. A cokernel of finite order D
 may instead be read off a Smith form modulo D (`cokernel_mod`), whose
 entries stay within D/2 of 0. Membership in a Z_(p)-span
-(`p_local_in_image`, step 2 of a cyclic certificate) is an elimination over
-the valuation ring Z_(p) and builds no Smith form.
+(`p_local_in_image`, step 2 of a cyclic certificate, on the deg F x deg F
+matrix of multiplication by h in Z[x]/(F)) is an elimination over the
+valuation ring Z_(p) and builds no Smith form.
 Nothing here touches floating point.
 """
 

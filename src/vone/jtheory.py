@@ -11,8 +11,10 @@ tests hold the two against each other. The p-adic valuation of
 lambda is the quantity the self-map certificates consume. Over a cyclic
 p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
 permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
-elimination over Z_(p), and its docstring proves the closed form in the
-marks of X that the tests hold against it. Everything is exact: integer
+elimination over Z_(p) in the deg F x deg F quotient Z[x]/(F) of
+`repring._ideal_split`, F the product of the Phi_{p^i} where X has a
+nonzero mark, and its docstring proves that reduction and the closed form
+in the marks of X that the tests hold against it. Everything is exact: integer
 representation rings, cyclotomic character values, Bernoulli denominators
 for the image-of-J oracle.
 """
@@ -24,10 +26,12 @@ from math import gcd
 from .burnside import VirtualGSet
 from .exactmath import (
     CyclotomicElement,
+    IntMatrix,
     bernoulli,
     check_prime,
     factorize,
     p_local_in_image,
+    poly_div_exact,
     prime_power,
     pvaluation,
 )
@@ -35,12 +39,11 @@ from .limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
-    _circulant,
+    _ideal_split,
     eigenvalue_multiplicities,
     from_class_function,
     has_rational_characters,
     is_fixed_point_free,
-    linearize,
 )
 
 __all__ = [
@@ -279,22 +282,39 @@ def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
     """The fixedness check of `verify_bott_fixed_mod_X` and certify step 2
     for the lambda of `verify_adams_bott`, over a cyclic p-group.
 
-    The test is p-local membership of lambda * [regular] = (lambda, ...,
-    lambda) in the column span of the circulant of w = linearize(X), i.e. in
-    the ideal (w) of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n. It has a
-    closed form, which the tests hold against this function:
+    The test is p-local membership of lambda * [regular] in the ideal (w)
+    of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X). With
+    the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of
+    degree k, it is a k x k question:
+    - [regular] = (x^N - 1)/(x - 1), the product of the Phi_{p^i}, i >= 1.
+    - If phi_0 = 0, w vanishes at x = 1 and so does all of wR, while
+      lambda * [regular] takes lambda * N there: fixed <=> lambda = 0.
+    - If phi_0 != 0, then x - 1 divides F, G' is a product of Phi_{p^i}
+      with i >= 1, and [regular] = G' * T with T = F/(x - 1), the product
+      of the Phi_{p^i} over S+ = {i >= 1 : phi_i != 0}, of degree k - 1,
+      so T lies in Q. Both lambda * G' * T and every G' * (h*y mod F) have degree < N,
+      and G' is monic, so they are equal exactly when
+      lambda * T = h*y mod F. Hence fixed <=> lambda * T lies in the
+      Z_(p)-span of the columns x^j h mod F, which `p_local_in_image`
+      decides on the k x k matrix. Only a full-support X, F = x^N - 1,
+      makes it N x N.
+
+    It has a closed form, which the tests hold against this function:
     - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
       of the Z_(p)[zeta_{p^i}] (x^N - 1 is separable over Q).
     - w has i-th coordinate phi_i, the mark of X at the subgroup of order
       p^i; [regular] has coordinates (N, 0, ..., 0).
     - So w*y = lambda * [regular] asks for y(zeta_{p^i}) = 0 for i in
-      S = {i >= 1 : phi_i != 0}, and phi_0 * y(1) = lambda * N.
-    - y vanishes at those roots exactly when the monic product F of the
-      Phi_{p^i}, i in S, divides y; then y(1) = F(1) z(1) = p^|S| z(1),
-      and z = constant reaches every value in p^|S| Z_(p).
+      S+ = {i >= 1 : phi_i != 0}, and phi_0 * y(1) = lambda * N.
+    - y vanishes at those roots exactly when T, the monic product of the
+      Phi_{p^i} over S+, divides y; then y(1) = T(1) z(1) = p^|S+| z(1),
+      and z = constant reaches every value in p^|S+| Z_(p).
     - Hence, for lambda != 0: fixed <=> phi_0 != 0 and
-      v_p(lambda) >= v_p(phi_0) + |S| - n.
+      v_p(lambda) >= v_p(phi_0) + |S+| - n.
     """
-    G = X.group
-    p = prime_power(G.order)[0]
-    return p_local_in_image(_circulant(linearize(X).coeffs), [lam] * G.order, p)
+    p = prime_power(X.group.order)[0]
+    phi, _, F, _, A = _ideal_split(X)
+    if not phi[0]:
+        return not lam
+    T = poly_div_exact(F, (-1, 1))
+    return p_local_in_image(IntMatrix.from_columns(A), [lam * c for c in T], p)

@@ -26,7 +26,7 @@ integers, over Dic_m through the restriction to <x>.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .burnside import VirtualGSet, from_marks, marks
 from .exactmath import (
@@ -48,7 +48,6 @@ from .virtual import VirtualElement
 __all__ = [
     "CharacterTable",
     "VirtualRep",
-    "GammaOrbitBasis",
     "AbelianPresentation",
     "IdealStructure",
     "character_table",
@@ -60,8 +59,6 @@ __all__ = [
     "has_rational_characters",
     "fixed_space_dim",
     "eigenvalue_multiplicities",
-    "gamma_orbit_basis",
-    "gamma_fixed_check",
     "annihilator_and_quotient",
 ]
 
@@ -478,19 +475,6 @@ def _fourier(values: list, js) -> list:
     return out
 
 
-def _circulant(w) -> IntMatrix:
-    """Multiplication by w in Z[x]/(x^m - 1), m = len(w): entry (a, b) is
-    w[(a - b) % m], row 0 rotated a times, after clearing the denominators
-    of w by their lcm, a unit when w is p-local, so the ideal is the same."""
-    den = lcm(*[c.denominator for c in w if isinstance(c, Fraction)])
-    row = [int(w[-b] * den) for b in range(len(w))]
-    rows = []
-    for _ in w:
-        rows.append(row)
-        row = row[-1:] + row[:-1]
-    return IntMatrix(rows)
-
-
 def _along(V: VirtualRep, g: int) -> list:
     """The character of V at g^0, g^1, ..., g^(k-1), k the order of g,
     read off the class values."""
@@ -573,43 +557,6 @@ def has_rational_characters(V: VirtualRep) -> bool:
     return all(v.is_rational() for v in V.class_values())
 
 
-@record
-class GammaOrbitBasis:
-    """Galois orbit sums in RU(C_{p^n}): gamma_i sums the characters L^k
-    with gcd(k, p^n) = p^i; these span the Galois-fixed subring."""
-
-    group: GroupModel
-    p: int
-    n: int
-    gammas: tuple
-
-
-def _cyclic_p_group(G: GroupModel) -> tuple[int, int]:
-    pp = prime_power(G.order)
-    if G.descriptor.kind != "cyclic" or pp is None:
-        raise ValueError("orbit basis requires a nontrivial cyclic p-group")
-    return pp
-
-
-def gamma_orbit_basis(G: GroupModel) -> GammaOrbitBasis:
-    p, n = _cyclic_p_group(G)
-    m = G.order
-    gammas = [VirtualRep(G, [int(gcd(k, m) == p**i) for k in range(m)]) for i in range(n + 1)]
-    return GammaOrbitBasis(G, p, n, tuple(gammas))
-
-
-def gamma_fixed_check(V: VirtualRep):
-    """Whether V is fixed by the full Galois action, that is, has rational
-    characters; if so, also return its coordinates in the orbit-sum basis
-    (index i = 0..n), the coefficient of L^(p^i), one member of the orbit
-    of gamma_i."""
-    p, n = _cyclic_p_group(V.group)
-    if not has_rational_characters(V):
-        return False, None
-    m = V.group.order
-    return True, tuple([V.coeffs[p**i % m] for i in range(n + 1)])
-
-
 # ---------------------------------------------------------------------------
 # principal ideal presentations
 
@@ -633,6 +580,47 @@ class IdealStructure:
     quotient_fixed: AbelianPresentation | None = None
 
 
+def _ideal_split(X: VirtualGSet) -> tuple:
+    """(phi, w, F, G', A): the split of the ideal (w) of RU(C_N),
+    N = p^n, that the RU quotient and certify step 2 both read.
+
+    w = linearize(X) is scaled by the lcm of its denominators, a unit when
+    X is p-local, so the ideal is the same over Z_(p). Evaluation at the
+    roots of unity zeta_{p^i}, i = 0..n, embeds R = Z[x]/(x^N - 1) in a
+    product of domains, since x^N - 1 is the product of the distinct
+    Phi_{p^i}, and w takes there the scale times phi_i, the mark of X at
+    the subgroup of order p^i (phi lists them, i = 0 first). Let
+    S = {i : phi_i != 0}, F the product of the monic Phi_{p^i} over i in
+    S, of degree k, and G' = (x^N - 1)/F the product of the others. w
+    vanishes at the roots of G', so G' divides w in Z[x]; h = w / G' has
+    degree < k. Division by the monic G' gives R = P + G'*Q, a direct sum,
+    with P the polynomials of degree < N - k and Q those of degree < k. As
+    x^N - 1 = G' F, w*y mod (x^N - 1) = G' * (h*y mod F), so
+    wR = G' * (h*Q mod F), inside G'*Q, and multiplication by G' is
+    injective on Q. A lists the k columns x^j h mod F, j < k, the matrix
+    of multiplication by h on Q = Z[x]/(F). Nothing N x N is built.
+    """
+    phi = marks(X)
+    F, Gc = [1], [1]
+    for cls, c in zip(X.group.subgroup_classes(), phi):
+        if c:
+            F = poly_mul(F, cyclotomic_poly(cls.order))
+        else:
+            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
+    w = linearize(X).coeffs
+    den = lcm(*[c.denominator for c in w if isinstance(c, Fraction)])
+    w = [int(c * den) for c in w]
+    h = poly_div_exact(w, Gc)
+    A = []
+    for _ in range(len(F) - 1):
+        A.append(h)
+        top = h[-1]
+        h = [0, *h[:-1]]
+        if top:
+            h = [c - top * f for c, f in zip(h, F)]
+    return phi, w, F, Gc, A
+
+
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     """Presentations of Ann(X) = ker(X * -) and R/XR for R = A(G) or RU(G).
 
@@ -643,42 +631,35 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     smaller of the two, so [G/H][G/K] = (|G| / |H u K|) [G/(H n K)], H u K
     the larger.
 
-    Side RU, with |G| = N = p^n, has R = Z[x]/(x^N - 1) and w = linearize(X).
-    Evaluation at the roots of unity zeta_{p^i}, i = 0..n, embeds R in a
-    product of domains, since x^N - 1 is the product of the distinct
-    Phi_{p^i}, and w takes there the value phi_i, the mark of X at the
-    subgroup of order p^i. Let S = {i : phi_i != 0}, F the product of the
-    monic Phi_{p^i} over i in S, of degree k, and G' = (x^N - 1)/F the
-    product of the others.
+    Side RU, with |G| = N = p^n, has R = Z[x]/(x^N - 1), w = linearize(X)
+    and the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`.
     - Annihilator: w*y = 0 exactly when y(zeta_{p^i}) = 0 for each i in S,
       that is, when F divides y. F divides x^N - 1, so dividing a
       representative of degree < N by F shows that Ann(w) is F * Z[x] in
       degrees < N, with basis x^j F for j < N - k; it is saturated, as a
       kernel must be.
-    - Quotient: w vanishes at the roots of G', so G' divides w in Z[x]; set
-      h = (w / G') mod F, which is w / G' itself, of degree < k. Division by
-      the monic G' gives R = P + G'*Q, a direct sum, with P the polynomials
-      of degree < N - k and Q those of degree < k. As x^N - 1 = G' F,
-      w*y mod (x^N - 1) = G' * (h*y mod F), so wR = G' * (h*Q mod F), inside
-      G'*Q. Hence R/wR is Z^(N - k), generated by the x^j with j < N - k,
-      plus Z[x]/(F, h), the cokernel of the k x k matrix A whose column j is
-      x^j h mod F, with generators G'*g for its generators g.
+    - Quotient: R/wR is Z^(N - k), generated by the x^j with j < N - k,
+      plus Z[x]/(F, h), the cokernel of the k x k matrix A, with generators
+      G'*g for its generators g.
     - That cokernel has order D = |Res(F, h)| = |det A|, the product over
       the roots zeta of F of h(zeta) = phi_i / G'(zeta). With
       Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
       D = prod_{i in S} |phi_i|^phi(p^i) / p^e with
       e = sum_{i in S, j not in S} phi(p^min(i, j)). So D*Z^k lies in the
       column lattice of A, and `cokernel_mod` reads the cokernel off a Smith
-      form modulo D, whose entries stay within D/2 of 0. No N x N matrix
-      is built.
+      form modulo D, whose entries stay within D/2 of 0.
 
     The Galois-fixed sub-presentations are computed inside the fixed
-    subring: the orbit sums gamma_i are a basis of RU^Galois, the
-    permutation character of X lives there, and multiplication by it
-    restricts; Ann and quotient of that restricted map match the side-A
-    answers. (The Galois fixed points of the module RU/XR itself can be
-    strictly smaller: passing to fixed points is not exact, so the subring
-    is where the comparison with A(G) lives.)
+    subring: the orbit sums gamma_j, the sum of the L^a with
+    gcd(a, N) = p^j, are a basis of RU^Galois, the permutation character
+    of X lives there, and multiplication by it restricts. The coordinate
+    of w*gamma_j at gamma_i is its coefficient of L^(p^i), the sum of
+    w[p^i - a] over that orbit, so the (n + 1) x (n + 1) matrix takes
+    O((n + 1) N) additions and no product. Ann and quotient of that
+    restricted map match the side-A answers. (The Galois fixed points of
+    the module RU/XR itself can be strictly smaller: passing to fixed
+    points is not exact, so the subring is where the comparison with A(G)
+    lives.)
     """
     G = X.group
     if G.descriptor.kind != "cyclic" or prime_power(G.order) is None:
@@ -703,43 +684,31 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
     p, n = prime_power(m)
-    lin = linearize(X)
-    F, Gc, order, inside, outside = [1], [1], 1, [], []
-    for cls, phi in zip(G.subgroup_classes(), marks(X)):
-        if phi:
-            F = poly_mul(F, cyclotomic_poly(cls.order))
-            order *= abs(phi) ** euler_phi(cls.order)
-            inside.append(cls.order)
-        else:
-            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
-            outside.append(cls.order)
+    phi, w, F, Gc, A = _ideal_split(X)
+    orders = [cls.order for cls in G.subgroup_classes()]
+    inside = [o for o, c in zip(orders, phi) if c]
+    outside = [o for o, c in zip(orders, phi) if not c]
+    order = prod([abs(c) ** euler_phi(o) for o, c in zip(orders, phi) if c])
     order //= p ** sum([euler_phi(min(a, b)) for a in inside for b in outside])
     k = len(F) - 1
     free = m - k
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])
     torsion, gens = (), []
     if k:
-        h = poly_div_exact(lin.coeffs, Gc)
-        A = []  # columns x^j h mod F
-        for _ in range(k):
-            A.append(h)
-            top = h[-1]
-            h = [0, *h[:-1]]
-            if top:
-                h = [c - top * f for c, f in zip(h, F)]
         _, torsion, tgens = cokernel_mod(IntMatrix.from_columns(A), order)
         gens = [tuple(poly_mul(Gc, g)) for g in tgens]
     gens += [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(free)]
 
-    cols = []
-    for gam in gamma_orbit_basis(G).gammas:
-        ok, coords = gamma_fixed_check(lin * gam)
-        assert ok, "the fixed subring is closed under multiplication"
-        cols.append(coords)
-    # gamma_i is the indicator of the a with gcd(a, m) = p^i
+    # level[a] = j where gcd(a, m) = p^j: gamma_j is the indicator of level j
     level = [0] * m
     for i in range(1, n + 1):
         level[::p**i] = [i] * (m // p**i)
+    powers = [p**i for i in range(n + 1)]
+    cols = [[0] * (n + 1) for _ in range(n + 1)]
+    for a, j in enumerate(level):
+        col = cols[j]
+        for i, q in enumerate(powers):
+            col[i] += w[(q - a) % m]
 
     def ambient(vec):
         return tuple([vec[i] for i in level])

@@ -8,7 +8,6 @@ import pytest
 from vone.burnside import VirtualGSet, marks, orbit
 from vone.exactmath import (
     CyclotomicElement,
-    IntMatrix,
     factorize,
     kernel_basis,
     p_local_in_image,
@@ -33,9 +32,10 @@ from vone.repring import (
     VirtualRep,
     eigenvalue_multiplicities,
     from_class_function,
-    linearize,
     standard_rep,
 )
+
+from test_exactmath import _circulant
 
 
 def cyc(m):
@@ -456,14 +456,7 @@ def two_half_fixed_mod_X(diff, X) -> bool:
     integer basis of the annihilator of w (the kernel of w's circulant)."""
     G = diff.group
     p = prime_power(G.order)[0]
-    m = G.order
-    w = list(linearize(X).coeffs)
-    scale = 1
-    for c in w:
-        if isinstance(c, Fraction):
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    w = [int(c * scale) for c in w]
-    M = IntMatrix([[w[(a - b) % m] for b in range(m)] for a in range(m)])
+    M = _circulant(X)
     if not p_local_in_image(M, diff.coeffs, p):
         return False
     zero = VirtualRep.zero(G)
@@ -527,35 +520,62 @@ def closed_form_fixed(lam: int, X) -> bool:
     return pvaluation(lam, p) >= pvaluation(phi[1], p) + s - n
 
 
+def oracle_circulant_fixed(lam: int, X) -> bool:
+    """Step 2 as the N x N elimination the k x k one replaced:
+    lambda * [regular] = (lambda, ..., lambda) in the Z_(p)-span of the
+    columns of the circulant of w = linearize(X)."""
+    m = X.group.order
+    return p_local_in_image(_circulant(X), [lam] * m, prime_power(m)[0])
+
+
+def _step2_gset(rng, g, kind: str, small: bool) -> VirtualGSet:
+    """A random X over C_{p^n} of one kind: "random" and "p-local" (some
+    coefficients 0), "zero" cardinality (phi_0 = 0) or "full" support (every
+    mark nonzero, F = x^N - 1). With `small`, random and p-local X have no
+    [G/G] term, so phi_n = 0 and deg F <= N/p, and full-support X have
+    coefficients in 0..2 with [G/G] once: a full elimination with large
+    entries at order 256 takes seconds."""
+    p = prime_power(g.order)[0]
+    r = len(g.subgroup_classes())
+    q = 3 if p == 2 else 2
+    if kind == "random":
+        vec = [rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(r)]
+    elif kind == "p-local":
+        vec = [Fraction(rng.randint(-999, 999), rng.choice((1, q, q * q))) for _ in range(r)]
+    elif kind == "zero":  # sums of a([G/H] - p[G/K]), |K:H| = p
+        vec = [0] * r
+        for _ in range(2):
+            i = rng.randrange(r - 1)
+            a = rng.randint(-10**4, 10**4)
+            vec[i] += a
+            vec[i + 1] -= a * p
+    elif small:  # full support: [G/G] has mark 1 everywhere
+        vec = [rng.randint(0, 2) for _ in range(r - 1)] + [1]
+    else:
+        vec = [rng.randint(1, 10**3) for _ in range(r)]
+    if small and kind in ("random", "p-local"):
+        vec[-1] = 0
+    return VirtualGSet(g, vec, p if kind == "p-local" else None)
+
+
 def test_bott_fixed_matches_closed_form():
-    # every C_{p^n} <= 128, one X of each kind up to order 64 and one of a
-    # rotating kind above (about 0.2 s per elimination at order 128);
-    # lambda straddles the threshold of the closed form
+    # every C_{p^n} <= 256: up to order 64 each kind of X, held against the
+    # closed form and the circulant oracle; above it one kind per order in
+    # rotation against the closed form, with the smaller draws of
+    # `_step2_gset`. lambda straddles the threshold of the closed form
     rng = random.Random(37)
     outcomes = set()
-    orders = [m for m in range(2, 129) if prime_power(m) is not None]
-    kinds = ("random", "p-local", "zero")
+    kinds = ("random", "p-local", "zero", "full")
+    orders = [m for m in range(2, 257) if prime_power(m) is not None]
+    seen = set()
     for idx, m in enumerate(orders):
         g = cyc(m)
         p, n = prime_power(m)
-        r = len(g.subgroup_classes())
         q = 3 if p == 2 else 2
-        for kind in kinds if m <= 64 else kinds[idx % 3:idx % 3 + 1]:
-            if kind == "random":
-                X = VirtualGSet(g, [rng.choice((0, rng.randint(-10**6, 10**6)))
-                                    for _ in range(r)])
-            elif kind == "p-local":
-                X = VirtualGSet(g, [Fraction(rng.randint(-999, 999), rng.choice((1, q, q * q)))
-                                    for _ in range(r)], p)
-            else:  # zero cardinality: sums of a([G/H] - p[G/K]), |K:H| = p
-                vec = [0] * r
-                for _ in range(2):
-                    i = rng.randrange(r - 1)
-                    a = rng.randint(-10**4, 10**4)
-                    vec[i] += a
-                    vec[i + 1] -= a * p
-                X = VirtualGSet(g, vec)
+        for kind in kinds if m <= 64 else kinds[idx % 4:idx % 4 + 1]:
+            X = _step2_gset(rng, g, kind, m > 64)
             phi0, *rest = marks(X)
+            assert phi0 == 0 if kind == "zero" else kind != "full" or all(marks(X))
             if phi0:
                 s = sum(1 for v in rest if v != 0)
                 t = max(pvaluation(phi0, p) + s - n, 0)
@@ -565,10 +585,44 @@ def test_bott_fixed_matches_closed_form():
             else:
                 lams = [p ** rng.randint(0, 2 * n) * rng.choice((1, q))]
             for lam in lams:
+                start = time.perf_counter()
                 fixed = _lambda_fixed_mod_X(lam, X)
+                took = time.perf_counter() - start
+                assert took < 5.0, f"step 2 over C{m} ({kind}) took {took:.2f} s"
                 assert fixed == closed_form_fixed(lam, X), (m, X.coeffs, lam)
+                if m <= 64:
+                    assert fixed == oracle_circulant_fixed(lam, X), (m, X.coeffs, lam)
                 outcomes.add(fixed)
-    assert outcomes == {True, False}
+                seen.add((kind, fixed))
+    assert len(orders) == 70 and outcomes == {True, False}
+    assert {k for k, f in seen if not f} == set(kinds)
+
+
+def test_step_2_eliminates_over_deg_f(monkeypatch):
+    """`_lambda_fixed_mod_X` hands `p_local_in_image` the deg F x deg F
+    matrix of multiplication by h in Z[x]/(F), not the |G| x |G|
+    circulant: 1 x 1 for the free orbit of C512 (F = x - 1), 2 x 2 for
+    2[C512/C2] and 256 x 256 for [C512/C256] (F = x^256 - 1)."""
+    import vone.jtheory as jtheory
+
+    shapes = []
+    inner = jtheory.p_local_in_image
+
+    def spy(mat, vec, p):
+        shapes.append((mat.rows, mat.cols))
+        assert len(vec) == mat.rows
+        return inner(mat, vec, p)
+
+    monkeypatch.setattr(jtheory, "p_local_in_image", spy)
+    g = cyc(512)
+    for X, shape in ((orbit(g, 0), (1, 1)),
+                     (2 * orbit(g, "C2"), (2, 2)),
+                     (orbit(g, "C256"), (256, 256))):
+        start = time.perf_counter()
+        assert _lambda_fixed_mod_X(3**10 - 1, X) == closed_form_fixed(3**10 - 1, X)
+        assert time.perf_counter() - start < 5.0
+        assert shapes == [shape], X.coeffs
+        shapes.clear()
 
 
 def test_bott_fixed_requirements():

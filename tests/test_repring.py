@@ -11,13 +11,16 @@ from vone.exactmath import (
     CyclotomicElement,
     IntMatrix,
     cokernel_data,
+    cyclotomic_poly,
     euler_phi,
     factorize,
     kernel_basis,
+    poly_mul,
     prime_power,
     smith_normal_form,
 )
 from vone.groups import GroupDescriptor, build_group
+from vone.record import record
 from vone.repring import (
     VirtualRep,
     adams,
@@ -26,8 +29,6 @@ from vone.repring import (
     eigenvalue_multiplicities,
     fixed_space_dim,
     from_class_function,
-    gamma_fixed_check,
-    gamma_orbit_basis,
     has_rational_characters,
     is_fixed_point_free,
     linearize,
@@ -688,7 +689,88 @@ def test_rational_fast_path_matches_generic():
 
 
 # ---------------------------------------------------------------------------
-# gamma basis
+# gamma basis: the convolution oracle for the Galois-fixed block
+
+
+@record
+class GammaOrbitBasis:
+    """Galois orbit sums in RU(C_{p^n}): gamma_i sums the characters L^k
+    with gcd(k, p^n) = p^i; these span the Galois-fixed subring."""
+
+    group: object
+    p: int
+    n: int
+    gammas: tuple
+
+
+def _cyclic_p_group(g) -> tuple[int, int]:
+    pp = prime_power(g.order)
+    if g.descriptor.kind != "cyclic" or pp is None:
+        raise ValueError("orbit basis requires a nontrivial cyclic p-group")
+    return pp
+
+
+def gamma_orbit_basis(g) -> GammaOrbitBasis:
+    p, n = _cyclic_p_group(g)
+    m = g.order
+    gammas = [VirtualRep(g, [int(gcd(k, m) == p**i) for k in range(m)]) for i in range(n + 1)]
+    return GammaOrbitBasis(g, p, n, tuple(gammas))
+
+
+def gamma_fixed_check(V):
+    """Whether V is fixed by the full Galois action, that is, has rational
+    characters; if so, also return its coordinates in the orbit-sum basis
+    (index i = 0..n), the coefficient of L^(p^i), one member of the orbit
+    of gamma_i."""
+    p, n = _cyclic_p_group(V.group)
+    if not has_rational_characters(V):
+        return False, None
+    m = V.group.order
+    return True, tuple([V.coeffs[p**i % m] for i in range(n + 1)])
+
+
+def oracle_galois_fixed_block(X):
+    """The Galois-fixed block of the RU side by convolution: column j holds
+    the orbit-sum coordinates of linearize(X) * gamma_j."""
+    lin = linearize(X)
+    cols = []
+    for gam in gamma_orbit_basis(X.group).gammas:
+        ok, coords = gamma_fixed_check(lin * gam)
+        assert ok, "the fixed subring is closed under multiplication"
+        cols.append(coords)
+    return IntMatrix.from_columns(cols)
+
+
+def test_galois_fixed_block_matches_convolution_oracle(monkeypatch):
+    """The RU side reads the Galois-fixed block as orbit sums of w; it is
+    the matrix of the convolutions w * gamma_j on random X over every
+    cyclic p-group C2-C81 and C49, zero-cardinality X and 0 included."""
+    seen = []
+    inner = repring.kernel_and_cokernel
+
+    def spy(mat):
+        seen.append(mat)
+        return inner(mat)
+
+    monkeypatch.setattr(repring, "kernel_and_cokernel", spy)
+    rng = random.Random(61)
+    orders = [m for m in range(2, 82) if prime_power(m) is not None] + [49]
+    for m in orders:
+        g = G(f"C{m}")
+        p = prime_power(m)[0]
+        r = len(g.subgroup_classes())
+        cases = [VirtualGSet(g, [rng.choice((0, rng.randint(-9, 9))) for _ in range(r)])
+                 for _ in range(8)]
+        if r > 1:
+            vec = [0] * r
+            i = rng.randrange(r - 1)
+            vec[i], vec[i + 1] = 1, -p  # [G/H] - p[G/K], |K:H| = p
+            cases.append(VirtualGSet(g, vec))
+        cases.append(VirtualGSet.zero(g))
+        for X in cases:
+            annihilator_and_quotient(X, side="RU")
+            assert seen.pop() == oracle_galois_fixed_block(X), (m, X.coeffs)
+    assert not seen
 
 
 def test_gamma_orbit_basis_c4():
@@ -832,27 +914,47 @@ def test_quotient_generator_orders():
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
 
 
-def test_one_circulant_builder_serves_step_2_and_the_ru_quotient(monkeypatch):
-    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) takes the circulant
-    of w = linearize(X) from `repring._circulant`, and it equals the
-    test-side `_circulant` over every cyclic p-group C2-C81. The spy stops
-    each caller once its matrix is built. The RU quotient never calls
-    `_circulant` (see `test_ru_quotient_builds_no_circulant`)."""
+def _check_split(X, split):
+    """`_ideal_split(X)` against the test-side circulant of w: the marks,
+    F G' = x^N - 1 with F the product of the Phi_{p^i} at the nonzero
+    marks, w the circulant's column 0, and G' times column j of A the
+    circulant's column j, x^j w mod (x^N - 1), for each j < deg F."""
+    phi, w, F, Gc, A = split
+    g = X.group
+    m = g.order
+    assert phi == marks(X)
+    assert poly_mul(F, Gc) == [-1, *[0] * (m - 1), 1]
+    expected_F = [1]
+    for cls, c in zip(g.subgroup_classes(), phi):
+        if c:
+            expected_F = poly_mul(expected_F, cyclotomic_poly(cls.order))
+    assert F == expected_F
+    M = _circulant(X)
+    assert tuple(w) == M.column(0)
+    k = len(F) - 1
+    assert len(A) == k and all(len(col) == k for col in A)
+    for j, col in enumerate(A):
+        lifted = poly_mul(Gc, col)
+        assert tuple(lifted + [0] * (m - len(lifted))) == M.column(j), (m, X.coeffs, j)
+
+
+def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
+    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) and the RU quotient
+    both take F, G' and the columns x^j h mod F from `repring._ideal_split`,
+    which agrees with the test-side circulant over every cyclic p-group
+    C2-C81 (`_check_split`)."""
     import vone.jtheory as jtheory
-    import vone.repring as repring
 
-    class Built(Exception):
-        pass
+    split = repring._ideal_split
+    calls = []
 
-    build = repring._circulant
-    built = []
+    def spy(X):
+        out = split(X)
+        calls.append((X, out))
+        return out
 
-    def spy(w):
-        built.append(build(w))
-        raise Built
-
-    monkeypatch.setattr(repring, "_circulant", spy)
-    monkeypatch.setattr(jtheory, "_circulant", spy)
+    monkeypatch.setattr(repring, "_ideal_split", spy)
+    monkeypatch.setattr(jtheory, "_ideal_split", spy)
     rng = random.Random(53)
     orders = [m for m in range(2, 82) if prime_power(m) is not None]
     for m in orders:
@@ -864,26 +966,36 @@ def test_one_circulant_builder_serves_step_2_and_the_ru_quotient(monkeypatch):
             den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
             for Z in (X, Y):
-                with pytest.raises(Built):
-                    jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z)
-                assert built.pop() == _circulant(Z), (m, Z.coeffs)
-    assert len(orders) == 32 and not built
+                jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z)
+                _check_split(*calls.pop())
+            annihilator_and_quotient(X, side="RU")
+            _check_split(*calls.pop())
+    assert len(orders) == 32 and not calls
 
 
 def test_ru_quotient_builds_no_circulant(monkeypatch):
-    import vone.repring as repring
+    """The RU side builds no N x N matrix: `cokernel_mod` gets the k x k
+    matrix of multiplication by h in Z[x]/(F), k = deg F, and the
+    Galois-fixed block is (n + 1) x (n + 1)."""
+    shapes = []
+    for name in ("cokernel_mod", "kernel_and_cokernel"):
+        def spy(mat, *args, _inner=getattr(repring, name)):
+            shapes.append((mat.rows, mat.cols))
+            return _inner(mat, *args)
 
-    def spy(w):
-        raise AssertionError("the RU quotient built the circulant")
-
-    monkeypatch.setattr(repring, "_circulant", spy)
+        monkeypatch.setattr(repring, name, spy)
     rng = random.Random(59)
     for m in (2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 49):
         g = G(f"C{m}")
+        n = prime_power(m)[1]
         r = len(g.subgroup_classes())
         for _ in range(3):
             X = VirtualGSet(g, [rng.choice((0, rng.randint(-4, 4))) for _ in range(r)])
             annihilator_and_quotient(X, side="RU")
+            k = sum(euler_phi(cls.order)
+                    for cls, c in zip(g.subgroup_classes(), marks(X)) if c)
+            assert shapes == [(k, k)] * bool(k) + [(n + 1, n + 1)], (m, X.coeffs)
+            shapes.clear()
 
 
 def oracle_ru_quotient(X):
