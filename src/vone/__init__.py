@@ -8,14 +8,11 @@ from .burnside import VirtualGSet, bmul, cardinality, from_marks, marks, orbit
 from .certify import (
     Certificate,
     certify_self_map,
-    derive_parameters,
     enumerate_5_1,
     enumerate_quaternion,
 )
 from .geomfix import (
-    ku_cofiber_fixed_points,
     phi_bott_valuation,
-    phi_gset,
     psi_power_fixed,
     telescope_fixed_points,
 )
@@ -55,18 +52,15 @@ __all__ = [
     "certify_self_map",
     "character_table",
     "default_ell",
-    "derive_parameters",
     "enumerate_5_1",
     "enumerate_quaternion",
     "from_marks",
     "imj_order_oracle",
     "imj_valuation",
-    "ku_cofiber_fixed_points",
     "linearize",
     "marks",
     "orbit",
     "phi_bott_valuation",
-    "phi_gset",
     "psi_power_fixed",
     "sq1_gset",
     "sq1_int",

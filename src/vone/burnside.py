@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactmath import pvaluation
-from .groups import GroupModel, SubgroupClass, table_of_marks
+from .groups import GroupModel, table_of_marks
 from .record import record
 from .virtual import VirtualElement
 
@@ -26,8 +26,6 @@ __all__ = [
     "marks",
     "bmul",
     "cardinality",
-    "restrict",
-    "induce",
     "from_marks",
     "orbit",
 ]
@@ -156,43 +154,3 @@ def cardinality(X: VirtualGSet, p: int) -> CardinalityDecomposition:
     c = Fraction(card) / Fraction(p) ** t
     return CardinalityDecomposition(p=p, t=t, c=c)
 
-
-def _classes_in(H: SubgroupClass) -> tuple:
-    """The standard model of H's representative, and the class in G of each
-    of its subgroup classes."""
-    G = H.group
-    sub, embed = G.subgroup_model(H.representative)
-    to_G = tuple([
-        G.class_index_of(frozenset([embed[u] for u in U.representative]))
-        for U in sub.subgroup_classes()
-    ])
-    return sub, to_G
-
-
-def restrict(X: VirtualGSet, H) -> VirtualGSet:
-    """Restriction to a subgroup: the same points viewed as an H-set.
-
-    H is a SubgroupClass, id or label of X's group; the result lives over the
-    standard model of the representative subgroup. A subgroup U <= H fixes
-    the same points whether X is seen as a G-set or as an H-set, so the marks
-    of the restriction are marks of X read at the G-classes of H's subgroups.
-    """
-    sub, to_G = _classes_in(X.group.subgroup_class(H))
-    mx = marks(X)
-    return from_marks(sub, [mx[c] for c in to_G], X.p_local)
-
-
-def induce(H: SubgroupClass, Y: VirtualGSet) -> VirtualGSet:
-    """Induction G x_H Y from a subgroup class H of G up to G.
-
-    Y must live over the standard model of H (as produced by restrict).
-    Induction sends [H/U] to [G/U], so this is just class bookkeeping.
-    """
-    G = H.group
-    sub, to_G = _classes_in(H)
-    if Y.group is not sub:
-        raise ValueError("G-set does not live over the chosen subgroup model")
-    out = [Fraction(0)] * len(G.subgroup_classes())
-    for cid, coeff in enumerate(Y.coeffs):
-        out[to_G[cid]] += coeff
-    return VirtualGSet(G, out, Y.p_local)

@@ -49,7 +49,6 @@ __all__ = [
     "EnumerationRow",
     "QuaternionRow",
     "standardize_rep",
-    "derive_parameters",
     "check_hypotheses",
     "certify_self_map",
     "enumerate_5_1",
@@ -169,14 +168,9 @@ def standardize_rep(V: VirtualRep) -> int:
     return dim // phi
 
 
-def derive_parameters(G: GroupModel, X: VirtualGSet, V: VirtualRep) -> SelfMapParameters:
-    """Read t, c_X off the virtual cardinality of X and k, c_V off the
-    dimension of V, with the default ell."""
-    p, n = _group_prime(G)
-    return _parameters(p, n, X, V, default_ell(p))
-
-
 def _parameters(p: int, n: int, X: VirtualGSet, V: VirtualRep, ell: int) -> SelfMapParameters:
+    """Read t, c_X off the virtual cardinality of X and k, c_V off the
+    dimension of V."""
     card = cardinality(X, p)
     k, c_v = bott_shape(V.dim(), p)
     return SelfMapParameters(p, n, card.t, card.c, k, c_v, ell)

@@ -579,6 +579,8 @@ def _cmd_sq1(args, out) -> int:
 
 
 def _cmd_imj(args, out) -> int:
+    if args.degree is not None and args.s is not None:
+        raise ParseError("give --degree or --s, not both")
     if args.degree is not None:
         if args.degree % 4 != 3:
             raise ParseError("image-of-J degrees are 3 mod 4")
@@ -622,7 +624,7 @@ def _cmd_theta(args, out) -> int:
     # lambda is the multiplicity of the trivial representation in theta - 1,
     # provided theta - 1 is lambda * [regular] at all
     lam = None
-    if G.order > 1 and diff.coeffs[0] * VirtualRep.regular(G) == diff:
+    if diff.coeffs[0] * VirtualRep.regular(G) == diff:
         lam = diff.coeffs[0]
     if args.json:
         doc = {

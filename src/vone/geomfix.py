@@ -1,17 +1,15 @@
 """Geometric fixed points as classification tables.
 
-Fixed points of a virtual G-set are its marks; fixed points of the k-th
-power map on a representation sphere collapse to one of three sphere
-maps; fixed points of the Bott class and of the v1-telescope reduce to
-prime-power bookkeeping. The tables here record exactly those residues
-as structured enumerations. No spectra are modeled.
+Fixed points of a virtual G-set are its marks (`burnside.marks`); fixed
+points of the k-th power map on a representation sphere collapse to one
+of three sphere maps; fixed points of the Bott class and of the
+v1-telescope reduce to prime-power bookkeeping. The tables here record
+exactly those residues as structured enumerations. No spectra are
+modeled.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .burnside import VirtualGSet, marks
 from .exactmath import check_prime
 from .record import record
 
@@ -20,11 +18,9 @@ __all__ = [
     "BottClassFixedPoints",
     "TelescopeFixedPoints",
     "KUCofiberFixedPoints",
-    "phi_gset",
     "psi_power_fixed",
     "phi_bott_valuation",
     "telescope_fixed_points",
-    "ku_cofiber_fixed_points",
 ]
 
 
@@ -94,12 +90,6 @@ class KUCofiberFixedPoints:
         return self.kind == "zero"
 
 
-def phi_gset(X: VirtualGSet, H) -> int | Fraction:
-    """Geometric fixed points of a virtual G-set: its mark at H."""
-    value = marks(X)[X.group.subgroup_class(H).id]
-    return int(value) if value.denominator == 1 else value
-
-
 def psi_power_fixed(d: int, k: int) -> PowerMapFixedPoints:
     """C_d-fixed points of the k-th power map on the d-th rotation
     sphere: degree k when d = 1, null when 1 != d divides k, identity
@@ -143,12 +133,6 @@ def _telescope_row(p: int, n: int, s: int, i: int, j: int) -> TelescopeFixedPoin
     if j <= i:
         return TelescopeFixedPoints("zero")
     return TelescopeFixedPoints("rational-pair")
-
-
-def ku_cofiber_fixed_points(p: int, n: int, s: int, i: int, j: int) -> KUCofiberFixedPoints:
-    """Same three-case table after smashing with KU: KU/(p^(s+n-i)) at
-    j = 0, zero for 1 <= j <= i, rational KU with zeta_{p^j} above i."""
-    return _ku_shadow(p, j, telescope_fixed_points(p, n, s, i, j))
 
 
 def _ku_shadow(p: int, j: int, t: TelescopeFixedPoints) -> KUCofiberFixedPoints:

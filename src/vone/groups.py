@@ -7,9 +7,8 @@ Subgroup classes are read off the two presentations (tom Dieck,
 subgroups <g^d> of C_m, d | m; the normal cyclic <x^d> of Dic_m, d | 2m;
 and the classes of <x^d, x^a j> in Dic_m, d | m, one for odd d and two for
 even d. Each family gives its classes' canonical representatives (least
-sorted element tuple), normalizers, labels, Weyl groups N/H with their
-abelianizations N/H[N, N], and the embedding of each subgroup's standard
-model, all in closed form (see WeylData and GroupModel.subgroup_model).
+sorted element tuple), normalizers, labels, and Weyl groups N/H with their
+abelianizations N/H[N, N], all in closed form (see WeylData).
 Element products, inverses, powers, orders, conjugates and conjugacy
 classes are read off the presentations too; no model stores a table of its
 group law or searches its elements.
@@ -150,7 +149,6 @@ class GroupModel:
         self._cyclic_class = {}
         self._elem_classes = None
         self._weyl = None
-        self._submodels = {}
         # the nonzero marks of burnside, kept here so that they live and die
         # with the model
         self._tom_nonzero = None
@@ -364,54 +362,6 @@ class GroupModel:
         if self._weyl is None:
             self._build_classes()
         return self._weyl[class_id]
-
-    # -- subgroup as a standalone group
-
-    def subgroup_model(self, elems: frozenset):
-        """Standard model of a subgroup plus the embedding list into G.
-
-        Returns (model, embed) where embed[i] is the G-element realizing
-        element i of the standard model, read off the subgroup's family
-        (see _class_families; n is the order of c):
-        - <c^d> is C_(n/d), with g^i -> c^(id);
-        - <x^m, x^a j>, a the least such index, is C4, with
-          (e, g, g^2, g^3) -> (e, x^a j, x^m, x^(a+m) j);
-        - any other <x^d, x^a j>, a the least such index, is Dic_(m/d), with
-          x^i -> x^(id) and x^i j -> x^(id) x^a j = x^(id+a) j.
-        ValueError if elems is not a subgroup.
-        """
-        key = elems if isinstance(elems, frozenset) else frozenset(elems)
-        if key in self._submodels:
-            return self._submodels[key]
-        self.class_index_of(key)
-        n, order = self._n, len(key)
-        top = max(key)
-        if top < n:
-            desc = GroupDescriptor.cyclic_of_order(order)
-            embed = range(0, n, n // order)
-        else:
-            # the x^a j of <x^d, x^a j> are those with a = a0 mod d, a0 < d
-            d = 2 * n // order
-            a = (top - n) % d
-            if order == 4:
-                desc = GroupDescriptor.cyclic_of_order(4)
-                embed = (0, n + a, d, n + a + d)
-            else:
-                desc = GroupDescriptor.dicyclic(order // 4)
-                xs = range(0, n, d)
-                embed = (*xs, *[n + i + a for i in xs])
-        model = build_group(desc)
-        # sanity: embedding must be a homomorphism. It is one if it respects
-        # right multiplication by the generators g (or x and j), as every
-        # element is a product of generators.
-        gens = range(1, min(order, 2)) if desc.kind == "cyclic" else (1, 2 * desc.m)
-        assert all(
-            embed[model.mul(i, s)] == self.mul(embed[i], embed[s])
-            for i in range(order)
-            for s in gens
-        )
-        self._submodels[key] = (model, tuple(embed))
-        return self._submodels[key]
 
     def __repr__(self):
         return f"<GroupModel {self.descriptor.name} order {self.order}>"

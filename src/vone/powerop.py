@@ -28,7 +28,6 @@ from .record import record
 __all__ = [
     "EtaClass",
     "Pi1Element",
-    "ETA",
     "sq1_int",
     "sq1_gset",
 ]
@@ -51,9 +50,6 @@ class EtaClass:
 
     def __repr__(self):
         return "eta" if self.coefficient else "0"
-
-
-ETA = EtaClass(1)
 
 
 def sq1_int(n: int) -> EtaClass:

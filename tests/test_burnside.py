@@ -1,7 +1,4 @@
-"""Burnside ring arithmetic against brute-force G-set decomposition.
-
-Restriction reads marks of X at the G-classes of the subgroup's own
-subgroups; its oracle walks the H-orbits of the points of each G/K."""
+"""Burnside ring arithmetic against brute-force G-set decomposition."""
 
 from __future__ import annotations
 
@@ -15,10 +12,8 @@ from vone.burnside import (
     bmul,
     cardinality,
     from_marks,
-    induce,
     marks,
     orbit,
-    restrict,
 )
 from vone.groups import GroupDescriptor, build_group, table_of_marks
 
@@ -172,115 +167,6 @@ def test_cardinality_of_scaled_orbits() -> None:
                 x = p**s * orbit(g, f"C{p**i}" if i else "e")
                 d = cardinality(x, p)
                 assert (d.t, d.c) == (s + n - i, 1)
-
-
-def test_restrict_examples() -> None:
-    c4 = G("C4")
-    c2cls = c4.class_of_label("C2")
-    down = restrict(orbit(c4, "e"), c2cls)
-    assert down.group.descriptor == GroupDescriptor.cyclic_of_order(2)
-    assert down == 2 * orbit(down.group, "e")
-    down = restrict(orbit(c4, "C2"), c2cls)
-    assert down == 2 * orbit(down.group, "C2")
-    # restriction to the trivial group reads off cardinality
-    ecls = c4.class_of_label("e")
-    x = 3 * orbit(c4, "C2") - orbit(c4, "C4")
-    down = restrict(x, ecls)
-    assert down.coeffs == (marks(x)[0],)
-
-
-def orbit_walk_restrict(x, hcls) -> VirtualGSet:
-    """Restriction by decomposing each G/K into H-orbits point by point and
-    locating each stabilizer in the subgroup model's class list."""
-    g = x.group
-    S = hcls.representative
-    sub, embed = g.subgroup_model(S)
-    back = {e: i for i, e in enumerate(embed)}
-    out = [Fraction(0)] * len(sub.subgroup_classes())
-    for cid, coeff in enumerate(x.coeffs):
-        if coeff == 0:
-            continue
-        K = g.subgroup_classes()[cid].representative
-        canon = {}
-        for a in range(g.order):
-            if a not in canon:
-                members = {g.mul(a, k) for k in K}
-                least = min(members)
-                for b in members:
-                    canon[b] = least
-        seen = set()
-        for pt in sorted(set(canon.values())):
-            if pt in seen:
-                continue
-            orbit_pts = {pt}
-            work = [pt]
-            while work:
-                q = work.pop()
-                for s in S:
-                    nxt = canon[g.mul(s, q)]
-                    if nxt not in orbit_pts:
-                        orbit_pts.add(nxt)
-                        work.append(nxt)
-            seen |= orbit_pts
-            stab = frozenset(back[s] for s in S if canon[g.mul(s, pt)] == pt)
-            out[sub.class_index_of(stab)] += coeff
-    return VirtualGSet(sub, out, x.p_local)
-
-
-def test_restrict_matches_orbit_walk() -> None:
-    rng = random.Random(24)
-    names = [f"C{m}" for m in range(1, 49)] + [f"Dic{m}" for m in range(2, 13)]
-    for name in names:
-        g = G(name)
-        r = len(g.subgroup_classes())
-        for hcls in g.subgroup_classes():
-            x = VirtualGSet(g, [rng.randint(-3, 3) for _ in range(r)])
-            # 2-local, denominators 3 and 5
-            y = VirtualGSet(g, [Fraction(rng.randint(-3, 3), rng.choice((1, 3, 5)))
-                                for _ in range(r)], 2)
-            for z in (x, y):
-                assert restrict(z, hcls) == orbit_walk_restrict(z, hcls), (name, hcls.label)
-
-
-def test_induce_examples() -> None:
-    c2 = G("C2")
-    up = induce(c2.class_of_label("e"), VirtualGSet.unit(build_group(GroupDescriptor.cyclic_of_order(1))))
-    assert up == orbit(c2, "e")
-    c4 = G("C4")
-    c2cls = c4.class_of_label("C2")
-    sub, _ = c4.subgroup_model(c2cls.representative)
-    up = induce(c2cls, orbit(sub, "C2"))
-    assert up == orbit(c4, "C2")
-    up = induce(c2cls, orbit(sub, "e"))
-    assert up == orbit(c4, "e")
-
-
-def test_frobenius_reciprocity_random() -> None:
-    rng = random.Random(22)
-    cases = [("C8", "C4"), ("C8", "C2"), ("Q8", "C4a"), ("Q16", "Q8a"), ("C12", "C4")]
-    for gname, hlabel in cases:
-        g = G(gname)
-        hcls = g.class_of_label(hlabel)
-        sub, _ = g.subgroup_model(hcls.representative)
-        rg, rs = len(g.subgroup_classes()), len(sub.subgroup_classes())
-        for _ in range(25):
-            x = VirtualGSet(g, [rng.randint(-3, 3) for _ in range(rg)])
-            y = VirtualGSet(sub, [rng.randint(-3, 3) for _ in range(rs)])
-            lhs = induce(hcls, bmul(restrict(x, hcls), y))
-            rhs = bmul(x, induce(hcls, y))
-            assert lhs == rhs, (gname, hlabel)
-
-
-def test_restriction_is_ring_map_random() -> None:
-    rng = random.Random(23)
-    g = G("Q16")
-    hcls = g.class_of_label("C8")
-    r = len(g.subgroup_classes())
-    for _ in range(40):
-        x = VirtualGSet(g, [rng.randint(-3, 3) for _ in range(r)])
-        y = VirtualGSet(g, [rng.randint(-3, 3) for _ in range(r)])
-        assert restrict(bmul(x, y), hcls) == bmul(restrict(x, hcls), restrict(y, hcls))
-        assert restrict(x + y, hcls) == restrict(x, hcls) + restrict(y, hcls)
 
 
 def test_p_local_flag_discipline() -> None:

@@ -10,9 +10,9 @@ import pytest
 from vone.burnside import VirtualGSet, bmul, orbit
 from vone.certify import (
     SelfMapParameters,
+    _parameters,
     certify_self_map,
     check_hypotheses,
-    derive_parameters,
     enumerate_5_1,
     enumerate_quaternion,
     standardize_rep,
@@ -20,6 +20,7 @@ from vone.certify import (
 from vone.cli import ParseError, parse_gset, parse_rep
 from vone.exactmath import pvaluation
 from vone.groups import GroupDescriptor, build_group
+from vone.jtheory import _group_prime, default_ell
 from vone.limits import MAX_PRIME
 from vone.repring import VirtualRep, standard_rep
 
@@ -52,27 +53,27 @@ def test_standardize_rep():
 
 def test_derive_parameters_examples():
     c2 = cyc(2)
-    par = derive_parameters(c2, orbit(c2, 0), 4 * standard_rep(c2, "L"))
+    par = _parameters(2, 1, orbit(c2, 0), 4 * standard_rep(c2, "L"), default_ell(2))
     assert (par.p, par.n, par.t, par.c_x, par.k, par.c_v) == (2, 1, 1, 1, 3, 1)
 
     c3 = cyc(3)
-    par = derive_parameters(c3, orbit(c3, 0), standard_rep(c3, "W"))
+    par = _parameters(3, 1, orbit(c3, 0), standard_rep(c3, "W"), default_ell(3))
     assert (par.n, par.t, par.k, par.c_v) == (1, 1, 0, 1)
 
     c4 = cyc(4)
-    par = derive_parameters(c4, orbit(c4, "C2"), 2 * standard_rep(c4, "W"))
+    par = _parameters(2, 2, orbit(c4, "C2"), 2 * standard_rep(c4, "W"), default_ell(2))
     assert (par.k, par.c_v) == (3, 1)
 
 
 def test_derive_parameters_errors():
     c3 = cyc(3)
     with pytest.raises(ValueError):
-        derive_parameters(c3, VirtualGSet.zero(c3), standard_rep(c3, "W"))
+        _parameters(3, 1, VirtualGSet.zero(c3), standard_rep(c3, "W"), default_ell(3))
     with pytest.raises(ValueError):
         # dim 3 over C3 is not p^k * c * (p-1)
-        derive_parameters(c3, orbit(c3, 0), 3 * standard_rep(c3, "L"))
+        _parameters(3, 1, orbit(c3, 0), 3 * standard_rep(c3, "L"), default_ell(3))
     with pytest.raises(ValueError):
-        derive_parameters(cyc(6), orbit(cyc(6), 0), standard_rep(cyc(6), "L"))
+        _group_prime(cyc(6))
 
 
 def test_parameter_invariants():
@@ -212,10 +213,10 @@ def test_certify_depends_only_on_cardinality_class():
     for _ in range(20):
         X = VirtualGSet(g, [rng.randrange(-2, 3) for _ in classes])
         try:
-            base = derive_parameters(g, X, V)
+            base = _parameters(2, 3, X, V, default_ell(2))
         except ValueError:
             continue
-        shifted = derive_parameters(g, X + rng.randrange(1, 4) * null, V)
+        shifted = _parameters(2, 3, X + rng.randrange(1, 4) * null, V, default_ell(2))
         assert (base.t, base.c_x) == (shifted.t, shifted.c_x)
         assert check_hypotheses(base) == check_hypotheses(shifted)
 

@@ -304,6 +304,24 @@ def test_cli_imj():
     assert code == 2
 
 
+def test_cli_imj_refuses_both_degree_and_s():
+    """--degree 7 --s 5 answered for degree 7 and exited 0."""
+    message = "give --degree or --s, not both"
+    assert json_error("imj", "--degree", "7", "--s", "5", "--json") == message
+    assert go("imj", "--degree", "7", "--s", "5") == (2, "", f"error: {message}\n")
+
+
+def test_cli_theta_over_c1():
+    """Over C1 [regular] = 1, so theta - 1 = (ell^dim - 1) [regular]; it
+    printed "not a multiple of the regular representation" and lam null."""
+    for rep, lam, valuations in (("3", "26", {}), ("0", "0", None)):
+        code, out, _ = go("theta", "--group", "C1", "--rep", rep, "--json")
+        doc = json.loads(out)
+        assert (code, doc["lam"], doc["valuations"]) == (0, lam, valuations), rep
+    assert go("theta", "--group", "C1", "--rep", "3") == (
+        0, "theta_3(3*1) over C1 = 27*1\ntheta - 1 = 26 * [regular]\n", "")
+
+
 def test_cli_theta_and_sq1():
     code, out, _ = go("theta", "--group", "C2", "--rep", "4*L", "--json")
     doc = json.loads(out)

@@ -1,15 +1,16 @@
+import io
+import json
 import random
 
 import pytest
 
-from vone.burnside import VirtualGSet, bmul, cardinality, orbit
+from vone.burnside import VirtualGSet, bmul, cardinality, marks, orbit
+from vone.cli import run
 from vone.geomfix import (
     BottClassFixedPoints,
     PowerMapFixedPoints,
     TelescopeFixedPoints,
-    ku_cofiber_fixed_points,
     phi_bott_valuation,
-    phi_gset,
     psi_power_fixed,
     telescope_fixed_points,
 )
@@ -20,14 +21,19 @@ def cyc(m):
     return build_group(GroupDescriptor.cyclic_of_order(m))
 
 
+def phi(X, H):
+    # the geometric fixed points of a virtual G-set at H are its mark there
+    return marks(X)[X.group.subgroup_class(H).id]
+
+
 def test_phi_gset_examples():
     c4 = cyc(4)
     free = orbit(c4, 0)
-    assert phi_gset(free, "C2") == 0
-    assert phi_gset(free, 0) == 4
+    assert phi(free, "C2") == 0
+    assert phi(free, 0) == 4
     point = orbit(c4, "C4")
     for cls in c4.subgroup_classes():
-        assert phi_gset(point, cls) == 1
+        assert phi(point, cls) == 1
 
 
 def test_phi_gset_orbit_pattern():
@@ -40,7 +46,7 @@ def test_phi_gset_orbit_pattern():
                 X = p**s * orbit(g, classes[i])
                 for j in range(n + 1):
                     expect = p ** (s + n - i) if j <= i else 0
-                    assert phi_gset(X, classes[j]) == expect
+                    assert phi(X, classes[j]) == expect
 
 
 def test_phi_gset_multiplicative():
@@ -51,7 +57,7 @@ def test_phi_gset_multiplicative():
             X = VirtualGSet(g, [rng.randrange(-3, 4) for _ in range(r)])
             Y = VirtualGSet(g, [rng.randrange(-3, 4) for _ in range(r)])
             for cls in g.subgroup_classes():
-                assert phi_gset(bmul(X, Y), cls) == phi_gset(X, cls) * phi_gset(Y, cls)
+                assert phi(bmul(X, Y), cls) == phi(X, cls) * phi(Y, cls)
 
 
 def test_psi_power_fixed_cases():
@@ -150,23 +156,34 @@ def test_telescope_range_errors():
         telescope_fixed_points(3, 2, -1, 0, 0)
 
 
+def telescope_json(*argv):
+    """Exit code and JSON document of `vone telescope ... --json`."""
+    out = io.StringIO()
+    code = run(["telescope", *map(str, argv), "--json"], out, io.StringIO())
+    return code, json.loads(out.getvalue())
+
+
 def test_ku_cofiber_mirrors_telescope():
+    # the KU columns of the telescope command, row by row
     for p, n in ((2, 2), (3, 3)):
         for s in (0, 1):
             for i in range(n + 1):
-                for j in range(n + 1):
+                code, doc = telescope_json("--p", p, "--n", n, "--s", s, "--i", i)
+                assert code == 0 and [row["j"] for row in doc["rows"]] == [str(j) for j in range(n + 1)]
+                for j, row in enumerate(doc["rows"]):
                     tel = telescope_fixed_points(p, n, s, i, j)
-                    ku = ku_cofiber_fixed_points(p, n, s, i, j)
-                    assert tel.is_zero() == ku.is_zero()
+                    assert row["telescope"] == tel.kind
+                    assert tel.is_zero() == (row["ku"] == "zero")
                     if j == 0:
-                        assert ku.kind == "ku-mod" and ku.modulus == tel.modulus
+                        assert row["ku"] == "ku-mod" and row["ku_modulus"] == str(tel.modulus)
                     elif j > i:
-                        assert ku.kind == "ku-rational-pair"
-                        assert ku.conductor == p**j
+                        assert row["ku"] == "ku-rational-pair"
+                        assert row["ku_conductor"] == str(p**j)
 
 
 def test_telescope_needs_a_prime():
     """p = 4 returned a table before."""
-    for table in (telescope_fixed_points, ku_cofiber_fixed_points):
-        with pytest.raises(ValueError, match="^p must be a prime$"):
-            table(4, 2, 0, 1, 0)
+    with pytest.raises(ValueError, match="^p must be a prime$"):
+        telescope_fixed_points(4, 2, 0, 1, 0)
+    code, doc = telescope_json("--p", 4, "--n", 2, "--i", 1, "--j", 0)
+    assert (code, doc["error"]) == (2, "p must be a prime")

@@ -8,7 +8,6 @@ from vone.burnside import VirtualGSet, orbit
 from vone.groups import GroupDescriptor, build_group
 from vone.limits import MAX_SQ1_WORK
 from vone.powerop import (
-    ETA,
     EtaClass,
     Pi1Element,
     _points_action,
@@ -16,6 +15,8 @@ from vone.powerop import (
     sq1_gset,
     sq1_int,
 )
+
+ETA = EtaClass(1)  # the stable Hopf class
 
 
 def G(name):
