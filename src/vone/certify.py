@@ -178,7 +178,20 @@ def _parameters(p: int, n: int, X: VirtualGSet, V: VirtualRep, ell: int) -> Self
 
 def check_hypotheses(params: SelfMapParameters) -> HypothesisVerdict:
     """k >= 3 gate at p = 2, then either k+1 >= n+t or the k > n escape
-    reserved for (p, t) = (2, 1)."""
+    reserved for (p, t) = (2, 1).
+
+    Over C_{p^n} a passed hypothesis implies step 2's X-fixedness. By the
+    lifting-the-exponent lemma v_p(lambda) >= k + 1 - n, lambda =
+    (ell^dim - 1)/p^n: for odd p the order of ell mod p divides p - 1,
+    which divides dim, so v_p(ell^dim - 1) >= 1 + v_p(dim) = 1 + k; for
+    p = 2, k >= 3 makes dim even, and v_2(ell^dim - 1) = v_2(ell - 1) +
+    v_2(ell + 1) + v_2(dim) - 1 >= 3 + (k - 1) - 1. The mark of X at e is
+    |X| = p^t c_X != 0, and S+ = {i >= 1 : the mark at C_{p^i} is nonzero}
+    has |S+| <= n, so the closed form of `jtheory._lambda_fixed_mod_X`,
+    v_p(lambda) >= t + |S+| - n, holds: k + 1 >= n + t gives
+    v_p(lambda) >= k + 1 - n >= t, and the escape k > n gives
+    v_p(lambda) >= 2 > 1 + |S+| - n.
+    """
     p, n, t, k = params.p, params.n, params.t, params.k
     if p == 2 and k < 3:
         return HypothesisVerdict(False, f"p = 2 requires k >= 3, got k = {k}")

@@ -805,6 +805,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_expressions(argv: list) -> list:
+    """argv with "--gset -X" joined into "--gset=-X", and likewise for
+    --rep: an expression may begin with a minus sign, and argparse reads a
+    separate value that does as an option. "--X" stays an option."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in ("--gset", "--rep") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 _HANDLERS = {
     "certify": _cmd_certify,
     "enumerate": _cmd_enumerate,
@@ -823,7 +836,7 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         # argparse writes usage and help to the sys streams
         with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_attach_expressions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2

@@ -6,8 +6,9 @@ representation with rational characters and ell prime to |G| the class
 collapses to 1 + lambda*[regular] with lambda = (ell^dim - 1)/|G| (Adams,
 On the groups J(X) II, Topology 3, 1965), so the certificates read lambda
 off that closed form and never convolve, and `theta` returns it for such V;
-`_theta_convolution` computes the class factor by factor for any V, and the
-tests hold the two against each other. The p-adic valuation of
+`_theta_convolution` computes the class factor by factor for any V, over
+Dic_m on its restrictions to cyclic subgroups, and the tests hold the two
+against each other. The p-adic valuation of
 lambda is the quantity the self-map certificates consume. Over a cyclic
 p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
 permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
@@ -25,7 +26,6 @@ from math import gcd
 
 from .burnside import VirtualGSet
 from .exactmath import (
-    CyclotomicElement,
     IntMatrix,
     bernoulli,
     check_prime,
@@ -35,13 +35,16 @@ from .exactmath import (
     prime_power,
     pvaluation,
 )
+from .groups import GroupDescriptor, build_group
 from .limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS
 from .record import record
 from .repring import (
     VirtualRep,
+    _half,
     _ideal_split,
+    _lift,
+    _restrict,
     eigenvalue_multiplicities,
-    from_class_function,
     has_rational_characters,
     is_fixed_point_free,
 )
@@ -153,34 +156,38 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
 
 def _theta_convolution(ell: int, V: VirtualRep) -> VirtualRep:
     """theta^ell(V) for an honest V, factor by factor: over C_m a product
-    of the classes of the lines, over Dic_m a class function decomposed."""
+    of the classes of the lines. Over Dic_m, theta commutes with
+    restriction, to <x> = C_2m and to <j> and <xj>, each a C_4 on which V
+    has the lines of its eigenvalues; so theta's restriction r is that
+    product and its values f(j), f(xj) are those at the generators of the
+    C_4, sum_t c_t i^t. As in `CharacterTable.decompose`,
+    a = (f(j) + f(xj))/2 and t0 b = (f(j) - f(xj))/2, and `_lift` gives
+    the coefficients."""
     G = V.group
-    if V.is_cyclic_side():
-        # group equal multiplicities so high powers run on one base product
-        by_count: dict[int, list[int]] = {}
-        for a, c in enumerate(V.coeffs):
-            if c:
-                by_count.setdefault(c, []).append(a)
-        out = VirtualRep.trivial(G)
-        for c, exps in by_count.items():
-            base = VirtualRep.trivial(G)
-            for a in exps:
-                base = base * VirtualRep(G, _power_counts(G.order, a, ell))
-            out = out * base**c
-        return out
-    values = []
-    for r, *_ in G.element_conjugacy_classes():
-        k = G.element_order(r)
-        mults = eigenvalue_multiplicities(V, r)
-        val = CyclotomicElement.one()
-        for j, nj in enumerate(mults):
-            if nj:
-                fac = CyclotomicElement.from_exponents(
-                    k, enumerate(_power_counts(k, j, ell))
-                )
-                val = val * fac**nj
-        values.append(val)
-    return from_class_function(G, values)
+    if not V.is_cyclic_side():
+        m = G.descriptor.m
+
+        def over_cyclic(lines):
+            C = build_group(GroupDescriptor.cyclic_of_order(len(lines)))
+            return _theta_convolution(ell, VirtualRep(C, lines)).coeffs
+
+        r = over_cyclic(_restrict(V.coeffs, m)[0])
+        (j0, j1, j2, j3), (x0, x1, x2, x3) = [
+            over_cyclic(eigenvalue_multiplicities(V, g)) for g in (2 * m, 2 * m + 1)]
+        b = j1 - j3 - x1 + x3 if m % 2 else j0 - j2 - x0 + x2  # t0 = i or 1
+        return VirtualRep(G, _lift(r, _half(j0 - j2 + x0 - x2), _half(b), m))
+    # group equal multiplicities so high powers run on one base product
+    by_count: dict[int, list[int]] = {}
+    for a, c in enumerate(V.coeffs):
+        if c:
+            by_count.setdefault(c, []).append(a)
+    out = VirtualRep.trivial(G)
+    for c, exps in by_count.items():
+        base = VirtualRep.trivial(G)
+        for a in exps:
+            base = base * VirtualRep(G, _power_counts(G.order, a, ell))
+        out = out * base**c
+    return out
 
 
 @record

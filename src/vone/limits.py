@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import sys
 
-# largest group order a model is built for; step 2 of a certificate still
-# eliminates over the |G| x |G| circulant
+# largest group order a model is built for; step 2 of a certificate
+# eliminates over Z_(p)[x]/(F), deg F x deg F with deg F up to |G| for an X
+# whose marks are all nonzero
 DEFAULT_ORDER_BOUND = 512
 
 # bound on a ^ exponent and on the product of nested ones, so that the

@@ -13,14 +13,12 @@ virtual G-sets.
 No table of character values is kept for either kind. A value is one sum
 over the lines of a cyclic group (`_line_sum`): of the coefficients over C_m,
 and over Dic_m of the restriction to <x> at x^s, or a +- t0 b at the classes
-of j and xj. Over C_m the eigenvalues of an element are read off the
-coefficients as well. Every decomposition is one transform, `_fourier`, of
-the values along the powers of an element, accumulated as integer vectors
-in exponent space, Z[x]/(x^N - 1) with N a common conductor, and reduced
-modulo Phi_N once: along g for fixed spaces and eigenvalues over Dic_m,
-along the generator of C_m, and along x, with the values at j and xj, over
-Dic_m. Linearization needs no transform: it is read off the marks of X in
-integers, over Dic_m through the restriction to <x>.
+of j and xj. Fixed point freeness and the eigenvalues of an element are read
+off the same integers: off the lines of C_m or of the restriction to <x>,
+and at x^s j off dim V, V(x^m), a and b. Only `CharacterTable.decompose`
+transforms class values (`_fourier`). Linearization needs no transform: it
+is read off the marks of X in integers, over Dic_m through the restriction
+to <x>.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .exactmath import (
     cokernel_mod,
     cyclotomic_poly,
     euler_phi,
-    is_prime,
     kernel_and_cokernel,
     poly_div_exact,
     poly_mul,
@@ -51,13 +48,11 @@ __all__ = [
     "AbelianPresentation",
     "IdealStructure",
     "character_table",
-    "from_class_function",
     "standard_rep",
     "adams",
     "linearize",
     "is_fixed_point_free",
     "has_rational_characters",
-    "fixed_space_dim",
     "eigenvalue_multiplicities",
     "annihilator_and_quotient",
 ]
@@ -102,7 +97,11 @@ class CharacterTable:
         a, b and F(0), ..., F(m), one `_fourier` transform, are.
         """
         m = self.group.descriptor.m
-        values = _class_function(self.group, values, m + 3)
+        values = [v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
+                  for v in values]
+        if len(values) != m + 3:
+            raise ValueError(f"a class function on {self.group.descriptor.name} has {m + 3} "
+                             f"values, one per conjugacy class, not {len(values)}")
         idx = self.group.element_class_index
         F = _fourier([values[idx(r)] for r in range(2 * m)], range(m + 1))
         fj, fxj = values[idx(2 * m)], values[idx(2 * m + 1)]
@@ -153,7 +152,7 @@ class VirtualRep(VirtualElement):
     k is the multiplicity of the k-th irreducible character.
     """
 
-    __slots__ = ("_values",)  # class values, set on first use
+    __slots__ = ()
 
     _noun = "representation"
     _basis = "the character basis"
@@ -228,14 +227,7 @@ class VirtualRep(VirtualElement):
 
     def class_values(self) -> tuple:
         """Character value at each element conjugacy class, in class order."""
-        try:
-            return self._values
-        except AttributeError:
-            pass
-        classes = self.group.element_conjugacy_classes()
-        values = tuple([self.character(c[0]) for c in classes])
-        object.__setattr__(self, "_values", values)
-        return values
+        return tuple([self.character(c[0]) for c in self.group.element_conjugacy_classes()])
 
     # -- ring product: cyclic convolution, over Dic_m on the restriction
 
@@ -256,28 +248,6 @@ class VirtualRep(VirtualElement):
     # bound here as well
     __mul__ = __rmul__ = VirtualElement.__mul__
     __pow__ = VirtualElement.__pow__
-
-
-def _class_function(G: GroupModel, values, count: int) -> list:
-    """The values as cyclotomic elements, one per conjugacy class of G."""
-    values = [v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
-              for v in values]
-    if len(values) != count:
-        raise ValueError(f"a class function on {G.descriptor.name} has {count} values, "
-                         f"one per conjugacy class, not {len(values)}")
-    return values
-
-
-def from_class_function(G: GroupModel, values, p_local: int | None = None) -> VirtualRep:
-    """Expand an exact class function over the irreducible basis. Over C_m,
-    where L^a takes zeta_m^(ab) at g^b for the generator g = 1, the
-    coefficient of L^a is (1/m) sum_b f(g^b) zeta_m^(-ab)."""
-    if G.descriptor.kind == "cyclic":
-        m = G.order
-        coeffs = _fourier(_class_function(G, values, m), range(m))
-    else:
-        coeffs = character_table(G).decompose(values)
-    return VirtualRep(G, coeffs, p_local)
 
 
 def standard_rep(G: GroupModel, name: str) -> VirtualRep:
@@ -475,69 +445,64 @@ def _fourier(values: list, js) -> list:
     return out
 
 
-def _along(V: VirtualRep, g: int) -> list:
-    """The character of V at g^0, g^1, ..., g^(k-1), k the order of g,
-    read off the class values."""
-    G = V.group
-    vals = V.class_values()
-    return [vals[G.element_class_index(G.power(g, b))] for b in range(G.element_order(g))]
-
-
-def _cyclic_eigenvalues(V: VirtualRep, g: int) -> list:
-    """Over C_m, the multiplicity of zeta_k^j as an eigenvalue of g on V,
-    k the order of g: L^a takes zeta_m^(ag) at g, which is zeta_k^j for
-    ag = j(m/k) mod m, so it is the sum of the c_a over those a."""
-    m = V.group.order
-    step = gcd(g, m)  # m / k
-    out = [0] * (m // step)
-    for a, c in enumerate(V.coeffs):
+def _cyclic_eigenvalues(coeffs, g: int) -> list:
+    """The multiplicity of zeta_k^j as an eigenvalue of the element g of
+    C_n, n = len(coeffs), on the sum of the lines L^a with these
+    multiplicities, k the order of g: L^a takes zeta_n^(ag) at g, which is
+    zeta_k^j for ag = j(n/k) mod n, so it is the sum of the c_a over those
+    a."""
+    n = len(coeffs)
+    step = gcd(g, n)  # n / k
+    out = [0] * (n // step)
+    for a, c in enumerate(coeffs):
         if c:
-            out[a * g % m // step] += c
+            out[a * g % n // step] += c
     return out
-
-
-def fixed_space_dim(V: VirtualRep, g: int):
-    """Dimension of the subspace of V fixed by g (averaging over <g>)."""
-    V.group.check_element(g)
-    if V.is_cyclic_side():
-        return _cyclic_eigenvalues(V, g)[0]
-    return _fourier(_along(V, g), (0,))[0]
 
 
 def eigenvalue_multiplicities(V: VirtualRep, g: int) -> tuple:
     """Multiplicity of zeta_k^j (j = 0..k-1) as an eigenvalue of g on V,
-    where k is the order of g. Requires an honest representation."""
+    where k is the order of g. Requires an honest representation.
+
+    The cyclic rule reads them off the coefficients over C_m, and over
+    Dic_m off the restriction r to <x> for g = x^s (`_restrict`). g = x^s j
+    has order 4, g^2 = x^m and V(g^3) = conj V(g). With d = dim V,
+    c = V(x^m) = sum_s (-1)^s r[s] and V(g) = alpha + i beta, i^t has
+    multiplicity (1/4) sum_b V(g^b) i^(-tb) = (d + (-1)^t c + 2x)/4, x being
+    alpha, beta, -alpha, -beta for t = 0..3. V(g) = a +- t0 b by the parity
+    of s, so alpha = a +- b, beta = 0 for m even (t0 = 1), and alpha = a,
+    beta = +-b for m odd (t0 = i).
+    """
     if not V.is_honest():
         raise ValueError("eigenvalues need an honest representation")
+    G = V.group
+    G.check_element(g)
     if V.is_cyclic_side():
-        V.group.check_element(g)
-        return tuple(_cyclic_eigenvalues(V, g))
-    out = []
-    for q in _fourier(_along(V, g), range(V.group.element_order(g))):
-        if q.denominator != 1 or q < 0:
-            raise ArithmeticError("non-integral eigenvalue multiplicity")
-        out.append(int(q))
-    return tuple(out)
+        return tuple(_cyclic_eigenvalues(V.coeffs, g))
+    m = G.descriptor.m
+    r, a, b = _restrict(V.coeffs, m)
+    if g < 2 * m:
+        return tuple(_cyclic_eigenvalues(r, g))
+    d, c = sum(r), sum(r[::2]) - sum(r[1::2])
+    if g % 2:
+        b = -b
+    alpha, beta = (a, b) if m % 2 else (a + b, 0)
+    return tuple([(d + (-1) ** t * c + 2 * x) // 4
+                  for t, x in enumerate((alpha, beta, -alpha, -beta))])
 
 
 def is_fixed_point_free(V: VirtualRep) -> bool:
     """No nontrivial element fixes a vector; the unit sphere is free.
 
-    A vector fixed by g is fixed by every power of g, and g != e has a
-    power of prime order, so only classes of prime order are checked; for
-    Q_{2^n} that is the central involution alone.
-    """
+    Over C_n that holds exactly when every line L^a in V is faithful,
+    gcd(a, n) = 1. Over Dic_m the rule runs on the restriction to <x>
+    (`_restrict`): a vector fixed by g is fixed by g^2, and every x^s j
+    squares to x^m != e in <x>."""
     if not V.is_honest():
         raise ValueError("fixed point freeness is a property of honest representations")
-    G = V.group
-    if V.is_cyclic_side():
-        m = G.order
-        return all(gcd(a, m) == 1 for a, c in enumerate(V.coeffs) if c)
-    return all(
-        fixed_space_dim(V, cls[0]) == 0
-        for cls in G.element_conjugacy_classes()
-        if is_prime(G.element_order(cls[0]))
-    )
+    lines = V.coeffs if V.is_cyclic_side() else _restrict(V.coeffs, V.group.descriptor.m)[0]
+    n = len(lines)
+    return all(gcd(a, n) == 1 for a, c in enumerate(lines) if c)
 
 
 def has_rational_characters(V: VirtualRep) -> bool:

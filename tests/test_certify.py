@@ -2,6 +2,7 @@ import importlib.util
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from vone.certify import (
     standardize_rep,
 )
 from vone.cli import ParseError, parse_gset, parse_rep
-from vone.exactmath import pvaluation
+from vone.exactmath import euler_phi, prime_power, pvaluation
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import _group_prime, default_ell
 from vone.limits import MAX_PRIME
@@ -109,6 +110,70 @@ def test_check_hypotheses_monotone_in_k():
                     ).passed
                     assert cur or not prev, (p, n, t, k)
                     prev = cur
+
+
+def _hypothesis_cases(rng):
+    """(stratum, G, X, ell, c) over every C_{p^n} <= 256. X is random,
+    p-local, of cardinality zero, or has every mark nonzero; c = p^e u with
+    u prime to p and e chosen so that k lies on both sides of the
+    hypothesis (k = e + n - 1 for odd p, e + n for p = 2, against
+    k + 1 >= n + t); ell is default_ell(p) and two other units. Above order
+    64 the random and p-local X have no mark at the two largest subgroups
+    (at G alone over C_p) and no full-support X is drawn: step 2 eliminates
+    over deg F, which is |G| for a full support, and a C128 certificate
+    takes 0.2 s. Cases with ell^dim over 2^16 bits are left out, which
+    drops the larger e over the large primes."""
+    for N in range(2, 257):
+        pp = prime_power(N)
+        if pp is None:
+            continue
+        p, n = pp
+        G = cyc(N)
+        top = n + 1 if N <= 64 else max(1, n - 1)
+        units = [u for u in (1, 2, 3, 5, 7) if u % p]
+        xs = [
+            ("random", VirtualGSet(G, [rng.randint(-3, 3) for _ in range(top)]
+                                   + [0] * (n + 1 - top))),
+            ("p-local", VirtualGSet(G, [Fraction(rng.randint(-3, 3), rng.choice(units))
+                                        for _ in range(top)] + [0] * (n + 1 - top), p)),
+            ("zero", p * orbit(G, 1) - orbit(G, 0)),
+        ]
+        if N <= 64:
+            xs.append(("full", VirtualGSet(G, [rng.randint(1, 3) for _ in range(n + 1)])))
+        others = [ell for ell in range(2, 40) if ell % p and ell != default_ell(p)]
+        ells = [default_ell(p), *rng.sample(others, 2)]
+        for stratum, X in xs:
+            card = sum(c * p ** (n - i) for i, c in enumerate(X.coeffs))
+            t = pvaluation(Fraction(card), p) if card else 0
+            edge = t - 1 if p == 2 else t  # the least e that passes k + 1 >= n + t
+            for e in sorted({max(0, e) for e in (edge - 1, edge, edge + 1)}):
+                for ell in ells:
+                    c = p**e * rng.choice(units)
+                    if c * euler_phi(N) * ell.bit_length() <= 2**16:
+                        yield stratum, G, X, ell, c
+
+
+def test_hypothesis_implies_step_2_fixedness():
+    """A certificate over C_{p^n} that passes the hypothesis has
+    v_p(lambda) >= k + 1 - n and an X-fixed theta - 1, so step 2's
+    fixedness never decides a verdict (the proof is in `check_hypotheses`).
+    Both sides of the hypothesis occur in every stratum."""
+    seen = Counter()
+    for stratum, G, X, ell, c in _hypothesis_cases(random.Random(2600)):
+        cert = certify_self_map(G, X, c * standard_rep(G, "W"), ell)
+        if cert.hypothesis is None:  # |X| = 0 leaves no p^t c_X
+            assert cert.verdict == "step-failed" and "cardinality is zero" in cert.warnings[0]
+            seen[stratum, None] += 1
+            continue
+        assert stratum != "zero"
+        par, step2 = cert.parameters, cert.step2
+        if cert.hypothesis.passed:
+            label = (G.descriptor.name, stratum, X.coeffs, ell, c)
+            assert step2.fixedness is True, label
+            assert pvaluation(step2.report.lam, par.p) >= par.k + 1 - par.n, label
+        seen[stratum, cert.hypothesis.passed] += 1
+    strata = {(s, b) for s in ("random", "p-local", "full") for b in (True, False)}
+    assert strata | {("zero", None)} <= set(seen), seen
 
 
 def test_certify_main_example():

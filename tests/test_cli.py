@@ -561,15 +561,36 @@ def test_cli_and_library_share_one_input_policy():
     assert seen == {0, 1, 2}
 
 
-def test_cli_expression_with_a_leading_minus_needs_the_equals_form():
-    """argparse reads '-[...]' after --gset as an option, so the expression
-    has to be attached: --gset=-[...]."""
+def test_cli_expression_with_a_leading_minus_is_a_value():
+    """argparse read '-[...]' after --gset as an option and exited 2 with
+    "expected one argument", so only --gset=-[...] was read; both forms
+    are now the same request, for --gset and --rep of every subcommand."""
     expr = "-[Q8/e]+2*[Q8/C4a]"
     code, out, err = go("certify", "--group", "Q8", "--gset", expr, "--rep", "2*H")
-    assert (code, out) == (2, "") and "argument --gset: expected one argument" in err
-    code, out, err = go("certify", "--group", "Q8", f"--gset={expr}", "--rep", "2*H")
     assert code == 1 and json.loads(out)["inputs"]["gset"] == expr and err == ""
-    assert go("marks", "--group", "C4", "--gset=-[C4/e]+[C4/C4]") == (0, "e  C2  C4\n-3  1  1\n", "")
+    assert go("certify", "--group", "Q8", f"--gset={expr}", "--rep", "2*H") == (code, out, err)
+    requests = [
+        ("certify", "--group", "C4", "--gset", "-[C4/e]", "--rep", "4*W"),
+        ("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "-L+2*L+L^3", "--text"),
+        ("marks", "--group", "C4", "--gset", "-[C4/e]+[C4/C4]"),
+        ("sq1", "--group", "C4", "--gset", "-h", "--json"),
+        ("theta", "--group", "C4", "--rep", "-1+2*L"),
+    ]
+    for argv in requests:
+        attached = list(argv)
+        i = attached.index("--gset" if "--gset" in argv else "--rep")
+        attached[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        assert go(*argv) == go(*attached), argv
+    assert go(*requests[2]) == (0, "e  C2  C4\n-3  1  1\n", "")
+    assert go(*requests[0])[0] == 0
+    # real errors stay input errors, and JSON under --json
+    code, out, err = go("certify", "--group", "C4", "--gset", "-[C4/e", "--rep", "4*W", "--json")
+    assert code == 2 and "error" in json.loads(out) and err == ""
+    code, out, err = go("theta", "--group", "C4", "--rep", "-L")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    # a value that begins with "--" is the next option
+    code, out, err = go("certify", "--group", "C4", "--gset", "--rep", "4*W")
+    assert (code, out) == (2, "") and "argument --gset: expected one argument" in err
 
 
 def test_cli_sq1_is_bounded_and_cyclic_sq1_is_closed_form():

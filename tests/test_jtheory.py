@@ -28,14 +28,10 @@ from vone.jtheory import (
     verify_bott_fixed_mod_X,
 )
 from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
-from vone.repring import (
-    VirtualRep,
-    eigenvalue_multiplicities,
-    from_class_function,
-    standard_rep,
-)
+from vone.repring import VirtualRep, standard_rep
 
 from test_exactmath import _circulant
+from test_repring import _honest_dicyclic_samples, class_eigenvalues, from_class_function
 
 
 def cyc(m):
@@ -212,15 +208,27 @@ def test_q_line_matches_term_by_term_sum():
                 assert _power_counts(m, a, ell) == vec, (m, a, ell)
 
 
-def theta_term_by_term(ell, V):
-    """theta over a dicyclic group with each factor 1 + z + ... + z^(ell-1)
-    summed term by term over range(ell): the oracle of the residue count."""
+def class_eigenvalue_table(V):
+    """The eigenvalue multiplicities at each class, from the class values."""
+    values = V.class_values()
+    return [class_eigenvalues(V, cls[0], values) for cls in V.group.element_conjugacy_classes()]
+
+
+def theta_term_by_term(ell, V, eigenvalues=None):
+    """theta over a dicyclic group as a class function, decomposed: at each
+    class the eigenvalues are the transform of the class values (or given,
+    from `class_eigenvalue_table`), and each factor 1 + z + ... + z^(ell-1)
+    is summed term by term over range(ell). The library built theta this
+    way, with the exponents counted by residue, until it ran on the
+    restrictions to <x>, <j> and <xj>."""
     G = V.group
     values = []
-    for cls in G.element_conjugacy_classes():
+    if eigenvalues is None:
+        eigenvalues = class_eigenvalue_table(V)
+    for cls, mults in zip(G.element_conjugacy_classes(), eigenvalues):
         k = G.element_order(cls[0])
         val = CyclotomicElement.one()
-        for j, nj in enumerate(eigenvalue_multiplicities(V, cls[0])):
+        for j, nj in enumerate(mults):
             fac = CyclotomicElement.from_exponents(k, ((j * t % k, 1) for t in range(ell)))
             val = val * fac**nj
         values.append(val)
@@ -235,6 +243,32 @@ def test_dicyclic_theta_matches_term_by_term_sum():
         for ell in range(1, 3 * g.order + 1):
             for v in reps:
                 assert theta(ell, v) == theta_term_by_term(ell, v), (g.order, ell, v.coeffs)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 9, 12, 16, 27, 32, 64])
+def test_dicyclic_theta_matches_the_class_function_oracle(m):
+    """theta on the restrictions to <x>, <j> and <xj> against the
+    decomposed class function, on the groups that
+    `test_dicyclic_theta_matches_term_by_term_sum` leaves out.
+    Up to Dic9, m odd and even: every ell in 1..3|G|, for H + 1 and a random
+    honest V that is not fixed point free. Above: a random honest V and the
+    ell next to 1, |G|, 2|G| and 3|G|, fewer over Dic64, where the oracle
+    takes a second per ell."""
+    rng = random.Random(7100 + m)
+    g = dic(m)
+    N = g.order
+    samples = _honest_dicyclic_samples(g, rng, 1)
+    if m <= 9:
+        reps, ells = [standard_rep(g, "H") + 1, samples[1]], range(1, 3 * N + 1)
+    elif m < 64:
+        reps, ells = samples[1:], (1, 2, 3, N - 1, N + 1, 2 * N + 1, 3 * N)
+    else:
+        reps, ells = samples[2:], (3, N + 1, 3 * N)
+    for v in reps:
+        eigenvalues = class_eigenvalue_table(v)
+        for ell in ells:
+            assert _theta_convolution(ell, v) == theta_term_by_term(ell, v, eigenvalues), (
+                m, ell, v.coeffs)
 
 
 def test_dicyclic_theta_large_ell_is_bounded():
@@ -335,7 +369,7 @@ def _bott_k(dim, p):
 
 def test_adams_multiplier_matches_theta_convolution():
     # the closed form lambda = (ell^dim - 1)/|G| against theta computed
-    # by convolution (cyclic) and cyclotomic character values (dicyclic)
+    # by convolution, over Dic_m on the restriction to <x>
     cases = []
     for p, top in ((2, 7), (3, 4), (5, 3)):
         for n in range(1, top + 1):

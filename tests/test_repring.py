@@ -14,6 +14,7 @@ from vone.exactmath import (
     cyclotomic_poly,
     euler_phi,
     factorize,
+    is_prime,
     kernel_basis,
     poly_mul,
     prime_power,
@@ -27,8 +28,6 @@ from vone.repring import (
     annihilator_and_quotient,
     character_table,
     eigenvalue_multiplicities,
-    fixed_space_dim,
-    from_class_function,
     has_rational_characters,
     is_fixed_point_free,
     linearize,
@@ -105,12 +104,55 @@ def table_of(g):
     return CyclicTable(g) if g.descriptor.kind == "cyclic" else DicyclicTable(g)
 
 
+def from_class_function(g, values, p_local=None):
+    """Expand an exact class function over the irreducible basis. Over C_m,
+    where L^a takes zeta_m^(ab) at g^b for the generator g = 1, the
+    coefficient of L^a is (1/m) sum_b f(g^b) zeta_m^(-ab), the library's
+    transform; over Dic_m it is `CharacterTable.decompose`. The library
+    built class functions this way until fixed points, eigenvalues and
+    theta were read off the restriction to <x>."""
+    if g.descriptor.kind == "cyclic":
+        m = g.order
+        if len(values) != m:
+            raise ValueError(f"a class function on {g.descriptor.name} has {m} values, "
+                             "one per conjugacy class")
+        values = [v if isinstance(v, CyclotomicElement) else CyclotomicElement.from_rational(v)
+                  for v in values]
+        coeffs = repring._fourier(values, range(m))
+    else:
+        coeffs = character_table(g).decompose(values)
+    return VirtualRep(g, coeffs, p_local)
+
+
 def decompose(g, values, p_local=None):
-    """The library's expansion of a class function: the transform over C_m,
+    """The expansion of a class function: the transform over C_m,
     `CharacterTable.decompose` over Dic_m."""
     if g.descriptor.kind == "cyclic":
         return from_class_function(g, values, p_local).coeffs
     return character_table(g).decompose(values)
+
+
+def along(v, x, values=None):
+    """The character of v at x^0, x^1, ..., x^(k-1), k the order of x, read
+    off the class values (computed here unless given)."""
+    g = v.group
+    values = v.class_values() if values is None else values
+    return [values[g.element_class_index(g.power(x, b))] for b in range(g.element_order(x))]
+
+
+def class_fixed_space_dim(v, x, values=None):
+    """The dimension of the subspace of v fixed by x, the average of its
+    character over <x>: the library's rule until fixed points were read off
+    the restriction to <x>."""
+    return repring._fourier(along(v, x, values), (0,))[0]
+
+
+def class_eigenvalues(v, x, values=None):
+    """The multiplicity of zeta_k^j, j = 0..k-1, as an eigenvalue of x on
+    v, k the order of x: the transform of the class values along x."""
+    out = repring._fourier(along(v, x, values), range(v.group.element_order(x)))
+    assert all(q.denominator == 1 and q >= 0 for q in out), out
+    return tuple([int(q) for q in out])
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +650,12 @@ def test_fpf_cyclic_fast_path_matches_eigenvalue_definition():
 
 
 def fpf_all_classes(V) -> bool:
-    """Fixed point freeness checked at every nontrivial element class: the
-    rule before only classes of prime order were read, kept as the oracle."""
-    G = V.group
+    """Fixed point freeness checked at every nontrivial element class, off
+    the class values: the rule before only classes of prime order were
+    read, kept as the oracle."""
+    G, values = V.group, V.class_values()
     return all(
-        fixed_space_dim(V, cls[0]) == 0
+        class_fixed_space_dim(V, cls[0], values) == 0
         for cls in G.element_conjugacy_classes()
         if cls[0] != 0
     )
@@ -645,14 +688,76 @@ def test_fpf_prime_order_classes_match_all_classes():
     assert outcomes == {True, False}
 
 
+def _honest_dicyclic_samples(g, rng, count):
+    """Honest V over Dic_m, `count` of each kind: sums of the fixed point
+    free irreducibles, the rho_h with gcd(h, 2m) = 1; such a sum plus one
+    irreducible that is not; and three random terms."""
+    r = g.descriptor.m + 3
+    free = [3 + h for h in range(1, r - 3) if gcd(h, 2 * (r - 3)) == 1]
+    out = []
+    for _ in range(count):
+        vec = [0] * r
+        for i in rng.sample(free, rng.randint(1, min(3, len(free)))):
+            vec[i] = rng.randint(1, 3)
+        out.append(VirtualRep(g, vec))
+        vec[rng.choice([i for i in range(r) if i not in free])] += 1
+        out.append(VirtualRep(g, vec))
+        vec = [0] * r
+        for i in rng.sample(range(r), 3):
+            vec[i] = rng.randint(1, 2)
+        out.append(VirtualRep(g, vec))
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_dicyclic_fixed_point_freeness_matches_class_values(m):
+    """Dic2-Dic64: the gcd rule on the lines of the restriction to <x>
+    against the check it replaced, the fixed spaces of the classes of
+    prime order averaged from the class values."""
+    rng = random.Random(4200 + m)
+    g = G(f"Dic{m}")
+    outcomes = set()
+    for v in _honest_dicyclic_samples(g, rng, 3):
+        values = v.class_values()
+        want = all(class_fixed_space_dim(v, c[0], values) == 0
+                   for c in g.element_conjugacy_classes() if is_prime(g.element_order(c[0])))
+        assert is_fixed_point_free(v) == want, v.coeffs
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [*range(2, 17), 27, 32, 64])
+def test_dicyclic_eigenvalues_match_class_values_at_every_element(m):
+    """Dic2-Dic16, Dic27, Dic32 and Dic64: the eigenvalues at x^s read off
+    the restriction to <x>, and at x^s j off dim V, V(x^m), a and b,
+    against the transform of the class values along the element, at every
+    element. Dense random V as well up to Dic16."""
+    rng = random.Random(4300 + m)
+    g = G(f"Dic{m}")
+    samples = _honest_dicyclic_samples(g, rng, 2 if m <= 16 else 1)
+    if m <= 16:
+        samples.append(VirtualRep(g, [rng.choice((0, 0, 1, 2)) for _ in range(m + 3)]))
+    for v in samples:
+        values = v.class_values()
+        for x in range(g.order):
+            assert eigenvalue_multiplicities(v, x) == class_eigenvalues(v, x, values), (v.coeffs, x)
+
+
 def test_fixed_space_dim():
+    """The fixed space of g is the multiplicity of its eigenvalue 1; the
+    class-value average agrees."""
     c4 = G("C4")
     w = standard_rep(c4, "W")
-    assert fixed_space_dim(w, 1) == 0
-    assert fixed_space_dim(w, 2) == 0
-    assert fixed_space_dim(VirtualRep.trivial(c4) + w, 2) == 1
     reg = standard_rep(c4, "regular")
-    assert fixed_space_dim(reg, 2) == 2  # C[C4] as C2-set: two free orbits
+    cases = [(w, 1, 0), (w, 2, 0), (VirtualRep.trivial(c4) + w, 2, 1),
+             (reg, 2, 2)]  # C[C4] as C2-set: two free orbits
+    q16 = G("Q16")
+    h = standard_rep(q16, "H")
+    cases += [(h, 4, 0), (h, 8, 0), (h, 9, 0), (h + VirtualRep.irreducible(q16, 2), 4, 1),
+              (VirtualRep.irreducible(q16, 5), 4, 2)]  # rho2 has kernel <x^4>
+    for v, x, dim in cases:
+        assert eigenvalue_multiplicities(v, x)[0] == dim
+        assert class_fixed_space_dim(v, x) == dim
 
 
 def test_eigenvalue_multiplicities():
@@ -1287,11 +1392,12 @@ def _basis_size(g):
 
 def _check_against_oracles(v):
     table = table_of(v.group)
-    for r in table.reps:
-        assert fixed_space_dim(v, r) == oracle_fixed_space_dim(v, r)
-        if v.is_honest():
-            assert eigenvalue_multiplicities(v, r) == oracle_eigenvalue_multiplicities(v, r)
     values = v.class_values()
+    for r in table.reps:
+        assert class_fixed_space_dim(v, r, values) == oracle_fixed_space_dim(v, r)
+        if v.is_honest():
+            want = oracle_eigenvalue_multiplicities(v, r)
+            assert eigenvalue_multiplicities(v, r) == class_eigenvalues(v, r, values) == want
     assert decompose(v.group, values, v.p_local) == oracle_decompose(table, values) == v.coeffs
 
 
@@ -1380,7 +1486,7 @@ def test_fast_paths_mixed_denominators():
     g = G("C12")
     v = VirtualRep(g, [Fraction(1, 5), 0, Fraction(2, 7), 1] + [0] * 8, p_local=2)
     for x in range(12):
-        assert fixed_space_dim(v, x) == oracle_fixed_space_dim(v, x)
+        assert class_fixed_space_dim(v, x) == oracle_fixed_space_dim(v, x)
     values = v.class_values()
     table = CyclicTable(g)
     assert decompose(g, values, 2) == oracle_decompose(table, values) == v.coeffs
@@ -1388,24 +1494,18 @@ def test_fast_paths_mixed_denominators():
 
 def test_cyclic_eigenvalues_read_off_the_coefficients_match_class_values():
     """C1-C64: the multiplicities summed over a g = j(m/k) mod m against the
-    transform of the class values along g, the path Dic_m still takes. Every
-    element up to C16, then one element of each order, its inverse and one
-    at random."""
+    transform of the class values along g. Every element up to C16, then
+    one element of each order, its inverse and one at random."""
     rng = random.Random(73)
     for m in range(1, 65):
         g = G(f"C{m}")
         honest = VirtualRep(g, [rng.choice((0, 0, 1, 2)) for _ in range(m)])
-        virtual = VirtualRep(g, [rng.randint(-2, 2) for _ in range(m)])
-        local = VirtualRep(g, [Fraction(rng.randint(-2, 2), rng.choice((1, 3, 5)))
-                               for _ in range(m)], p_local=2)
+        values = honest.class_values()
         divs = [d for d in range(1, m + 1) if m % d == 0]
         xs = range(m) if m <= 16 else {*(d % m for d in divs), *(-d % m for d in divs),
                                        rng.randrange(m)}
         for x in xs:
-            for v in (honest, virtual, local):
-                assert fixed_space_dim(v, x) == repring._fourier(repring._along(v, x), (0,))[0]
-            want = repring._fourier(repring._along(honest, x), range(g.element_order(x)))
-            assert eigenvalue_multiplicities(honest, x) == tuple(want)
+            assert eigenvalue_multiplicities(honest, x) == class_eigenvalues(honest, x, values)
 
 
 def test_decompose_rejects_non_characters_like_oracle():
@@ -1463,8 +1563,8 @@ def test_character_table_lives_with_its_model():
 
 def test_cyclic_groups_build_no_character_table():
     """C_m has no table: the m x m table of C512 held 262,144 entries, and
-    the fixed spaces, eigenvalues, class values and class functions over C_m
-    read nothing from it."""
+    the eigenvalues, class values and class functions over C_m read nothing
+    from it."""
     from vone.groups import GroupModel
 
     g = GroupModel(GroupDescriptor.parse("C512"))
@@ -1472,8 +1572,8 @@ def test_cyclic_groups_build_no_character_table():
         character_table(g)
     start = time.perf_counter()
     w, line = standard_rep(g, "W"), standard_rep(g, "L")
-    assert fixed_space_dim(w, 511) == 0
-    assert fixed_space_dim(w + 1, 256) == 1
+    assert eigenvalue_multiplicities(w, 511)[0] == 0
+    assert eigenvalue_multiplicities(w + 1, 256) == (1, 256)
     mults = eigenvalue_multiplicities(line, 1)
     assert mults == (0, 1) + (0,) * 510
     assert from_class_function(g, line.class_values()) == line
