@@ -180,6 +180,10 @@ def check_hypotheses(params: SelfMapParameters) -> HypothesisVerdict:
     """k >= 3 gate at p = 2, then either k+1 >= n+t or the k > n escape
     reserved for (p, t) = (2, 1).
 
+    The escape is implied by the main clause, over C_{2^n} and Q_{2^n}
+    alike: with t = 1, k > n gives k + 1 >= n + 2 > n + t. So it decides
+    no verdict; it only names the clause that passed.
+
     Over C_{p^n} a passed hypothesis implies step 2's X-fixedness. By the
     lifting-the-exponent lemma v_p(lambda) >= k + 1 - n, lambda =
     (ell^dim - 1)/p^n: for odd p the order of ell mod p divides p - 1,

@@ -805,13 +805,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+# --gset and --rep with the abbreviations argparse accepts for them ("--g"
+# could also be --group)
+_EXPRESSION_OPTIONS = ("--gs", "--gse", "--gset", "--r", "--re", "--rep")
+
+
 def _attach_expressions(argv: list) -> list:
     """argv with "--gset -X" joined into "--gset=-X", and likewise for
-    --rep: an expression may begin with a minus sign, and argparse reads a
-    separate value that does as an option. "--X" stays an option."""
+    --rep and the abbreviations of both: an expression may begin with a
+    minus sign, and argparse reads a separate value that does as an
+    option. "--X" stays an option."""
     out: list = []
     for arg in argv:
-        if out and out[-1] in ("--gset", "--rep") and arg[:1] == "-" and arg[:2] != "--":
+        if out and out[-1] in _EXPRESSION_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
             out[-1] += "=" + arg
         else:
             out.append(arg)

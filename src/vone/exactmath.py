@@ -10,8 +10,11 @@ its elimination for the cokernel generators. A cokernel of finite order D
 may instead be read off a Smith form modulo D (`cokernel_mod`), whose
 entries stay within D/2 of 0. Membership in a Z_(p)-span
 (`p_local_in_image`, step 2 of a cyclic certificate, on the deg F x deg F
-matrix of multiplication by h in Z[x]/(F)) is an elimination over the
-valuation ring Z_(p) and builds no Smith form.
+matrix of multiplication by h in Z[x]/(F)) takes the same route at p: an
+elimination over Z/p^M, p^M the vector's denominator times a power of p
+that kills the cokernel at p (v_p(D) will do), so no entry reaches p^M,
+and none runs at all when M = 0, as for every full-support X whose marks
+are prime to p.
 Nothing here touches floating point.
 """
 
@@ -692,71 +695,80 @@ def _kernel(snf) -> list[tuple[int, ...]]:
     return [v.column(j) for j in range(rank, v.cols)]
 
 
-def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int) -> bool:
-    """Whether vec lies in the Z_(p)-span of the columns of mat.
+def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int, modulus: int) -> bool:
+    """Whether vec lies in the Z_(p)-span L_(p) of the columns of mat.
 
-    vec may have rational entries; it needs one entry per row of mat. With
-    D the lcm of its denominators and s = v_p(D), the question is whether
-    A*x = b/p^s has a solution x over Z_(p), where A = mat and b = D*vec is
-    an integer vector (the prime-to-p part of D is a unit).
+    The contract of `cokernel_mod`, read at p: mat is square, k x k, and
+    its column lattice L contains modulus * Z^k, p-locally at least. Only
+    delta = v_p(modulus) is read, so modulus = |det mat| != 0 serves, and so
+    does its p-part p^delta. vec may have rational entries, one per row.
+    With D the lcm of its denominators and s = v_p(D), the question is
+    whether A*x = b/p^s, A = mat and b = D*vec (the prime-to-p part of D is
+    a unit), has a solution over Z_(p), that is, whether b lies in
+    p^s L_(p). It is decided over Z/q, q = p^M and M = delta + s, with
+    every entry in [0, q): the route `cokernel_mod` takes modulo a known
+    order (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+    - For modulus = |det A| the adjugate gives A * adj(A) = det(A) * I,
+      so det(A) * Z^k lies in L; in general the contract puts
+      p^delta * Z_(p)^k in L_(p). Hence p^(delta + s) * Z_(p)^k =
+      q * Z_(p)^k lies in p^s L_(p). When M = 0 every b is a member, and
+      nothing is eliminated.
+    - So membership is decided modulo q: b may be reduced modulo q, and
+      L_(p) is spanned by the columns of [A | q*I]. A row operation U
+      invertible over Z_(p) keeps q*U*Z^k = q*Z^k, so throughout, the
+      lattice is spanned by the working matrix together with q*Z^k, and
+      any entry may be reduced modulo q.
 
-    Elimination over the discrete valuation ring Z_(p) (Cohen, GTM 138,
-    2.4), with b carried as one extra column. The pivot a = p^v*u is an
-    entry of least valuation among the remaining rows (a row's least
-    valuation is that of its content), so p^v divides every entry of its
-    column, and row_i <- u*row_i - (a_i/p^v)*row_piv clears that column;
-    u is a p-adic unit, so each step is invertible over Z_(p). The pivot
-    equation then fixes its variable in Z_(p) exactly when
-    v_p(b_piv) >= v + s, whatever the other variables are, because every
-    other entry of the pivot row has valuation >= v; its row and column
-    leave the system. A row whose matrix part is zero passes only when its
-    b is 0. Each updated row is divided by the prime-to-p part of its
-    content, a unit, to keep the entries small; their growth can cost only
-    time, never exactness.
+    Elimination over Z_(p) (Cohen, GTM 138, 2.4), with b carried as one
+    extra column. The pivot a = p^v*u is an entry of least valuation among
+    the remaining rows (a row's is that of gcd(q, row)), so p^v divides
+    every entry of its column, and row_i -= (a_i/p^v) * u^-1 * row_piv,
+    u^-1 = pow(u, -1, q), clears that column. The pivot equation then fixes
+    its variable in Z_(p) exactly when v_p(b_piv) >= v + s, whatever the
+    other variables are, since every entry of the pivot row has valuation
+    >= v; its row and column leave the system. The remaining rows span,
+    with q*Z_(p), the projection of a lattice that contains
+    p^delta * Z_(p)^k, so the true remaining block always has an entry of
+    valuation <= delta: every pivot has v <= delta, and each test
+    v_p(b) >= v + s <= M is read modulo q. Only when s = 0 can that entry
+    read 0 modulo q; a row that does is then its own summand q*Z_(p) of the
+    lattice and passes exactly when its b is 0 modulo q.
     """
-    if len(vec) != mat.rows:
-        raise ValueError(f"vector of length {len(vec)} against {mat.rows} rows")
+    k = mat.rows
+    if mat.cols != k:
+        raise ValueError(f"a square matrix is needed, not {k} x {mat.cols}")
+    if len(vec) != k:
+        raise ValueError(f"vector of length {len(vec)} against {k} rows")
+    if modulus < 1:
+        raise ValueError("the modulus must be a positive integer")
     den = lcm(*[x.denominator for x in vec])
-    shift = pvaluation(den, p)
-    rows = [[*row, x.numerator * (den // x.denominator)]
+    ps = p ** pvaluation(den, p)
+    q = ps * p ** pvaluation(modulus, p)
+    if q == 1:
+        return True
+    rows = [[x % q for x in row] + [x.numerator * (den // x.denominator) % q]
             for row, x in zip(mat.entries, vec)]
     while rows:
-        best = None  # (valuation, row index)
+        best = None  # (p^v, row index), v the least valuation in the row
         for i, row in enumerate(rows):
-            g = gcd(*row[:-1])
-            if not g:
-                if row[-1]:
-                    return False
-                continue
-            v = 0
-            while g % p == 0 and (best is None or v < best[0]):
-                g //= p
-                v += 1
-            if best is None or v < best[0]:
-                best = (v, i)
-                if v == 0:
+            g = gcd(q, *row[:-1])
+            if best is None or g < best[0]:
+                best = (g, i)
+                if g == 1:
                     break
-        if best is None:
-            return True
-        v, pi = best
+        pv, pi = best
+        if pv == q:  # every remaining row reads 0
+            return not any(row[-1] for row in rows)
         prow = rows.pop(pi)
-        if prow[-1] % p ** (v + shift):
+        if prow[-1] % (pv * ps):
             return False
-        pv = p**v
         pj = next(j for j, a in enumerate(prow) if a % (pv * p))
-        unit = prow.pop(pj) // pv
+        inv = pow(prow.pop(pj) // pv, -1, q)
         for i, row in enumerate(rows):
-            q = row.pop(pj)
-            if not q:
-                continue
-            q //= pv
-            row = [unit * x - q * y for x, y in zip(row, prow)]
-            g = gcd(*row)
-            while g and g % p == 0:
-                g //= p
-            if g > 1:
-                row = [x // g for x in row]
-            rows[i] = row
+            a = row.pop(pj)
+            if a:
+                c = q - a // pv * inv % q
+                rows[i] = [z if (z := x + c * y) < q else z % q for x, y in zip(row, prow)]
     return True
 
 

@@ -12,12 +12,12 @@ against each other. The p-adic valuation of
 lambda is the quantity the self-map certificates consume. Over a cyclic
 p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
 permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
-elimination over Z_(p) in the deg F x deg F quotient Z[x]/(F) of
+elimination over Z/p^M in the deg F x deg F quotient Z[x]/(F) of
 `repring._ideal_split`, F the product of the Phi_{p^i} where X has a
-nonzero mark, and its docstring proves that reduction and the closed form
-in the marks of X that the tests hold against it. Everything is exact: integer
-representation rings, cyclotomic character values, Bernoulli denominators
-for the image-of-J oracle.
+nonzero mark and p^M bounded by the marks, and its docstring proves that
+reduction and the closed form in the marks of X that the tests hold
+against it. Everything is exact: integer representation rings, cyclotomic
+character values, Bernoulli denominators for the image-of-J oracle.
 """
 
 from __future__ import annotations
@@ -299,12 +299,31 @@ def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
     - If phi_0 != 0, then x - 1 divides F, G' is a product of Phi_{p^i}
       with i >= 1, and [regular] = G' * T with T = F/(x - 1), the product
       of the Phi_{p^i} over S+ = {i >= 1 : phi_i != 0}, of degree k - 1,
-      so T lies in Q. Both lambda * G' * T and every G' * (h*y mod F) have degree < N,
-      and G' is monic, so they are equal exactly when
+      so T lies in Q. Both lambda * G' * T and every G' * (h*y mod F)
+      have degree < N, and G' is monic, so they are equal exactly when
       lambda * T = h*y mod F. Hence fixed <=> lambda * T lies in the
       Z_(p)-span of the columns x^j h mod F, which `p_local_in_image`
-      decides on the k x k matrix. Only a full-support X, F = x^N - 1,
-      makes it N x N.
+      decides on the k x k matrix A modulo a power of p that the marks
+      bound. A full-support X, F = x^N - 1, makes A N x N.
+
+    The modulus is p^min(delta, mu + n). Each of the two kills the p-part
+    of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the columns of A
+    contains modulus * Q_(p), as `p_local_in_image` needs:
+    - delta = v_p(det A) = sum_{i in S} phi(p^i) v_p(phi_i) - e, read off
+      the factored resultant of `_ideal_split` without multiplying it out
+      (for p-local X its terms carry the scale den, a unit). A finite group
+      is killed by its order.
+    - mu = max_{i in S} v_p(phi_i). Evaluation at the roots of F embeds
+      Q_(p) in the product of the Z_(p)[zeta_{p^i}], i in S, where h takes
+      the value phi_i / G'(zeta_{p^i}), of valuation <= mu as G'(zeta) is
+      integral; so p^mu * y / h is integral for y in Q_(p). The idempotents
+      of Q[C_N] are 1/N times integer combinations of group elements
+      (Galois orbit sums of characters), and their images in Q[x]/(F)
+      split that product, so N = p^n times it lies in Q_(p), and
+      p^(mu + n) * y = h * z with z in Q_(p).
+    A full-support X whose marks are prime to p has delta = 0, and no
+    elimination runs; mu + n caps the modulus where delta is large, as
+    when marks divisible by p carry the weights phi(p^i).
 
     It has a closed form, which the tests hold against this function:
     - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
@@ -319,9 +338,12 @@ def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
     - Hence, for lambda != 0: fixed <=> phi_0 != 0 and
       v_p(lambda) >= v_p(phi_0) + |S+| - n.
     """
-    p = prime_power(X.group.order)[0]
-    phi, _, F, _, A = _ideal_split(X)
+    p, n = prime_power(X.group.order)
+    phi, _, F, _, A, (terms, e) = _ideal_split(X)
     if not phi[0]:
         return not lam
     T = poly_div_exact(F, (-1, 1))
-    return p_local_in_image(IntMatrix.from_columns(A), [lam * c for c in T], p)
+    delta = sum([d * pvaluation(c, p) for c, d in terms]) - e
+    mu = max([pvaluation(c, p) for c, _ in terms])
+    return p_local_in_image(IntMatrix.from_columns(A), [lam * c for c in T], p,
+                            p ** min(delta, mu + n))

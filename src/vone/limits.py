@@ -7,8 +7,8 @@ from __future__ import annotations
 import sys
 
 # largest group order a model is built for; step 2 of a certificate
-# eliminates over Z_(p)[x]/(F), deg F x deg F with deg F up to |G| for an X
-# whose marks are all nonzero
+# eliminates over Z/p^M on Z[x]/(F), deg F x deg F with deg F up to |G| for
+# an X whose marks are all nonzero (nothing is eliminated when M = 0)
 DEFAULT_ORDER_BOUND = 512
 
 # bound on a ^ exponent and on the product of nested ones, so that the

@@ -546,8 +546,8 @@ class IdealStructure:
 
 
 def _ideal_split(X: VirtualGSet) -> tuple:
-    """(phi, w, F, G', A): the split of the ideal (w) of RU(C_N),
-    N = p^n, that the RU quotient and certify step 2 both read.
+    """(phi, w, F, G', A, (terms, e)): the split of the ideal (w) of
+    RU(C_N), N = p^n, that the RU quotient and certify step 2 both read.
 
     w = linearize(X) is scaled by the lcm of its denominators, a unit when
     X is p-local, so the ideal is the same over Z_(p). Evaluation at the
@@ -564,17 +564,31 @@ def _ideal_split(X: VirtualGSet) -> tuple:
     wR = G' * (h*Q mod F), inside G'*Q, and multiplication by G' is
     injective on Q. A lists the k columns x^j h mod F, j < k, the matrix
     of multiplication by h on Q = Z[x]/(F). Nothing N x N is built.
+
+    The last entry, (terms, e), is the order D = |det A| = |Res(F, h)| in
+    factored form: D is the product over the roots zeta of F of
+    |h(zeta)| = |den * phi_i / G'(zeta)|, den the scale, and with
+    Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
+    D = prod_{i in S} |den * phi_i|^phi(p^i) / p^e with
+    e = sum_{i in S, j not in S} phi(p^min(i, j)). terms lists the pairs
+    (den * phi_i, phi(p^i)) over S, integers; den is 1 for integer X and
+    a unit for p-local X.
     """
     phi = marks(X)
-    F, Gc = [1], [1]
-    for cls, c in zip(X.group.subgroup_classes(), phi):
-        if c:
-            F = poly_mul(F, cyclotomic_poly(cls.order))
-        else:
-            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
     w = linearize(X).coeffs
     den = lcm(*[c.denominator for c in w if isinstance(c, Fraction)])
     w = [int(c * den) for c in w]
+    F, Gc = [1], [1]
+    terms, inside, outside = [], [], []
+    for cls, c in zip(X.group.subgroup_classes(), phi):
+        if c:
+            F = poly_mul(F, cyclotomic_poly(cls.order))
+            terms.append((int(c * den), euler_phi(cls.order)))
+            inside.append(cls.order)
+        else:
+            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
+            outside.append(cls.order)
+    e = sum([euler_phi(min(a, b)) for a in inside for b in outside])
     h = poly_div_exact(w, Gc)
     A = []
     for _ in range(len(F) - 1):
@@ -583,7 +597,7 @@ def _ideal_split(X: VirtualGSet) -> tuple:
         h = [0, *h[:-1]]
         if top:
             h = [c - top * f for c, f in zip(h, F)]
-    return phi, w, F, Gc, A
+    return phi, w, F, Gc, A, (terms, e)
 
 
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
@@ -606,11 +620,9 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     - Quotient: R/wR is Z^(N - k), generated by the x^j with j < N - k,
       plus Z[x]/(F, h), the cokernel of the k x k matrix A, with generators
       G'*g for its generators g.
-    - That cokernel has order D = |Res(F, h)| = |det A|, the product over
-      the roots zeta of F of h(zeta) = phi_i / G'(zeta). With
-      Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
-      D = prod_{i in S} |phi_i|^phi(p^i) / p^e with
-      e = sum_{i in S, j not in S} phi(p^min(i, j)). So D*Z^k lies in the
+    - That cokernel has order D = |Res(F, h)| = |det A|, which
+      `_ideal_split` returns in factored form,
+      D = prod_{i in S} |phi_i|^phi(p^i) / p^e. So D*Z^k lies in the
       column lattice of A, and `cokernel_mod` reads the cokernel off a Smith
       form modulo D, whose entries stay within D/2 of 0.
 
@@ -649,12 +661,8 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
     p, n = prime_power(m)
-    phi, w, F, Gc, A = _ideal_split(X)
-    orders = [cls.order for cls in G.subgroup_classes()]
-    inside = [o for o, c in zip(orders, phi) if c]
-    outside = [o for o, c in zip(orders, phi) if not c]
-    order = prod([abs(c) ** euler_phi(o) for o, c in zip(orders, phi) if c])
-    order //= p ** sum([euler_phi(min(a, b)) for a in inside for b in outside])
+    _, w, F, Gc, A, (terms, e) = _ideal_split(X)
+    order = prod([abs(c) ** d for c, d in terms]) // p**e
     k = len(F) - 1
     free = m - k
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])

@@ -593,6 +593,26 @@ def test_cli_expression_with_a_leading_minus_is_a_value():
     assert (code, out) == (2, "") and "argument --gset: expected one argument" in err
 
 
+def test_cli_abbreviated_expression_options_take_a_leading_minus():
+    """argparse accepts unambiguous prefixes of --gset and --rep; a value
+    with a leading minus after one of them is joined to it as well, so
+    "--gse -[C4/e]" is the request "--gset -[C4/e]" (it exited 2 with
+    "expected one argument")."""
+    full = go("certify", "--group", "C4", "--gset", "-[C4/e]", "--rep", "4*W")
+    assert full[0] == 0
+    for option in ("--gs", "--gse"):
+        assert go("certify", "--group", "C4", option, "-[C4/e]", "--rep", "4*W") == full
+    full = go("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "-W+5*W")
+    assert full[0] == 0
+    for option in ("--r", "--re"):
+        assert go("certify", "--group", "C4", "--gset", "[C4/e]", option, "-W+5*W") == full
+    assert go("theta", "--group", "C4", "--re", "-1+2*L") == go("theta", "--group", "C4",
+                                                               "--rep", "-1+2*L")
+    # "--g" could be --group or --gset: argparse still refuses it
+    code, out, err = go("certify", "--group", "C4", "--g", "-[C4/e]", "--rep", "4*W")
+    assert (code, out) == (2, "") and "ambiguous option" in err
+
+
 def test_cli_sq1_is_bounded_and_cyclic_sq1_is_closed_form():
     """The free orbit of C256 is a closed form; over a dicyclic group the
     point action is bounded by MAX_SQ1_WORK: Q256's free orbit (about ten

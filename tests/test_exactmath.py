@@ -366,16 +366,81 @@ def test_solve_int_columns() -> None:
     assert solve_int_columns(IntMatrix([[1], [1]]), IntMatrix([[0], [1]])) is None
 
 
+def exact_in_image(mat: IntMatrix, vec, p: int) -> bool:
+    """Whether vec lies in the Z_(p)-span of the columns of mat, any shape
+    and rank: the elimination over Z_(p) that `p_local_in_image` ran before
+    it worked modulo p^(delta + s), kept as the oracle.
+
+    With D the lcm of the denominators of vec and s = v_p(D), it asks
+    whether A*x = b/p^s, b = D*vec, has a solution over Z_(p). The pivot
+    a = p^v*u has least valuation among the remaining rows, and
+    row_i <- u*row_i - (a_i/p^v)*row_piv clears its column; the pivot
+    equation passes exactly when v_p(b_piv) >= v + s, and a row whose
+    matrix part is zero passes only when its b is 0. Each updated row is
+    divided by the prime-to-p part of its content; nothing else bounds the
+    entries."""
+    if len(vec) != mat.rows:
+        raise ValueError(f"vector of length {len(vec)} against {mat.rows} rows")
+    vec = [Fraction(x) for x in vec]
+    den = lcm(*[x.denominator for x in vec])
+    shift = pvaluation(den, p)
+    rows = [[*row, x.numerator * (den // x.denominator)]
+            for row, x in zip(mat.entries, vec)]
+    while rows:
+        best = None  # (valuation, row index)
+        for i, row in enumerate(rows):
+            g = gcd(*row[:-1])
+            if not g:
+                if row[-1]:
+                    return False
+                continue
+            v = 0
+            while g % p == 0 and (best is None or v < best[0]):
+                g //= p
+                v += 1
+            if best is None or v < best[0]:
+                best = (v, i)
+                if v == 0:
+                    break
+        if best is None:
+            return True
+        v, pi = best
+        prow = rows.pop(pi)
+        if prow[-1] % p ** (v + shift):
+            return False
+        pv = p**v
+        pj = next(j for j, a in enumerate(prow) if a % (pv * p))
+        unit = prow.pop(pj) // pv
+        for i, row in enumerate(rows):
+            q = row.pop(pj)
+            if not q:
+                continue
+            q //= pv
+            row = [unit * x - q * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            while g and g % p == 0:
+                g //= p
+            if g > 1:
+                row = [x // g for x in row]
+            rows[i] = row
+    return True
+
+
 def test_p_local_membership() -> None:
-    m = IntMatrix([[2, 0], [0, 3]])
+    m = IntMatrix([[2, 0], [0, 3]])  # det 6
     # (1, 0) is in the 3-local but not the 2-local span
-    assert p_local_in_image(m, [1, 0], 3)
-    assert not p_local_in_image(m, [1, 0], 2)
-    assert p_local_in_image(m, [Fraction(2, 5), 3], 2)
-    # off the column span entirely
+    assert p_local_in_image(m, [1, 0], 3, 6)
+    assert not p_local_in_image(m, [1, 0], 2, 6)
+    assert p_local_in_image(m, [Fraction(2, 5), 3], 2, 6)
+    assert not p_local_in_image(m, [Fraction(2, 5), 1], 3, 6)
+    # only v_p(modulus) is read: the 2-part of det will do
+    assert not p_local_in_image(m, [1, 0], 2, 2)
+    # M = 0: mat is invertible over Z_(5), and nothing is eliminated
+    assert p_local_in_image(m, [1, 0], 5, 6)
+    # off the column span entirely, on the oracle, which takes any shape
     tall = IntMatrix([[1], [0]])
-    assert not p_local_in_image(tall, [0, 1], 2)
-    assert p_local_in_image(tall, [7, 0], 2)
+    assert not exact_in_image(tall, [0, 1], 2)
+    assert exact_in_image(tall, [7, 0], 2)
 
 
 def fraction_in_image(mat: IntMatrix, vec, p: int) -> bool:
@@ -395,7 +460,8 @@ def fraction_in_image(mat: IntMatrix, vec, p: int) -> bool:
 
 
 def test_p_local_membership_matches_fraction_oracle() -> None:
-    # denominators include multiples of p, where D*vec shifts the valuation
+    # denominators include multiples of p, where D*vec shifts the valuation;
+    # square nonsingular matrices go through `p_local_in_image` as well
     rng = random.Random(17)
     outcomes = set()
     for _ in range(3000):
@@ -407,8 +473,10 @@ def test_p_local_membership_matches_fraction_oracle() -> None:
                for _ in range(rows)]
         if rng.random() < 0.3:
             vec = [int(x * x.denominator) for x in vec]
-        got = p_local_in_image(mat, vec, p)
+        got = exact_in_image(mat, vec, p)
         assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
+        if rows == cols and det(mat):
+            assert got == p_local_in_image(mat, vec, p, abs(det(mat))), (mat.entries, vec, p)
         outcomes.add(got)
     assert outcomes == {True, False}
 
@@ -416,9 +484,15 @@ def test_p_local_membership_matches_fraction_oracle() -> None:
 def test_p_local_membership_rejects_wrong_length() -> None:
     two = IntMatrix([[2, 0], [0, 2]])
     with pytest.raises(ValueError):
-        p_local_in_image(two, [2, 2, 1], 2)
+        p_local_in_image(two, [2, 2, 1], 2, 4)
     with pytest.raises(ValueError):
-        p_local_in_image(two, [2], 2)
+        p_local_in_image(two, [2], 2, 4)
+    with pytest.raises(ValueError):
+        p_local_in_image(IntMatrix([[1, 0]]), [1], 2, 1)
+    with pytest.raises(ValueError):
+        p_local_in_image(two, [2, 2], 2, 0)
+    with pytest.raises(ValueError):
+        exact_in_image(two, [2], 2)
 
 
 def snf_in_image(mat: IntMatrix, vec, p: int) -> bool:
@@ -459,9 +533,11 @@ def _random_vec(rng: random.Random, mat: IntMatrix, p: int) -> list:
 
 
 def _agrees_with_oracles(mat: IntMatrix, vec, p: int) -> bool:
-    got = p_local_in_image(mat, vec, p)
+    got = exact_in_image(mat, vec, p)
     assert got == snf_in_image(mat, vec, p), (mat.entries, vec, p)
     assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
+    if mat.rows == mat.cols and det(mat):
+        assert got == p_local_in_image(mat, vec, p, abs(det(mat))), (mat.entries, vec, p)
     return got
 
 
@@ -486,6 +562,40 @@ def test_p_local_membership_matches_snf_oracle_on_small_matrices() -> None:
         mat = IntMatrix(entries)
         outcomes.add(_agrees_with_oracles(mat, _random_vec(rng, mat, p), p))
     assert outcomes == {True, False}
+
+
+def test_p_local_in_image_modulo_p_power_matches_exact_elimination() -> None:
+    # square nonsingular matrices up to 8 x 8, some scaled by a power of p
+    # so that delta = v_p(det) is large; vec with and without denominators
+    # (s = 0 and s > 0); modulus = |det| and a multiple of it, and a det
+    # prime to p with an integer vec, where M = 0 answers without elimination
+    rng = random.Random(67)
+    outcomes, seen = set(), set()
+    tried = 0
+    while tried < 1500:
+        p = rng.choice((2, 3, 5))
+        k = rng.randint(1, 8)
+        scale = rng.choice((1, 1, p, p**3))
+        mat = IntMatrix([[scale * rng.choice((0, rng.randint(-9, 9))) for _ in range(k)]
+                         for _ in range(k)])
+        d = abs(det(mat))
+        if not d:
+            continue
+        tried += 1
+        vec = _random_vec(rng, mat, p)
+        if rng.random() < 0.3:
+            vec = [x.numerator if isinstance(x, Fraction) else x for x in vec]
+        want = exact_in_image(mat, vec, p)
+        shift = pvaluation(lcm(*[Fraction(x).denominator for x in vec]), p)
+        for modulus in (d, d * p * rng.choice((1, 7))):
+            got = p_local_in_image(mat, vec, p, modulus)
+            assert got == want, (mat.entries, vec, p, modulus)
+            M = pvaluation(modulus, p) + shift
+            seen.add(("M = 0" if not M else "delta > 4" if M - shift > 4 else "small", got))
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    assert {("M = 0", True), ("small", True), ("small", False),
+            ("delta > 4", True), ("delta > 4", False)} <= seen
 
 
 def _circulant(X: VirtualGSet) -> IntMatrix:
@@ -526,7 +636,7 @@ def test_p_local_membership_c32_entry_growth_case_is_fast() -> None:
     # lambda*[regular] with |X| = 0 is never in the ideal (see jtheory)
     for vec, want in ((inside, True), ([3**20] * 32, False), ([1] * 32, False)):
         start = time.perf_counter()
-        got = p_local_in_image(mat, vec, 2)
+        got = exact_in_image(mat, vec, 2)
         assert time.perf_counter() - start < 0.5
         assert got == want
 

@@ -10,7 +10,6 @@ from vone.exactmath import (
     CyclotomicElement,
     factorize,
     kernel_basis,
-    p_local_in_image,
     prime_power,
     pvaluation,
 )
@@ -30,8 +29,13 @@ from vone.jtheory import (
 from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
 from vone.repring import VirtualRep, standard_rep
 
-from test_exactmath import _circulant
-from test_repring import _honest_dicyclic_samples, class_eigenvalues, from_class_function
+from test_exactmath import _circulant, det, exact_in_image
+from test_repring import (
+    _honest_dicyclic_samples,
+    _torsion_order,
+    class_eigenvalues,
+    from_class_function,
+)
 
 
 def cyc(m):
@@ -491,7 +495,7 @@ def two_half_fixed_mod_X(diff, X) -> bool:
     G = diff.group
     p = prime_power(G.order)[0]
     M = _circulant(X)
-    if not p_local_in_image(M, diff.coeffs, p):
+    if not exact_in_image(M, diff.coeffs, p):
         return False
     zero = VirtualRep.zero(G)
     return all(diff * VirtualRep(G, vec) == zero for vec in kernel_basis(M))
@@ -555,20 +559,17 @@ def closed_form_fixed(lam: int, X) -> bool:
 
 
 def oracle_circulant_fixed(lam: int, X) -> bool:
-    """Step 2 as the N x N elimination the k x k one replaced:
-    lambda * [regular] = (lambda, ..., lambda) in the Z_(p)-span of the
-    columns of the circulant of w = linearize(X)."""
+    """Step 2 as the N x N exact elimination the k x k one modulo
+    p^(delta + s) replaced: lambda * [regular] = (lambda, ..., lambda) in
+    the Z_(p)-span of the columns of the circulant of w = linearize(X)."""
     m = X.group.order
-    return p_local_in_image(_circulant(X), [lam] * m, prime_power(m)[0])
+    return exact_in_image(_circulant(X), [lam] * m, prime_power(m)[0])
 
 
-def _step2_gset(rng, g, kind: str, small: bool) -> VirtualGSet:
-    """A random X over C_{p^n} of one kind: "random" and "p-local" (some
-    coefficients 0), "zero" cardinality (phi_0 = 0) or "full" support (every
-    mark nonzero, F = x^N - 1). With `small`, random and p-local X have no
-    [G/G] term, so phi_n = 0 and deg F <= N/p, and full-support X have
-    coefficients in 0..2 with [G/G] once: a full elimination with large
-    entries at order 256 takes seconds."""
+def _step2_gset(rng, g, kind: str) -> VirtualGSet:
+    """A random X over C_{p^n} of one kind: "random" (coefficients near
+    10^6, some 0) and "p-local" (some coefficients 0), "zero" cardinality
+    (phi_0 = 0) or "full" support (every mark nonzero, F = x^N - 1)."""
     p = prime_power(g.order)[0]
     r = len(g.subgroup_classes())
     q = 3 if p == 2 else 2
@@ -583,31 +584,26 @@ def _step2_gset(rng, g, kind: str, small: bool) -> VirtualGSet:
             a = rng.randint(-10**4, 10**4)
             vec[i] += a
             vec[i + 1] -= a * p
-    elif small:  # full support: [G/G] has mark 1 everywhere
-        vec = [rng.randint(0, 2) for _ in range(r - 1)] + [1]
     else:
-        vec = [rng.randint(1, 10**3) for _ in range(r)]
-    if small and kind in ("random", "p-local"):
-        vec[-1] = 0
+        vec = [rng.randint(1, 10**6) for _ in range(r)]
     return VirtualGSet(g, vec, p if kind == "p-local" else None)
 
 
 def test_bott_fixed_matches_closed_form():
-    # every C_{p^n} <= 256: up to order 64 each kind of X, held against the
-    # closed form and the circulant oracle; above it one kind per order in
-    # rotation against the closed form, with the smaller draws of
-    # `_step2_gset`. lambda straddles the threshold of the closed form
+    # every kind of X at every C_{p^n} <= 256, held against the closed form,
+    # and up to order 64 against the circulant oracle; lambda straddles the
+    # threshold of the closed form
     rng = random.Random(37)
     outcomes = set()
     kinds = ("random", "p-local", "zero", "full")
     orders = [m for m in range(2, 257) if prime_power(m) is not None]
     seen = set()
-    for idx, m in enumerate(orders):
+    for m in orders:
         g = cyc(m)
         p, n = prime_power(m)
         q = 3 if p == 2 else 2
-        for kind in kinds if m <= 64 else kinds[idx % 4:idx % 4 + 1]:
-            X = _step2_gset(rng, g, kind, m > 64)
+        for kind in kinds:
+            X = _step2_gset(rng, g, kind)
             phi0, *rest = marks(X)
             assert phi0 == 0 if kind == "zero" else kind != "full" or all(marks(X))
             if phi0:
@@ -635,28 +631,81 @@ def test_bott_fixed_matches_closed_form():
 def test_step_2_eliminates_over_deg_f(monkeypatch):
     """`_lambda_fixed_mod_X` hands `p_local_in_image` the deg F x deg F
     matrix of multiplication by h in Z[x]/(F), not the |G| x |G|
-    circulant: 1 x 1 for the free orbit of C512 (F = x - 1), 2 x 2 for
-    2[C512/C2] and 256 x 256 for [C512/C256] (F = x^256 - 1)."""
+    circulant, and the modulus p^delta, delta = v_p(det) read off the
+    marks: 1 x 1 for the free orbit of C512 (F = x - 1), 2 x 2 for
+    2[C512/C2] and 256 x 256 for [C512/C256] (F = x^256 - 1). Where
+    mu + n is smaller, mu the largest valuation of a nonzero mark, it is
+    p^(mu + n): 4[C512/C16] has marks 128 at C1-C16, delta = 32 and
+    mu + n = 16."""
     import vone.jtheory as jtheory
 
-    shapes = []
+    calls = []
     inner = jtheory.p_local_in_image
 
-    def spy(mat, vec, p):
-        shapes.append((mat.rows, mat.cols))
+    def spy(mat, vec, p, modulus):
+        calls.append(((mat.rows, mat.cols), modulus))
         assert len(vec) == mat.rows
-        return inner(mat, vec, p)
+        return inner(mat, vec, p, modulus)
 
     monkeypatch.setattr(jtheory, "p_local_in_image", spy)
     g = cyc(512)
-    for X, shape in ((orbit(g, 0), (1, 1)),
-                     (2 * orbit(g, "C2"), (2, 2)),
-                     (orbit(g, "C256"), (256, 256))):
+    for X, shape, delta, cap in ((orbit(g, 0), (1, 1), 0, 18),
+                                 (2 * orbit(g, "C2"), (2, 2), 2, 18),
+                                 (orbit(g, "C256"), (256, 256), 0, 10),
+                                 (4 * orbit(g, "C16"), (16, 16), 32, 16)):
         start = time.perf_counter()
         assert _lambda_fixed_mod_X(3**10 - 1, X) == closed_form_fixed(3**10 - 1, X)
         assert time.perf_counter() - start < 5.0
-        assert shapes == [shape], X.coeffs
-        shapes.clear()
+        assert calls == [(shape, 2 ** min(delta, cap))], X.coeffs
+        assert delta == pvaluation(_torsion_order(X), 2)
+        assert cap == max(pvaluation(c, 2) for c in marks(X) if c) + 9
+        calls.clear()
+
+
+def test_step_2_modulus_kills_the_cokernel(monkeypatch):
+    """The modulus `_lambda_fixed_mod_X` passes is a multiple of the
+    exponent of Z_(p)^k / L_(p), L the column lattice of its matrix: on
+    random X over C2-C32 (integer and p-local, often with marks divisible
+    by p, where mu + n undercuts delta), membership of random vectors
+    modulo it matches the exact elimination of the oracle."""
+    import vone.jtheory as jtheory
+
+    calls = []
+    inner = jtheory.p_local_in_image
+
+    def spy(mat, vec, p, modulus):
+        calls.append((mat, p, modulus))
+        return inner(mat, vec, p, modulus)
+
+    monkeypatch.setattr(jtheory, "p_local_in_image", spy)
+    rng = random.Random(71)
+    outcomes, capped = set(), 0
+    for m in (2, 3, 4, 5, 8, 9, 16, 25, 27, 32):
+        g = cyc(m)
+        p, n = prime_power(m)
+        r = len(g.subgroup_classes())
+        for _ in range(12):
+            vec = [rng.choice((0, p, p * p, -p**3, rng.randint(-30, 30))) for _ in range(r)]
+            local = rng.random() < 0.3
+            if local:
+                vec = [Fraction(c, 3 if p == 2 else 2) for c in vec]
+            X = VirtualGSet(g, vec, p if local else None)
+            _lambda_fixed_mod_X(1, X)
+            if not calls:
+                continue
+            mat, _, modulus = calls.pop()
+            k = mat.rows
+            capped += modulus < p ** pvaluation(det(mat), p)
+            for _ in range(5):
+                x = [rng.randint(-9, 9) for _ in range(k)]
+                image = [sum(a * b for a, b in zip(row, x)) for row in mat.entries]
+                b = [Fraction(y, p ** rng.randint(0, 3)) for y in image]
+                if rng.random() < 0.5:
+                    b = [rng.randint(-50, 50) * p ** rng.randint(0, 4) for _ in range(k)]
+                want = exact_in_image(mat, b, p)
+                assert inner(mat, b, p, modulus) == want, (m, X.coeffs, b)
+                outcomes.add(want)
+    assert outcomes == {True, False} and capped > 20
 
 
 def test_bott_fixed_requirements():

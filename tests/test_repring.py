@@ -1023,8 +1023,10 @@ def _check_split(X, split):
     """`_ideal_split(X)` against the test-side circulant of w: the marks,
     F G' = x^N - 1 with F the product of the Phi_{p^i} at the nonzero
     marks, w the circulant's column 0, and G' times column j of A the
-    circulant's column j, x^j w mod (x^N - 1), for each j < deg F."""
-    phi, w, F, Gc, A = split
+    circulant's column j, x^j w mod (x^N - 1), for each j < deg F; and
+    for deg F <= 32, |det A| = prod |c|^d / p^e over the resultant's
+    (terms, e)."""
+    phi, w, F, Gc, A, (terms, e) = split
     g = X.group
     m = g.order
     assert phi == marks(X)
@@ -1041,6 +1043,10 @@ def _check_split(X, split):
     for j, col in enumerate(A):
         lifted = poly_mul(Gc, col)
         assert tuple(lifted + [0] * (m - len(lifted))) == M.column(j), (m, X.coeffs, j)
+    if 0 < k <= 32:
+        p = prime_power(m)[0]
+        D = prod([abs(c) ** d for c, d in terms])
+        assert D % p**e == 0 and abs(det(IntMatrix.from_columns(A))) == D // p**e, (m, X.coeffs)
 
 
 def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
