@@ -27,8 +27,9 @@ from .exactmath import check_prime, euler_phi
 from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
+    _check_ell,
+    _fixed_mod_X,
     _group_prime,
-    _lambda_fixed_mod_X,
     bott_shape,
     default_ell,
     imj_valuation,
@@ -143,8 +144,7 @@ def _setting(G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None) -> t
             raise ValueError(f"{name} lives over {side.group.descriptor.name}, not {G.descriptor.name}")
     if ell is None:
         return p, n, default_ell(p)
-    if not isinstance(ell, int) or ell < 2:
-        raise ValueError(f"ell = {ell} must be an integer >= 2")
+    _check_ell(ell)
     if gcd(ell, p) != 1:
         raise ValueError(f"ell = {ell} is not prime to p = {p}")
     return p, n, ell
@@ -191,10 +191,10 @@ def check_hypotheses(params: SelfMapParameters) -> HypothesisVerdict:
     p = 2, k >= 3 makes dim even, and v_2(ell^dim - 1) = v_2(ell - 1) +
     v_2(ell + 1) + v_2(dim) - 1 >= 3 + (k - 1) - 1. The mark of X at e is
     |X| = p^t c_X != 0, and S+ = {i >= 1 : the mark at C_{p^i} is nonzero}
-    has |S+| <= n, so the closed form of `jtheory._lambda_fixed_mod_X`,
-    v_p(lambda) >= t + |S+| - n, holds: k + 1 >= n + t gives
-    v_p(lambda) >= k + 1 - n >= t, and the escape k > n gives
-    v_p(lambda) >= 2 > 1 + |S+| - n.
+    has |S+| <= n, so the closed form of `jtheory._fixed_mod_X`, which
+    reads v = v_p(lambda) alone, v >= t + |S+| - n, holds: k + 1 >= n + t
+    gives v >= k + 1 - n >= t, and the escape k > n gives
+    v >= 2 > 1 + |S+| - n.
     """
     p, n, t, k = params.p, params.n, params.t, params.k
     if p == 2 and k < 3:
@@ -246,7 +246,7 @@ def _run_step2(
         )
     divisible = report.valuation <= k + 1 - n
     if G.descriptor.kind == "cyclic":
-        fixedness = _lambda_fixed_mod_X(report.lam, X)
+        fixedness = _fixed_mod_X(report.valuation, X)
         detail = "theta - 1 generates enough divisibility and is X-fixed p-locally"
         passed = divisible and fixedness
         if not fixedness:

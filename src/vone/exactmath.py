@@ -11,10 +11,9 @@ may instead be read off a Smith form modulo D (`cokernel_mod`), whose
 entries stay within D/2 of 0. Membership in a Z_(p)-span
 (`p_local_in_image`, step 2 of a cyclic certificate, on the deg F x deg F
 matrix of multiplication by h in Z[x]/(F)) takes the same route at p: an
-elimination over Z/p^M, p^M the vector's denominator times a power of p
-that kills the cokernel at p (v_p(D) will do), so no entry reaches p^M,
-and none runs at all when M = 0, as for every full-support X whose marks
-are prime to p.
+elimination over Z/p^M, p^M a power of p that kills the cokernel at p
+(v_p(D) will do), so no entry reaches p^M, and none runs at all when
+M = 0, as for every full-support X whose marks are prime to p.
 Nothing here touches floating point.
 """
 
@@ -549,8 +548,9 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        cols = [list(c) for c in columns]
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        if not columns or any(len(c) != len(columns[0]) for c in columns):
+            raise ValueError("IntMatrix needs columns, all of one length")
+        return cls(zip(*columns))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple([row[j] for row in self.entries])
@@ -695,24 +695,19 @@ def _kernel(snf) -> list[tuple[int, ...]]:
     return [v.column(j) for j in range(rank, v.cols)]
 
 
-def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int, modulus: int) -> bool:
-    """Whether vec lies in the Z_(p)-span L_(p) of the columns of mat.
+def p_local_in_image(mat: IntMatrix, vec: Sequence[int], p: int, modulus: int) -> bool:
+    """Whether the integer vector vec lies in the Z_(p)-span L_(p) of mat.
 
     The contract of `cokernel_mod`, read at p: mat is square, k x k, and
     its column lattice L contains modulus * Z^k, p-locally at least. Only
     delta = v_p(modulus) is read, so modulus = |det mat| != 0 serves, and so
-    does its p-part p^delta. vec may have rational entries, one per row.
-    With D the lcm of its denominators and s = v_p(D), the question is
-    whether A*x = b/p^s, A = mat and b = D*vec (the prime-to-p part of D is
-    a unit), has a solution over Z_(p), that is, whether b lies in
-    p^s L_(p). It is decided over Z/q, q = p^M and M = delta + s, with
-    every entry in [0, q): the route `cokernel_mod` takes modulo a known
-    order (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
-    - For modulus = |det A| the adjugate gives A * adj(A) = det(A) * I,
-      so det(A) * Z^k lies in L; in general the contract puts
-      p^delta * Z_(p)^k in L_(p). Hence p^(delta + s) * Z_(p)^k =
-      q * Z_(p)^k lies in p^s L_(p). When M = 0 every b is a member, and
-      nothing is eliminated.
+    does its p-part p^delta. The question is whether A*x = b, A = mat and
+    b = vec, has a solution over Z_(p). It is decided over Z/q, q = p^delta,
+    with every entry in [0, q): the route `cokernel_mod` takes modulo a
+    known order (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+    - For modulus = |det A|, A * adj(A) = det(A) * I puts det(A) * Z^k in
+      L; in general the contract puts q * Z_(p)^k in L_(p). When delta = 0
+      every b is a member, and nothing is eliminated.
     - So membership is decided modulo q: b may be reduced modulo q, and
       L_(p) is spanned by the columns of [A | q*I]. A row operation U
       invertible over Z_(p) keeps q*U*Z^k = q*Z^k, so throughout, the
@@ -724,15 +719,14 @@ def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int, modulus: int) -> boo
     the remaining rows (a row's is that of gcd(q, row)), so p^v divides
     every entry of its column, and row_i -= (a_i/p^v) * u^-1 * row_piv,
     u^-1 = pow(u, -1, q), clears that column. The pivot equation then fixes
-    its variable in Z_(p) exactly when v_p(b_piv) >= v + s, whatever the
-    other variables are, since every entry of the pivot row has valuation
-    >= v; its row and column leave the system. The remaining rows span,
-    with q*Z_(p), the projection of a lattice that contains
-    p^delta * Z_(p)^k, so the true remaining block always has an entry of
-    valuation <= delta: every pivot has v <= delta, and each test
-    v_p(b) >= v + s <= M is read modulo q. Only when s = 0 can that entry
-    read 0 modulo q; a row that does is then its own summand q*Z_(p) of the
-    lattice and passes exactly when its b is 0 modulo q.
+    its variable in Z_(p) exactly when v_p(b_piv) >= v, whatever the other
+    variables are, since every entry of the pivot row has valuation >= v;
+    its row and column leave the system. The remaining rows span, with
+    q*Z_(p), the projection of a lattice that contains q * Z_(p)^k, so the
+    true remaining block always has an entry of valuation <= delta: every
+    pivot has v <= delta, and each test v_p(b) >= v is read modulo q. That
+    entry can read 0 modulo q; a row that does is then its own summand
+    q*Z_(p) of the lattice and passes exactly when its b is 0 modulo q.
     """
     k = mat.rows
     if mat.cols != k:
@@ -741,13 +735,12 @@ def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int, modulus: int) -> boo
         raise ValueError(f"vector of length {len(vec)} against {k} rows")
     if modulus < 1:
         raise ValueError("the modulus must be a positive integer")
-    den = lcm(*[x.denominator for x in vec])
-    ps = p ** pvaluation(den, p)
-    q = ps * p ** pvaluation(modulus, p)
+    if not all(isinstance(b, int) for b in vec):
+        raise ValueError("the vector must have integer entries")
+    q = p ** pvaluation(modulus, p)
     if q == 1:
         return True
-    rows = [[x % q for x in row] + [x.numerator * (den // x.denominator) % q]
-            for row, x in zip(mat.entries, vec)]
+    rows = [[x % q for x in row] + [b % q] for row, b in zip(mat.entries, vec)]
     while rows:
         best = None  # (p^v, row index), v the least valuation in the row
         for i, row in enumerate(rows):
@@ -760,7 +753,7 @@ def p_local_in_image(mat: IntMatrix, vec: Sequence, p: int, modulus: int) -> boo
         if pv == q:  # every remaining row reads 0
             return not any(row[-1] for row in rows)
         prow = rows.pop(pi)
-        if prow[-1] % (pv * ps):
+        if prow[-1] % pv:
             return False
         pj = next(j for j, a in enumerate(prow) if a % (pv * p))
         inv = pow(prow.pop(pj) // pv, -1, q)

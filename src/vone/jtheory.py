@@ -8,13 +8,13 @@ On the groups J(X) II, Topology 3, 1965), so the certificates read lambda
 off that closed form and never convolve, and `theta` returns it for such V;
 `_theta_convolution` computes the class factor by factor for any V, over
 Dic_m on its restrictions to cyclic subgroups, and the tests hold the two
-against each other. The p-adic valuation of
-lambda is the quantity the self-map certificates consume. Over a cyclic
-p-group, step 2 asks whether lambda*[regular] lies in the ideal of the
-permutation character of X; `_lambda_fixed_mod_X` answers from lambda by
-elimination over Z/p^M in the deg F x deg F quotient Z[x]/(F) of
-`repring._ideal_split`, F the product of the Phi_{p^i} where X has a
-nonzero mark and p^M bounded by the marks, and its docstring proves that
+against each other. The p-adic valuation v of lambda is the quantity the
+self-map certificates consume. Over a cyclic p-group, step 2 asks whether
+lambda*[regular] lies in the ideal of the permutation character of X;
+lambda is p^v times a p-local unit, so `_fixed_mod_X` asks it of
+p^v*[regular], by elimination over Z/p^M in the deg F x deg F quotient
+Z[x]/(F) of `repring._ideal_split`, F the product of the Phi_{p^i} where X
+has a nonzero mark and p^M bounded by the marks; its docstring proves that
 reduction and the closed form in the marks of X that the tests hold
 against it. Everything is exact: integer representation rings, cyclotomic
 character values, Bernoulli denominators for the image-of-J oracle.
@@ -26,7 +26,6 @@ from math import gcd
 
 from .burnside import VirtualGSet
 from .exactmath import (
-    IntMatrix,
     bernoulli,
     check_prime,
     factorize,
@@ -232,10 +231,16 @@ def bott_shape(dim: int, p: int) -> tuple[int, int]:
     return k, rest // (p - 1)
 
 
+def _check_ell(ell) -> None:
+    """ValueError unless ell is an integer >= 2, a rule certify shares."""
+    if not isinstance(ell, int) or ell < 2:
+        raise ValueError(f"ell = {ell} must be an integer >= 2")
+
+
 def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     """Report lambda with theta^ell(V) - 1 = lambda * [regular] and the
     p-valuation of lambda, without computing theta. (p, n) come from |G|
-    and k from dim V.
+    and k from dim V; ell < 2 is refused first, as `certify_self_map` does.
 
     The identity holds for every V that passes the checks below (Adams'
     cannibalistic-class computation). An element g != e has order p^j > 1,
@@ -250,6 +255,7 @@ def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     trivial representation, is an integer. The tests hold this closed form
     against `_theta_convolution`.
     """
+    _check_ell(ell)
     G = V.group
     p, n = _group_prime(G)
     if gcd(ell, p) != 1:
@@ -260,8 +266,6 @@ def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
         raise ValueError("V must have rational characters")
     dim = V.dim()
     k, _ = bott_shape(dim, p)
-    if ell < 1:
-        raise ValueError("theta needs ell >= 1")
     _check_adams_bits(ell, dim)
     lam, rem = divmod(ell**dim - 1, G.order)
     assert rem == 0
@@ -282,29 +286,31 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
         raise ValueError("the fixedness check runs over cyclic p-groups")
     if X.group is not G:
         raise ValueError("V and X live over different groups")
-    return _lambda_fixed_mod_X(verify_adams_bott(V, ell).lam, X)
+    return _fixed_mod_X(verify_adams_bott(V, ell).valuation, X)
 
 
-def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
-    """The fixedness check of `verify_bott_fixed_mod_X` and certify step 2
-    for the lambda of `verify_adams_bott`, over a cyclic p-group.
+def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
+    """Fixedness for certify step 2 and `verify_bott_fixed_mod_X` over a
+    cyclic p-group, read off v = v_p(lambda), lambda of `verify_adams_bott`.
 
     The test is p-local membership of lambda * [regular] in the ideal (w)
-    of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X). With
-    the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of
-    degree k, it is a k x k question:
+    of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X), which
+    is membership of p^v * [regular]: lambda = p^v * u, and an ideal is
+    closed under the unit u of Z_(p) and its inverse. With the split
+    R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of degree k,
+    it is a k x k question:
     - [regular] = (x^N - 1)/(x - 1), the product of the Phi_{p^i}, i >= 1.
     - If phi_0 = 0, w vanishes at x = 1 and so does all of wR, while
-      lambda * [regular] takes lambda * N there: fixed <=> lambda = 0.
+      p^v * [regular] takes p^v * N != 0 there: not fixed.
     - If phi_0 != 0, then x - 1 divides F, G' is a product of Phi_{p^i}
       with i >= 1, and [regular] = G' * T with T = F/(x - 1), the product
       of the Phi_{p^i} over S+ = {i >= 1 : phi_i != 0}, of degree k - 1,
-      so T lies in Q. Both lambda * G' * T and every G' * (h*y mod F)
-      have degree < N, and G' is monic, so they are equal exactly when
-      lambda * T = h*y mod F. Hence fixed <=> lambda * T lies in the
-      Z_(p)-span of the columns x^j h mod F, which `p_local_in_image`
-      decides on the k x k matrix A modulo a power of p that the marks
-      bound. A full-support X, F = x^N - 1, makes A N x N.
+      so T lies in Q. Both p^v * G' * T and every G' * (h*y mod F) have
+      degree < N, and G' is monic, so they are equal exactly when
+      p^v * T = h*y mod F. Hence fixed <=> p^v * T lies in the Z_(p)-span
+      of the columns x^j h mod F, which `p_local_in_image` decides on the
+      k x k matrix A modulo a power of p that the marks bound. A
+      full-support X, F = x^N - 1, makes A N x N.
 
     The modulus is p^min(delta, mu + n). Each of the two kills the p-part
     of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the columns of A
@@ -330,20 +336,18 @@ def _lambda_fixed_mod_X(lam: int, X: VirtualGSet) -> bool:
       of the Z_(p)[zeta_{p^i}] (x^N - 1 is separable over Q).
     - w has i-th coordinate phi_i, the mark of X at the subgroup of order
       p^i; [regular] has coordinates (N, 0, ..., 0).
-    - So w*y = lambda * [regular] asks for y(zeta_{p^i}) = 0 for i in
-      S+ = {i >= 1 : phi_i != 0}, and phi_0 * y(1) = lambda * N.
+    - So w*y = p^v * [regular] asks for y(zeta_{p^i}) = 0 for i in
+      S+ = {i >= 1 : phi_i != 0}, and phi_0 * y(1) = p^v * N.
     - y vanishes at those roots exactly when T, the monic product of the
       Phi_{p^i} over S+, divides y; then y(1) = T(1) z(1) = p^|S+| z(1),
       and z = constant reaches every value in p^|S+| Z_(p).
-    - Hence, for lambda != 0: fixed <=> phi_0 != 0 and
-      v_p(lambda) >= v_p(phi_0) + |S+| - n.
+    - Hence fixed <=> phi_0 != 0 and v >= v_p(phi_0) + |S+| - n.
     """
     p, n = prime_power(X.group.order)
     phi, _, F, _, A, (terms, e) = _ideal_split(X)
     if not phi[0]:
-        return not lam
+        return False
     T = poly_div_exact(F, (-1, 1))
     delta = sum([d * pvaluation(c, p) for c, d in terms]) - e
     mu = max([pvaluation(c, p) for c, _ in terms])
-    return p_local_in_image(IntMatrix.from_columns(A), [lam * c for c in T], p,
-                            p ** min(delta, mu + n))
+    return p_local_in_image(A, [p**v * c for c in T], p, p ** min(delta, mu + n))

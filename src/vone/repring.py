@@ -562,8 +562,9 @@ def _ideal_split(X: VirtualGSet) -> tuple:
     with P the polynomials of degree < N - k and Q those of degree < k. As
     x^N - 1 = G' F, w*y mod (x^N - 1) = G' * (h*y mod F), so
     wR = G' * (h*Q mod F), inside G'*Q, and multiplication by G' is
-    injective on Q. A lists the k columns x^j h mod F, j < k, the matrix
-    of multiplication by h on Q = Z[x]/(F). Nothing N x N is built.
+    injective on Q. A is the k x k IntMatrix with columns x^j h mod F,
+    j < k, the matrix of multiplication by h on Q = Z[x]/(F), in integers
+    for p-local X too, and None when k = 0. Nothing N x N is built.
 
     The last entry, (terms, e), is the order D = |det A| = |Res(F, h)| in
     factored form: D is the product over the roots zeta of F of
@@ -590,13 +591,14 @@ def _ideal_split(X: VirtualGSet) -> tuple:
             outside.append(cls.order)
     e = sum([euler_phi(min(a, b)) for a in inside for b in outside])
     h = poly_div_exact(w, Gc)
-    A = []
+    cols = []
     for _ in range(len(F) - 1):
-        A.append(h)
+        cols.append(h)
         top = h[-1]
         h = [0, *h[:-1]]
         if top:
             h = [c - top * f for c, f in zip(h, F)]
+    A = IntMatrix._of(list(zip(*cols))) if cols else None
     return phi, w, F, Gc, A, (terms, e)
 
 
@@ -668,7 +670,7 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])
     torsion, gens = (), []
     if k:
-        _, torsion, tgens = cokernel_mod(IntMatrix.from_columns(A), order)
+        _, torsion, tgens = cokernel_mod(A, order)
         gens = [tuple(poly_mul(Gc, g)) for g in tgens]
     gens += [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(free)]
 

@@ -443,3 +443,43 @@ def test_adams_bott_report_matches_the_certificate_parameters():
         assert r.matches == (r.valuation == par.k + 1 - par.n), label
         checked += 1
     assert checked > 500
+
+
+def test_step_2_of_a_full_support_c512_certificate_stays_small():
+    """Step 2 reads v = v_p(lambda), not lambda, which has 830,968 bits at
+    V = 2048*W: multiplied into every coefficient of the 512 x 512
+    question, lambda takes the peak to 58.3 MiB of Python allocations,
+    and p^v keeps it at 4.2 MiB."""
+    import tracemalloc
+
+    g = cyc(512)
+    X = VirtualGSet(g, [1] * len(g.subgroup_classes()))
+    V = 2048 * standard_rep(g, "W")
+    certify_self_map(g, orbit(g, 0), standard_rep(g, "W"))  # build the group's tables
+    tracemalloc.start()
+    try:
+        cert = certify_self_map(g, X, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.verdict, cert.step2.fixedness) == ("certified", True)
+    assert cert.step2.report.valuation == 12
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_certify_path_never_calls_from_columns(monkeypatch):
+    """Step 2 takes the matrix that `_ideal_split` builds once, so the
+    validating `IntMatrix.from_columns` is off the certify path,
+    also where step 2 eliminates (even marks, delta > 0) and over Q_2^n."""
+    from vone.exactmath import IntMatrix
+
+    def refuse(cls, columns):
+        raise AssertionError("from_columns on the certify path")
+
+    monkeypatch.setattr(IntMatrix, "from_columns", classmethod(refuse))
+    g = cyc(64)
+    for X in (VirtualGSet(g, [2] * 7), orbit(g, "C2") + orbit(g, 0), orbit(g, 0)):
+        cert = certify_self_map(g, X, 16 * standard_rep(g, "W"))
+        assert cert.step2.fixedness is not None, X.coeffs
+    q = quat(16)
+    assert certify_self_map(q, orbit(q, 0), 8 * standard_rep(q, "H")).step2 is not None

@@ -303,6 +303,21 @@ def _check_snf(m: IntMatrix) -> IntMatrix:
     return d
 
 
+def test_from_columns_validates_like_the_constructor() -> None:
+    """No columns, or columns of unequal length, are a ValueError, as no
+    rows or ragged rows are for the constructor: no column is cut to the
+    length of the first."""
+    assert IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]]) == IntMatrix([[1, 3, 5], [2, 4, 6]])
+    assert IntMatrix.from_columns([(7,)]).entries == ((7,),)
+    for columns in ([[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="all of one length"):
+            IntMatrix.from_columns(columns)
+    with pytest.raises(ValueError, match="all of one length"):
+        IntMatrix.from_columns([])
+    with pytest.raises(ValueError, match="at least one row"):
+        IntMatrix.from_columns([[], []])
+
+
 def test_snf_known() -> None:
     d = _check_snf(IntMatrix([[2, 0], [0, 3]]))
     assert d.diag() == [1, 6]
@@ -369,7 +384,8 @@ def test_solve_int_columns() -> None:
 def exact_in_image(mat: IntMatrix, vec, p: int) -> bool:
     """Whether vec lies in the Z_(p)-span of the columns of mat, any shape
     and rank: the elimination over Z_(p) that `p_local_in_image` ran before
-    it worked modulo p^(delta + s), kept as the oracle.
+    it worked modulo p^delta, kept as the oracle. Unlike `p_local_in_image`
+    it takes rational vectors.
 
     With D the lcm of the denominators of vec and s = v_p(D), it asks
     whether A*x = b/p^s, b = D*vec, has a solution over Z_(p). The pivot
@@ -431,11 +447,9 @@ def test_p_local_membership() -> None:
     # (1, 0) is in the 3-local but not the 2-local span
     assert p_local_in_image(m, [1, 0], 3, 6)
     assert not p_local_in_image(m, [1, 0], 2, 6)
-    assert p_local_in_image(m, [Fraction(2, 5), 3], 2, 6)
-    assert not p_local_in_image(m, [Fraction(2, 5), 1], 3, 6)
     # only v_p(modulus) is read: the 2-part of det will do
     assert not p_local_in_image(m, [1, 0], 2, 2)
-    # M = 0: mat is invertible over Z_(5), and nothing is eliminated
+    # delta = 0: mat is invertible over Z_(5), and nothing is eliminated
     assert p_local_in_image(m, [1, 0], 5, 6)
     # off the column span entirely, on the oracle, which takes any shape
     tall = IntMatrix([[1], [0]])
@@ -475,7 +489,7 @@ def test_p_local_membership_matches_fraction_oracle() -> None:
             vec = [int(x * x.denominator) for x in vec]
         got = exact_in_image(mat, vec, p)
         assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
-        if rows == cols and det(mat):
+        if rows == cols and det(mat) and all(isinstance(x, int) for x in vec):
             assert got == p_local_in_image(mat, vec, p, abs(det(mat))), (mat.entries, vec, p)
         outcomes.add(got)
     assert outcomes == {True, False}
@@ -491,6 +505,8 @@ def test_p_local_membership_rejects_wrong_length() -> None:
         p_local_in_image(IntMatrix([[1, 0]]), [1], 2, 1)
     with pytest.raises(ValueError):
         p_local_in_image(two, [2, 2], 2, 0)
+    with pytest.raises(ValueError, match="integer entries"):
+        p_local_in_image(two, [Fraction(1, 3), 2], 2, 4)
     with pytest.raises(ValueError):
         exact_in_image(two, [2], 2)
 
@@ -536,7 +552,7 @@ def _agrees_with_oracles(mat: IntMatrix, vec, p: int) -> bool:
     got = exact_in_image(mat, vec, p)
     assert got == snf_in_image(mat, vec, p), (mat.entries, vec, p)
     assert got == fraction_in_image(mat, vec, p), (mat.entries, vec, p)
-    if mat.rows == mat.cols and det(mat):
+    if mat.rows == mat.cols and det(mat) and all(isinstance(x, int) for x in vec):
         assert got == p_local_in_image(mat, vec, p, abs(det(mat))), (mat.entries, vec, p)
     return got
 
@@ -564,11 +580,22 @@ def test_p_local_membership_matches_snf_oracle_on_small_matrices() -> None:
     assert outcomes == {True, False}
 
 
+def _random_int_vec(rng: random.Random, mat: IntMatrix, p: int) -> list:
+    """An integer vector: in the image, the image with one entry moved by
+    a power of p, or arbitrary entries times powers of p."""
+    vec = _image_of(mat, [rng.randint(-9, 9) for _ in range(mat.cols)])
+    kind = rng.randrange(3)
+    if kind == 1:
+        vec[rng.randrange(mat.rows)] += p ** rng.randint(0, 3)
+    elif kind == 2:
+        vec = [rng.randint(-20, 20) * p ** rng.randint(0, 2) for _ in range(mat.rows)]
+    return vec
+
+
 def test_p_local_in_image_modulo_p_power_matches_exact_elimination() -> None:
     # square nonsingular matrices up to 8 x 8, some scaled by a power of p
-    # so that delta = v_p(det) is large; vec with and without denominators
-    # (s = 0 and s > 0); modulus = |det| and a multiple of it, and a det
-    # prime to p with an integer vec, where M = 0 answers without elimination
+    # so that delta = v_p(det) is large; modulus = |det| and a multiple of
+    # it, and a det prime to p, where delta = 0 answers without elimination
     rng = random.Random(67)
     outcomes, seen = set(), set()
     tried = 0
@@ -582,19 +609,16 @@ def test_p_local_in_image_modulo_p_power_matches_exact_elimination() -> None:
         if not d:
             continue
         tried += 1
-        vec = _random_vec(rng, mat, p)
-        if rng.random() < 0.3:
-            vec = [x.numerator if isinstance(x, Fraction) else x for x in vec]
+        vec = _random_int_vec(rng, mat, p)
         want = exact_in_image(mat, vec, p)
-        shift = pvaluation(lcm(*[Fraction(x).denominator for x in vec]), p)
         for modulus in (d, d * p * rng.choice((1, 7))):
             got = p_local_in_image(mat, vec, p, modulus)
             assert got == want, (mat.entries, vec, p, modulus)
-            M = pvaluation(modulus, p) + shift
-            seen.add(("M = 0" if not M else "delta > 4" if M - shift > 4 else "small", got))
+            delta = pvaluation(modulus, p)
+            seen.add(("delta = 0" if not delta else "delta > 4" if delta > 4 else "small", got))
         outcomes.add(want)
     assert outcomes == {True, False}
-    assert {("M = 0", True), ("small", True), ("small", False),
+    assert {("delta = 0", True), ("small", True), ("small", False),
             ("delta > 4", True), ("delta > 4", False)} <= seen
 
 

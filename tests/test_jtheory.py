@@ -15,7 +15,7 @@ from vone.exactmath import (
 )
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
-    _lambda_fixed_mod_X,
+    _fixed_mod_X,
     _power_counts,
     _theta_convolution,
     bott_shape,
@@ -438,9 +438,19 @@ def test_verify_adams_bott_rejections():
         verify_adams_bott(W, 6)  # ell not prime to p
     with pytest.raises(ValueError):
         verify_adams_bott(standard_rep(dic(3), "H"), 5)  # |G| = 12
-    for ell in (0, -1):
-        with pytest.raises(ValueError):
-            verify_adams_bott(W, ell)
+
+
+@pytest.mark.parametrize("ell", (-3, -1, 0, 1))
+def test_verify_adams_bott_refuses_ell_below_two_first(ell):
+    """ell < 2 is refused before anything else, whatever V is, in the words
+    of `certify_self_map`: not as "ell must be prime to p" at ell = 0, and
+    not by pvaluation at ell = 1, where lambda = 0 has no valuation."""
+    W = standard_rep(cyc(4), "W")
+    message = f"ell = {ell} must be an integer >= 2"
+    for V in (W, W + VirtualRep.trivial(W.group), standard_rep(dic(3), "H")):
+        with pytest.raises(ValueError) as info:
+            verify_adams_bott(V, ell)
+        assert str(info.value) == message
 
 
 def test_verify_adams_bott_small_sweep():
@@ -518,8 +528,8 @@ def test_bott_fixed_matches_two_half_check():
         for c in (1, p):
             # the convolved theta - 1 against lambda * [regular]
             diff = _theta_convolution(ell, c * W) - VirtualRep.trivial(g)
-            lam = verify_adams_bott(c * W, ell).lam
-            assert diff == lam * VirtualRep.regular(g), (m, c)
+            report = verify_adams_bott(c * W, ell)
+            assert diff == report.lam * VirtualRep.regular(g), (m, c)
             for k in range(3):
                 if k == 1 and r > 1:
                     # zero cardinality: a([G/H] - p[G/K]) for |K:H| = p
@@ -538,7 +548,7 @@ def test_bott_fixed_matches_two_half_check():
                     )
                 else:
                     X = VirtualGSet(g, [rng.randint(-2, 2) for _ in range(r)])
-                fixed = _lambda_fixed_mod_X(lam, X)
+                fixed = _fixed_mod_X(report.valuation, X)
                 assert fixed == two_half_fixed_mod_X(diff, X), (m, c, X.coeffs)
                 assert verify_bott_fixed_mod_X(c * W, X, ell) == fixed, (m, c, X.coeffs)
                 outcomes.add(fixed)
@@ -547,7 +557,7 @@ def test_bott_fixed_matches_two_half_check():
 
 def closed_form_fixed(lam: int, X) -> bool:
     """Step 2 for lambda*[regular] from the marks phi_i of X at C_{p^i}
-    (proof in `_lambda_fixed_mod_X`): fixed <=> phi_0 != 0 and
+    (proof in `_fixed_mod_X`): fixed <=> phi_0 != 0 and
     v_p(lambda) >= v_p(phi_0) + |S| - n, S = {i >= 1 : phi_i != 0}."""
     g = X.group
     p, n = prime_power(g.order)
@@ -591,8 +601,9 @@ def _step2_gset(rng, g, kind: str) -> VirtualGSet:
 
 def test_bott_fixed_matches_closed_form():
     # every kind of X at every C_{p^n} <= 256, held against the closed form,
-    # and up to order 64 against the circulant oracle; lambda straddles the
-    # threshold of the closed form
+    # and up to order 64 against the circulant oracle; v straddles the
+    # threshold of the closed form, and both oracles take lambda = p^v * u
+    # for units u of both signs, which `_fixed_mod_X` never sees
     rng = random.Random(37)
     outcomes = set()
     kinds = ("random", "p-local", "zero", "full")
@@ -609,18 +620,18 @@ def test_bott_fixed_matches_closed_form():
             if phi0:
                 s = sum(1 for v in rest if v != 0)
                 t = max(pvaluation(phi0, p) + s - n, 0)
-                lams = [p**t * rng.choice((1, -1, q))]
-                if t:
-                    lams.append(p ** (t - 1) * rng.choice((1, q)))
+                vs = [t, t - 1] if t else [t]
             else:
-                lams = [p ** rng.randint(0, 2 * n) * rng.choice((1, q))]
-            for lam in lams:
+                vs = [rng.randint(0, 2 * n)]
+            for v in vs:
                 start = time.perf_counter()
-                fixed = _lambda_fixed_mod_X(lam, X)
+                fixed = _fixed_mod_X(v, X)
                 took = time.perf_counter() - start
                 assert took < 5.0, f"step 2 over C{m} ({kind}) took {took:.2f} s"
-                assert fixed == closed_form_fixed(lam, X), (m, X.coeffs, lam)
+                for u in (1, -1, q, -q * q):
+                    assert fixed == closed_form_fixed(p**v * u, X), (m, X.coeffs, v, u)
                 if m <= 64:
+                    lam = p**v * rng.choice((-1, q))
                     assert fixed == oracle_circulant_fixed(lam, X), (m, X.coeffs, lam)
                 outcomes.add(fixed)
                 seen.add((kind, fixed))
@@ -629,7 +640,7 @@ def test_bott_fixed_matches_closed_form():
 
 
 def test_step_2_eliminates_over_deg_f(monkeypatch):
-    """`_lambda_fixed_mod_X` hands `p_local_in_image` the deg F x deg F
+    """`_fixed_mod_X` hands `p_local_in_image` the deg F x deg F
     matrix of multiplication by h in Z[x]/(F), not the |G| x |G|
     circulant, and the modulus p^delta, delta = v_p(det) read off the
     marks: 1 x 1 for the free orbit of C512 (F = x - 1), 2 x 2 for
@@ -643,8 +654,7 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
     inner = jtheory.p_local_in_image
 
     def spy(mat, vec, p, modulus):
-        calls.append(((mat.rows, mat.cols), modulus))
-        assert len(vec) == mat.rows
+        calls.append(((mat.rows, mat.cols), modulus, vec))
         return inner(mat, vec, p, modulus)
 
     monkeypatch.setattr(jtheory, "p_local_in_image", spy)
@@ -654,16 +664,21 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
                                  (orbit(g, "C256"), (256, 256), 0, 10),
                                  (4 * orbit(g, "C16"), (16, 16), 32, 16)):
         start = time.perf_counter()
-        assert _lambda_fixed_mod_X(3**10 - 1, X) == closed_form_fixed(3**10 - 1, X)
+        v = pvaluation(3**10 - 1, 2)
+        assert _fixed_mod_X(v, X) == closed_form_fixed(3**10 - 1, X)
         assert time.perf_counter() - start < 5.0
-        assert calls == [(shape, 2 ** min(delta, cap))], X.coeffs
+        [(got, modulus, vec)] = calls
+        assert (got, modulus) == (shape, 2 ** min(delta, cap)), X.coeffs
+        # p^v * T, T = F/(x - 1) with T(0) = 1: integers, and no lambda
+        assert len(vec) == shape[0] and all(type(c) is int and c % 2**v == 0 for c in vec)
+        assert vec[0] == 2**v, X.coeffs
         assert delta == pvaluation(_torsion_order(X), 2)
         assert cap == max(pvaluation(c, 2) for c in marks(X) if c) + 9
         calls.clear()
 
 
 def test_step_2_modulus_kills_the_cokernel(monkeypatch):
-    """The modulus `_lambda_fixed_mod_X` passes is a multiple of the
+    """The modulus `_fixed_mod_X` passes is a multiple of the
     exponent of Z_(p)^k / L_(p), L the column lattice of its matrix: on
     random X over C2-C32 (integer and p-local, often with marks divisible
     by p, where mu + n undercuts delta), membership of random vectors
@@ -690,7 +705,7 @@ def test_step_2_modulus_kills_the_cokernel(monkeypatch):
             if local:
                 vec = [Fraction(c, 3 if p == 2 else 2) for c in vec]
             X = VirtualGSet(g, vec, p if local else None)
-            _lambda_fixed_mod_X(1, X)
+            _fixed_mod_X(0, X)
             if not calls:
                 continue
             mat, _, modulus = calls.pop()
@@ -699,7 +714,8 @@ def test_step_2_modulus_kills_the_cokernel(monkeypatch):
             for _ in range(5):
                 x = [rng.randint(-9, 9) for _ in range(k)]
                 image = [sum(a * b for a, b in zip(row, x)) for row in mat.entries]
-                b = [Fraction(y, p ** rng.randint(0, 3)) for y in image]
+                b = list(image)
+                b[rng.randrange(k)] += p ** rng.randint(0, 3) * rng.choice((0, 1))
                 if rng.random() < 0.5:
                     b = [rng.randint(-50, 50) * p ** rng.randint(0, 4) for _ in range(k)]
                 want = exact_in_image(mat, b, p)

@@ -1039,33 +1039,55 @@ def _check_split(X, split):
     M = _circulant(X)
     assert tuple(w) == M.column(0)
     k = len(F) - 1
-    assert len(A) == k and all(len(col) == k for col in A)
-    for j, col in enumerate(A):
-        lifted = poly_mul(Gc, col)
+    if not k:
+        assert A is None
+        return
+    assert (A.rows, A.cols) == (k, k)
+    for j in range(k):
+        lifted = poly_mul(Gc, list(A.column(j)))
         assert tuple(lifted + [0] * (m - len(lifted))) == M.column(j), (m, X.coeffs, j)
-    if 0 < k <= 32:
+    if k <= 32:
         p = prime_power(m)[0]
         D = prod([abs(c) ** d for c, d in terms])
-        assert D % p**e == 0 and abs(det(IntMatrix.from_columns(A))) == D // p**e, (m, X.coeffs)
+        assert D % p**e == 0 and abs(det(A)) == D // p**e, (m, X.coeffs)
 
 
 def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
-    """Step 2 (`_lambda_fixed_mod_X`, on p-local X too) and the RU quotient
-    both take F, G' and the columns x^j h mod F from `repring._ideal_split`,
+    """Step 2 (`_fixed_mod_X`, on p-local X too) and the RU quotient both
+    take F, G' and the columns x^j h mod F from `repring._ideal_split`,
     which agrees with the test-side circulant over every cyclic p-group
-    C2-C81 (`_check_split`)."""
+    C2-C81 (`_check_split`). Each hands on the matrix of those columns
+    as it is, and step 2's vector has integer entries, for p-local X
+    too."""
     import vone.jtheory as jtheory
 
     split = repring._ideal_split
-    calls = []
+    calls, handed, compared = [], [], []
 
     def spy(X):
         out = split(X)
         calls.append((X, out))
         return out
 
+    def handed_spy(inner):
+        def wrapped(mat, *args):
+            handed.append((mat, args))
+            return inner(mat, *args)
+        return wrapped
+
+    def check_last_call():
+        Z, out = calls.pop()
+        _check_split(Z, out)
+        if handed:  # step 2 stops at phi_0 = 0, the RU quotient at deg F = 0
+            mat, args = handed.pop()
+            assert mat is out[4], Z.coeffs
+            assert len(args) == 1 or all(type(c) is int for c in args[0])
+            compared.append(len(args))
+
     monkeypatch.setattr(repring, "_ideal_split", spy)
     monkeypatch.setattr(jtheory, "_ideal_split", spy)
+    monkeypatch.setattr(jtheory, "p_local_in_image", handed_spy(jtheory.p_local_in_image))
+    monkeypatch.setattr(repring, "cokernel_mod", handed_spy(repring.cokernel_mod))
     rng = random.Random(53)
     orders = [m for m in range(2, 82) if prime_power(m) is not None]
     for m in orders:
@@ -1077,11 +1099,12 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
             for Z in (X, Y):
-                jtheory._lambda_fixed_mod_X(rng.randint(1, 99), Z)
-                _check_split(*calls.pop())
+                jtheory._fixed_mod_X(rng.randint(0, 6), Z)
+                check_last_call()
             annihilator_and_quotient(X, side="RU")
-            _check_split(*calls.pop())
-    assert len(orders) == 32 and not calls
+            check_last_call()
+    assert len(orders) == 32 and not calls and not handed
+    assert compared.count(1) > 50 and compared.count(3) > 50
 
 
 def test_ru_quotient_builds_no_circulant(monkeypatch):
