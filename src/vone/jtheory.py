@@ -14,8 +14,9 @@ lambda*[regular] lies in the ideal of the permutation character of X;
 lambda is p^v times a p-local unit, so `_fixed_mod_X` asks it of
 p^v*[regular], by elimination over Z/p^M in the deg F x deg F quotient
 Z[x]/(F) of `repring._ideal_split`, F the product of the Phi_{p^i} where X
-has a nonzero mark and p^M bounded by the marks; its docstring proves that
-reduction and the closed form in the marks of X that the tests hold
+has a nonzero mark. M is read off the marks first (`repring._split_marks`),
+and at M = 0 the answer is yes with nothing built; its docstring proves
+that reduction and the closed form in the marks of X that the tests hold
 against it. Everything is exact: integer representation rings, cyclotomic
 character values, Bernoulli denominators for the image-of-J oracle.
 """
@@ -43,6 +44,7 @@ from .repring import (
     _ideal_split,
     _lift,
     _restrict,
+    _split_marks,
     eigenvalue_multiplicities,
     has_rational_characters,
     is_fixed_point_free,
@@ -296,9 +298,11 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     The test is p-local membership of lambda * [regular] in the ideal (w)
     of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X), which
     is membership of p^v * [regular]: lambda = p^v * u, and an ideal is
-    closed under the unit u of Z_(p) and its inverse. With the split
-    R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of degree k,
-    it is a k x k question:
+    closed under the unit u of Z_(p) and its inverse. The marks of X are
+    read first (`_split_marks`), and with them phi_0 and the modulus p^M
+    below: phi_0 = 0 answers no, M = 0 answers yes, and only M > 0 builds
+    the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of
+    degree k. It is a k x k question:
     - [regular] = (x^N - 1)/(x - 1), the product of the Phi_{p^i}, i >= 1.
     - If phi_0 = 0, w vanishes at x = 1 and so does all of wR, while
       p^v * [regular] takes p^v * N != 0 there: not fixed.
@@ -309,16 +313,16 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
       degree < N, and G' is monic, so they are equal exactly when
       p^v * T = h*y mod F. Hence fixed <=> p^v * T lies in the Z_(p)-span
       of the columns x^j h mod F, which `p_local_in_image` decides on the
-      k x k matrix A modulo a power of p that the marks bound. A
-      full-support X, F = x^N - 1, makes A N x N.
+      k x k matrix A modulo p^M. A full-support X, F = x^N - 1, makes A
+      N x N.
 
-    The modulus is p^min(delta, mu + n). Each of the two kills the p-part
-    of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the columns of A
-    contains modulus * Q_(p), as `p_local_in_image` needs:
+    The modulus is p^M, M = min(delta, mu + n). Each of the two kills the
+    p-part of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the columns of A
+    contains p^M * Q_(p), as `p_local_in_image` needs:
     - delta = v_p(det A) = sum_{i in S} phi(p^i) v_p(phi_i) - e, read off
-      the factored resultant of `_ideal_split` without multiplying it out
-      (for p-local X its terms carry the scale den, a unit). A finite group
-      is killed by its order.
+      the factored resultant (terms, e) of `_split_marks` without
+      multiplying it out (for p-local X its terms carry the scale den, a
+      unit). A finite group is killed by its order.
     - mu = max_{i in S} v_p(phi_i). Evaluation at the roots of F embeds
       Q_(p) in the product of the Z_(p)[zeta_{p^i}], i in S, where h takes
       the value phi_i / G'(zeta_{p^i}), of valuation <= mu as G'(zeta) is
@@ -327,9 +331,11 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
       (Galois orbit sums of characters), and their images in Q[x]/(F)
       split that product, so N = p^n times it lies in Q_(p), and
       p^(mu + n) * y = h * z with z in Q_(p).
-    A full-support X whose marks are prime to p has delta = 0, and no
-    elimination runs; mu + n caps the modulus where delta is large, as
-    when marks divisible by p carry the weights phi(p^i).
+    M = 0 exactly when delta = 0, as n >= 1: the span is then all of
+    Q_(p), the answer is yes, and no polynomial of degree above n, no A
+    and no elimination is built, as for a full-support X whose marks are
+    prime to p. mu + n caps the modulus where delta is large, as when
+    marks divisible by p carry the weights phi(p^i).
 
     It has a closed form, which the tests hold against this function:
     - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
@@ -344,10 +350,14 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     - Hence fixed <=> phi_0 != 0 and v >= v_p(phi_0) + |S+| - n.
     """
     p, n = prime_power(X.group.order)
-    phi, _, F, _, A, (terms, e) = _ideal_split(X)
+    phi, den, terms, e = _split_marks(X)
     if not phi[0]:
         return False
-    T = poly_div_exact(F, (-1, 1))
     delta = sum([d * pvaluation(c, p) for c, d in terms]) - e
     mu = max([pvaluation(c, p) for c, _ in terms])
-    return p_local_in_image(A, [p**v * c for c in T], p, p ** min(delta, mu + n))
+    M = min(delta, mu + n)
+    if not M:
+        return True
+    _, F, _, A = _ideal_split(X, phi, den)
+    T = poly_div_exact(F, (-1, 1))
+    return p_local_in_image(A, [p**v * c for c in T], p, p**M)

@@ -545,51 +545,67 @@ class IdealStructure:
     quotient_fixed: AbelianPresentation | None = None
 
 
-def _ideal_split(X: VirtualGSet) -> tuple:
-    """(phi, w, F, G', A, (terms, e)): the split of the ideal (w) of
-    RU(C_N), N = p^n, that the RU quotient and certify step 2 both read.
+def _split_marks(X: VirtualGSet) -> tuple:
+    """(phi, den, terms, e): all that the split of the ideal (w) of
+    RU(C_N), N = p^n, w = linearize(X), reads off the marks of X, with no
+    polynomial built. Certify step 2 decides with these alone unless its
+    modulus is above 1, and the RU quotient takes its order D from them.
 
-    w = linearize(X) is scaled by the lcm of its denominators, a unit when
-    X is p-local, so the ideal is the same over Z_(p). Evaluation at the
-    roots of unity zeta_{p^i}, i = 0..n, embeds R = Z[x]/(x^N - 1) in a
-    product of domains, since x^N - 1 is the product of the distinct
-    Phi_{p^i}, and w takes there the scale times phi_i, the mark of X at
-    the subgroup of order p^i (phi lists them, i = 0 first). Let
-    S = {i : phi_i != 0}, F the product of the monic Phi_{p^i} over i in
-    S, of degree k, and G' = (x^N - 1)/F the product of the others. w
-    vanishes at the roots of G', so G' divides w in Z[x]; h = w / G' has
-    degree < k. Division by the monic G' gives R = P + G'*Q, a direct sum,
-    with P the polynomials of degree < N - k and Q those of degree < k. As
-    x^N - 1 = G' F, w*y mod (x^N - 1) = G' * (h*y mod F), so
-    wR = G' * (h*Q mod F), inside G'*Q, and multiplication by G' is
-    injective on Q. A is the k x k IntMatrix with columns x^j h mod F,
-    j < k, the matrix of multiplication by h on Q = Z[x]/(F), in integers
-    for p-local X too, and None when k = 0. Nothing N x N is built.
+    phi = marks(X), the mark at the subgroup of order p^i at place i. den
+    is the lcm of the denominators of w, which `_ideal_split` scales by:
+    the coefficients of w are the partial sums c_0 + ... + c_i of those of
+    X over C_1 < ... < C_N (`_permutation_lines`: L^a takes the c_j with
+    p^j | a), and the c_i their differences, so it is the lcm of the
+    denominators of X, 1 for integer X and a unit for p-local X.
 
-    The last entry, (terms, e), is the order D = |det A| = |Res(F, h)| in
-    factored form: D is the product over the roots zeta of F of
-    |h(zeta)| = |den * phi_i / G'(zeta)|, den the scale, and with
+    (terms, e) is the order D = |det A| = |Res(F, h)| of `_ideal_split`
+    in factored form, S = {i : phi_i != 0}: D is the product over the
+    roots zeta of F of |h(zeta)| = |den * phi_i / G'(zeta)|, and with
     Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
     D = prod_{i in S} |den * phi_i|^phi(p^i) / p^e with
     e = sum_{i in S, j not in S} phi(p^min(i, j)). terms lists the pairs
-    (den * phi_i, phi(p^i)) over S, integers; den is 1 for integer X and
-    a unit for p-local X.
+    (den * phi_i, phi(p^i)) over S, integers.
     """
     phi = marks(X)
-    w = linearize(X).coeffs
-    den = lcm(*[c.denominator for c in w if isinstance(c, Fraction)])
-    w = [int(c * den) for c in w]
+    den = lcm(*[c.denominator for c in X.coeffs])
+    # the classes come in increasing order, so place min(i, j) has order p^min(i, j)
+    tot = [euler_phi(cls.order) for cls in X.group.subgroup_classes()]
+    inside = [i for i, c in enumerate(phi) if c]
+    outside = [j for j, c in enumerate(phi) if not c]
+    terms = [(int(phi[i] * den), tot[i]) for i in inside]
+    e = sum([tot[min(i, j)] for i in inside for j in outside])
+    return phi, den, terms, e
+
+
+def _ideal_split(X: VirtualGSet, phi, den: int) -> tuple:
+    """(w, F, G', A): the split of the ideal (w) of RU(C_N), N = p^n, that
+    the RU quotient and, when its modulus is above 1, certify step 2 read,
+    built from the marks phi and the scale den of `_split_marks`.
+
+    w = linearize(X) is scaled by den, a unit when X is p-local, so the
+    ideal is the same over Z_(p). Evaluation at the roots of unity
+    zeta_{p^i}, i = 0..n, embeds R = Z[x]/(x^N - 1) in a product of
+    domains, since x^N - 1 is the product of the distinct Phi_{p^i}, and
+    w takes there den * phi_i. Let S = {i : phi_i != 0}, F the product of
+    the monic Phi_{p^i} over i in S, of degree k, and G' = (x^N - 1)/F the
+    product of the others. w vanishes at the roots of G', so G' divides w
+    in Z[x]; h = w / G' has degree < k. Division by the monic G' gives
+    R = P + G'*Q, a direct sum, with P the polynomials of degree < N - k
+    and Q those of degree < k. As x^N - 1 = G' F,
+    w*y mod (x^N - 1) = G' * (h*Q mod F), so wR = G' * (h*Q mod F), inside
+    G'*Q, and multiplication by G' is injective on Q. A is the k x k
+    IntMatrix with columns x^j h mod F, j < k, the matrix of
+    multiplication by h on Q = Z[x]/(F), in integers for p-local X too,
+    and None when k = 0; its order |det A| is the (terms, e) of
+    `_split_marks`. Nothing N x N is built.
+    """
+    w = [int(c * den) for c in linearize(X).coeffs]
     F, Gc = [1], [1]
-    terms, inside, outside = [], [], []
     for cls, c in zip(X.group.subgroup_classes(), phi):
         if c:
             F = poly_mul(F, cyclotomic_poly(cls.order))
-            terms.append((int(c * den), euler_phi(cls.order)))
-            inside.append(cls.order)
         else:
             Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
-            outside.append(cls.order)
-    e = sum([euler_phi(min(a, b)) for a in inside for b in outside])
     h = poly_div_exact(w, Gc)
     cols = []
     for _ in range(len(F) - 1):
@@ -599,7 +615,7 @@ def _ideal_split(X: VirtualGSet) -> tuple:
         if top:
             h = [c - top * f for c, f in zip(h, F)]
     A = IntMatrix._of(list(zip(*cols))) if cols else None
-    return phi, w, F, Gc, A, (terms, e)
+    return w, F, Gc, A
 
 
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
@@ -623,7 +639,7 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
       plus Z[x]/(F, h), the cokernel of the k x k matrix A, with generators
       G'*g for its generators g.
     - That cokernel has order D = |Res(F, h)| = |det A|, which
-      `_ideal_split` returns in factored form,
+      `_split_marks` reads off the marks in factored form,
       D = prod_{i in S} |phi_i|^phi(p^i) / p^e. So D*Z^k lies in the
       column lattice of A, and `cokernel_mod` reads the cokernel off a Smith
       form modulo D, whose entries stay within D/2 of 0.
@@ -663,8 +679,9 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
     p, n = prime_power(m)
-    _, w, F, Gc, A, (terms, e) = _ideal_split(X)
+    phi, den, terms, e = _split_marks(X)
     order = prod([abs(c) ** d for c, d in terms]) // p**e
+    w, F, Gc, A = _ideal_split(X, phi, den)
     k = len(F) - 1
     free = m - k
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])

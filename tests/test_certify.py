@@ -448,8 +448,10 @@ def test_adams_bott_report_matches_the_certificate_parameters():
 def test_step_2_of_a_full_support_c512_certificate_stays_small():
     """Step 2 reads v = v_p(lambda), not lambda, which has 830,968 bits at
     V = 2048*W: multiplied into every coefficient of the 512 x 512
-    question, lambda takes the peak to 58.3 MiB of Python allocations,
-    and p^v keeps it at 4.2 MiB."""
+    question, lambda took the peak to 58.3 MiB of Python allocations, and
+    p^v kept it at 4.2 MiB. Every mark of this X is odd, so step 2's
+    modulus read off the marks is 1 and that question is not built at
+    all (`test_step_2_at_m_0_builds_no_split`)."""
     import tracemalloc
 
     g = cyc(512)
@@ -465,6 +467,28 @@ def test_step_2_of_a_full_support_c512_certificate_stays_small():
     assert (cert.verdict, cert.step2.fixedness) == ("certified", True)
     assert cert.step2.report.valuation == 12
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_step_2_at_m_0_builds_no_split(monkeypatch):
+    """Every mark of the sum of all ten orbits of C512 is odd, so step 2's
+    modulus p^M read off the marks is 1: its certificate at 8*W answers
+    with no `_ideal_split`, no `linearize` and no `IntMatrix`, where the
+    split would be 512 x 512 (F = x^512 - 1)."""
+    from vone import jtheory, repring
+    from vone.exactmath import IntMatrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the certify path at M = 0")
+
+    for module in (jtheory, repring):
+        monkeypatch.setattr(module, "_ideal_split", refuse)
+    monkeypatch.setattr(repring, "linearize", refuse)
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    monkeypatch.setattr(IntMatrix, "_of", classmethod(refuse))
+    g = cyc(512)
+    X = VirtualGSet(g, [1] * len(g.subgroup_classes()))
+    cert = certify_self_map(g, X, 8 * standard_rep(g, "W"))
+    assert (cert.verdict, cert.step2.fixedness) == ("certified", True)
 
 
 def test_the_certify_path_never_calls_from_columns(monkeypatch):

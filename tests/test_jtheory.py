@@ -1,13 +1,15 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from vone.burnside import VirtualGSet, marks, orbit
 from vone.exactmath import (
     CyclotomicElement,
+    cyclotomic_poly,
+    euler_phi,
     factorize,
     kernel_basis,
     prime_power,
@@ -27,11 +29,12 @@ from vone.jtheory import (
     verify_bott_fixed_mod_X,
 )
 from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
-from vone.repring import VirtualRep, standard_rep
+from vone.repring import VirtualRep, _ideal_split, _split_marks, standard_rep
 
 from test_exactmath import _circulant, det, exact_in_image
 from test_repring import (
     _honest_dicyclic_samples,
+    _integral,
     _torsion_order,
     class_eigenvalues,
     from_class_function,
@@ -640,41 +643,125 @@ def test_bott_fixed_matches_closed_form():
 
 
 def test_step_2_eliminates_over_deg_f(monkeypatch):
-    """`_fixed_mod_X` hands `p_local_in_image` the deg F x deg F
-    matrix of multiplication by h in Z[x]/(F), not the |G| x |G|
-    circulant, and the modulus p^delta, delta = v_p(det) read off the
-    marks: 1 x 1 for the free orbit of C512 (F = x - 1), 2 x 2 for
-    2[C512/C2] and 256 x 256 for [C512/C256] (F = x^256 - 1). Where
-    mu + n is smaller, mu the largest valuation of a nonzero mark, it is
-    p^(mu + n): 4[C512/C16] has marks 128 at C1-C16, delta = 32 and
-    mu + n = 16."""
+    """`_fixed_mod_X` reads its modulus p^M, M = min(delta, mu + n), off
+    the marks, delta = v_p(det), and mu the largest valuation of a
+    nonzero mark. At M = 0 it answers without `_ideal_split` or
+    `p_local_in_image`: the free orbit of C512 (F = x - 1) and
+    [C512/C256] (F = x^256 - 1) have delta = 0. Otherwise it hands
+    `p_local_in_image` the deg F x deg F matrix of multiplication by h in
+    Z[x]/(F), not the |G| x |G| circulant: 2 x 2 for 2[C512/C2], modulo
+    p^delta, and 16 x 16 for 4[C512/C16], with marks 128 at C1-C16,
+    delta = 32 and mu + n = 16, modulo p^(mu + n)."""
     import vone.jtheory as jtheory
 
-    calls = []
-    inner = jtheory.p_local_in_image
+    calls, splits = [], []
+    inner, split = jtheory.p_local_in_image, jtheory._ideal_split
 
     def spy(mat, vec, p, modulus):
         calls.append(((mat.rows, mat.cols), modulus, vec))
         return inner(mat, vec, p, modulus)
 
+    def split_spy(X, phi, den):
+        splits.append(X)
+        return split(X, phi, den)
+
     monkeypatch.setattr(jtheory, "p_local_in_image", spy)
+    monkeypatch.setattr(jtheory, "_ideal_split", split_spy)
     g = cyc(512)
-    for X, shape, delta, cap in ((orbit(g, 0), (1, 1), 0, 18),
+    for X, shape, delta, cap in ((orbit(g, 0), None, 0, 18),
                                  (2 * orbit(g, "C2"), (2, 2), 2, 18),
-                                 (orbit(g, "C256"), (256, 256), 0, 10),
+                                 (orbit(g, "C256"), None, 0, 10),
                                  (4 * orbit(g, "C16"), (16, 16), 32, 16)):
         start = time.perf_counter()
         v = pvaluation(3**10 - 1, 2)
         assert _fixed_mod_X(v, X) == closed_form_fixed(3**10 - 1, X)
         assert time.perf_counter() - start < 5.0
+        assert delta == pvaluation(_torsion_order(X), 2)
+        assert cap == max(pvaluation(c, 2) for c in marks(X) if c) + 9
+        if shape is None:
+            assert not calls and not splits, X.coeffs
+            continue
         [(got, modulus, vec)] = calls
-        assert (got, modulus) == (shape, 2 ** min(delta, cap)), X.coeffs
+        assert splits == [X] and (got, modulus) == (shape, 2 ** min(delta, cap)), X.coeffs
         # p^v * T, T = F/(x - 1) with T(0) = 1: integers, and no lambda
         assert len(vec) == shape[0] and all(type(c) is int and c % 2**v == 0 for c in vec)
         assert vec[0] == 2**v, X.coeffs
-        assert delta == pvaluation(_torsion_order(X), 2)
-        assert cap == max(pvaluation(c, 2) for c in marks(X) if c) + 9
         calls.clear()
+        splits.clear()
+
+
+def _mod_monic(a, f) -> list:
+    """a mod f for a monic f, by long division: deg f coefficients."""
+    a, d = list(a), len(f) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
+        if c:
+            for j, fj in enumerate(f):
+                a[top - d + j] -= c * fj
+    return a[:d] + [0] * (d - len(a))
+
+
+def _at_root(poly, q) -> list:
+    """poly at zeta_q as its coefficients in the power basis of
+    Z[zeta_q] = Z[x]/(Phi_q): folded modulo x^q - 1, then reduced."""
+    folded = [0] * q
+    for a, c in enumerate(poly):
+        folded[a % q] += c
+    return _mod_monic(folded, cyclotomic_poly(q))
+
+
+def _root_valuation(poly, p, i) -> int:
+    """v_p of the norm of poly(zeta_{p^i}) from Q(zeta_{p^i}), nonzero:
+    p is totally ramified there, the norm's valuation is that of the
+    prime over p, and y = zeta - 1 is a uniformizer (Phi_{p^i}(1 + y) is
+    Eisenstein of degree d), so with r(1 + y) = sum g_j y^j, j < d, it is
+    min_j (d v_p(g_j) + j), those values being distinct modulo d."""
+    r = _at_root(poly, p**i)
+    d = len(r)
+    g = [sum(comb(t, j) * r[t] for t in range(j, d)) for j in range(d)]
+    return min(d * pvaluation(c, p) + j for j, c in enumerate(g) if c)
+
+
+def test_marks_only_order_matches_the_split():
+    """`_split_marks` reads (terms, e) off the marks of X, and step 2 its
+    delta = sum d v_p(c) - e and mu = max v_p(c) over the terms (c, d);
+    over every C_{p^n} <= 256, on integer, p-local, zero-cardinality and
+    full-support X, they equal what the split that `_ideal_split` builds
+    gives, read at the roots of unity instead of the marks: S is the i
+    with F(zeta_{p^i}) = 0, each c is the value of the scaled w at
+    zeta_{p^i}, i in S, e = v_p(Res(F, G')) is the sum over i in S of the
+    valuations of G'(zeta_{p^i}) (`_root_valuation`), and delta is
+    v_p(|det A|) from `_torsion_order`, and from det A itself at
+    deg F <= 32."""
+    rng = random.Random(41)
+    orders = [m for m in range(2, 257) if prime_power(m) is not None]
+    kinds = ("random", "p-local", "zero", "full")
+    seen = set()
+    for m in orders:
+        g = cyc(m)
+        p, n = prime_power(m)
+        for kind in kinds:
+            X = _step2_gset(rng, g, kind)
+            phi, den, terms, e = _split_marks(X)
+            w, F, Gc, A = _ideal_split(X, phi, den)
+            S = [i for i in range(n + 1) if not any(_at_root(F, p**i))]
+            values = []
+            for i in S:
+                c, *rest = _at_root(w, p**i)
+                assert not any(rest), (m, X.coeffs, i)
+                values.append((c, euler_phi(p**i)))
+            assert terms == values, (m, X.coeffs)
+            assert e == sum(_root_valuation(Gc, p, i) for i in S), (m, X.coeffs)
+            delta = sum(d * pvaluation(c, p) for c, d in terms) - e
+            assert delta == pvaluation(_torsion_order(_integral(X)), p), (m, X.coeffs)
+            if A is not None and A.rows <= 32:
+                assert delta == pvaluation(det(A), p), (m, X.coeffs)
+            if terms:
+                mu = max(pvaluation(c, p) for c, _ in terms)
+                assert mu == max(pvaluation(c, p) for c in marks(X) if c), (m, X.coeffs)
+            seen.add((kind, delta > 0))
+    # every kind of X meets both M = 0 and an elimination
+    assert len(orders) == 70 and len(seen) == 2 * len(kinds), seen
 
 
 def test_step_2_modulus_kills_the_cokernel(monkeypatch):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -18,6 +18,7 @@ from vone.exactmath import (
     kernel_basis,
     poly_mul,
     prime_power,
+    pvaluation,
     smith_normal_form,
 )
 from vone.groups import GroupDescriptor, build_group
@@ -1019,14 +1020,16 @@ def test_quotient_generator_orders():
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
 
 
-def _check_split(X, split):
-    """`_ideal_split(X)` against the test-side circulant of w: the marks,
-    F G' = x^N - 1 with F the product of the Phi_{p^i} at the nonzero
-    marks, w the circulant's column 0, and G' times column j of A the
-    circulant's column j, x^j w mod (x^N - 1), for each j < deg F; and
-    for deg F <= 32, |det A| = prod |c|^d / p^e over the resultant's
-    (terms, e)."""
-    phi, w, F, Gc, A, (terms, e) = split
+def _check_split(X, read, split):
+    """`_ideal_split(X, phi, den)` against the test-side circulant of w,
+    given the marks-only reading (phi, den, terms, e) of `_split_marks`:
+    the marks, F G' = x^N - 1 with F the product of the Phi_{p^i} at the
+    nonzero marks, w the circulant's column 0 (so den is the circulant's
+    scale), and G' times column j of A the circulant's column j,
+    x^j w mod (x^N - 1), for each j < deg F; and for deg F <= 32,
+    |det A| = prod |c|^d / p^e over the resultant's (terms, e)."""
+    phi, _, terms, e = read
+    w, F, Gc, A = split
     g = X.group
     m = g.order
     assert phi == marks(X)
@@ -1052,21 +1055,36 @@ def _check_split(X, split):
         assert D % p**e == 0 and abs(det(A)) == D // p**e, (m, X.coeffs)
 
 
+def _integral(X):
+    """den * X for the lcm den of the denominators of X's coefficients: an
+    integer G-set with the marks of X times den, a unit for p-local X."""
+    den = lcm(*[Fraction(c).denominator for c in X.coeffs])
+    return VirtualGSet(X.group, [int(c * den) for c in X.coeffs])
+
+
 def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
     """Step 2 (`_fixed_mod_X`, on p-local X too) and the RU quotient both
-    take F, G' and the columns x^j h mod F from `repring._ideal_split`,
+    read the marks through `repring._split_marks` and take F, G' and the
+    columns x^j h mod F from `repring._ideal_split`, handed those marks,
     which agrees with the test-side circulant over every cyclic p-group
-    C2-C81 (`_check_split`). Each hands on the matrix of those columns
-    as it is, and step 2's vector has integer entries, for p-local X
-    too."""
+    C2-C81 (`_check_split`). Step 2 builds the split only when phi_0 != 0
+    and v_p(D) > 0, D the order of the cokernel (`_torsion_order`), the
+    RU quotient always. Each hands on the matrix of those columns as it
+    is, and step 2's vector has integer entries, for p-local X too."""
     import vone.jtheory as jtheory
 
-    split = repring._ideal_split
-    calls, handed, compared = [], [], []
+    read_marks, split = repring._split_marks, repring._ideal_split
+    reads, calls, handed, compared = [], [], [], []
+    step_2 = {"phi_0 = 0": 0, "M = 0": 0, "eliminates": 0}
 
-    def spy(X):
-        out = split(X)
-        calls.append((X, out))
+    def read_spy(X):
+        out = read_marks(X)
+        reads.append((X, out))
+        return out
+
+    def spy(X, phi, den):
+        out = split(X, phi, den)
+        calls.append((X, (phi, den), out))
         return out
 
     def handed_spy(inner):
@@ -1075,17 +1093,29 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             return inner(mat, *args)
         return wrapped
 
-    def check_last_call():
-        Z, out = calls.pop()
-        _check_split(Z, out)
-        if handed:  # step 2 stops at phi_0 = 0, the RU quotient at deg F = 0
+    def check_last_call(in_step_2):
+        Z, read = reads.pop()
+        p = prime_power(Z.group.order)[0]
+        if in_step_2:
+            case = ("phi_0 = 0" if not marks(Z)[0] else
+                    "eliminates" if pvaluation(_torsion_order(_integral(Z)), p) else "M = 0")
+            step_2[case] += 1
+            assert bool(calls) == (case == "eliminates"), Z.coeffs
+        else:
+            assert calls, Z.coeffs
+        if calls:
+            Y, given, out = calls.pop()
+            assert Y is Z and given == read[:2], Z.coeffs
+            _check_split(Z, read, out)
+        if handed:  # step 2 stops at phi_0 = 0 and at M = 0, the RU quotient at deg F = 0
             mat, args = handed.pop()
-            assert mat is out[4], Z.coeffs
+            assert mat is out[3], Z.coeffs
             assert len(args) == 1 or all(type(c) is int for c in args[0])
             compared.append(len(args))
 
-    monkeypatch.setattr(repring, "_ideal_split", spy)
-    monkeypatch.setattr(jtheory, "_ideal_split", spy)
+    for module in (repring, jtheory):
+        monkeypatch.setattr(module, "_split_marks", read_spy)
+        monkeypatch.setattr(module, "_ideal_split", spy)
     monkeypatch.setattr(jtheory, "p_local_in_image", handed_spy(jtheory.p_local_in_image))
     monkeypatch.setattr(repring, "cokernel_mod", handed_spy(repring.cokernel_mod))
     rng = random.Random(53)
@@ -1098,13 +1128,14 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             X = VirtualGSet(g, [rng.randint(-4, 4) for _ in range(r)])
             den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
-            for Z in (X, Y):
+            for Z in (X, Y, p * X):  # p * X: every mark divisible by p
                 jtheory._fixed_mod_X(rng.randint(0, 6), Z)
-                check_last_call()
+                check_last_call(True)
             annihilator_and_quotient(X, side="RU")
-            check_last_call()
-    assert len(orders) == 32 and not calls and not handed
-    assert compared.count(1) > 50 and compared.count(3) > 50
+            check_last_call(False)
+    assert len(orders) == 32 and not reads and not calls and not handed
+    assert compared.count(1) > 50 and compared.count(3) == step_2["eliminates"] > 50
+    assert step_2["phi_0 = 0"] and step_2["M = 0"] > 50, step_2
 
 
 def test_ru_quotient_builds_no_circulant(monkeypatch):
