@@ -28,6 +28,7 @@ from .groups import GroupModel
 from .jtheory import (
     AdamsBottReport,
     _check_ell,
+    _check_p_local,
     _fixed_mod_X,
     _group_prime,
     bott_shape,
@@ -142,6 +143,7 @@ def _setting(G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None) -> t
     for name, side in (("X", X), ("V", V)):
         if side.group is not G:
             raise ValueError(f"{name} lives over {side.group.descriptor.name}, not {G.descriptor.name}")
+    _check_p_local(X, p)
     if ell is None:
         return p, n, default_ell(p)
     _check_ell(ell)
@@ -287,7 +289,8 @@ def certify_self_map(
 ) -> Certificate:
     """Assemble the full certificate. ValueError when G is not a cyclic
     p-group or a generalized quaternion group, X or V lives over another
-    group, ell is not an integer >= 2 prime to p, or ell^dim(V) is over
+    group, X has a denominator divisible by p (X must lie in A(G)_(p)),
+    ell is not an integer >= 2 prime to p, or ell^dim(V) is over
     `vone.limits.MAX_ADAMS_BITS`. Every other failure is a verdict, e.g.
     "step-failed" for a V that is not fixed point free or an X of
     cardinality zero, with the reason in the warnings."""

@@ -7,13 +7,13 @@ integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
 with one common denominator, reduced modulo the N-th cyclotomic polynomial.
 The Smith form serves kernels and cokernels over Z; it carries U^-1 through
 its elimination for the cokernel generators. A cokernel of finite order D
-may instead be read off a Smith form modulo D (`cokernel_mod`), whose
-entries stay within D/2 of 0. Membership in a Z_(p)-span
-(`p_local_in_image`, step 2 of a cyclic certificate, on the deg F x deg F
-matrix of multiplication by h in Z[x]/(F)) takes the same route at p: an
-elimination over Z/p^M, p^M a power of p that kills the cokernel at p
-(v_p(D) will do), so no entry reaches p^M, and none runs at all when
-M = 0, as for every full-support X whose marks are prime to p.
+may instead be read off a Smith form modulo a multiple E of its exponent
+(`cokernel_mod`), whose entries stay within E/2 of 0. Membership in a
+Z_(p)-span (`p_local_in_image`, step 2 of a cyclic certificate, on the
+deg F x deg F matrix of multiplication by h in Z[x]/(F)) takes the same
+route at p: an elimination over Z/p^M, p^M a power of p that kills the
+cokernel at p (p^(mu + n), mu the largest v_p of a nonzero mark, will
+do), so no entry reaches p^M.
 Nothing here touches floating point.
 """
 
@@ -701,7 +701,9 @@ def p_local_in_image(mat: IntMatrix, vec: Sequence[int], p: int, modulus: int) -
     The contract of `cokernel_mod`, read at p: mat is square, k x k, and
     its column lattice L contains modulus * Z^k, p-locally at least. Only
     delta = v_p(modulus) is read, so modulus = |det mat| != 0 serves, and so
-    does its p-part p^delta. The question is whether A*x = b, A = mat and
+    does its p-part p^delta; certify step 2 passes p^(mu + n), mu the
+    largest v_p of a nonzero mark, which `jtheory._fixed_mod_X` proves
+    kills the cokernel at p. The question is whether A*x = b, A = mat and
     b = vec, has a solution over Z_(p). It is decided over Z/q, q = p^delta,
     with every entry in [0, q): the route `cokernel_mod` takes modulo a
     known order (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).

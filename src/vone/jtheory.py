@@ -12,20 +12,20 @@ against each other. The p-adic valuation v of lambda is the quantity the
 self-map certificates consume. Over a cyclic p-group, step 2 asks whether
 lambda*[regular] lies in the ideal of the permutation character of X;
 lambda is p^v times a p-local unit, so `_fixed_mod_X` asks it of
-p^v*[regular], by elimination over Z/p^M in the deg F x deg F quotient
-Z[x]/(F) of `repring._ideal_split`, F the product of the Phi_{p^i} where X
-has a nonzero mark. M is read off the marks first (`repring._split_marks`),
-and at M = 0 the answer is yes with nothing built; its docstring proves
-that reduction and the closed form in the marks of X that the tests hold
-against it. Everything is exact: integer representation rings, cyclotomic
-character values, Bernoulli denominators for the image-of-J oracle.
+p^v*[regular]: yes with nothing built when h(1), read off the marks, is
+prime to p, and otherwise by elimination over Z/p^(mu + n) in the
+deg F x deg F quotient Z[x]/(F) of `repring._ideal_split`, F the product
+of the Phi_{p^i} where X has a nonzero mark. Its docstring proves both and
+the closed form in the marks of X that the tests hold against it.
+Everything is exact: integer representation rings, cyclotomic character
+values, Bernoulli denominators for the image-of-J oracle.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .burnside import VirtualGSet
+from .burnside import VirtualGSet, marks
 from .exactmath import (
     bernoulli,
     check_prime,
@@ -44,7 +44,6 @@ from .repring import (
     _ideal_split,
     _lift,
     _restrict,
-    _split_marks,
     eigenvalue_multiplicities,
     has_rational_characters,
     is_fixed_point_free,
@@ -239,6 +238,14 @@ def _check_ell(ell) -> None:
         raise ValueError(f"ell = {ell} must be an integer >= 2")
 
 
+def _check_p_local(X: VirtualGSet, p: int) -> None:
+    """ValueError unless every denominator of X is prime to p, so that X
+    lies in A(G)_(p), a rule certify shares. The scale of w in
+    `repring._ideal_split` is then a unit at p."""
+    if any(c.denominator % p == 0 for c in X.coeffs):
+        raise ValueError(f"X has a denominator divisible by p = {p}, so it is not in A(G)_({p})")
+
+
 def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
     """Report lambda with theta^ell(V) - 1 = lambda * [regular] and the
     p-valuation of lambda, without computing theta. (p, n) come from |G|
@@ -288,21 +295,23 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
         raise ValueError("the fixedness check runs over cyclic p-groups")
     if X.group is not G:
         raise ValueError("V and X live over different groups")
-    return _fixed_mod_X(verify_adams_bott(V, ell).valuation, X)
+    report = verify_adams_bott(V, ell)
+    _check_p_local(X, report.p)
+    return _fixed_mod_X(report.valuation, X)
 
 
 def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     """Fixedness for certify step 2 and `verify_bott_fixed_mod_X` over a
-    cyclic p-group, read off v = v_p(lambda), lambda of `verify_adams_bott`.
+    cyclic p-group, read off v = v_p(lambda), lambda of `verify_adams_bott`,
+    for X whose denominators are prime to p (`_check_p_local`).
 
     The test is p-local membership of lambda * [regular] in the ideal (w)
     of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X), which
     is membership of p^v * [regular]: lambda = p^v * u, and an ideal is
-    closed under the unit u of Z_(p) and its inverse. The marks of X are
-    read first (`_split_marks`), and with them phi_0 and the modulus p^M
-    below: phi_0 = 0 answers no, M = 0 answers yes, and only M > 0 builds
-    the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`, F of
-    degree k. It is a k x k question:
+    closed under the unit u of Z_(p) and its inverse. The marks phi of X
+    are read first: phi_0 = 0 answers no, h(1) prime to p answers yes, and
+    only p | h(1) builds the split R = P + G'*Q, wR = G' * (h*Q mod F) of
+    `_ideal_split`, F of degree k. It is a k x k question:
     - [regular] = (x^N - 1)/(x - 1), the product of the Phi_{p^i}, i >= 1.
     - If phi_0 = 0, w vanishes at x = 1 and so does all of wR, while
       p^v * [regular] takes p^v * N != 0 there: not fixed.
@@ -313,29 +322,27 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
       degree < N, and G' is monic, so they are equal exactly when
       p^v * T = h*y mod F. Hence fixed <=> p^v * T lies in the Z_(p)-span
       of the columns x^j h mod F, which `p_local_in_image` decides on the
-      k x k matrix A modulo p^M. A full-support X, F = x^N - 1, makes A
-      N x N.
+      k x k matrix A. A full-support X, F = x^N - 1, makes A N x N.
 
-    The modulus is p^M, M = min(delta, mu + n). Each of the two kills the
-    p-part of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the columns of A
-    contains p^M * Q_(p), as `p_local_in_image` needs:
-    - delta = v_p(det A) = sum_{i in S} phi(p^i) v_p(phi_i) - e, read off
-      the factored resultant (terms, e) of `_split_marks` without
-      multiplying it out (for p-local X its terms carry the scale den, a
-      unit). A finite group is killed by its order.
-    - mu = max_{i in S} v_p(phi_i). Evaluation at the roots of F embeds
-      Q_(p) in the product of the Z_(p)[zeta_{p^i}], i in S, where h takes
-      the value phi_i / G'(zeta_{p^i}), of valuation <= mu as G'(zeta) is
-      integral; so p^mu * y / h is integral for y in Q_(p). The idempotents
-      of Q[C_N] are 1/N times integer combinations of group elements
-      (Galois orbit sums of characters), and their images in Q[x]/(F)
-      split that product, so N = p^n times it lies in Q_(p), and
-      p^(mu + n) * y = h * z with z in Q_(p).
-    M = 0 exactly when delta = 0, as n >= 1: the span is then all of
-    Q_(p), the answer is yes, and no polynomial of degree above n, no A
-    and no elimination is built, as for a full-support X whose marks are
-    prime to p. mu + n caps the modulus where delta is large, as when
-    marks divisible by p carry the weights phi(p^i).
+    The span is all of Z_(p)^k when p does not divide det A, that is,
+    when h is a unit of (Z/p)[x]/(F). Each Phi_{p^i} is (x - 1)^phi(p^i)
+    modulo p, so that ring is local with residue map x -> 1, and h is a
+    unit exactly when h(1) is prime to p. h(1) = den * phi_0 / G'(1) and
+    G'(1) = p^(n - |S+|), so with den a unit at p the test is
+    v_p(phi_0) = n - |S+|, and nothing is built. That covers X = [G/e] at
+    any n and a full-support X whose marks are prime to p.
+
+    Otherwise the modulus is p^(mu + n), mu = max_{i in S} v_p(phi_i). It
+    kills the p-part of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the
+    columns of A contains p^(mu + n) * Q_(p), as `p_local_in_image` needs.
+    Evaluation at the roots of F embeds Q_(p) in the product of the
+    Z_(p)[zeta_{p^i}], i in S, where h takes the value
+    den * phi_i / G'(zeta_{p^i}), of valuation <= mu as G'(zeta) is
+    integral; so p^mu * y / h is integral for y in Q_(p). The idempotents
+    of Q[C_N] are 1/N times integer combinations of group elements (Galois
+    orbit sums of characters), and their images in Q[x]/(F) split that
+    product, so N = p^n times it lies in Q_(p), and p^(mu + n) * y = h * z
+    with z in Q_(p).
 
     It has a closed form, which the tests hold against this function:
     - Evaluation at zeta_{p^i}, i = 0..n, embeds the ring in the product
@@ -350,14 +357,12 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     - Hence fixed <=> phi_0 != 0 and v >= v_p(phi_0) + |S+| - n.
     """
     p, n = prime_power(X.group.order)
-    phi, den, terms, e = _split_marks(X)
+    phi = marks(X)
     if not phi[0]:
         return False
-    delta = sum([d * pvaluation(c, p) for c, d in terms]) - e
-    mu = max([pvaluation(c, p) for c, _ in terms])
-    M = min(delta, mu + n)
-    if not M:
-        return True
-    _, F, _, A = _ideal_split(X, phi, den)
+    if pvaluation(phi[0], p) == n - sum([1 for c in phi[1:] if c]):
+        return True  # h(1) is prime to p
+    mu = max([pvaluation(c, p) for c in phi if c])
+    _, F, _, A = _ideal_split(X, phi)
     T = poly_div_exact(F, (-1, 1))
-    return p_local_in_image(A, [p**v * c for c in T], p, p**M)
+    return p_local_in_image(A, [p**v * c for c in T], p, p**(mu + n))

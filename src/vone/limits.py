@@ -7,8 +7,8 @@ from __future__ import annotations
 import sys
 
 # largest group order a model is built for; step 2 of a certificate
-# eliminates over Z/p^M on Z[x]/(F), deg F x deg F with deg F up to |G| for
-# an X whose marks are all nonzero (nothing is eliminated when M = 0)
+# eliminates on Z[x]/(F), deg F x deg F with deg F up to |G| for an X whose
+# marks are all nonzero (nothing is eliminated when h(1) is prime to p)
 DEFAULT_ORDER_BOUND = 512
 
 # bound on a ^ exponent and on the product of nested ones, so that the
@@ -20,9 +20,8 @@ MAX_EXPONENT = 4096
 MAX_NESTING = 100
 
 # bound on dim(V) * bit_length(ell), and so on the bits of the ell^dim(V)
-# that step 2 computes exactly: V = 8W over C_{2^16} with ell = 3 needs
-# about 415,000 bits, and a certificate at the bound takes well under a
-# second
+# that step 2 computes exactly: V = 2048*W over C512 with ell = 3, dim
+# 2^19, which the CLI grid test certifies, sits exactly at the bound
 MAX_ADAMS_BITS = 2**20
 
 # bound on |T|^2 * |G| for Sq1 of a G-set T over a dicyclic group, which

@@ -24,7 +24,7 @@ to <x>.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .burnside import VirtualGSet, from_marks, marks
 from .exactmath import (
@@ -32,7 +32,6 @@ from .exactmath import (
     IntMatrix,
     cokernel_mod,
     cyclotomic_poly,
-    euler_phi,
     kernel_and_cokernel,
     poly_div_exact,
     poly_mul,
@@ -545,45 +544,17 @@ class IdealStructure:
     quotient_fixed: AbelianPresentation | None = None
 
 
-def _split_marks(X: VirtualGSet) -> tuple:
-    """(phi, den, terms, e): all that the split of the ideal (w) of
-    RU(C_N), N = p^n, w = linearize(X), reads off the marks of X, with no
-    polynomial built. Certify step 2 decides with these alone unless its
-    modulus is above 1, and the RU quotient takes its order D from them.
+def _ideal_split(X: VirtualGSet, phi) -> tuple:
+    """(w, F, G', A): the split of the ideal (w) of RU(C_N), N = p^n, that
+    the RU quotient and, when it eliminates, certify step 2 read, built
+    from phi = marks(X), the mark at the subgroup of order p^i at place i.
 
-    phi = marks(X), the mark at the subgroup of order p^i at place i. den
-    is the lcm of the denominators of w, which `_ideal_split` scales by:
+    w = linearize(X) is scaled by den, the lcm of the denominators of X:
     the coefficients of w are the partial sums c_0 + ... + c_i of those of
     X over C_1 < ... < C_N (`_permutation_lines`: L^a takes the c_j with
-    p^j | a), and the c_i their differences, so it is the lcm of the
-    denominators of X, 1 for integer X and a unit for p-local X.
-
-    (terms, e) is the order D = |det A| = |Res(F, h)| of `_ideal_split`
-    in factored form, S = {i : phi_i != 0}: D is the product over the
-    roots zeta of F of |h(zeta)| = |den * phi_i / G'(zeta)|, and with
-    Res(Phi_{p^i}, Phi_{p^j}) = p^phi(p^min(i, j)) for i != j,
-    D = prod_{i in S} |den * phi_i|^phi(p^i) / p^e with
-    e = sum_{i in S, j not in S} phi(p^min(i, j)). terms lists the pairs
-    (den * phi_i, phi(p^i)) over S, integers.
-    """
-    phi = marks(X)
-    den = lcm(*[c.denominator for c in X.coeffs])
-    # the classes come in increasing order, so place min(i, j) has order p^min(i, j)
-    tot = [euler_phi(cls.order) for cls in X.group.subgroup_classes()]
-    inside = [i for i, c in enumerate(phi) if c]
-    outside = [j for j, c in enumerate(phi) if not c]
-    terms = [(int(phi[i] * den), tot[i]) for i in inside]
-    e = sum([tot[min(i, j)] for i in inside for j in outside])
-    return phi, den, terms, e
-
-
-def _ideal_split(X: VirtualGSet, phi, den: int) -> tuple:
-    """(w, F, G', A): the split of the ideal (w) of RU(C_N), N = p^n, that
-    the RU quotient and, when its modulus is above 1, certify step 2 read,
-    built from the marks phi and the scale den of `_split_marks`.
-
-    w = linearize(X) is scaled by den, a unit when X is p-local, so the
-    ideal is the same over Z_(p). Evaluation at the roots of unity
+    p^j | a), and the c_i their differences. den is 1 for integer X and a
+    unit at p when X lies in A(G)_(p), as certify requires, so the ideal
+    is the same over Z_(p). Evaluation at the roots of unity
     zeta_{p^i}, i = 0..n, embeds R = Z[x]/(x^N - 1) in a product of
     domains, since x^N - 1 is the product of the distinct Phi_{p^i}, and
     w takes there den * phi_i. Let S = {i : phi_i != 0}, F the product of
@@ -596,9 +567,12 @@ def _ideal_split(X: VirtualGSet, phi, den: int) -> tuple:
     G'*Q, and multiplication by G' is injective on Q. A is the k x k
     IntMatrix with columns x^j h mod F, j < k, the matrix of
     multiplication by h on Q = Z[x]/(F), in integers for p-local X too,
-    and None when k = 0; its order |det A| is the (terms, e) of
-    `_split_marks`. Nothing N x N is built.
+    and None when k = 0. Each reader reads a modulus that kills its
+    cokernel Z[x]/(F, h) off phi: N * lcm |phi_i| for the RU quotient and,
+    at p only, p^(mu + n) for step 2 (proofs in `annihilator_and_quotient`
+    and `jtheory._fixed_mod_X`). Nothing N x N is built.
     """
+    den = lcm(*[c.denominator for c in X.coeffs])
     w = [int(c * den) for c in linearize(X).coeffs]
     F, Gc = [1], [1]
     for cls, c in zip(X.group.subgroup_classes(), phi):
@@ -638,11 +612,13 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     - Quotient: R/wR is Z^(N - k), generated by the x^j with j < N - k,
       plus Z[x]/(F, h), the cokernel of the k x k matrix A, with generators
       G'*g for its generators g.
-    - That cokernel has order D = |Res(F, h)| = |det A|, which
-      `_split_marks` reads off the marks in factored form,
-      D = prod_{i in S} |phi_i|^phi(p^i) / p^e. So D*Z^k lies in the
-      column lattice of A, and `cokernel_mod` reads the cokernel off a Smith
-      form modulo D, whose entries stay within D/2 of 0.
+    - E = N * lcm_{i in S} |phi_i| kills that cokernel, so E*Z^k lies in
+      the column lattice of A, and `cokernel_mod` reads it off a Smith form
+      modulo E, whose entries stay within E/2 of 0. At p, p^(mu + n),
+      mu = max_{i in S} v_p(phi_i), kills it (`jtheory._fixed_mod_X`). At
+      a prime q != p, N is a unit, so Z[x]/(F) tensor Z_(q) is the product
+      of the Z_(q)[zeta_{p^i}], i in S, and h is phi_i times a unit there,
+      as G'(zeta_{p^i}) has p-power norm: the lcm kills the q-part.
 
     The Galois-fixed sub-presentations are computed inside the fixed
     subring: the orbit sums gamma_j, the sum of the L^a with
@@ -679,15 +655,14 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     if side != "RU":
         raise ValueError("side must be 'A' or 'RU'")
     p, n = prime_power(m)
-    phi, den, terms, e = _split_marks(X)
-    order = prod([abs(c) ** d for c, d in terms]) // p**e
-    w, F, Gc, A = _ideal_split(X, phi, den)
+    phi = marks(X)
+    w, F, Gc, A = _ideal_split(X, phi)
     k = len(F) - 1
     free = m - k
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])
     torsion, gens = (), []
     if k:
-        _, torsion, tgens = cokernel_mod(A, order)
+        _, torsion, tgens = cokernel_mod(A, m * lcm(*[abs(c) for c in phi if c]))
         gens = [tuple(poly_mul(Gc, g)) for g in tgens]
     gens += [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(free)]
 

@@ -21,7 +21,7 @@ from vone.certify import (
 from vone.cli import ParseError, parse_gset, parse_rep
 from vone.exactmath import euler_phi, prime_power, pvaluation
 from vone.groups import GroupDescriptor, build_group
-from vone.jtheory import _group_prime, default_ell
+from vone.jtheory import _group_prime, default_ell, verify_bott_fixed_mod_X
 from vone.limits import MAX_PRIME
 from vone.repring import VirtualRep, standard_rep
 
@@ -385,6 +385,30 @@ def test_certify_rejects_a_setting_outside_the_theorem():
     assert certify_self_map(c4, X, V, ell=5).verdict == "certified"
 
 
+def test_certify_rejects_an_x_with_a_denominator_divisible_by_p():
+    """X must lie in A(G)_(p): a denominator prime to p is a unit at p,
+    whatever prime flags X. (1/2)[C8/e], flagged 3-local, used to come out
+    certified with t = 2 and c_X = 1, and (1/2)[C8/C8], flagged 5-local,
+    step-failed on "parameters n, t, k must be >= 0"; `certify_self_map`
+    and `verify_bott_fixed_mod_X` share the one rule."""
+    c8 = cyc(8)
+    W = standard_rep(c8, "W")
+    message = r"^X has a denominator divisible by p = 2, so it is not in A\(G\)_\(2\)$"
+    bad = (VirtualGSet(c8, [Fraction(1, 2), 0, 0, 0], 3),
+           VirtualGSet(c8, [0, 0, 0, Fraction(1, 2)], 5))
+    for X in bad:
+        for c in (2, 4, 8):
+            with pytest.raises(ValueError, match=message):
+                certify_self_map(c8, X, c * W)
+            with pytest.raises(ValueError, match=message):
+                verify_bott_fixed_mod_X(c * W, X, 3)
+    # denominators prime to p serve, under either flag
+    for X in (VirtualGSet(c8, [Fraction(1, 5), 0, 0, 0], 3),
+              VirtualGSet(c8, [Fraction(1, 3), 1, 0, 0], 2)):
+        assert certify_self_map(c8, X, 8 * W).verdict == "certified"
+        assert verify_bott_fixed_mod_X(8 * W, X, 3)
+
+
 def test_enumerate_5_1_needs_a_prime():
     for p in (4, 6, 1):
         with pytest.raises(ValueError, match="^p must be a prime$"):
@@ -470,15 +494,16 @@ def test_step_2_of_a_full_support_c512_certificate_stays_small():
 
 
 def test_step_2_at_m_0_builds_no_split(monkeypatch):
-    """Every mark of the sum of all ten orbits of C512 is odd, so step 2's
-    modulus p^M read off the marks is 1: its certificate at 8*W answers
-    with no `_ideal_split`, no `linearize` and no `IntMatrix`, where the
-    split would be 512 x 512 (F = x^512 - 1)."""
+    """Every mark of the sum of all ten orbits of C512 is odd, so h(1),
+    read off the marks, is odd and the matrix of step 2 invertible modulo
+    2: its certificate at 8*W answers with no `_ideal_split`, no
+    `linearize` and no `IntMatrix`, where the split would be 512 x 512
+    (F = x^512 - 1)."""
     from vone import jtheory, repring
     from vone.exactmath import IntMatrix
 
     def refuse(*args, **kwargs):
-        raise AssertionError("built on the certify path at M = 0")
+        raise AssertionError("built on the certify path at a unit h(1)")
 
     for module in (jtheory, repring):
         monkeypatch.setattr(module, "_ideal_split", refuse)

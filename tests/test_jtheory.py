@@ -1,15 +1,13 @@
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd, lcm
 
 import pytest
 
 from vone.burnside import VirtualGSet, marks, orbit
 from vone.exactmath import (
     CyclotomicElement,
-    cyclotomic_poly,
-    euler_phi,
     factorize,
     kernel_basis,
     prime_power,
@@ -29,7 +27,7 @@ from vone.jtheory import (
     verify_bott_fixed_mod_X,
 )
 from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
-from vone.repring import VirtualRep, _ideal_split, _split_marks, standard_rep
+from vone.repring import VirtualRep, _ideal_split, standard_rep
 
 from test_exactmath import _circulant, det, exact_in_image
 from test_repring import (
@@ -643,15 +641,16 @@ def test_bott_fixed_matches_closed_form():
 
 
 def test_step_2_eliminates_over_deg_f(monkeypatch):
-    """`_fixed_mod_X` reads its modulus p^M, M = min(delta, mu + n), off
-    the marks, delta = v_p(det), and mu the largest valuation of a
-    nonzero mark. At M = 0 it answers without `_ideal_split` or
+    """`_fixed_mod_X` answers yes off the marks when h(1) =
+    den * phi_0 / p^(n - |S+|) is prime to p, which is delta = 0,
+    delta = v_p(det). Then it calls neither `_ideal_split` nor
     `p_local_in_image`: the free orbit of C512 (F = x - 1) and
-    [C512/C256] (F = x^256 - 1) have delta = 0. Otherwise it hands
-    `p_local_in_image` the deg F x deg F matrix of multiplication by h in
-    Z[x]/(F), not the |G| x |G| circulant: 2 x 2 for 2[C512/C2], modulo
-    p^delta, and 16 x 16 for 4[C512/C16], with marks 128 at C1-C16,
-    delta = 32 and mu + n = 16, modulo p^(mu + n)."""
+    [C512/C256] (F = x^256 - 1). Otherwise it hands `p_local_in_image` the
+    deg F x deg F matrix of multiplication by h in Z[x]/(F), not the
+    |G| x |G| circulant, modulo p^(mu + n), mu the largest valuation of a
+    nonzero mark: 2 x 2 for 2[C512/C2], delta = 2, modulo 2^18, and
+    16 x 16 for 4[C512/C16], with marks 128 at C1-C16, delta = 32, modulo
+    2^16."""
     import vone.jtheory as jtheory
 
     calls, splits = [], []
@@ -661,9 +660,9 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
         calls.append(((mat.rows, mat.cols), modulus, vec))
         return inner(mat, vec, p, modulus)
 
-    def split_spy(X, phi, den):
+    def split_spy(X, phi):
         splits.append(X)
-        return split(X, phi, den)
+        return split(X, phi)
 
     monkeypatch.setattr(jtheory, "p_local_in_image", spy)
     monkeypatch.setattr(jtheory, "_ideal_split", split_spy)
@@ -682,7 +681,7 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
             assert not calls and not splits, X.coeffs
             continue
         [(got, modulus, vec)] = calls
-        assert splits == [X] and (got, modulus) == (shape, 2 ** min(delta, cap)), X.coeffs
+        assert splits == [X] and (got, modulus) == (shape, 2**cap), X.coeffs
         # p^v * T, T = F/(x - 1) with T(0) = 1: integers, and no lambda
         assert len(vec) == shape[0] and all(type(c) is int and c % 2**v == 0 for c in vec)
         assert vec[0] == 2**v, X.coeffs
@@ -690,49 +689,15 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
         splits.clear()
 
 
-def _mod_monic(a, f) -> list:
-    """a mod f for a monic f, by long division: deg f coefficients."""
-    a, d = list(a), len(f) - 1
-    for top in range(len(a) - 1, d - 1, -1):
-        c = a[top]
-        if c:
-            for j, fj in enumerate(f):
-                a[top - d + j] -= c * fj
-    return a[:d] + [0] * (d - len(a))
-
-
-def _at_root(poly, q) -> list:
-    """poly at zeta_q as its coefficients in the power basis of
-    Z[zeta_q] = Z[x]/(Phi_q): folded modulo x^q - 1, then reduced."""
-    folded = [0] * q
-    for a, c in enumerate(poly):
-        folded[a % q] += c
-    return _mod_monic(folded, cyclotomic_poly(q))
-
-
-def _root_valuation(poly, p, i) -> int:
-    """v_p of the norm of poly(zeta_{p^i}) from Q(zeta_{p^i}), nonzero:
-    p is totally ramified there, the norm's valuation is that of the
-    prime over p, and y = zeta - 1 is a uniformizer (Phi_{p^i}(1 + y) is
-    Eisenstein of degree d), so with r(1 + y) = sum g_j y^j, j < d, it is
-    min_j (d v_p(g_j) + j), those values being distinct modulo d."""
-    r = _at_root(poly, p**i)
-    d = len(r)
-    g = [sum(comb(t, j) * r[t] for t in range(j, d)) for j in range(d)]
-    return min(d * pvaluation(c, p) + j for j, c in enumerate(g) if c)
-
-
 def test_marks_only_order_matches_the_split():
-    """`_split_marks` reads (terms, e) off the marks of X, and step 2 its
-    delta = sum d v_p(c) - e and mu = max v_p(c) over the terms (c, d);
-    over every C_{p^n} <= 256, on integer, p-local, zero-cardinality and
-    full-support X, they equal what the split that `_ideal_split` builds
-    gives, read at the roots of unity instead of the marks: S is the i
-    with F(zeta_{p^i}) = 0, each c is the value of the scaled w at
-    zeta_{p^i}, i in S, e = v_p(Res(F, G')) is the sum over i in S of the
-    valuations of G'(zeta_{p^i}) (`_root_valuation`), and delta is
-    v_p(|det A|) from `_torsion_order`, and from det A itself at
-    deg F <= 32."""
+    """Step 2 reads whether A is invertible modulo p off the marks: p does
+    not divide |det A| exactly when h(1) is prime to p, and for phi_0 != 0
+    h(1) = den * phi_0 / p^(n - |S+|), S+ = {i >= 1 : phi_i != 0}, so the
+    test is v_p(phi_0) = n - |S+|. Over every C_{p^n} <= 256, on integer,
+    p-local, zero-cardinality and full-support X, h(1) is read off the
+    split that `_ideal_split` builds (h is column 0 of A), and p | h(1) is
+    held against v_p(|det A|) from `_torsion_order`, and against det A
+    itself at deg F <= 32."""
     rng = random.Random(41)
     orders = [m for m in range(2, 257) if prime_power(m) is not None]
     kinds = ("random", "p-local", "zero", "full")
@@ -742,25 +707,22 @@ def test_marks_only_order_matches_the_split():
         p, n = prime_power(m)
         for kind in kinds:
             X = _step2_gset(rng, g, kind)
-            phi, den, terms, e = _split_marks(X)
-            w, F, Gc, A = _ideal_split(X, phi, den)
-            S = [i for i in range(n + 1) if not any(_at_root(F, p**i))]
-            values = []
-            for i in S:
-                c, *rest = _at_root(w, p**i)
-                assert not any(rest), (m, X.coeffs, i)
-                values.append((c, euler_phi(p**i)))
-            assert terms == values, (m, X.coeffs)
-            assert e == sum(_root_valuation(Gc, p, i) for i in S), (m, X.coeffs)
-            delta = sum(d * pvaluation(c, p) for c, d in terms) - e
-            assert delta == pvaluation(_torsion_order(_integral(X)), p), (m, X.coeffs)
-            if A is not None and A.rows <= 32:
-                assert delta == pvaluation(det(A), p), (m, X.coeffs)
-            if terms:
-                mu = max(pvaluation(c, p) for c, _ in terms)
-                assert mu == max(pvaluation(c, p) for c in marks(X) if c), (m, X.coeffs)
-            seen.add((kind, delta > 0))
-    # every kind of X meets both M = 0 and an elimination
+            phi = marks(X)
+            w, F, Gc, A = _ideal_split(X, phi)
+            if A is None:
+                continue
+            h1 = sum(A.column(0))
+            unit = h1 % p != 0
+            assert unit == (pvaluation(_torsion_order(_integral(X)), p) == 0), (m, X.coeffs)
+            if A.rows <= 32:
+                assert unit == (det(A) % p != 0), (m, X.coeffs)
+            if phi[0]:
+                splus = sum(1 for c in phi[1:] if c)
+                den = lcm(*[Fraction(c).denominator for c in X.coeffs])
+                assert sum(w) == den * phi[0] == h1 * p ** (n - splus), (m, X.coeffs)
+                assert unit == (pvaluation(phi[0], p) == n - splus), (m, X.coeffs)
+            seen.add((kind, unit))
+    # every kind of X meets both a unit h(1) and one divisible by p
     assert len(orders) == 70 and len(seen) == 2 * len(kinds), seen
 
 

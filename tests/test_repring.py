@@ -1020,15 +1020,13 @@ def test_quotient_generator_orders():
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
 
 
-def _check_split(X, read, split):
-    """`_ideal_split(X, phi, den)` against the test-side circulant of w,
-    given the marks-only reading (phi, den, terms, e) of `_split_marks`:
-    the marks, F G' = x^N - 1 with F the product of the Phi_{p^i} at the
-    nonzero marks, w the circulant's column 0 (so den is the circulant's
-    scale), and G' times column j of A the circulant's column j,
-    x^j w mod (x^N - 1), for each j < deg F; and for deg F <= 32,
-    |det A| = prod |c|^d / p^e over the resultant's (terms, e)."""
-    phi, _, terms, e = read
+def _check_split(X, phi, split):
+    """`_ideal_split(X, phi)` against the test-side circulant of w, given
+    the marks phi of X: F G' = x^N - 1 with F the product of the
+    Phi_{p^i} at the nonzero marks, w the circulant's column 0 (so the
+    scale of w is the circulant's), and G' times column j of A the
+    circulant's column j, x^j w mod (x^N - 1), for each j < deg F; and for
+    deg F <= 32, |det A| the resultant order of `_torsion_order`."""
     w, F, Gc, A = split
     g = X.group
     m = g.order
@@ -1050,9 +1048,7 @@ def _check_split(X, read, split):
         lifted = poly_mul(Gc, list(A.column(j)))
         assert tuple(lifted + [0] * (m - len(lifted))) == M.column(j), (m, X.coeffs, j)
     if k <= 32:
-        p = prime_power(m)[0]
-        D = prod([abs(c) ** d for c, d in terms])
-        assert D % p**e == 0 and abs(det(A)) == D // p**e, (m, X.coeffs)
+        assert abs(det(A)) == _torsion_order(_integral(X)), (m, X.coeffs)
 
 
 def _integral(X):
@@ -1064,27 +1060,23 @@ def _integral(X):
 
 def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
     """Step 2 (`_fixed_mod_X`, on p-local X too) and the RU quotient both
-    read the marks through `repring._split_marks` and take F, G' and the
-    columns x^j h mod F from `repring._ideal_split`, handed those marks,
-    which agrees with the test-side circulant over every cyclic p-group
-    C2-C81 (`_check_split`). Step 2 builds the split only when phi_0 != 0
-    and v_p(D) > 0, D the order of the cokernel (`_torsion_order`), the
-    RU quotient always. Each hands on the matrix of those columns as it
-    is, and step 2's vector has integer entries, for p-local X too."""
+    take F, G' and the columns x^j h mod F from `repring._ideal_split`,
+    handed the marks of X, which agrees with the test-side circulant over
+    every cyclic p-group C2-C81 (`_check_split`). Step 2 builds the split
+    only when phi_0 != 0 and v_p(D) > 0, D the order of the cokernel
+    (`_torsion_order`), the RU quotient always. Each hands on the matrix
+    of those columns as it is: step 2 with an integer vector, for p-local
+    X too, modulo p^(mu + n), mu the largest v_p of a nonzero mark, and
+    the RU quotient modulo N * lcm |phi_i|."""
     import vone.jtheory as jtheory
 
-    read_marks, split = repring._split_marks, repring._ideal_split
-    reads, calls, handed, compared = [], [], [], []
-    step_2 = {"phi_0 = 0": 0, "M = 0": 0, "eliminates": 0}
+    split = repring._ideal_split
+    calls, handed, compared = [], [], []
+    step_2 = {"phi_0 = 0": 0, "h(1) prime to p": 0, "eliminates": 0}
 
-    def read_spy(X):
-        out = read_marks(X)
-        reads.append((X, out))
-        return out
-
-    def spy(X, phi, den):
-        out = split(X, phi, den)
-        calls.append((X, (phi, den), out))
+    def spy(X, phi):
+        out = split(X, phi)
+        calls.append((X, phi, out))
         return out
 
     def handed_spy(inner):
@@ -1093,28 +1085,34 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             return inner(mat, *args)
         return wrapped
 
-    def check_last_call(in_step_2):
-        Z, read = reads.pop()
-        p = prime_power(Z.group.order)[0]
+    def check_last_call(Z, in_step_2):
+        m = Z.group.order
+        p, n = prime_power(m)
+        phi = marks(Z)
         if in_step_2:
-            case = ("phi_0 = 0" if not marks(Z)[0] else
-                    "eliminates" if pvaluation(_torsion_order(_integral(Z)), p) else "M = 0")
+            case = ("phi_0 = 0" if not phi[0] else
+                    "eliminates" if pvaluation(_torsion_order(_integral(Z)), p)
+                    else "h(1) prime to p")
             step_2[case] += 1
             assert bool(calls) == (case == "eliminates"), Z.coeffs
         else:
             assert calls, Z.coeffs
         if calls:
             Y, given, out = calls.pop()
-            assert Y is Z and given == read[:2], Z.coeffs
-            _check_split(Z, read, out)
-        if handed:  # step 2 stops at phi_0 = 0 and at M = 0, the RU quotient at deg F = 0
+            assert Y is Z, Z.coeffs
+            _check_split(Z, given, out)
+        if handed:  # step 2 stops at phi_0 = 0 and at a unit h(1), the RU quotient at deg F = 0
             mat, args = handed.pop()
             assert mat is out[3], Z.coeffs
-            assert len(args) == 1 or all(type(c) is int for c in args[0])
+            if in_step_2:
+                vec, _, modulus = args
+                assert all(type(c) is int for c in vec), Z.coeffs
+                assert modulus == p ** (max(pvaluation(c, p) for c in phi if c) + n), Z.coeffs
+            else:
+                assert args == (m * lcm(*[abs(c) for c in phi if c]),), Z.coeffs
             compared.append(len(args))
 
     for module in (repring, jtheory):
-        monkeypatch.setattr(module, "_split_marks", read_spy)
         monkeypatch.setattr(module, "_ideal_split", spy)
     monkeypatch.setattr(jtheory, "p_local_in_image", handed_spy(jtheory.p_local_in_image))
     monkeypatch.setattr(repring, "cokernel_mod", handed_spy(repring.cokernel_mod))
@@ -1130,12 +1128,59 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
             for Z in (X, Y, p * X):  # p * X: every mark divisible by p
                 jtheory._fixed_mod_X(rng.randint(0, 6), Z)
-                check_last_call(True)
+                check_last_call(Z, True)
             annihilator_and_quotient(X, side="RU")
-            check_last_call(False)
-    assert len(orders) == 32 and not reads and not calls and not handed
+            check_last_call(X, False)
+    assert len(orders) == 32 and not calls and not handed
     assert compared.count(1) > 50 and compared.count(3) == step_2["eliminates"] > 50
-    assert step_2["phi_0 = 0"] and step_2["M = 0"] > 50, step_2
+    assert step_2["phi_0 = 0"] and step_2["h(1) prime to p"] > 50, step_2
+
+
+def test_ru_quotient_is_read_modulo_an_exponent_bound(monkeypatch):
+    """E = N * lcm_{i in S} |phi_i| kills Z[x]/(F, h), and the RU quotient
+    hands `cokernel_mod` E, not the order |det A|: over every C_{p^n} <= 256
+    but the primes past 128 (C_p, whose k x k elimination at k near p
+    takes about 0.3 s each, adds nothing at n = 1 that C2-C127 do not
+    show), on small X, their p-multiples and X of cardinality zero, and up
+    to order 128 on full-support X (every mark nonzero, F = x^N - 1), the
+    largest invariant factor divides E and the factors multiply to the
+    resultant order (`_torsion_order`). For X = 2 (sum of all orbits) over
+    C256, E has 40 bits and the order 605."""
+    handed = []
+
+    def spy(mat, modulus, _inner=repring.cokernel_mod):
+        handed.append(modulus)
+        return _inner(mat, modulus)
+
+    monkeypatch.setattr(repring, "cokernel_mod", spy)
+    rng = random.Random(61)
+    orders = [m for m in range(2, 257)
+              if prime_power(m) is not None and (m <= 128 or prime_power(m)[1] > 1)]
+    below = 0
+    for m in orders:
+        g = G(f"C{m}")
+        r = len(g.subgroup_classes())
+        shapes = _ideal_shapes(g, rng, 1)
+        if m <= 128:
+            shapes.append(VirtualGSet(g, [rng.randint(1, 3) for _ in range(r)]))
+        for X in shapes:
+            phi = marks(X)
+            q = annihilator_and_quotient(X, side="RU").quotient
+            if not any(phi):
+                assert not handed and not q.factors, (m, X.coeffs)
+                continue
+            [E] = handed
+            handed.clear()
+            assert E == m * lcm(*[abs(c) for c in phi if c]), (m, X.coeffs)
+            order = _torsion_order(X)
+            assert prod(q.factors) == order, (m, X.coeffs)
+            assert not q.factors or E % q.factors[-1] == 0, (m, X.coeffs)
+            below += E < order
+    assert len(orders) == 47 and below > 40
+    X = VirtualGSet(G("C256"), [2] * 9)
+    assert all(marks(X))
+    bound = 256 * lcm(*marks(X))
+    assert (bound.bit_length(), _torsion_order(X).bit_length()) == (40, 605)
 
 
 def test_ru_quotient_builds_no_circulant(monkeypatch):
