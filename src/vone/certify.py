@@ -187,7 +187,8 @@ def check_hypotheses(params: SelfMapParameters) -> HypothesisVerdict:
     no verdict; it only names the clause that passed.
 
     Over C_{p^n} a passed hypothesis implies step 2's X-fixedness. By the
-    lifting-the-exponent lemma v_p(lambda) >= k + 1 - n, lambda =
+    lifting-the-exponent lemma, which `jtheory._adams_valuation` puts into
+    code, v_p(lambda) >= k + 1 - n, lambda =
     (ell^dim - 1)/p^n: for odd p the order of ell mod p divides p - 1,
     which divides dim, so v_p(ell^dim - 1) >= 1 + v_p(dim) = 1 + k; for
     p = 2, k >= 3 makes dim even, and v_2(ell^dim - 1) = v_2(ell - 1) +
@@ -290,10 +291,12 @@ def certify_self_map(
     """Assemble the full certificate. ValueError when G is not a cyclic
     p-group or a generalized quaternion group, X or V lives over another
     group, X has a denominator divisible by p (X must lie in A(G)_(p)),
-    ell is not an integer >= 2 prime to p, or ell^dim(V) is over
-    `vone.limits.MAX_ADAMS_BITS`. Every other failure is a verdict, e.g.
-    "step-failed" for a V that is not fixed point free or an X of
-    cardinality zero, with the reason in the warnings."""
+    or ell is not an integer >= 2 prime to p. Every other failure is a
+    verdict, e.g. "step-failed" for a V that is not fixed point free or an
+    X of cardinality zero, with the reason in the warnings. Step 2 reads
+    v_p(lambda) and never forms ell^dim, so a verdict comes at any dim(V);
+    reading `step2.report.lam` forms lambda, within
+    `vone.limits.MAX_ADAMS_BITS`."""
     p, n, adams_ell = _setting(G, X, V, ell)
     warnings: list = []
     try:

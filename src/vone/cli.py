@@ -55,6 +55,21 @@ SCHEMA_VERSION = "1"
 _DIGITS_MESSAGE = f"an integer of more than {MAX_DIGITS} digits exceeds the limit {MAX_DIGITS}"
 
 
+def _check_printed(base: int, exp: int, den: int = 1) -> None:
+    """ValueError when base^exp // den, base and den >= 1, has more than
+    `MAX_DIGITS` digits, so that a command refuses a number it could not
+    print before it computes anything. As base >= 2^(bit_length(base) - 1)
+    and den < 2^bit_length(den), exp (bit_length(base) - 1) at least
+    3.33 MAX_DIGITS above bit_length(den) (log2 10 < 3.33) implies the
+    exact test and refuses without forming the power; below that bound
+    the power is small enough to test exactly."""
+    if MAX_DIGITS and (
+        100 * (exp * (base.bit_length() - 1) - den.bit_length()) >= 333 * MAX_DIGITS
+        or base**exp // den >= 10**MAX_DIGITS
+    ):
+        raise ValueError(_DIGITS_MESSAGE)
+
+
 def _json_document(doc: dict) -> str:
     """The one JSON format of every --json output: the schema version first,
     then doc with every integer as a decimal string (`_jval`), indented by
@@ -617,8 +632,7 @@ def _cmd_theta(args, out) -> int:
         # dimensions totalling at most |G|, so one of them is at least
         # ell^dim // |G|: refuse before convolving when it cannot print
         _check_adams_bits(ell, V.dim())
-        if MAX_DIGITS and ell ** V.dim() // G.order >= 10**MAX_DIGITS:
-            raise ValueError(_DIGITS_MESSAGE)
+        _check_printed(ell, V.dim(), G.order)
     th = theta(ell, V)
     diff = th - VirtualRep.trivial(G)
     # lambda is the multiplicity of the trivial representation in theta - 1,
@@ -701,13 +715,10 @@ def _cmd_telescope(args, out) -> int:
     js = range(n + 1) if args.j is None else [args.j]
     # row j = 0 (the first, or the refused one for n < 0) checks the input,
     # p included, once per request; the largest number printed is the
-    # modulus p^(s+n-i) at j = 0 or the conductor p^j at the top j above i,
-    # refused unformed at 2^(3.33 MAX_DIGITS); the row count is checked after
+    # modulus p^(s+n-i) at j = 0 or the conductor p^j at the top j above i;
+    # the row count is checked after
     telescope_fixed_points(p, n, s, i, js[0] if js else 0)
-    e = max(s + n - i if js[0] == 0 else 0, js[-1] if js[-1] > i else 0)
-    if MAX_DIGITS and (100 * e * (p.bit_length() - 1) >= 333 * MAX_DIGITS
-                       or p**e >= 10**MAX_DIGITS):
-        raise ValueError(_DIGITS_MESSAGE)
+    _check_printed(p, max(s + n - i if js[0] == 0 else 0, js[-1] if js[-1] > i else 0))
     check_rows(len(js))
     rows = []
     for j in js:

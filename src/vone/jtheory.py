@@ -9,7 +9,11 @@ off that closed form and never convolve, and `theta` returns it for such V;
 `_theta_convolution` computes the class factor by factor for any V, over
 Dic_m on its restrictions to cyclic subgroups, and the tests hold the two
 against each other. The p-adic valuation v of lambda is the quantity the
-self-map certificates consume. Over a cyclic p-group, step 2 asks whether
+self-map certificates consume; `_adams_valuation` reads
+v_p(ell^dim - 1) = v + n by the lifting-the-exponent lemma, so
+`verify_adams_bott` never forms ell^dim, and lambda is built in one place
+(`_adams_multiplier`), only for theta and for a report's `lam` when it is
+read. Over a cyclic p-group, step 2 asks whether
 lambda*[regular] lies in the ideal of the permutation character of X;
 lambda is p^v times a p-local unit, so `_fixed_mod_X` asks it of
 p^v*[regular]: yes with nothing built when h(1), read off the marks, is
@@ -134,6 +138,45 @@ def _check_adams_bits(ell: int, dim: int) -> None:
         )
 
 
+def _adams_multiplier(ell: int, dim: int, order: int) -> int:
+    """lambda = (ell^dim - 1)/|G| of the closed form
+    theta^ell(V) = 1 + lambda * [regular], formed behind
+    `_check_adams_bits`: the one place where lambda is built."""
+    _check_adams_bits(ell, dim)
+    return (ell**dim - 1) // order
+
+
+def _adams_valuation(p: int, ell: int, dim: int) -> int:
+    """v_p(ell^dim - 1) for ell >= 2 prime to p and dim >= 1, by the
+    lifting-the-exponent lemma; ell^dim is never formed.
+
+    - p = 2: ell^d - 1 = (ell - 1)(1 + ell + ... + ell^(d-1)), a sum of d
+      odd terms, so v_2 is v_2(ell - 1) at odd d. At even d,
+      ell^d - 1 = (ell^(d/2) - 1)(ell^(d/2) + 1). The second factor has
+      v_2 = 1 when d/2 is even (ell^(d/2) = 1 mod 8) and v_2(ell + 1)
+      when d/2 is odd (its cofactor is a sum of d/2 odd terms), so by
+      induction v_2(ell^d - 1) = v_2(ell - 1) + v_2(ell + 1) + v_2(d) - 1.
+    - Odd p, with o the order of ell mod p: p divides ell^d - 1 exactly
+      when o divides d, and then v_p(ell^d - 1) = v_p(ell^o - 1) +
+      v_p(d/o). v_p(ell^o - 1) is read off ell^o mod p^j, with j doubled
+      until the residue is not 1, so no power of ell beyond p^j is built.
+    The tests hold it against `pvaluation(ell**d - 1, p)`.
+    """
+    if p == 2:
+        v = pvaluation(ell - 1, 2)
+        return v if dim % 2 else v + pvaluation(ell + 1, 2) + pvaluation(dim, 2) - 1
+    o = p - 1
+    for q in factorize(p - 1):
+        while o % q == 0 and pow(ell, o // q, p) == 1:
+            o //= q
+    if dim % o:
+        return 0
+    j = 1
+    while (r := pow(ell, o, p**j) - 1) == 0:
+        j *= 2
+    return pvaluation(r, p) + pvaluation(dim // o, p)
+
+
 def theta(ell: int, V: VirtualRep) -> VirtualRep:
     """Multiplicative Bott class: eigenvalue z of g on V contributes the
     factor 1 + z + ... + z^(ell-1) to the character at g. Its value at e
@@ -150,7 +193,7 @@ def theta(ell: int, V: VirtualRep) -> VirtualRep:
     _check_adams_bits(ell, dim)
     G = V.group
     if gcd(ell, G.order) == 1 and is_fixed_point_free(V) and has_rational_characters(V):
-        return VirtualRep.trivial(G) + (ell**dim - 1) // G.order * VirtualRep.regular(G)
+        return VirtualRep.trivial(G) + _adams_multiplier(ell, dim, G.order) * VirtualRep.regular(G)
     return _theta_convolution(ell, V)
 
 
@@ -195,16 +238,21 @@ class AdamsBottReport:
     """theta^ell(V) - 1 = lambda * [regular], with (p, n) read off |G|, k
     off dim V (`bott_shape`), and the p-valuation of lambda compared
     against the expected k+1-n: matches says that lambda * p^(n-k-1) is a
-    p-local unit."""
+    p-local unit. lambda itself is formed only when `lam` is read."""
 
     V: VirtualRep
     ell: int
     p: int
     n: int
     k: int
-    lam: int
     valuation: int
     matches: bool
+
+    @property
+    def lam(self) -> int:
+        """lambda = (ell^dim - 1)/|G|, formed on each read; ValueError past
+        `MAX_ADAMS_BITS`, as for theta."""
+        return _adams_multiplier(self.ell, self.V.dim(), self.V.group.order)
 
 
 def _group_prime(G) -> tuple[int, int]:
@@ -247,9 +295,11 @@ def _check_p_local(X: VirtualGSet, p: int) -> None:
 
 
 def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
-    """Report lambda with theta^ell(V) - 1 = lambda * [regular] and the
-    p-valuation of lambda, without computing theta. (p, n) come from |G|
-    and k from dim V; ell < 2 is refused first, as `certify_self_map` does.
+    """Report the p-valuation of lambda, theta^ell(V) - 1 =
+    lambda * [regular], without computing theta or lambda: it is
+    v_p(ell^dim - 1) - n, read off `_adams_valuation`, and the report
+    forms lambda only when its `lam` is read. (p, n) come from |G| and k
+    from dim V; ell < 2 is refused first, as `certify_self_map` does.
 
     The identity holds for every V that passes the checks below (Adams'
     cannibalistic-class computation). An element g != e has order p^j > 1,
@@ -275,11 +325,8 @@ def verify_adams_bott(V: VirtualRep, ell: int) -> AdamsBottReport:
         raise ValueError("V must have rational characters")
     dim = V.dim()
     k, _ = bott_shape(dim, p)
-    _check_adams_bits(ell, dim)
-    lam, rem = divmod(ell**dim - 1, G.order)
-    assert rem == 0
-    v = pvaluation(lam, p)
-    return AdamsBottReport(V, ell, p, n, k, lam, v, v == k + 1 - n)
+    v = _adams_valuation(p, ell, dim) - n
+    return AdamsBottReport(V, ell, p, n, k, v, v == k + 1 - n)
 
 
 def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:

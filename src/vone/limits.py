@@ -20,8 +20,10 @@ MAX_EXPONENT = 4096
 MAX_NESTING = 100
 
 # bound on dim(V) * bit_length(ell), and so on the bits of the ell^dim(V)
-# that step 2 computes exactly: V = 2048*W over C512 with ell = 3, dim
-# 2^19, which the CLI grid test certifies, sits exactly at the bound
+# that theta and a printed lambda = (ell^dim - 1)/|G| form exactly
+# (`jtheory._adams_multiplier`); step 2 reads v_p(lambda) without it and
+# has no such bound. V = 2048*W over C512 with ell = 3, dim 2^19, sits
+# exactly at the bound
 MAX_ADAMS_BITS = 2**20
 
 # bound on |T|^2 * |G| for Sq1 of a G-set T over a dicyclic group, which

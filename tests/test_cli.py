@@ -13,6 +13,7 @@ from vone.burnside import VirtualGSet, bmul, orbit
 from vone.certify import certify_self_map, enumerate_5_1, enumerate_quaternion
 from vone.cli import (
     ParseError,
+    _check_printed,
     parse_expr,
     parse_gset,
     parse_rep,
@@ -513,10 +514,14 @@ def test_cli_telescope_with_a_composite_p_is_an_input_error():
 
 
 def test_cli_certify_work_is_bounded():
-    """ell^dim for 32000000-dimensional V took 25 s to compute."""
+    """ell^dim for 32000000-dimensional V took 25 s to compute. Step 2
+    reads v_p(lambda) without it, so `--text` answers; `--json` prints
+    lambda and refuses it past `MAX_ADAMS_BITS`, unformed."""
     start = time.perf_counter()
-    code, out, err = go("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "16000000*W", "--text")
-    assert (code, out) == (2, "") and "exceeds the limit" in err
+    argv = ("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "16000000*W")
+    code, out, err = go(*argv, "--text")
+    assert (code, err) == (0, "") and out.endswith("verdict    certified\n")
+    assert f"exceeds the limit {MAX_ADAMS_BITS}" in json_error(*argv, "--json")
     assert time.perf_counter() - start < 1.0
 
 
@@ -785,3 +790,29 @@ def test_cli_theta_checks_its_digits_before_convolving():
     code, _, err = go("theta", "--group", "C128", "--rep", "100000*W")
     assert code == 2 and f"exceeds the limit {MAX_ADAMS_BITS}" in err
     assert time.perf_counter() - start < 0.5
+
+
+def test_printed_digit_rule_is_the_exact_test():
+    """`theta` and `telescope` share one digit rule: it refuses exactly
+    base^exp // den >= 10^MAX_DIGITS, and its bit-length shortcut, which
+    forms no power, refuses nothing the exact test would let print."""
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        base = rng.choice((2, 3, 10, 17, 255, 256, rng.randrange(2, 10**6)))
+        den = rng.choice((1, 2, 243, 512, rng.randrange(1, 10**5)))
+        exp = max(0, MAX_DIGITS * 3322 // (1000 * (base.bit_length() - 1)) - rng.randrange(-200, 1500))
+        refused = base**exp // den >= 10**MAX_DIGITS
+        try:
+            _check_printed(base, exp, den)
+        except ValueError:
+            assert refused, (base, exp, den)
+        else:
+            assert not refused, (base, exp, den)
+        outcomes.add(refused)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        _check_printed(10, MAX_DIGITS)
+    _check_printed(10, MAX_DIGITS, 2)
+    with pytest.raises(ValueError):
+        _check_printed(2, 10**12, 10**6)  # refused from bit lengths alone

@@ -15,6 +15,7 @@ from vone.exactmath import (
 )
 from vone.groups import GroupDescriptor, build_group
 from vone.jtheory import (
+    _adams_valuation,
     _fixed_mod_X,
     _power_counts,
     _theta_convolution,
@@ -26,7 +27,7 @@ from vone.jtheory import (
     verify_adams_bott,
     verify_bott_fixed_mod_X,
 )
-from vone.limits import IMJ_ORACLE_BOUND, MAX_PRIME
+from vone.limits import IMJ_ORACLE_BOUND, MAX_ADAMS_BITS, MAX_PRIME
 from vone.repring import VirtualRep, _ideal_split, standard_rep
 
 from test_exactmath import _circulant, det, exact_in_image
@@ -467,6 +468,64 @@ def test_verify_adams_bott_small_sweep():
             assert r.valuation == k + 1 - n
 
 
+PRIMES_TO_509 = [p for p in range(2, 510) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def _order_mod(ell, p):
+    return next(o for o in range(1, p) if pow(ell, o, p) == 1)
+
+
+def test_adams_valuation_matches_brute_force():
+    """The lifting-the-exponent closed form against pvaluation(ell^d - 1)
+    at every prime p <= 509: ell = 1 mod p^2, ell = +-1 mod 8, ell = 2p - 1,
+    ell = -1 mod p, seeded ell and two of 4000 digits (one = 1 mod p, so
+    v_p(ell - 1) is read modulo a doubled p^j), with d <= 400 including
+    multiples of the order of ell mod p."""
+    rng = random.Random(31)
+    huge = 10**3999 + rng.randrange(10**3998)
+    cases = 0
+    for p in PRIMES_TO_509:
+        ells = {1 + p * p * rng.randrange(1, 100), 8 * rng.randrange(1, 100) + 1,
+                8 * rng.randrange(1, 100) - 1, 2 * p - 1, p - 1 if p > 3 else 5,
+                rng.randrange(2, 10**6), rng.randrange(2, 10**30),
+                huge - huge % p + 1, huge - huge % p + rng.randrange(1, p)}
+        for ell in ells:
+            if ell % p == 0:
+                continue
+            o = _order_mod(ell, p)
+            big = ell.bit_length() > 10_000
+            ds = {1, 2, rng.randrange(1, 401 if not big else 41)}
+            ds |= {o * m for m in (1, 2, p, rng.randrange(1, 50)) if o * m <= (400 if not big else 40)}
+            for d in ds:
+                assert _adams_valuation(p, ell, d) == pvaluation(ell**d - 1, p), (p, ell, d)
+                cases += 1
+    assert cases > 3000
+
+
+def test_verify_adams_bott_matches_brute_force_lambda():
+    """lam, valuation and matches of `verify_adams_bott(c*W or c*H, ell)`
+    against lambda = (ell^dim - 1) // |G| formed by brute force, on every
+    C_{p^n} and Q_{2^n} of order <= 512, c <= 64, ell in {the default, 5,
+    7, 17, 1 + p^2}."""
+    rng = random.Random(7)
+    groups = [(cyc(p**n), "W", p, n) for p in PRIMES_TO_509
+              for n in range(1, 10) if p**n <= 512]
+    groups += [(dic(2 ** (n - 2)), "H", 2, n) for n in range(3, 10)]
+    for g, name, p, n in groups:
+        std = standard_rep(g, name)
+        for c in {1, p if p <= 64 else 2, rng.randrange(1, 65)}:
+            V = c * std
+            k = _bott_k(V.dim(), p)
+            for ell in {default_ell(p), 5, 7, 17, 1 + p * p}:
+                if ell % p == 0:
+                    continue
+                lam = (ell ** V.dim() - 1) // g.order
+                r = verify_adams_bott(V, ell)
+                v = pvaluation(lam, p)
+                assert (r.lam, r.valuation, r.matches) == (lam, v, v == k + 1 - n), (
+                    g.descriptor.name, c, ell)
+
+
 def test_mismatched_valuation_is_flagged_not_hidden():
     # ell = 1 mod p^2 inflates the valuation; report it, don't mask it
     c3 = cyc(3)
@@ -788,11 +847,12 @@ def test_bott_fixed_requirements():
 
 
 def test_adams_multiplier_work_is_bounded():
-    """ell^dim is computed exactly, so dim * bit_length(ell) is bounded:
-    at the bound a certificate takes well under a second, and one past it
-    raises at once where it used to compute for as long as it took."""
+    """Step 2 reads v_2(lambda) by the lifting-the-exponent lemma and never
+    forms ell^dim, so a certificate past `MAX_ADAMS_BITS` answers at once,
+    where it used to compute for as long as it took and then raised. The
+    bound sits where lambda is formed: reading the report's `lam`, and
+    theta, raise at once past it."""
     from vone.certify import certify_self_map
-    from vone.limits import MAX_ADAMS_BITS
 
     c4 = cyc(4)
     W = standard_rep(c4, "W")  # dim 2, ell = 3 has 2 bits
@@ -801,14 +861,20 @@ def test_adams_multiplier_work_is_bounded():
     cert = certify_self_map(c4, orbit(c4, 0), c * W)
     took = time.perf_counter() - start
     assert cert.step2.report.valuation == pvaluation(3 ** (2 * c) - 1, 2) - 2
-    assert took < 0.5, f"a certificate at the bound took {took:.2f} s"
-    start = time.perf_counter()
+    assert took < 0.05, f"a certificate at the bound took {took:.3f} s"
     for V in ((c + 1) * W, 16000000 * W):
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            certify_self_map(c4, orbit(c4, 0), V)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            verify_adams_bott(V, 3)
-    assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        cert = certify_self_map(c4, orbit(c4, 0), V)
+        took = time.perf_counter() - start
+        # LTE at p = 2, ell = 3, even d: v_2(3^d - 1) = 1 + 2 + v_2(d) - 1
+        assert cert.step2.report.valuation == 2 + pvaluation(V.dim(), 2) - 2
+        assert took < 0.05, f"a certificate at {V.dim()} dimensions took {took:.3f} s"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds the limit {MAX_ADAMS_BITS}"):
+            cert.step2.report.lam
+        with pytest.raises(ValueError, match=f"exceeds the limit {MAX_ADAMS_BITS}"):
+            theta(3, V)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_adams_multiplier_of_c_2_16_fits_the_bound(monkeypatch):
