@@ -146,11 +146,15 @@ def bmul(X: VirtualGSet, Y: VirtualGSet) -> VirtualGSet:
 
 def cardinality(X: VirtualGSet, p: int) -> CardinalityDecomposition:
     """Virtual cardinality of X as p^t * c: its mark at e, to which
-    [G/H] contributes its index."""
+    [G/H] contributes its index. The card of an integral X is an int, and
+    then t >= 0; t < 0 only for a denominator divisible by p."""
     card = sum(c * cls.index for c, cls in zip(X.coeffs, X.group.subgroup_classes()))
     if card == 0:
         raise ValueError("virtual cardinality is zero; no p^t * c decomposition")
-    t = pvaluation(Fraction(card), p)
-    c = Fraction(card) / Fraction(p) ** t
+    t = pvaluation(card, p)
+    if t < 0:
+        c = card * p**-t
+    else:
+        c = Fraction(card // p**t) if type(card) is int else card / p**t
     return CardinalityDecomposition(p=p, t=t, c=c)
 

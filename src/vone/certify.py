@@ -152,29 +152,31 @@ def _setting(G: GroupModel, X: VirtualGSet, V: VirtualRep, ell: int | None) -> t
     return p, n, ell
 
 
+def _standard_dim(G: GroupModel) -> int:
+    """dim W = phi(m) over C_m and dim H = phi(2m) over Dic_m."""
+    if G.descriptor.kind == "cyclic":
+        return euler_phi(G.order)
+    return euler_phi(2 * G.descriptor.m)
+
+
 def standardize_rep(V: VirtualRep) -> int:
     """Multiplicity of the standard fixed point free representation
     (W for cyclic groups, H for quaternion) that V matches p-locally."""
     if not V.is_honest():
         raise ValueError("standardization applies to honest representations")
-    G = V.group
     if not is_fixed_point_free(V):
         raise ValueError("V is not fixed point free")
-    if G.descriptor.kind == "cyclic":
-        phi = euler_phi(G.order)
-    else:
-        phi = euler_phi(2 * G.descriptor.m)
+    phi = _standard_dim(V.group)
     dim = V.dim()
     if dim % phi:
         raise ValueError(f"dimension {dim} is not a multiple of {phi}")
     return dim // phi
 
 
-def _parameters(p: int, n: int, X: VirtualGSet, V: VirtualRep, ell: int) -> SelfMapParameters:
-    """Read t, c_X off the virtual cardinality of X and k, c_V off the
-    dimension of V."""
+def _parameters(p: int, n: int, X: VirtualGSet, dim: int, ell: int) -> SelfMapParameters:
+    """Read t, c_X off the virtual cardinality of X and k, c_V off dim V."""
     card = cardinality(X, p)
-    k, c_v = bott_shape(V.dim(), p)
+    k, c_v = bott_shape(dim, p)
     return SelfMapParameters(p, n, card.t, card.c, k, c_v, ell)
 
 
@@ -301,7 +303,8 @@ def certify_self_map(
     warnings: list = []
     try:
         mult = standardize_rep(V)
-        params = _parameters(p, n, X, V, adams_ell)
+        dim = mult * _standard_dim(G)  # dim V, summed once, in standardize_rep
+        params = _parameters(p, n, X, dim, adams_ell)
     except (ValueError, ArithmeticError) as exc:
         return Certificate(
             G, X, V, ell, None, None, None, None, None, None,
@@ -312,7 +315,7 @@ def certify_self_map(
         V_std = mult * standard_rep(G, "W")
     else:
         V_std = mult * standard_rep(G, "H")
-    step1 = _run_step1(params, V.dim())
+    step1 = _run_step1(params, dim)
     step2 = _run_step2(G, X, V_std, params, warnings)
     step3 = _run_step3(params, warnings)
     if not hyp.passed:

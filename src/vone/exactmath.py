@@ -154,11 +154,12 @@ def pvaluation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero integer or rational."""
     if p < 2:
         raise ValueError("valuation needs p >= 2")
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ValueError("valuation of zero is undefined")
-        return pvaluation(x.numerator, p) - pvaluation(x.denominator, p)
-    x = int(x)
+    if type(x) is not int:
+        if isinstance(x, Fraction):
+            if x == 0:
+                raise ValueError("valuation of zero is undefined")
+            return pvaluation(x.numerator, p) - pvaluation(x.denominator, p)
+        x = int(x)
     if x == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0

@@ -24,6 +24,7 @@ to <x>.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .burnside import VirtualGSet, from_marks, marks
@@ -32,6 +33,8 @@ from .exactmath import (
     IntMatrix,
     cokernel_mod,
     cyclotomic_poly,
+    divisors,
+    factorize,
     kernel_and_cokernel,
     poly_div_exact,
     poly_mul,
@@ -202,7 +205,12 @@ class VirtualRep(VirtualElement):
         return self.group.descriptor.kind == "cyclic"
 
     def is_honest(self) -> bool:
-        return all(isinstance(c, int) and c >= 0 for c in self.coeffs)
+        """Every coefficient is an integer >= 0. An element with no p-local
+        flag holds ints only (`VirtualElement` turns a Fraction of
+        denominator 1 into its numerator and refuses any other), so only a
+        p-local V has its types read, and one `min` reads the signs."""
+        c = self.coeffs
+        return (self.p_local is None or all(type(x) is int for x in c)) and min(c) >= 0
 
     def dim(self):
         """The value at e, over Dic_m that of the restriction to <x>."""
@@ -261,9 +269,7 @@ def standard_rep(G: GroupModel, name: str) -> VirtualRep:
     if name == "W":
         if kind != "cyclic":
             raise ValueError("W is defined over cyclic groups")
-        m = G.order
-        vec = [1 if gcd(a, m) == 1 else 0 for a in range(m)]
-        return VirtualRep(G, vec)
+        return VirtualRep(G, _unit_mask(G.order))
     if name in ("H", "taut"):
         if kind != "dicyclic":
             raise ValueError(f"{name} is defined over dicyclic groups")
@@ -272,11 +278,24 @@ def standard_rep(G: GroupModel, name: str) -> VirtualRep:
         if name == "taut":
             vec[4] = 1  # rho_1
             return VirtualRep(G, vec)
-        for h in range(1, m):
-            if gcd(h, 2 * m) == 1:
-                vec[3 + h] = 1
+        vec[4:] = _unit_mask(2 * m)[1:m]  # rho_h with gcd(h, 2m) = 1
         return VirtualRep(G, vec)
     raise ValueError(f"unknown representation name {name!r}")
+
+
+@cache
+def _primes(n: int) -> tuple:
+    """The primes dividing n, factored once per n."""
+    return tuple(factorize(n))
+
+
+def _unit_mask(n: int) -> list:
+    """1 at each a < n with gcd(a, n) = 1 and 0 elsewhere, by slices: a is a
+    unit exactly when no prime q of n divides it."""
+    out = [1] * n
+    for q in _primes(n):
+        out[::q] = [0] * ((n - 1) // q + 1)
+    return out
 
 
 def adams(ell: int, V: VirtualRep) -> VirtualRep:
@@ -494,29 +513,35 @@ def is_fixed_point_free(V: VirtualRep) -> bool:
     """No nontrivial element fixes a vector; the unit sphere is free.
 
     Over C_n that holds exactly when every line L^a in V is faithful,
-    gcd(a, n) = 1. Over Dic_m the rule runs on the restriction to <x>
-    (`_restrict`): a vector fixed by g is fixed by g^2, and every x^s j
-    squares to x^m != e in <x>."""
+    gcd(a, n) = 1. gcd(a, n) > 1 exactly when some prime q of n divides a,
+    and an honest V has coefficients >= 0, so the rule is that no slice
+    lines[::q] holds a nonzero coefficient. Over Dic_m the rule runs on the
+    restriction to <x> (`_restrict`): a vector fixed by g is fixed by g^2,
+    and every x^s j squares to x^m != e in <x>."""
     if not V.is_honest():
         raise ValueError("fixed point freeness is a property of honest representations")
     lines = V.coeffs if V.is_cyclic_side() else _restrict(V.coeffs, V.group.descriptor.m)[0]
-    n = len(lines)
-    return all(gcd(a, n) == 1 for a, c in enumerate(lines) if c)
+    return not any(any(lines[::q]) for q in _primes(len(lines)))
 
 
 def has_rational_characters(V: VirtualRep) -> bool:
     """Whether the character of V takes rational values. Over C_m the
     Galois group (Z/m)^x sends L^a to L^(ua), so the orbit of L^a is the
     set of L^b with gcd(b, m) = gcd(a, m): V is rational exactly when its
-    coefficients are constant on each such set."""
+    coefficients are constant on each such set. For d | m that set is
+    {d j : gcd(j, m/d) = 1}, the units of the slice coeffs[::d]; each slice
+    has its non-units, the multiples of a prime of m/d, overwritten by its
+    value at the unit j = 1 and is then counted against that value."""
     if V.is_cyclic_side():
-        m = V.group.order
-        level: dict[int, object] = {}
-        for a, c in enumerate(V.coeffs):
-            d = gcd(a, m)
-            if d in level and level[d] != c:
+        c = V.coeffs
+        m = len(c)
+        for d in divisors(m)[:-1]:
+            orbit = list(c[::d])
+            k, ref = m // d, orbit[1]
+            for q in _primes(k):
+                orbit[::q] = [ref] * ((k - 1) // q + 1)
+            if orbit.count(ref) != k:
                 return False
-            level.setdefault(d, c)
         return True
     return all(v.is_rational() for v in V.class_values())
 

@@ -54,25 +54,25 @@ def test_standardize_rep():
 
 def test_derive_parameters_examples():
     c2 = cyc(2)
-    par = _parameters(2, 1, orbit(c2, 0), 4 * standard_rep(c2, "L"), default_ell(2))
+    par = _parameters(2, 1, orbit(c2, 0), (4 * standard_rep(c2, "L")).dim(), default_ell(2))
     assert (par.p, par.n, par.t, par.c_x, par.k, par.c_v) == (2, 1, 1, 1, 3, 1)
 
     c3 = cyc(3)
-    par = _parameters(3, 1, orbit(c3, 0), standard_rep(c3, "W"), default_ell(3))
+    par = _parameters(3, 1, orbit(c3, 0), standard_rep(c3, "W").dim(), default_ell(3))
     assert (par.n, par.t, par.k, par.c_v) == (1, 1, 0, 1)
 
     c4 = cyc(4)
-    par = _parameters(2, 2, orbit(c4, "C2"), 2 * standard_rep(c4, "W"), default_ell(2))
+    par = _parameters(2, 2, orbit(c4, "C2"), (2 * standard_rep(c4, "W")).dim(), default_ell(2))
     assert (par.k, par.c_v) == (3, 1)
 
 
 def test_derive_parameters_errors():
     c3 = cyc(3)
     with pytest.raises(ValueError):
-        _parameters(3, 1, VirtualGSet.zero(c3), standard_rep(c3, "W"), default_ell(3))
+        _parameters(3, 1, VirtualGSet.zero(c3), standard_rep(c3, "W").dim(), default_ell(3))
     with pytest.raises(ValueError):
         # dim 3 over C3 is not p^k * c * (p-1)
-        _parameters(3, 1, orbit(c3, 0), 3 * standard_rep(c3, "L"), default_ell(3))
+        _parameters(3, 1, orbit(c3, 0), (3 * standard_rep(c3, "L")).dim(), default_ell(3))
     with pytest.raises(ValueError):
         _group_prime(cyc(6))
 
@@ -278,10 +278,10 @@ def test_certify_depends_only_on_cardinality_class():
     for _ in range(20):
         X = VirtualGSet(g, [rng.randrange(-2, 3) for _ in classes])
         try:
-            base = _parameters(2, 3, X, V, default_ell(2))
+            base = _parameters(2, 3, X, V.dim(), default_ell(2))
         except ValueError:
             continue
-        shifted = _parameters(2, 3, X + rng.randrange(1, 4) * null, V, default_ell(2))
+        shifted = _parameters(2, 3, X + rng.randrange(1, 4) * null, V.dim(), default_ell(2))
         assert (base.t, base.c_x) == (shifted.t, shifted.c_x)
         assert check_hypotheses(base) == check_hypotheses(shifted)
 
@@ -363,6 +363,30 @@ def test_quaternion_certificate_past_the_order_bound_reads_no_table(monkeypatch)
         assert cert.multiplicity == 8
         assert cert.step2.report.valuation == 3 and cert.step2.passed
         assert took < 3.0, f"the certificate over Q2048 took {took:.2f} s"
+
+
+def test_warm_c_2_16_certificate_reads_v_at_c_speed(monkeypatch):
+    """Over C_{2^16} with X = [G/e] + [G/G] and V = 8W, the facts read off
+    the 65,536 coefficients of V (honest, fixed point free, rational, dim)
+    are slice passes; as coefficient loops they took about 60 ms of a
+    warm certificate on a 2-vCPU VM. |X| = 2^16 + 1 gives t = 0, dim V = 2^18 gives
+    k = 19, and v_2(3^(2^18) - 1) - 16 = 4 = k + 1 - n."""
+    import vone.groups as groups
+
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**16)
+    g = groups.GroupModel(GroupDescriptor.cyclic(2, 16))
+    X = orbit(g, "e") + orbit(g, f"C{2**16}")
+    V = 8 * standard_rep(g, "W")
+    cert = certify_self_map(g, X, V)  # warm: the group's tables
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        cert = certify_self_map(g, X, V)
+        times.append(time.perf_counter() - start)
+    assert cert.verdict == "certified"
+    assert cert.parameters == SelfMapParameters(2, 16, 0, 2**16 + 1, 19, 1, 3)
+    assert cert.multiplicity == 8 and cert.step2.report.valuation == 4
+    assert min(times) < 0.04, f"the certificate over C_2^16 took {min(times) * 1000:.1f} ms"
 
 
 def test_certify_rejects_a_setting_outside_the_theorem():
