@@ -270,9 +270,10 @@ def _run_step2(
 
 def _run_step3(params: SelfMapParameters, warnings: list) -> StepThree:
     p, n, t, k = params.p, params.n, params.t, params.k
-    card = params.c_x * Fraction(p) ** t
-    sq1 = sq1_int(int(card)) if card.denominator == 1 else None
-    if p == 2 and t == 0 and params.c_x.denominator == 1 and int(params.c_x) % 4 == 3 and k + 1 == n:
+    # |X| = p^t c_X is an integer exactly when c_X is, and Sq1 reads it mod 4
+    c = params.c_x
+    sq1 = sq1_int(c.numerator * pow(p, t, 4)) if c.denominator == 1 else None
+    if p == 2 and t == 0 and c.denominator == 1 and c.numerator % 4 == 3 and k + 1 == n:
         warnings.append(
             "parameter region p = 2, t = 0, c = 3 mod 4, k+1 = n: the Sq1 class "
             "of the cardinality is eta while the bracket table reports 0"

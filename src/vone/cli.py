@@ -402,6 +402,19 @@ def _fields(rec) -> dict:
     return {name: getattr(rec, name) for name in rec.__record_fields__}
 
 
+def _printable_lam(report) -> int | None:
+    """lambda of a step-2 report, or None where it would pass
+    `MAX_ADAMS_BITS` or `MAX_DIGITS`, decided by the rules that guard theta
+    before lambda is formed; the report's valuation is there either way."""
+    dim = report.V.dim()
+    try:
+        _check_adams_bits(report.ell, dim)
+        _check_printed(report.ell, dim, report.V.group.order)
+    except ValueError:
+        return None
+    return report.lam
+
+
 def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) -> str:
     par = cert.parameters
     doc = {
@@ -432,7 +445,7 @@ def certificate_json(cert: Certificate, gset_text: str, rep_text: str, notes) ->
             "adams_divisibility": None
             if cert.step2 is None
             else {
-                "lam": cert.step2.report.lam,
+                "lam": _printable_lam(cert.step2.report),
                 "valuation": cert.step2.report.valuation,
                 "fixedness": cert.step2.fixedness,
                 "passed": cert.step2.passed,

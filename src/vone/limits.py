@@ -28,8 +28,8 @@ MAX_ADAMS_BITS = 2**20
 
 # bound on |T|^2 * |G| for Sq1 of a G-set T over a dicyclic group, which
 # decomposes T x T on points: the free orbit of Q128 is at the bound and
-# takes about a second, that of Q256 would take ten (cyclic groups use a
-# closed form and need no bound)
+# takes about half a second from a cold start, that of Q256 would do eight
+# times the work (cyclic groups use a closed form and need no bound)
 MAX_SQ1_WORK = 2**21
 
 # largest prime p that `enumerate` and `telescope` accept: trial division

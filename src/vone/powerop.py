@@ -6,11 +6,15 @@ involution tau(a, b) = (b, a) on T x T is an element of the product of
 wreath products Sigma_{n_K} wr W_GK, and Sq1 collapses each factor through
 (sigma, (x_1, ..., x_n)) -> (sgn sigma, x_1 ... x_n).
 
-Over a cyclic group that collapse is a closed form in the orbit counts of T
-and the subgroup indices (`_sq1_cyclic`, proof in its docstring). Over a
-dicyclic group it is computed directly: T x T is decomposed into orbits on
-points and tau is read off them, which costs about |T|^2 |G| steps and is
-bounded by `vone.limits.MAX_SQ1_WORK`.
+tau is an involution that commutes with G, so the collapse needs only, per
+type K, the number N_K of orbits of T x T, the number s_K of them that tau
+fixes and the Weyl coordinates of the fixed ones: eta_K = (N_K - s_K)/2
+mod 2 (the lemma in `_sq1_from_action`, proved in its docstring). Over a
+cyclic group these are closed forms in the orbit counts of T and the
+subgroup indices (`_sq1_cyclic`). Over a dicyclic group T x T is
+decomposed into orbits on points, which costs about |T|^2 |G| steps and is
+bounded by `vone.limits.MAX_SQ1_WORK`; only the orbits tau fixes are
+searched further.
 
 Virtual inputs are rejected: the extension of Sq1 to differences of G-sets
 needs coordinates for the cross terms that we do not model.
@@ -129,9 +133,24 @@ def _points_action(G: GroupModel, counts):
 
 
 def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
+    """Sq1 of the G-set with act[g][p] the image of point p under g, read
+    off the orbits of T x T.
+
+    Lemma. tau commutes with G and tau^2 = 1, so it permutes the N_K orbits
+    of type K by an involution sigma_K, whose sign is (-1)^((N_K - s_K)/2)
+    with s_K the number of orbits tau fixes. In each orbit o pick a base
+    point b_o with stabilizer L, the class representative, and g_o with
+    tau(b_o) = g_o b_o', o' = tau(o); g_o normalizes L, since tau(b_o) has
+    the stabilizer of b_o. For a swapped pair o, o', b_o = tau^2(b_o) =
+    g_o g_o' b_o, so g_o g_o' lies in L and the pair adds 0 to W_GL^ab.
+    In a fixed orbit another base point is n b_o with n in N(L), and it
+    gives n g_o n^-1 in place of g_o, the same element of W_GL^ab. Hence
+    eta_K = (N_K - s_K)/2 mod 2, and the Weyl part sums the coordinates of
+    g_o over the fixed orbits alone, for any choice of base points.
+
+    So the search marks each orbit and counts N_K and s_K; a base point
+    and its g are looked for only in the orbits tau fixes."""
     npts = len(act[0]) if act else 0
-    if npts == 0:
-        return Pi1Element.zero(G)
     n2 = npts * npts
 
     def act2(g: int, p: int) -> int:
@@ -141,15 +160,19 @@ def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
     def stab_of(p: int) -> frozenset:
         return frozenset(g for g in range(G.order) if act2(g, p) == p)
 
+    def swap(p: int) -> int:  # tau swaps the two coordinates
+        i, j = divmod(p, npts)
+        return j * npts + i
+
     classes = G.subgroup_classes()
-    orbit_of = [-1] * n2
-    orbit_class = []
-    orbit_base = []
+    orbits = [0] * len(classes)
+    fixed = [0] * len(classes)
+    weyl = [G.weyl_data(cid).zero() for cid in range(len(classes))]
+    orbit_of = [-1] * n2  # an orbit is named by its first point
     for p0 in range(n2):
         if orbit_of[p0] >= 0:
             continue
-        oid = len(orbit_class)
-        orbit_of[p0] = oid
+        orbit_of[p0] = p0
         orb = [p0]
         frontier = [p0]
         while frontier:
@@ -157,59 +180,33 @@ def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
             for g in range(1, G.order):
                 r = act2(g, q)
                 if orbit_of[r] < 0:
-                    orbit_of[r] = oid
+                    orbit_of[r] = p0
                     orb.append(r)
                     frontier.append(r)
         cid = G.class_index_of(stab_of(p0))
-        rep = classes[cid].representative
-        base = min(q for q in orb if stab_of(q) == rep)
-        orbit_class.append(cid)
-        orbit_base.append(base)
-
-    components = []
-    for cid, cls in enumerate(classes):
-        oids = sorted(
-            (o for o in range(len(orbit_class)) if orbit_class[o] == cid),
-            key=lambda o: orbit_base[o],
-        )
-        if not oids:
-            components.append((0, (0,) * len(cls.weyl_invariants)))
+        orbits[cid] += 1
+        if orbit_of[swap(p0)] != p0:
             continue
-        position = {o: k for k, o in enumerate(oids)}
-        weyl = G.weyl_data(cid)
-        sigma = []
-        acc = weyl.zero()
-        for o in oids:
-            p = orbit_base[o]
-            i, j = divmod(p, npts)
-            q = j * npts + i  # tau swaps the two coordinates
-            target = orbit_of[q]
-            sigma.append(position[target])
-            base_t = orbit_base[target]
-            for g in range(G.order):
-                if act2(g, base_t) == q:
-                    acc = weyl.add(acc, weyl.coords(g))
-                    break
-            else:
-                raise AssertionError("tau must send orbits to orbits of the same class")
-        seen = [False] * len(sigma)
-        parity = 0
-        for k in range(len(sigma)):
-            if seen[k]:
-                continue
-            length = 0
-            t = k
-            while not seen[t]:
-                seen[t] = True
-                t = sigma[t]
-                length += 1
-            parity += length - 1
-        components.append((parity % 2, acc))
-    return Pi1Element(G, tuple(components))
+        fixed[cid] += 1
+        rep = classes[cid].representative
+        base = next(q for q in orb if stab_of(q) == rep)
+        g = next(g for g in range(G.order) if act2(g, base) == swap(base))
+        wd = G.weyl_data(cid)
+        weyl[cid] = wd.add(weyl[cid], wd.coords(g))
+    return _assemble(G, orbits, fixed, weyl)
+
+
+def _assemble(G: GroupModel, orbits, fixed, weyl) -> Pi1Element:
+    """Sq1 from, per subgroup class K, the number N_K of orbits of type K
+    in T x T, the number s_K of them that tau fixes and the summed Weyl
+    coordinates of the fixed ones: eta_K = (N_K - s_K)/2 mod 2 by the lemma
+    of `_sq1_from_action`."""
+    return Pi1Element(G, tuple(((N - s) // 2 % 2, w) for N, s, w in zip(orbits, fixed, weyl)))
 
 
 def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
-    """Sq1 of T = sum n_H [G/H] over G = C_m from the subgroup indices alone.
+    """Sq1 of T = sum n_H [G/H] over G = C_m from the subgroup indices
+    alone, through the lemma of `_sq1_from_action`.
 
     Write d_H = |G/H|. G is abelian, so every point of [G/H] x [G/K] has
     the intersection L of H and K as its stabilizer, and d_L = lcm(d_H, d_K);
@@ -223,16 +220,11 @@ def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
     (y, y + x), and tau sends it to the orbit of (y + x, y) = x + (y, y - x),
     the orbit of -x. It is fixed exactly when 2x lies in L, i.e. for x = 0,
     and also for x = d_L / 2 when d_L is even. So tau fixes
-    s_L = n_L (2 if d_L is even, else 1) orbits of type L and swaps the
-    other N_L - s_L in pairs: sgn sigma_L = (N_L - s_L) / 2 mod 2.
-
-    The Weyl part sums the coordinates of the g_o with tau(b_o) = g_o b_o',
-    b_o the base point of orbit o and o' = tau(o). For a swapped pair o, o',
-    b_o = tau^2(b_o) = g_o g_o' b_o, so g_o g_o' lies in the stabilizer L
-    and the pair adds 0 to W_GL = G/L. A fixed orbit of x adds
-    g_o = x mod L: 0 for x = 0, d_L / 2 for the other one. Hence
+    s_L = n_L (2 if d_L is even, else 1) orbits of type L. The fixed orbit
+    of x has base point (0, x) and tau(0, x) = x + (0, x), so it adds
+    g = x mod L: 0 for x = 0, d_L / 2 for the other one. Hence
     Weyl_L = n_L d_L / 2 mod d_L when d_L is even, 0 when d_L is odd, and
-    () when d_L = 1. The tests hold this against `_sq1_from_action`.
+    () when d_L = 1. The tests hold this against the permutation walk.
     """
     classes = G.subgroup_classes()
     class_of_index = {cls.index: cls.id for cls in classes}
@@ -242,14 +234,14 @@ def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
         for dK, nK in present:
             g = gcd(dH, dK)
             orbits[class_of_index[dH * dK // g]] += nH * nK * g
-    components = []
-    for cls, n, N in zip(classes, counts, orbits):
+    fixed = []
+    weyl = []
+    for cls, n in zip(classes, counts):
         d = cls.index
         even = d % 2 == 0
-        eta = (N - n * (2 if even else 1)) // 2 % 2
-        weyl = () if d == 1 else (n * (d // 2) % d if even else 0,)
-        components.append((eta, weyl))
-    return Pi1Element(G, tuple(components))
+        fixed.append(n * (2 if even else 1))
+        weyl.append(() if d == 1 else (n * (d // 2) % d if even else 0,))
+    return _assemble(G, orbits, fixed, weyl)
 
 
 def sq1_gset(T: VirtualGSet) -> Pi1Element:

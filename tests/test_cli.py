@@ -516,13 +516,40 @@ def test_cli_telescope_with_a_composite_p_is_an_input_error():
 def test_cli_certify_work_is_bounded():
     """ell^dim for 32000000-dimensional V took 25 s to compute. Step 2
     reads v_p(lambda) without it, so `--text` answers; `--json` prints
-    lambda and refuses it past `MAX_ADAMS_BITS`, unformed."""
+    a null lambda past `MAX_ADAMS_BITS`, unformed, and its valuation."""
     start = time.perf_counter()
     argv = ("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", "16000000*W")
     code, out, err = go(*argv, "--text")
     assert (code, err) == (0, "") and out.endswith("verdict    certified\n")
-    assert f"exceeds the limit {MAX_ADAMS_BITS}" in json_error(*argv, "--json")
+    code, out, err = go(*argv, "--json")
+    step2 = json.loads(out)["steps"]["adams_divisibility"]
+    assert (code, err, step2["lam"], step2["valuation"]) == (0, "", None, "11")
     assert time.perf_counter() - start < 1.0
+
+
+def test_cli_certify_prints_the_same_verdict_in_both_formats():
+    """`--json` exited 2 on a lambda past `MAX_DIGITS` (5000*W) or past
+    `MAX_ADAMS_BITS` (1000000000*W) where `--text` certified; now both
+    exit 0 at once and the JSON prints "lam": null. Just below the digit
+    limit lambda is printed in full."""
+    for mult in (5000, 1000000000):
+        argv = ("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", f"{mult}*W")
+        start = time.perf_counter()
+        text = go(*argv, "--text")
+        code, out, err = go(*argv, "--json")
+        assert time.perf_counter() - start < 0.5, mult
+        assert text[0] == code == 0 and err == "" and text[1].endswith("verdict    certified\n")
+        doc = json.loads(out)
+        assert doc["verdict"] == "certified" and doc["steps"]["adams_divisibility"]["lam"] is None
+    # the largest c whose lambda = (3^(2c) - 1)/4, dim c*W = 2c, still prints
+    c = 1
+    while (9 ** (c + 1) - 1) // 4 < 10**MAX_DIGITS:
+        c += 1
+    for mult, lam in ((c, (9**c - 1) // 4), (c + 1, None)):
+        argv = ("certify", "--group", "C4", "--gset", "[C4/e]", "--rep", f"{mult}*W")
+        code, out, _ = go(*argv, "--json")
+        printed = json.loads(out)["steps"]["adams_divisibility"]["lam"]
+        assert printed == (None if lam is None else str(lam)), mult
 
 
 def _random_certify_input(rng: random.Random, G: GroupModel) -> tuple[str, str]:

@@ -184,6 +184,91 @@ def test_sq1_accepts_exactly_the_genuine_g_sets():
                 assert accepted == X.is_genuine(), (g, first, flag)
 
 
+def sq1_by_permutation_walk(G, act) -> Pi1Element:
+    """The oracle for both Sq1 paths, on the G-set with act[g][p] the image
+    of point p: decompose T x T into orbits, pick in each the least base
+    point whose stabilizer is the class representative, build the whole
+    permutation tau induces on the orbits of each type, walk its cycles for
+    the sign, and search the group element behind tau at every orbit."""
+    npts = len(act[0]) if act else 0
+    if npts == 0:
+        return Pi1Element.zero(G)
+    n2 = npts * npts
+
+    def act2(g: int, p: int) -> int:
+        i, j = divmod(p, npts)
+        return act[g][i] * npts + act[g][j]
+
+    def stab_of(p: int) -> frozenset:
+        return frozenset(g for g in range(G.order) if act2(g, p) == p)
+
+    classes = G.subgroup_classes()
+    orbit_of = [-1] * n2
+    orbit_class = []
+    orbit_base = []
+    for p0 in range(n2):
+        if orbit_of[p0] >= 0:
+            continue
+        oid = len(orbit_class)
+        orbit_of[p0] = oid
+        orb = [p0]
+        frontier = [p0]
+        while frontier:
+            q = frontier.pop()
+            for g in range(1, G.order):
+                r = act2(g, q)
+                if orbit_of[r] < 0:
+                    orbit_of[r] = oid
+                    orb.append(r)
+                    frontier.append(r)
+        cid = G.class_index_of(stab_of(p0))
+        rep = classes[cid].representative
+        base = min(q for q in orb if stab_of(q) == rep)
+        orbit_class.append(cid)
+        orbit_base.append(base)
+
+    components = []
+    for cid, cls in enumerate(classes):
+        oids = sorted(
+            (o for o in range(len(orbit_class)) if orbit_class[o] == cid),
+            key=lambda o: orbit_base[o],
+        )
+        if not oids:
+            components.append((0, (0,) * len(cls.weyl_invariants)))
+            continue
+        position = {o: k for k, o in enumerate(oids)}
+        weyl = G.weyl_data(cid)
+        sigma = []
+        acc = weyl.zero()
+        for o in oids:
+            p = orbit_base[o]
+            i, j = divmod(p, npts)
+            q = j * npts + i  # tau swaps the two coordinates
+            target = orbit_of[q]
+            sigma.append(position[target])
+            base_t = orbit_base[target]
+            for g in range(G.order):
+                if act2(g, base_t) == q:
+                    acc = weyl.add(acc, weyl.coords(g))
+                    break
+            else:
+                raise AssertionError("tau must send orbits to orbits of the same class")
+        seen = [False] * len(sigma)
+        parity = 0
+        for k in range(len(sigma)):
+            if seen[k]:
+                continue
+            length = 0
+            t = k
+            while not seen[t]:
+                seen[t] = True
+                t = sigma[t]
+                length += 1
+            parity += length - 1
+        components.append((parity % 2, acc))
+    return Pi1Element(G, tuple(components))
+
+
 def _random_points_action(G, counts, rng):
     """The action of `_points_action` under a randomized enumeration: orbits
     in shuffled order, each stabilizer a random conjugate of the class
@@ -214,11 +299,12 @@ def _random_points_action(G, counts, rng):
 
 
 def sq1_consistency(T, trials, seed):
-    """Recompute sq1_gset under randomized enumerations; True if stable."""
+    """The oracle under randomized enumerations of T equals sq1_gset(T)."""
     base = sq1_gset(T)
     rng = random.Random(seed)
     return all(
-        _sq1_from_action(T.group, _random_points_action(T.group, T.coeffs, rng)) == base
+        sq1_by_permutation_walk(T.group, _random_points_action(T.group, T.coeffs, rng))
+        == base
         for _ in range(trials)
     )
 
@@ -246,12 +332,13 @@ def test_sq1_sum_of_free_orbits_matches_regular_pattern():
         assert EtaClass(eta.coefficient * 2 * k + parity) == sq1_int(2 * k)
 
 
-def _check_against_point_action(G, counts):
-    """The closed form, within 50 ms, equals the point action on counts."""
+def _check_against_point_action(G, counts, seconds=0.05):
+    """sq1_gset, within `seconds`, equals the permutation walk on the point
+    action of counts."""
     start = time.perf_counter()
     fast = sq1_gset(VirtualGSet(G, counts))
-    assert time.perf_counter() - start < 0.05, (G, counts)
-    assert fast == _sq1_from_action(G, _points_action(G, counts)), (G, counts)
+    assert time.perf_counter() - start < seconds, (G, counts)
+    assert fast == sq1_by_permutation_walk(G, _points_action(G, counts)), (G, counts)
 
 
 def _gsets_up_to(G, size):
@@ -344,6 +431,58 @@ def test_cyclic_free_orbits_match_the_sign_and_product_oracle():
         for cls in cm.subgroup_classes()[1:]:
             s, w = out.component(cls)
             assert not s and not any(w), (m, cls.label)
+
+
+def test_dicyclic_orbit_count_matches_the_walk_on_every_small_gset():
+    """The fixed-orbit count against the permutation walk on every genuine
+    T over Dic_m, 2 <= m <= 8, whose point action has at most 2^11 steps,
+    the cut of the cyclic sweep (|T|^2 |G| <= 2^11, so |T| <= 16 over Q8
+    and |T| <= 8 over Q32): 2739 G-sets. At 2^12 there are 10935, and the
+    walk makes the sweep take about 45 s."""
+    start = time.perf_counter()
+    checked = 0
+    for m in range(2, 9):
+        dm = G(f"Dic{m}")
+        for counts in _gsets_up_to(dm, isqrt(2**11 // dm.order)):
+            _check_against_point_action(dm, counts)
+            checked += 1
+    assert checked == 2739
+    assert time.perf_counter() - start < 30
+
+
+def test_dicyclic_orbit_count_matches_the_walk_on_large_gsets():
+    """Seeded G-sets of up to 64 points over Q32 and Q64, drawn orbit by
+    orbit as in the cyclic sweep; the free orbit can always be drawn."""
+    rng = random.Random(2025)
+    for name in ("Q32", "Q32", "Q32", "Q64", "Q64"):
+        dm = G(name)
+        indices = [cls.index for cls in dm.subgroup_classes()]
+        counts = [0] * len(indices)
+        target = rng.randrange(dm.order, 65)
+        size = 0
+        while True:
+            fits = [i for i, d in enumerate(indices) if size + d <= target]
+            if not fits:
+                break
+            i = rng.choice(fits)
+            counts[i] += 1
+            size += indices[i]
+        _check_against_point_action(dm, counts, seconds=1.0)
+
+
+def test_dicyclic_orbit_count_is_stable_under_reenumeration():
+    """`_sq1_from_action` on randomized enumerations of T (shuffled orbits,
+    conjugated stabilizers, shuffled cosets) equals the walk on the
+    canonical one, over Q8, Q16, Dic3 and Dic5."""
+    rng = random.Random(11)
+    for name in ("Q8", "Q16", "Dic3", "Dic5"):
+        dm = G(name)
+        for _ in range(6):
+            counts = [rng.randrange(2) for _ in dm.subgroup_classes()]
+            oracle = sq1_by_permutation_walk(dm, _points_action(dm, counts))
+            for _ in range(3):
+                act = _random_points_action(dm, counts, rng)
+                assert _sq1_from_action(dm, act) == oracle, (name, counts)
 
 
 def test_dicyclic_point_action_is_bounded():
