@@ -569,6 +569,8 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_sq1(args, out) -> int:
+    if args.int is not None and (args.group is not None or args.gset is not None):
+        raise ParseError("give --int or --group and --gset, not both")
     if args.int is not None:
         value = sq1_int(args.int)
         if args.json:

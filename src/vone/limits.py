@@ -26,10 +26,12 @@ MAX_NESTING = 100
 # exactly at the bound
 MAX_ADAMS_BITS = 2**20
 
-# bound on |T|^2 * |G| for Sq1 of a G-set T over a dicyclic group, which
-# decomposes T x T on points: the free orbit of Q128 is at the bound and
-# takes about half a second from a cold start, that of Q256 would do eight
-# times the work (cyclic groups use a closed form and need no bound)
+# bound on the sum of |G/H|^2 * |G| over the orbit types H of a G-set T for
+# Sq1 over a dicyclic group, which decomposes one block [G/H] x [G/H] per
+# type on points, whatever the multiplicity of H in T: the free orbit of
+# Q128 is at the bound and takes about half a second from a cold start,
+# that of Q256 would do eight times the work (cyclic groups use a closed
+# form and need no bound)
 MAX_SQ1_WORK = 2**21
 
 # largest prime p that `enumerate` and `telescope` accept: trial division

@@ -9,20 +9,21 @@ wreath products Sigma_{n_K} wr W_GK, and Sq1 collapses each factor through
 tau is an involution that commutes with G, so the collapse needs only, per
 type K, the number N_K of orbits of T x T, the number s_K of them that tau
 fixes and the Weyl coordinates of the fixed ones: eta_K = (N_K - s_K)/2
-mod 2 (the lemma in `_sq1_from_action`, proved in its docstring). Over a
-cyclic group these are closed forms in the orbit counts of T and the
-subgroup indices (`_sq1_cyclic`). Over a dicyclic group T x T is
-decomposed into orbits on points, which costs about |T|^2 |G| steps and is
-bounded by `vone.limits.MAX_SQ1_WORK`; only the orbits tau fixes are
-searched further.
+mod 2 (the lemma in `_fixed_orbits`, proved in its docstring). N_K is the
+coefficient of [G/K] in T * T, read off the marks (`burnside.bmul`). For
+T = sum n_H [G/H], tau maps the block (copy i) x (copy j) of T x T onto
+the block (j, i), so every fixed orbit lies in one of the n_H diagonal
+blocks [G/H] x [G/H]: s_K and the Weyl part are read once per orbit type
+H of T and scaled by n_H (`_diagonal_block`). Over a cyclic group a block
+is a closed form in |G/H|; over a dicyclic group its orbits are found on
+its |G/H|^2 points, which costs |G/H|^2 |G| steps per type and is bounded
+by `vone.limits.MAX_SQ1_WORK`.
 
 Virtual inputs are rejected: the extension of Sq1 to differences of G-sets
 needs coordinates for the cross terms that we do not model.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .burnside import VirtualGSet
 from .groups import GroupModel
@@ -105,52 +106,38 @@ class Pi1Element:
         return " + ".join(terms) if terms else "0"
 
 
-def _points_action(G: GroupModel, counts):
-    """Concrete model of the G-set sum(counts[c] * [G/H_c]): returns act with
-    act[g][p] the image of point p. Deterministic: canonical subgroup
-    representatives, least coset representatives, class order."""
-    classes = G.subgroup_classes()
-    blocks = []
-    for cid, c in enumerate(counts):
-        if not c:
-            continue
-        H = classes[cid].representative
-        rep_of: dict[int, int] = {}
-        reps = []
-        for g in range(G.order):
-            if g not in rep_of:
-                for h in H:
-                    rep_of[G.mul(g, h)] = g
-                reps.append(g)
-        blocks.extend([(reps, rep_of)] * c)
-    points = [(b, r) for b, (reps, _) in enumerate(blocks) for r in reps]
-    index = {pt: i for i, pt in enumerate(points)}
-    act = [
-        tuple(index[(b, blocks[b][1][G.mul(g, r)])] for (b, r) in points)
-        for g in range(G.order)
-    ]
-    return act
+def _coset_action(G: GroupModel, H: frozenset) -> list:
+    """act[g][p], the image under g of coset p of [G/H]; the cosets are
+    numbered in the order of their least elements, so H is coset 0."""
+    coset_of: dict[int, int] = {}
+    reps = []
+    for g in range(G.order):
+        if g not in coset_of:
+            for h in H:
+                coset_of[G.mul(g, h)] = len(reps)
+            reps.append(g)
+    return [tuple(coset_of[G.mul(g, r)] for r in reps) for g in range(G.order)]
 
 
-def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
-    """Sq1 of the G-set with act[g][p] the image of point p under g, read
-    off the orbits of T x T.
+def _fixed_orbits(G: GroupModel, act) -> dict:
+    """class id K -> (s_K, Weyl_K): the number of orbits of type K of X x X
+    that tau fixes and their summed Weyl coordinates, for the G-set X with
+    act[g][p] the image of point p under g.
 
     Lemma. tau commutes with G and tau^2 = 1, so it permutes the N_K orbits
-    of type K by an involution sigma_K, whose sign is (-1)^((N_K - s_K)/2)
-    with s_K the number of orbits tau fixes. In each orbit o pick a base
-    point b_o with stabilizer L, the class representative, and g_o with
-    tau(b_o) = g_o b_o', o' = tau(o); g_o normalizes L, since tau(b_o) has
-    the stabilizer of b_o. For a swapped pair o, o', b_o = tau^2(b_o) =
-    g_o g_o' b_o, so g_o g_o' lies in L and the pair adds 0 to W_GL^ab.
-    In a fixed orbit another base point is n b_o with n in N(L), and it
-    gives n g_o n^-1 in place of g_o, the same element of W_GL^ab. Hence
-    eta_K = (N_K - s_K)/2 mod 2, and the Weyl part sums the coordinates of
-    g_o over the fixed orbits alone, for any choice of base points.
-
-    So the search marks each orbit and counts N_K and s_K; a base point
-    and its g are looked for only in the orbits tau fixes."""
-    npts = len(act[0]) if act else 0
+    of type K by an involution sigma_K, whose sign is (-1)^((N_K - s_K)/2).
+    In each orbit o pick a base point b_o with stabilizer L, the class
+    representative, and g_o with tau(b_o) = g_o b_o', o' = tau(o); g_o
+    normalizes L, since tau(b_o) has the stabilizer of b_o. For a swapped
+    pair o, o', b_o = tau^2(b_o) = g_o g_o' b_o, so g_o g_o' lies in L and
+    the pair adds 0 to W_GL^ab. In a fixed orbit another base point is
+    n b_o with n in N(L), and it gives n g_o n^-1 in place of g_o, the same
+    element of W_GL^ab. Hence eta_K = (N_K - s_K)/2 mod 2, and the Weyl
+    part sums the coordinates of g_o over the fixed orbits alone, for any
+    choice of base points. So a base point and its g are searched for only
+    in the orbits tau fixes; the tests hold this against the permutation
+    walk and under randomized enumerations of X."""
+    npts = len(act[0])
     n2 = npts * npts
 
     def act2(g: int, p: int) -> int:
@@ -165,16 +152,13 @@ def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
         return j * npts + i
 
     classes = G.subgroup_classes()
-    orbits = [0] * len(classes)
-    fixed = [0] * len(classes)
-    weyl = [G.weyl_data(cid).zero() for cid in range(len(classes))]
+    out = {}
     orbit_of = [-1] * n2  # an orbit is named by its first point
     for p0 in range(n2):
         if orbit_of[p0] >= 0:
             continue
         orbit_of[p0] = p0
-        orb = [p0]
-        frontier = [p0]
+        orb, frontier = [p0], [p0]
         while frontier:
             q = frontier.pop()
             for g in range(1, G.order):
@@ -183,81 +167,56 @@ def _sq1_from_action(G: GroupModel, act) -> Pi1Element:
                     orbit_of[r] = p0
                     orb.append(r)
                     frontier.append(r)
-        cid = G.class_index_of(stab_of(p0))
-        orbits[cid] += 1
         if orbit_of[swap(p0)] != p0:
             continue
-        fixed[cid] += 1
+        cid = G.class_index_of(stab_of(p0))
         rep = classes[cid].representative
         base = next(q for q in orb if stab_of(q) == rep)
         g = next(g for g in range(G.order) if act2(g, base) == swap(base))
         wd = G.weyl_data(cid)
-        weyl[cid] = wd.add(weyl[cid], wd.coords(g))
-    return _assemble(G, orbits, fixed, weyl)
+        s, w = out.get(cid, (0, wd.zero()))
+        out[cid] = (s + 1, wd.add(w, wd.coords(g)))
+    return out
 
 
-def _assemble(G: GroupModel, orbits, fixed, weyl) -> Pi1Element:
-    """Sq1 from, per subgroup class K, the number N_K of orbits of type K
-    in T x T, the number s_K of them that tau fixes and the summed Weyl
-    coordinates of the fixed ones: eta_K = (N_K - s_K)/2 mod 2 by the lemma
-    of `_sq1_from_action`."""
-    return Pi1Element(G, tuple(((N - s) // 2 % 2, w) for N, s, w in zip(orbits, fixed, weyl)))
+def _diagonal_block(G: GroupModel, cid: int) -> dict:
+    """`_fixed_orbits` of [G/H] x [G/H], H the representative of class cid.
 
-
-def _sq1_cyclic(G: GroupModel, counts) -> Pi1Element:
-    """Sq1 of T = sum n_H [G/H] over G = C_m from the subgroup indices
-    alone, through the lemma of `_sq1_from_action`.
-
-    Write d_H = |G/H|. G is abelian, so every point of [G/H] x [G/K] has
-    the intersection L of H and K as its stabilizer, and d_L = lcm(d_H, d_K);
-    the d_H d_K points fall into d_H d_K / d_L = gcd(d_H, d_K) orbits, each
-    a copy of [G/L]. So the number of orbits of type L in T x T is
-    N_L = sum over (H, K) with lcm(d_H, d_K) = d_L of n_H n_K gcd(d_H, d_K).
-
-    tau maps the orbits of the block (copy i of [G/H]) x (copy j of [G/K])
-    to those of the block (j, i). No orbit of a block with i != j is fixed.
-    A diagonal block [G/L] x [G/L] has one orbit per x in G/L, that of
-    (y, y + x), and tau sends it to the orbit of (y + x, y) = x + (y, y - x),
-    the orbit of -x. It is fixed exactly when 2x lies in L, i.e. for x = 0,
-    and also for x = d_L / 2 when d_L is even. So tau fixes
-    s_L = n_L (2 if d_L is even, else 1) orbits of type L. The fixed orbit
-    of x has base point (0, x) and tau(0, x) = x + (0, x), so it adds
-    g = x mod L: 0 for x = 0, d_L / 2 for the other one. Hence
-    Weyl_L = n_L d_L / 2 mod d_L when d_L is even, 0 when d_L is odd, and
-    () when d_L = 1. The tests hold this against the permutation walk.
-    """
-    classes = G.subgroup_classes()
-    class_of_index = {cls.index: cls.id for cls in classes}
-    present = [(cls.index, n) for cls, n in zip(classes, counts) if n]
-    orbits = [0] * len(classes)
-    for dH, nH in present:
-        for dK, nK in present:
-            g = gcd(dH, dK)
-            orbits[class_of_index[dH * dK // g]] += nH * nK * g
-    fixed = []
-    weyl = []
-    for cls, n in zip(classes, counts):
-        d = cls.index
-        even = d % 2 == 0
-        fixed.append(n * (2 if even else 1))
-        weyl.append(() if d == 1 else (n * (d // 2) % d if even else 0,))
-    return _assemble(G, orbits, fixed, weyl)
+    Over G = C_m it is a closed form in d = |G/H|. G is abelian, so every
+    point of the block has stabilizer H, and the block has one orbit per x
+    in G/H, that of (y, y + x). tau sends it to the orbit of
+    (y + x, y) = x + (y, y - x), the orbit of -x. It is fixed exactly when
+    2x lies in H, i.e. for x = 0, and also for x = d / 2 when d is even.
+    The fixed orbit of x has base point (0, x) and tau(0, x) = x + (0, x),
+    so it adds g = x mod H: s_H = 2 and Weyl_H = d / 2 for even d, s_H = 1
+    and Weyl_H = 0 for odd d."""
+    cls = G.subgroup_classes()[cid]
+    if G.descriptor.kind != "cyclic":
+        return _fixed_orbits(G, _coset_action(G, cls.representative))
+    d, wd = cls.index, G.weyl_data(cid)
+    return {cid: (2, wd.coords(d // 2)) if d % 2 == 0 else (1, wd.zero())}
 
 
 def sq1_gset(T: VirtualGSet) -> Pi1Element:
-    """Sq1 of a genuine G-set, from the swap involution on T x T: in closed
-    form over a cyclic group, on points over a dicyclic one, where
-    |T|^2 |G| over `MAX_SQ1_WORK` raises ValueError."""
+    """Sq1 of a genuine G-set: N_K from T * T, s_K and the Weyl part from
+    one diagonal block per orbit type of T, scaled by its multiplicity.
+    Over a dicyclic group, the sum of |G/H|^2 |G| over the orbit types H
+    of T past `MAX_SQ1_WORK` raises ValueError."""
     if not T.is_genuine():
         raise ValueError("virtual G-sets are not accepted; Sq1 needs a genuine G-set")
-    counts = T.coeffs
     G = T.group
-    if G.descriptor.kind == "cyclic":
-        return _sq1_cyclic(G, counts)
     classes = G.subgroup_classes()
-    points = sum(n * cls.index for cls, n in zip(classes, counts))
-    if points * points * G.order > MAX_SQ1_WORK:
-        raise ValueError(
-            f"Sq1 over {G.descriptor.name} exceeds the limit {MAX_SQ1_WORK} on |T|^2 * |G|"
-        )
-    return _sq1_from_action(G, _points_action(G, counts))
+    types = [(cid, n) for cid, n in enumerate(T.coeffs) if n]
+    work = G.order * sum(classes[cid].index ** 2 for cid, _ in types)
+    if G.descriptor.kind != "cyclic" and work > MAX_SQ1_WORK:
+        raise ValueError(f"Sq1 over {G.descriptor.name} exceeds the limit {MAX_SQ1_WORK} on "
+                         "the sum of |G/H|^2 * |G| over the orbit types H of T")
+    fixed = [0] * len(classes)
+    weyl = [[0] * len(cls.weyl_invariants) for cls in classes]
+    for cid, n in types:
+        for k, (s, w) in _diagonal_block(G, cid).items():
+            fixed[k] += n * s
+            weyl[k] = [a + n * b for a, b in zip(weyl[k], w)]
+    return Pi1Element(G, tuple(
+        ((N - s) // 2 % 2, tuple(a % f for a, f in zip(w, cls.weyl_invariants)))
+        for cls, N, s, w in zip(classes, (T * T).coeffs, fixed, weyl)))

@@ -305,6 +305,15 @@ def test_cli_imj():
     assert code == 2
 
 
+def test_cli_sq1_refuses_both_int_and_gset():
+    """--int 3 beside --group and --gset answered Sq1(3) and exited 0,
+    dropping the G-set."""
+    message = "give --int or --group and --gset, not both"
+    for extra in (("--group", "Q8", "--gset", "[Q8/e]"), ("--group", "Q8"), ("--gset", "[Q8/e]")):
+        assert go("sq1", *extra, "--int", "3") == (2, "", f"error: {message}\n"), extra
+        assert json_error("sq1", *extra, "--int", "3", "--json") == message, extra
+
+
 def test_cli_imj_refuses_both_degree_and_s():
     """--degree 7 --s 5 answered for degree 7 and exited 0."""
     message = "give --degree or --s, not both"
@@ -647,16 +656,22 @@ def test_cli_abbreviated_expression_options_take_a_leading_minus():
 
 def test_cli_sq1_is_bounded_and_cyclic_sq1_is_closed_form():
     """The free orbit of C256 is a closed form; over a dicyclic group the
-    point action is bounded by MAX_SQ1_WORK: Q256's free orbit (about ten
-    seconds of work) exits 2 at once, and Q128's, at the bound, answers."""
+    walk on one diagonal block per orbit type is bounded by MAX_SQ1_WORK:
+    Q256's free orbit (about ten seconds of work) and Q128's beside a
+    second type exit 2 at once, and Q128's free orbit, at the bound,
+    answers."""
     start = time.perf_counter()
     code, out, _ = go("sq1", "--group", "C256", "--gset", "[C256/e]", "--json")
     assert code == 0 and json.loads(out)["components"]["e"] == {"eta": "1", "weyl": ["128"]}
     assert time.perf_counter() - start < 0.3
     start = time.perf_counter()
-    message = f"Sq1 over Q256 exceeds the limit {MAX_SQ1_WORK} on |T|^2 * |G|"
+    bound = (f"exceeds the limit {MAX_SQ1_WORK} on the sum of |G/H|^2 * |G| "
+             "over the orbit types H of T")
+    message = f"Sq1 over Q256 {bound}"
     assert go("sq1", "--group", "Q256", "--gset", "[Q256/e]") == (2, "", f"error: {message}\n")
     assert json_error("sq1", "--json", "--group", "Q256", "--gset", "[Q256/e]") == message
+    assert json_error("sq1", "--json", "--group", "Q128",
+                      "--gset", "[Q128/e]+[Q128/Q128]") == f"Sq1 over Q128 {bound}"
     assert time.perf_counter() - start < 0.5
     start = time.perf_counter()
     code, out, _ = go("sq1", "--group", "Q128", "--gset", "[Q128/e]", "--json")

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import isqrt
 
@@ -10,8 +11,8 @@ from vone.limits import MAX_SQ1_WORK
 from vone.powerop import (
     EtaClass,
     Pi1Element,
-    _points_action,
-    _sq1_from_action,
+    _coset_action,
+    _fixed_orbits,
     sq1_gset,
     sq1_int,
 )
@@ -182,6 +183,34 @@ def test_sq1_accepts_exactly_the_genuine_g_sets():
                 except ValueError:
                     accepted = False
                 assert accepted == X.is_genuine(), (g, first, flag)
+
+
+def _points_action(G, counts):
+    """Concrete model of the G-set sum(counts[c] * [G/H_c]), the input of
+    `sq1_by_permutation_walk`: returns act with act[g][p] the image of
+    point p. Deterministic: canonical subgroup representatives, least coset
+    representatives, class order."""
+    classes = G.subgroup_classes()
+    blocks = []
+    for cid, c in enumerate(counts):
+        if not c:
+            continue
+        H = classes[cid].representative
+        rep_of: dict[int, int] = {}
+        reps = []
+        for g in range(G.order):
+            if g not in rep_of:
+                for h in H:
+                    rep_of[G.mul(g, h)] = g
+                reps.append(g)
+        blocks.extend([(reps, rep_of)] * c)
+    points = [(b, r) for b, (reps, _) in enumerate(blocks) for r in reps]
+    index = {pt: i for i, pt in enumerate(points)}
+    act = [
+        tuple(index[(b, blocks[b][1][G.mul(g, r)])] for (b, r) in points)
+        for g in range(G.order)
+    ]
+    return act
 
 
 def sq1_by_permutation_walk(G, act) -> Pi1Element:
@@ -471,28 +500,63 @@ def test_dicyclic_orbit_count_matches_the_walk_on_large_gsets():
 
 
 def test_dicyclic_orbit_count_is_stable_under_reenumeration():
-    """`_sq1_from_action` on randomized enumerations of T (shuffled orbits,
-    conjugated stabilizers, shuffled cosets) equals the walk on the
-    canonical one, over Q8, Q16, Dic3 and Dic5."""
+    """The per-type walk `_fixed_orbits` on randomized enumerations of one
+    orbit [G/H] (conjugated stabilizer, shuffled cosets) equals it on the
+    canonical coset action, for every H over Q8, Q16, Dic3 and Dic5: the
+    fixed-orbit counts and Weyl part do not depend on the base points."""
     rng = random.Random(11)
     for name in ("Q8", "Q16", "Dic3", "Dic5"):
         dm = G(name)
-        for _ in range(6):
-            counts = [rng.randrange(2) for _ in dm.subgroup_classes()]
-            oracle = sq1_by_permutation_walk(dm, _points_action(dm, counts))
+        classes = dm.subgroup_classes()
+        for cls in classes:
+            canonical = _fixed_orbits(dm, _coset_action(dm, cls.representative))
+            one = [int(c is cls) for c in classes]
             for _ in range(3):
-                act = _random_points_action(dm, counts, rng)
-                assert _sq1_from_action(dm, act) == oracle, (name, counts)
+                act = _random_points_action(dm, one, rng)
+                assert _fixed_orbits(dm, act) == canonical, (name, cls.label)
+
+
+def test_dicyclic_multiples_match_the_walk_and_cost_one_block_per_type():
+    """n*T for n <= 4 equals the permutation walk over Q8, Q16 and Dic3,
+    for free, non-free and mixed T: s_K and the Weyl part scale with the
+    multiplicity of each type and N_K comes from T*T. The work is one
+    diagonal block per type, so 4*[Q64/e], whose T x T has 2^22 point
+    steps, twice MAX_SQ1_WORK, answers in about the time of [Q64/e]."""
+    for name in ("Q8", "Q16", "Dic3"):
+        dm = G(name)
+        r = len(dm.subgroup_classes())
+        for base in (orbit(dm, "e"), orbit(dm, r - 2), orbit(dm, "e") + orbit(dm, 1),
+                     VirtualGSet(dm, [1] * r)):
+            for n in range(1, 5):
+                T = n * base
+                walk = sq1_by_permutation_walk(dm, _points_action(dm, T.coeffs))
+                assert sq1_gset(T) == walk, (name, T)
+    q64 = G("Q64")
+
+    def best_of_three(T):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sq1_gset(T)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    one, four = orbit(q64, "e"), 4 * orbit(q64, "e")
+    assert sq1_gset(four).component("e") == (EtaClass(0), (0, 0))
+    assert best_of_three(four) < 2 * best_of_three(one)
 
 
 def test_dicyclic_point_action_is_bounded():
-    """|T|^2 |G| over MAX_SQ1_WORK raises at once: the free orbit of Q256
-    would take about ten seconds, and one point more than Q128's free
-    orbit, which is at the bound, is already too much."""
+    """The sum of |G/H|^2 |G| over the orbit types H of T past MAX_SQ1_WORK
+    raises at once: the free orbit of Q256 would take about ten seconds, and
+    one more orbit type beside Q128's free orbit, which is at the bound, is
+    already too much."""
     q128, q256 = G("Q128"), G("Q256")
     assert 128**3 == MAX_SQ1_WORK
+    message = re.escape(f"exceeds the limit {MAX_SQ1_WORK} on the sum of "
+                        "|G/H|^2 * |G| over the orbit types H of T")
     start = time.perf_counter()
     for T in (orbit(q256, "e"), orbit(q128, "e") + orbit(q128, "Q128")):
-        with pytest.raises(ValueError, match=f"exceeds the limit {MAX_SQ1_WORK}"):
+        with pytest.raises(ValueError, match=message):
             sq1_gset(T)
     assert time.perf_counter() - start < 0.5
