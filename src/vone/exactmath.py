@@ -5,10 +5,10 @@ Rationals are `fractions.Fraction` throughout and integers are Python ints,
 so every computation in this package is exact. An element of Q(zeta_N) is an
 integer coefficient vector over the power basis 1, zeta, ..., zeta^(phi(N)-1)
 with one common denominator, reduced modulo the N-th cyclotomic polynomial.
-The Smith form serves kernels and cokernels over Z; it carries U^-1 through
-its elimination for the cokernel generators. A cokernel of finite order D
-may instead be read off a Smith form modulo a multiple E of its exponent
-(`cokernel_mod`), whose entries stay within E/2 of 0. Membership in a
+One elimination, `_smith`, gives every Smith form: over Z for kernels and
+cokernels (`smith_normal_form`), carrying U^-1 for the cokernel generators,
+and modulo a multiple E of the exponent of a cokernel of finite order
+(`cokernel_mod`), whose entries then stay within E/2 of 0. Membership in a
 Z_(p)-span (`p_local_in_image`, step 2 of a cyclic certificate, on the
 deg F x deg F matrix of multiplication by h in Z[x]/(F)) takes the same
 route at p: an elimination over Z/p^M, p^M a power of p that kills the
@@ -19,6 +19,7 @@ Nothing here touches floating point.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -150,6 +151,15 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _as_int(x, what: str) -> int:
+    """x as an int when it is one (a bool or any type with __index__), else
+    a ValueError naming x: int() would truncate 2.5 or 7/2 and parse "3"."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what}, not {x!r}") from None
+
+
 def pvaluation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero integer or rational."""
     if p < 2:
@@ -159,7 +169,7 @@ def pvaluation(x: int | Fraction, p: int) -> int:
             if x == 0:
                 raise ValueError("valuation of zero is undefined")
             return pvaluation(x.numerator, p) - pvaluation(x.denominator, p)
-        x = int(x)
+        x = _as_int(x, "a valuation needs an integer or a Fraction")
     if x == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0
@@ -518,12 +528,15 @@ def bernoulli(n: int) -> Fraction:
 
 
 class IntMatrix:
-    """Immutable integer matrix."""
+    """Immutable integer matrix; an entry that is not an integer is a
+    ValueError, not truncated."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple([tuple([int(x) for x in row]) for row in entries])
+        what = "IntMatrix entries must be integers"
+        rows = tuple([tuple([x if type(x) is int else _as_int(x, what) for x in row])
+                      for row in entries])
         if not rows:
             raise ValueError("IntMatrix needs at least one row")
         width = len(rows[0])
@@ -569,117 +582,176 @@ class IntMatrix:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    x, y = abs(a), abs(b)
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, (s0 if a >= 0 else -s0), (t0 if b >= 0 else -t0)
+
+
+def _smith(rows: Sequence[Sequence[int]], D: int) -> tuple:
+    """The one Smith elimination of this module: (diag, U, V, w) for the
+    r x c integer matrix M = rows, over Z at D = 0 and modulo D when D > 0
+    (Cohen, GTM 138, Alg. 2.4.14; Domich, Kannan and Trotter, Math. Oper.
+    Res. 12, 1987). diag holds the min(r, c) diagonal entries d_1 | d_2 |
+    ..., each >= 0, and w the columns of U^-1 as rows. At D = 0,
+    U*M*V = diag(d_t), U and V unimodular, given as the rows of U and the
+    columns of V. At D > 0 the caller vouches that the column lattice L of
+    M contains D * Z^r, and U and V are None: a modular form has no
+    integral transforms to report.
+
+    Modulo D, L is spanned by the columns of [M | D*I]. A row operation U
+    keeps D*U*Z^r = D*Z^r, so throughout, the lattice U*L is spanned by
+    the working matrix together with D*Z^r, and adding multiples of the
+    D*e_i to its columns reduces any entry modulo D: a row with an entry
+    past D/2 in absolute value is reduced into [-D/2, D/2]. A generator
+    changed by a vector of D*Z^r, inside L, keeps its class, so the
+    columns of U^-1 are reduced the same way. At D = 0 nothing is reduced.
+
+    Step t takes as pivot p an entry of least absolute value. An entry b of
+    its row or column is cleared by subtracting b/p times the pivot column
+    or row when p divides b; otherwise a 2x2 operation of determinant 1
+    puts gcd(p, b) in the pivot's place, and |p| shrinks. A row operation E
+    applied to U is applied to U^-1 as the column operation E^-1 on the
+    right, so no second elimination inverts U. When its row and column
+    vanish, the pivot column is p e_t, and with D e_t it spans d e_t,
+    d = gcd(p, D), which is |p| at D = 0; d must divide every remaining
+    entry, else the offending row is added to the pivot row and |p|
+    shrinks again. A block that vanishes gives d = D for the rest of the
+    diagonal: the zeros of the free part at D = 0.
+    """
+    r, c = len(rows), len(rows[0])
+    half = D // 2
+
+    def reduce(row):
+        if not D or max(row) <= half and min(row) >= -half:
+            return row
+        out = [x % D for x in row]
+        return [x - D if x > half else x for x in out]
+
+    def mix(m, i, j, c00, c01, c10, c11):
+        # rows i, j of m <- (c00, c01; c10, c11) (rows i, j)
+        x, y = m[i], m[j]
+        m[i] = reduce([c00 * a + c01 * b for a, b in zip(x, y)])
+        m[j] = reduce([c10 * a + c11 * b for a, b in zip(x, y)])
+
+    def addmul(m, i, j, q):
+        # row i of m += q row j
+        m[i] = reduce([a + q * b for a, b in zip(m[i], m[j])])
+
+    a = [reduce(list(row)) for row in rows]  # the block still to reduce
+    w = [[int(i == j) for j in range(r)] for i in range(r)]  # rows: columns of U^-1
+    u = None if D else [[int(i == j) for j in range(r)] for i in range(r)]
+    v = None if D else [[int(i == j) for j in range(c)] for i in range(c)]  # rows: columns of V
+    diag = []
+    for t in range(min(r, c)):
+        best = None
+        for i, row in enumerate(a):
+            least = min(map(abs, filter(None, row)), default=0)
+            if least and (best is None or least < best[0]):
+                best = (least, i)
+                if least == 1:
+                    break
+        if best is None:  # the block vanishes
+            diag += [D] * (min(r, c) - t)
+            break
+        least, pi = best
+        pj = next(j for j, x in enumerate(a[pi]) if abs(x) == least)
+        a[0], a[pi] = a[pi], a[0]
+        w[t], w[t + pi] = w[t + pi], w[t]
+        for row in a:
+            row[0], row[pj] = row[pj], row[0]
+        if not D:
+            u[t], u[t + pi] = u[t + pi], u[t]
+            v[t], v[t + pj] = v[t + pj], v[t]
+        while True:
+            p = a[0][0]
+            for i in range(1, len(a)):
+                b = a[i][0]
+                if not b:
+                    continue
+                q, rem = divmod(b, p)
+                if rem:
+                    # rows 0, i <- (s, e; -b/h, p/h) (rows 0, i), of
+                    # determinant 1, and columns 0, i of U^-1 <- its inverse
+                    # (p/h, -e; b/h, s) on the right
+                    h, s, e = _xgcd(p, b)
+                    q, f = b // h, p // h
+                    mix(a, 0, i, s, e, -q, f)
+                    mix(w, t, t + i, f, q, -e, s)
+                    if not D:
+                        mix(u, t, t + i, s, e, -q, f)
+                    p = a[0][0]
+                else:
+                    # row i -= q row 0; column 0 of U^-1 gains q times column i
+                    addmul(a, i, 0, -q)
+                    addmul(w, t, t + i, q)
+                    if not D:
+                        addmul(u, t + i, t, -q)
+            piv = a[0]
+            j = next((j for j in range(1, len(piv)) if piv[j] % p), None)
+            if j is None:
+                # column operations against column 0, now zero below p, clear
+                # the pivot row and change nothing else
+                d = gcd(p, D)
+                bad = None if d == 1 else next(
+                    (i for i in range(1, len(a)) if gcd(*a[i]) % d), None)
+                if bad is None:
+                    break
+                # row 0 += row bad; column bad of U^-1 loses column 0
+                addmul(a, 0, bad, 1)
+                addmul(w, t + bad, t, -1)
+                if not D:
+                    addmul(u, t, t + bad, 1)
+                piv = a[0]
+                j = next(j for j in range(1, len(piv)) if piv[j] % p)
+            # columns 0, j <- (s, -b/h; e, p/h) on the right, b = piv[j]
+            p = piv[0]
+            h, s, e = _xgcd(p, piv[j])
+            q, f = piv[j] // h, p // h
+            for row in a:
+                x, y = row[0], row[j]
+                row[0], row[j] = s * x + e * y, f * y - q * x
+            a = [reduce(row) for row in a]
+            if not D:
+                mix(v, t, t + j, s, e, -q, f)
+        if not D:
+            # the column operations that clear the pivot row, and a sign
+            # that makes d = |p|
+            for j in range(1, len(piv)):
+                if piv[j]:
+                    addmul(v, t + j, t, -(piv[j] // p))
+            if p < 0:
+                v[t] = [-x for x in v[t]]
+        diag.append(d)
+        a = [row[1:] for row in a[1:]]
+    return diag, u, v, w
+
+
 def smith_normal_form(
     mat: IntMatrix,
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V, U^-1) with U*mat*V = D, U and V unimodular, and D
     diagonal with nonnegative entries d1 | d2 | ...
 
-    Elementary row and column operations only, with pivots of minimal
-    absolute value. U^-1 is carried through the same elimination (Cohen,
-    GTM 138, 2.4): a row operation E applied to U is applied to U^-1 as
-    the column operation E^-1 on the right, so no second elimination
-    inverts U. Entries are not kept small: U and U^-1 of some circulants
-    reach thousands of bits, which costs time but never exactness.
+    The one elimination `_smith`, run over Z (at modulus 0), which carries
+    U^-1 through the same row operations as U, so no second elimination
+    inverts U. Its pivots are gcds reached by 2x2 unimodular steps. Over Z
+    no entry is reduced, and on some singular circulants over C32 the
+    entries still grow past any practical size.
     """
     r, c = mat.rows, mat.cols
-    a = [list(row) for row in mat.entries]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-    w = [[int(i == j) for j in range(r)] for i in range(r)]  # rows: columns of U^-1
-
-    def row_addmul(i, j, q):
-        ai, aj = a[i], a[j]
-        for x in range(c):
-            ai[x] += q * aj[x]
-        ui, uj = u[i], u[j]
-        for x in range(r):
-            ui[x] += q * uj[x]
-        # U^-1 <- U^-1 * (I - q e_ij): column j loses q times column i
-        wi, wj = w[i], w[j]
-        for x in range(r):
-            wj[x] -= q * wi[x]
-
-    def col_addmul(i, j, q):
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        w[i], w[j] = w[j], w[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        w[i] = [-x for x in w[i]]
-
-    m = min(r, c)
-    for t in range(m):
-        # the first entry of least absolute value, in row-major order
-        best = None
-        for i in range(t, r):
-            least = min(map(abs, filter(None, a[i][t:])), default=0)
-            if least and (best is None or least < best[0]):
-                best = (least, i)
-                if least == 1:
-                    break
-        if best is None:
-            break
-        least, pi = best
-        pj = next(j for j in range(t, c) if abs(a[pi][j]) == least)
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            if a[t][t] < 0:
-                row_negate(t)
-            dirty = False
-            for i in range(r):
-                if i == t or a[i][t] == 0:
-                    continue
-                q, rem = divmod(a[i][t], a[t][t])
-                row_addmul(i, t, -q)
-                if rem:
-                    row_swap(i, t)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(c):
-                if j == t or a[t][j] == 0:
-                    continue
-                q, rem = divmod(a[t][j], a[t][t])
-                col_addmul(j, t, -q)
-                if rem:
-                    col_swap(j, t)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # pivot row and column are clear; enforce divisibility
-            bad = None
-            for i in range(t + 1, r):
-                ai = a[i]
-                for j in range(t + 1, c):
-                    if ai[j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_addmul(t, bad, 1)
-    return IntMatrix._of(a), IntMatrix._of(u), IntMatrix._of(v), IntMatrix._of(list(zip(*w)))
+    diag, u, v, w = _smith(mat.entries, 0)
+    d = [[0] * c for _ in range(r)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return (IntMatrix._of(d), IntMatrix._of(u),
+            IntMatrix._of(list(zip(*v))), IntMatrix._of(list(zip(*w))))
 
 
 def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
@@ -796,129 +868,26 @@ def kernel_and_cokernel(mat: IntMatrix) -> tuple[list, tuple]:
     return _kernel(snf), _cokernel(snf)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    x, y = abs(a), abs(b)
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return x, (s0 if a >= 0 else -s0), (t0 if b >= 0 else -t0)
-
-
 def cokernel_mod(
     mat: IntMatrix, modulus: int,
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """`cokernel_data` of a square matrix whose column lattice L contains
     modulus * Z^k, for instance modulus = |det mat| != 0 or a multiple of
     it. The answer has the same form, with free rank 0 and each generator
-    entry reduced into [0, d), d the largest factor; the elimination keeps
-    every entry in [-modulus/2, modulus/2].
+    entry reduced into [0, d), d the largest factor.
 
-    The Smith form modulo D = modulus (Cohen, GTM 138, Alg. 2.4.14;
-    Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987). As D*Z^k lies
-    in L, L is spanned by the columns of [mat | D*I]. A row operation U
-    keeps D*U*Z^k = D*Z^k, so throughout, the lattice U*L is spanned by the
-    working matrix together with D*Z^k, and adding multiples of the D*e_i
-    to its columns reduces any entry modulo D: a row with an entry past D/2
-    in absolute value is reduced into [-D/2, D/2]. A generator changed by a
-    vector of D*Z^k, inside L, keeps its class, so the columns of U^-1,
-    carried as in `smith_normal_form`, are reduced the same way.
-
-    Step t takes as pivot p an entry of least absolute value. An entry b of
-    its row or column is cleared by subtracting b/p times the pivot column
-    or row when p divides b; otherwise a 2x2 operation of determinant 1
-    puts gcd(p, b) in the pivot's place, and |p| shrinks. When its row and
-    column vanish, the pivot column is p e_t, and with D e_t it spans d e_t,
-    d = gcd(p, D); d must divide every remaining entry, else the offending
-    row is added to the pivot row and |p| shrinks again. At the end U*L is
-    the sum of the d_t Z e_t, so Z^k / L is the sum of the Z/d_t, generated
-    by the columns of U^-1, which are reduced at last into [0, d) for d the
-    largest d_t, the exponent of Z^k / L.
+    The one elimination `_smith`, run modulo D = modulus, so every entry
+    stays in [-D/2, D/2]. At the end U*L is the sum of the d_t Z e_t, so
+    Z^k / L is the sum of the Z/d_t, generated by the columns of U^-1,
+    which are reduced at last into [0, d) for d the largest d_t, the
+    exponent of Z^k / L.
     """
     k = mat.rows
     if mat.cols != k:
         raise ValueError(f"a square matrix is needed, not {k} x {mat.cols}")
     if modulus < 1:
         raise ValueError("the modulus must be a positive integer")
-    D = modulus
-    half = D // 2
-
-    def reduce(row):
-        if max(row) <= half and min(row) >= -half:
-            return row
-        out = [x % D for x in row]
-        return [x - D if x > half else x for x in out]
-
-    a = [reduce(list(row)) for row in mat.entries]  # the block still to reduce
-    w = [[int(i == j) for j in range(k)] for i in range(k)]  # rows: columns of U^-1
-    diag = []
-    for t in range(k):
-        best = None
-        for i, row in enumerate(a):
-            least = min(map(abs, filter(None, row)), default=0)
-            if least and (best is None or least < best[0]):
-                best = (least, i)
-                if least == 1:
-                    break
-        if best is None:  # the block vanishes
-            diag += [D] * (k - t)
-            break
-        least, pi = best
-        pj = next(j for j, x in enumerate(a[pi]) if abs(x) == least)
-        a[0], a[pi] = a[pi], a[0]
-        w[t], w[t + pi] = w[t + pi], w[t]
-        for row in a:
-            row[0], row[pj] = row[pj], row[0]
-        while True:
-            piv = a[0]
-            p = piv[0]
-            for i in range(1, len(a)):
-                b = a[i][0]
-                if not b:
-                    continue
-                q, rem = divmod(b, p)
-                if rem:
-                    # rows 0, i <- (s, u; -b/h, p/h) (rows 0, i), of
-                    # determinant 1, and columns 0, i of U^-1 <- its inverse
-                    # (p/h, -u; b/h, s) on the right
-                    h, s, u = _xgcd(p, b)
-                    q, r = b // h, p // h
-                    a[0], a[i] = (reduce([s * x + u * y for x, y in zip(piv, a[i])]),
-                                  reduce([r * y - q * x for x, y in zip(piv, a[i])]))
-                    wt, wi = w[t], w[t + i]
-                    w[t] = reduce([r * x + q * y for x, y in zip(wt, wi)])
-                    w[t + i] = reduce([s * y - u * x for x, y in zip(wt, wi)])
-                    piv, p = a[0], a[0][0]
-                else:
-                    # row i -= q row 0; column 0 of U^-1 gains q times column i
-                    a[i] = reduce([x - q * y for x, y in zip(a[i], piv)])
-                    w[t] = reduce([x + q * y for x, y in zip(w[t], w[t + i])])
-            j = next((j for j in range(1, len(piv)) if piv[j] % p), None)
-            if j is None:
-                # column operations against column 0, now zero below p, clear
-                # the pivot row and change nothing else
-                d = gcd(p, D)
-                bad = None if d == 1 else next(
-                    (i for i in range(1, len(a)) if gcd(*a[i]) % d), None)
-                if bad is None:
-                    break
-                # row 0 += row bad; column bad of U^-1 loses column 0
-                a[0] = piv = reduce([x + y for x, y in zip(piv, a[bad])])
-                w[t + bad] = reduce([y - x for x, y in zip(w[t], w[t + bad])])
-                j = next(j for j in range(1, len(piv)) if piv[j] % p)
-            # columns 0, j <- (s, -b/h; u, p/h) on the right, b = piv[j]
-            p = piv[0]
-            h, s, u = _xgcd(p, piv[j])
-            q, r = piv[j] // h, p // h
-            for row in a:
-                x, y = row[0], row[j]
-                row[0], row[j] = s * x + u * y, r * y - q * x
-            a = [reduce(row) for row in a]
-        diag.append(d)
-        a = [row[1:] for row in a[1:]]
+    diag, _, _, w = _smith(mat.entries, modulus)
     factors = tuple([x for x in diag if x > 1])
     top = diag[-1]  # the exponent of Z^k / L: top * Z^k lies in L as well
     return 0, factors, tuple([tuple([y % top for y in w[t]]) for t, x in enumerate(diag) if x > 1])

@@ -620,12 +620,13 @@ def _ideal_split(X: VirtualGSet, phi) -> tuple:
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     """Presentations of Ann(X) = ker(X * -) and R/XR for R = A(G) or RU(G).
 
-    X must have integer coefficients. Side A reads the kernel and the
-    cokernel of multiplication by X on A(G) off one Smith form. Its matrix
-    needs no product of marks: over the chain C_{p^0} < ... < C_{p^n}, the
-    G-set G/H x G/K has |G/H| |G/K| points, each with stabilizer H n K, the
-    smaller of the two, so [G/H][G/K] = (|G| / |H u K|) [G/(H n K)], H u K
-    the larger.
+    X must have integer coefficients. Every Smith form here comes from the
+    one elimination of `exactmath`, over Z or modulo E. Side A reads the
+    kernel and the cokernel of multiplication by X on A(G) off one Smith
+    form over Z. Its matrix needs no product of marks: over the chain
+    C_{p^0} < ... < C_{p^n}, the G-set G/H x G/K has |G/H| |G/K| points,
+    each with stabilizer H n K, the smaller of the two, so
+    [G/H][G/K] = (|G| / |H u K|) [G/(H n K)], H u K the larger.
 
     Side RU, with |G| = N = p^n, has R = Z[x]/(x^N - 1), w = linearize(X)
     and the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`.
@@ -638,9 +639,10 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
       plus Z[x]/(F, h), the cokernel of the k x k matrix A, with generators
       G'*g for its generators g.
     - E = N * lcm_{i in S} |phi_i| kills that cokernel, so E*Z^k lies in
-      the column lattice of A, and `cokernel_mod` reads it off a Smith form
-      modulo E, whose entries stay within E/2 of 0. At p, p^(mu + n),
-      mu = max_{i in S} v_p(phi_i), kills it (`jtheory._fixed_mod_X`). At
+      the column lattice of A, and `cokernel_mod` reads it off that
+      elimination run modulo E, whose entries stay within E/2 of 0. At p,
+      p^(mu + n), mu = max_{i in S} v_p(phi_i), kills it
+      (`jtheory._fixed_mod_X`). At
       a prime q != p, N is a unit, so Z[x]/(F) tensor Z_(q) is the product
       of the Z_(q)[zeta_{p^i}], i in S, and h is phi_i times a unit there,
       as G'(zeta_{p^i}) has p-power norm: the lcm kills the q-part.

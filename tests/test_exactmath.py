@@ -7,7 +7,9 @@ gcds of minors, Bernoulli denominators by the von Staudt-Clausen theorem.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
@@ -35,7 +37,7 @@ from vone.exactmath import (
 )
 from vone.groups import GroupDescriptor, build_group
 from vone.limits import MAX_PRIME
-from vone.repring import linearize
+from vone.repring import annihilator_and_quotient, linearize
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,10 @@ def test_pvaluation() -> None:
     assert pvaluation(Fraction(9, 8), 3) == 2
     with pytest.raises(ValueError):
         pvaluation(0, 2)
+    # v_2(5/2) = -1: a float is refused, not truncated to int(2.5) = 2
+    assert pvaluation(Fraction(5, 2), 2) == -1
+    with pytest.raises(ValueError, match=r"2\.5"):
+        pvaluation(2.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,15 @@ def test_from_columns_validates_like_the_constructor() -> None:
         IntMatrix.from_columns([[], []])
 
 
+@pytest.mark.parametrize("entry", [1.5, Fraction(7, 2), "3"])
+def test_int_matrix_refuses_an_entry_that_is_not_an_integer(entry) -> None:
+    # int() would truncate 1.5 and 7/2 and parse "3"
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        IntMatrix([[entry, 2]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([[1], [entry]])
+
+
 def test_snf_known() -> None:
     d = _check_snf(IntMatrix([[2, 0], [0, 3]]))
     assert d.diag() == [1, 6]
@@ -354,6 +369,35 @@ def test_snf_matches_minor_gcds() -> None:
             running = gk
             if gk == 0:
                 break
+
+
+def test_snf_c32_circulant_is_fast() -> None:
+    # the remainder-and-swap elimination this replaced took 15 s here, its
+    # U^-1 reaching 1.3 million bits; the 2x2 steps of `_smith` take 0.2 s
+    g = build_group(GroupDescriptor.cyclic_of_order(32))
+    mat = _circulant(VirtualGSet(g, [3, 1, 0, 2, 1, 3]))
+    start = time.perf_counter()
+    smith_normal_form(mat)
+    assert time.perf_counter() - start < 3.0
+    assert _check_snf(mat).diag()[-3:] == [195, 195, 141375]
+
+
+def test_smith_normal_form_and_cokernel_mod_run_one_elimination(monkeypatch) -> None:
+    import vone.exactmath as exactmath
+
+    calls = []
+    smith = exactmath._smith
+    monkeypatch.setattr(exactmath, "_smith",
+                        lambda rows, D: calls.append((rows, D)) or smith(rows, D))
+    mat = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert smith_normal_form(mat)[0].diag() == [2, 2, 156]
+    assert calls == [(mat.entries, 0)]
+    calls.clear()
+    assert cokernel_mod(mat, 624)[1] == (2, 2, 156)
+    assert calls == [(mat.entries, 624)]
+    calls.clear()
+    exactmath.kernel_and_cokernel(mat)
+    assert calls == [(mat.entries, 0)]
 
 
 def test_kernel_basis() -> None:
@@ -633,8 +677,10 @@ def _circulant(X: VirtualGSet) -> IntMatrix:
 
 
 def test_p_local_membership_matches_snf_oracle_on_circulants() -> None:
-    # coefficients stay small: the integer Smith form of the oracle can take
-    # minutes on some circulants over C32 with large ones
+    # coefficients stay small: the entries of the integer Smith form of the
+    # oracle still grow without bound on some circulants over C32 with large
+    # ones; (2, 1, -1, -1, -2, -64), and four of four tried with coefficients
+    # in [-20, 20], run past 60 s (2-vCPU VM)
     rng = random.Random(29)
     outcomes = set()
     for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32):
@@ -743,6 +789,44 @@ def test_cokernel_mod_matches_cokernel_data() -> None:
                 assert solve_int_columns(mat, scaled) is not None, (mat.entries, modulus)
             cols = [mat.column(j) for j in range(k)] + list(gens)
             assert cokernel_data(IntMatrix.from_columns(cols)) == (0, (), ()), mat.entries
+
+
+# sha256 of `_cokernel_mod_and_ru_digest`, recorded before `cokernel_mod`
+# and the integer Smith form became one elimination: that change keeps every
+# answer of the modular form, generators included
+COKERNEL_MOD_AND_RU_SHA256 = "02ff1dceeed55e08e8d2734a316db391a2efff9040d81a4f7950d055814052b6"
+
+
+def _cokernel_mod_and_ru_digest() -> str:
+    """sha256 over `cokernel_mod` on 300 seeded nonsingular k x k matrices,
+    k <= 7, modulo |det| and 3|det|, and over the RU annihilator and
+    quotient (generators included) of seeded X over C8, C9, C16, C25, C27
+    and C32."""
+    h = hashlib.sha256()
+    rng = random.Random(73)
+    seen = 0
+    while seen < 300:
+        k = rng.randint(1, 7)
+        mat = IntMatrix([[rng.choice((0, rng.randint(-6, 6))) for _ in range(k)]
+                         for _ in range(k)])
+        d = abs(det(mat))
+        if not d:
+            continue
+        seen += 1
+        for modulus in (d, 3 * d):
+            h.update(repr(cokernel_mod(mat, modulus)).encode())
+    for m in (8, 9, 16, 25, 27, 32):
+        g = build_group(GroupDescriptor.cyclic_of_order(m))
+        r = len(g.subgroup_classes())
+        for _ in range(8):
+            X = VirtualGSet(g, [rng.randint(-4, 4) for _ in range(r)])
+            out = annihilator_and_quotient(X, side="RU")
+            h.update(repr((X.coeffs, out.annihilator, out.quotient)).encode())
+    return h.hexdigest()
+
+
+def test_cokernel_mod_and_ru_quotient_answers_are_unchanged() -> None:
+    assert _cokernel_mod_and_ru_digest() == COKERNEL_MOD_AND_RU_SHA256
 
 
 def test_cokernel_mod_rejects_bad_input() -> None:

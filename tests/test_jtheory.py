@@ -573,9 +573,11 @@ def two_half_fixed_mod_X(diff, X) -> bool:
 
 def test_bott_fixed_matches_two_half_check():
     # Membership alone decides: d = w*y gives d*a = y*(w*a) = 0 on the
-    # annihilator. Coefficients stay small because the dense integer SNF
-    # can take seconds to minutes on some X with large ones, e.g. the
-    # zero-cardinality (2, 1, 0, 0, -8, -64) over C32 (ROADMAP item 4).
+    # annihilator. Coefficients stay small because the integer Smith form
+    # behind `kernel_basis` still grows without bound on some X with large
+    # ones: the zero-cardinality (2, 1, -1, -1, -2, -64) over C32 runs past
+    # 60 s, while (2, 1, 0, 0, -8, -64), 3.2 s before the Smith form and
+    # `cokernel_mod` shared one elimination, takes 0.01 s (2-vCPU VM).
     rng = random.Random(31)
     outcomes = set()
     for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
