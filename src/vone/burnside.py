@@ -156,5 +156,5 @@ def cardinality(X: VirtualGSet, p: int) -> CardinalityDecomposition:
         c = card * p**-t
     else:
         c = Fraction(card // p**t) if type(card) is int else card / p**t
-    return CardinalityDecomposition(p=p, t=t, c=c)
+    return CardinalityDecomposition(p, t, c)
 

@@ -74,7 +74,7 @@ class SelfMapParameters:
     def __post_init__(self):
         if min(self.n, self.t, self.k) < 0:
             raise ValueError("parameters n, t, k must be >= 0")
-        cx = Fraction(self.c_x)
+        cx = self.c_x if type(self.c_x) is Fraction else Fraction(self.c_x)
         if cx.numerator % self.p == 0 or cx.denominator % self.p == 0:
             raise ValueError("c_X must be a p-local unit")
         if self.c_v % self.p == 0:
@@ -251,7 +251,7 @@ def _run_step2(
         )
     divisible = report.valuation <= k + 1 - n
     if G.descriptor.kind == "cyclic":
-        fixedness = _fixed_mod_X(report.valuation, X)
+        fixedness = _fixed_mod_X(report.valuation, X, params.p, n)
         detail = "theta - 1 generates enough divisibility and is X-fixed p-locally"
         passed = divisible and fixedness
         if not fixedness:

@@ -19,8 +19,11 @@ lambda is p^v times a p-local unit, so `_fixed_mod_X` asks it of
 p^v*[regular]: yes with nothing built when h(1), read off the marks, is
 prime to p, and otherwise by elimination over Z/p^(mu + n) in the
 deg F x deg F quotient Z[x]/(F) of `repring._ideal_split`, F the product
-of the Phi_{p^i} where X has a nonzero mark. Its docstring proves both and
-the closed form in the marks of X that the tests hold against it.
+of the Phi_{p^i} where X has a nonzero mark. The split reads F and the
+top deg F coefficients of the permutation character, so step 2 builds
+nothing of length |G|, and (p, n) come from the caller, which has read
+them off |G| once. Its docstring proves both and the closed form in the
+marks of X that the tests hold against it.
 Everything is exact: integer representation rings, cyclotomic character
 values, Bernoulli denominators for the image-of-J oracle.
 """
@@ -344,13 +347,14 @@ def verify_bott_fixed_mod_X(V: VirtualRep, X: VirtualGSet, ell: int) -> bool:
         raise ValueError("V and X live over different groups")
     report = verify_adams_bott(V, ell)
     _check_p_local(X, report.p)
-    return _fixed_mod_X(report.valuation, X)
+    return _fixed_mod_X(report.valuation, X, report.p, report.n)
 
 
-def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
+def _fixed_mod_X(v: int, X: VirtualGSet, p: int, n: int) -> bool:
     """Fixedness for certify step 2 and `verify_bott_fixed_mod_X` over a
-    cyclic p-group, read off v = v_p(lambda), lambda of `verify_adams_bott`,
-    for X whose denominators are prime to p (`_check_p_local`).
+    cyclic p-group of order p^n, the (p, n) its caller has read off |G|,
+    from v = v_p(lambda), lambda of `verify_adams_bott`, for X whose
+    denominators are prime to p (`_check_p_local`).
 
     The test is p-local membership of lambda * [regular] in the ideal (w)
     of RU(C_N)_(p) = Z_(p)[x]/(x^N - 1), N = p^n, w = linearize(X), which
@@ -358,7 +362,8 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     closed under the unit u of Z_(p) and its inverse. The marks phi of X
     are read first: phi_0 = 0 answers no, h(1) prime to p answers yes, and
     only p | h(1) builds the split R = P + G'*Q, wR = G' * (h*Q mod F) of
-    `_ideal_split`, F of degree k. It is a k x k question:
+    `_ideal_split`, F of degree k, which reads the top k coefficients of w
+    and builds nothing of length N. It is a k x k question:
     - [regular] = (x^N - 1)/(x - 1), the product of the Phi_{p^i}, i >= 1.
     - If phi_0 = 0, w vanishes at x = 1 and so does all of wR, while
       p^v * [regular] takes p^v * N != 0 there: not fixed.
@@ -375,9 +380,10 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
     when h is a unit of (Z/p)[x]/(F). Each Phi_{p^i} is (x - 1)^phi(p^i)
     modulo p, so that ring is local with residue map x -> 1, and h is a
     unit exactly when h(1) is prime to p. h(1) = den * phi_0 / G'(1) and
-    G'(1) = p^(n - |S+|), so with den a unit at p the test is
-    v_p(phi_0) = n - |S+|, and nothing is built. That covers X = [G/e] at
-    any n and a full-support X whose marks are prime to p.
+    G'(1) = p^(n - |S+|), as Phi_{p^i}(1) = p for i >= 1, so with den a
+    unit at p the test is v_p(phi_0) = n - |S+|, the number of zero
+    marks, and nothing is built. That covers X = [G/e] at any n and a
+    full-support X whose marks are prime to p.
 
     Otherwise the modulus is p^(mu + n), mu = max_{i in S} v_p(phi_i). It
     kills the p-part of Q / hQ, Q = Z[x]/(F), so the span h*Q_(p) of the
@@ -403,13 +409,12 @@ def _fixed_mod_X(v: int, X: VirtualGSet) -> bool:
       and z = constant reaches every value in p^|S+| Z_(p).
     - Hence fixed <=> phi_0 != 0 and v >= v_p(phi_0) + |S+| - n.
     """
-    p, n = prime_power(X.group.order)
     phi = marks(X)
     if not phi[0]:
         return False
-    if pvaluation(phi[0], p) == n - sum([1 for c in phi[1:] if c]):
+    if pvaluation(phi[0], p) == phi.count(0):
         return True  # h(1) is prime to p
     mu = max([pvaluation(c, p) for c in phi if c])
-    _, F, _, A = _ideal_split(X, phi)
+    F, A = _ideal_split(X, phi)
     T = poly_div_exact(F, (-1, 1))
     return p_local_in_image(A, [p**v * c for c in T], p, p**(mu + n))

@@ -57,9 +57,13 @@ class EtaClass:
         return "eta" if self.coefficient else "0"
 
 
+_ZERO, _ETA = EtaClass(0), EtaClass(1)
+
+
 def sq1_int(n: int) -> EtaClass:
-    """Sq1 of an integer: 0 for n = 0, 1 (mod 4) and eta for n = 2, 3."""
-    return EtaClass(1 if n % 4 in (2, 3) else 0)
+    """Sq1 of an integer: 0 for n = 0, 1 (mod 4) and eta for n = 2, 3.
+    Records are frozen, so the two classes are shared."""
+    return _ETA if n % 4 in (2, 3) else _ZERO
 
 
 @record

@@ -64,7 +64,9 @@ def _make(cls, eq: bool):
     n = len(names)
 
     def __init__(self, *args, **kwargs):
-        if not kwargs and required <= len(args) <= n:
+        if len(args) == n and not kwargs:  # every field, positionally
+            self.__dict__.update(zip(names, args))
+        elif not kwargs and required <= len(args) < n:
             self.__dict__.update(zip(names, args + tail[len(args) - required :]))
         else:
             self.__dict__.update(_bind(cls.__name__, names, defaults, args, kwargs))

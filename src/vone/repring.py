@@ -223,18 +223,23 @@ class VirtualRep(VirtualElement):
         that of the restriction r to <x> at x^s, and a +- t0 b at x^s j
         (see `_restrict`)."""
         self.group.check_element(g)
-        if self.is_cyclic_side():
-            return _line_sum(self.coeffs, g)
-        m = self.group.descriptor.m
-        r, a, b = _restrict(self.coeffs, m)
-        if g < 2 * m:
-            return _line_sum(r, g)
-        tb = _T0[m % 2] * b
-        return tb + a if g % 2 == 0 else -tb + a  # j's class or xj's
+        return self._values((g,))[0]
 
     def class_values(self) -> tuple:
         """Character value at each element conjugacy class, in class order."""
-        return tuple([self.character(c[0]) for c in self.group.element_conjugacy_classes()])
+        return tuple(self._values([c[0] for c in self.group.element_conjugacy_classes()]))
+
+    def _values(self, elements) -> list:
+        """The values at these elements of the group, over Dic_m off one
+        restriction."""
+        if self.is_cyclic_side():
+            return [_line_sum(self.coeffs, g) for g in elements]
+        m = self.group.descriptor.m
+        r, a, b = _restrict(self.coeffs, m)
+        tb = _T0[m % 2] * b
+        # past <x>, j's class (even g) or xj's
+        return [_line_sum(r, g) if g < 2 * m else tb + a if g % 2 == 0 else -tb + a
+                for g in elements]
 
     # -- ring product: cyclic convolution, over Dic_m on the restriction
 
@@ -570,51 +575,73 @@ class IdealStructure:
 
 
 def _ideal_split(X: VirtualGSet, phi) -> tuple:
-    """(w, F, G', A): the split of the ideal (w) of RU(C_N), N = p^n, that
-    the RU quotient and, when it eliminates, certify step 2 read, built
-    from phi = marks(X), the mark at the subgroup of order p^i at place i.
+    """(F, A): the split of the ideal (w) of RU(C_N), N = p^n, that the RU
+    quotient and, when it eliminates, certify step 2 read, built from
+    phi = marks(X), the mark at the subgroup of order p^i at place i, and
+    from the top deg F coefficients of w alone.
 
     w = linearize(X) is scaled by den, the lcm of the denominators of X:
-    the coefficients of w are the partial sums c_0 + ... + c_i of those of
-    X over C_1 < ... < C_N (`_permutation_lines`: L^a takes the c_j with
-    p^j | a), and the c_i their differences. den is 1 for integer X and a
-    unit at p when X lies in A(G)_(p), as certify requires, so the ideal
-    is the same over Z_(p). Evaluation at the roots of unity
-    zeta_{p^i}, i = 0..n, embeds R = Z[x]/(x^N - 1) in a product of
-    domains, since x^N - 1 is the product of the distinct Phi_{p^i}, and
-    w takes there den * phi_i. Let S = {i : phi_i != 0}, F the product of
-    the monic Phi_{p^i} over i in S, of degree k, and G' = (x^N - 1)/F the
-    product of the others. w vanishes at the roots of G', so G' divides w
-    in Z[x]; h = w / G' has degree < k. Division by the monic G' gives
-    R = P + G'*Q, a direct sum, with P the polynomials of degree < N - k
-    and Q those of degree < k. As x^N - 1 = G' F,
-    w*y mod (x^N - 1) = G' * (h*Q mod F), so wR = G' * (h*Q mod F), inside
-    G'*Q, and multiplication by G' is injective on Q. A is the k x k
-    IntMatrix with columns x^j h mod F, j < k, the matrix of
-    multiplication by h on Q = Z[x]/(F), in integers for p-local X too,
-    and None when k = 0. Each reader reads a modulus that kills its
-    cokernel Z[x]/(F, h) off phi: N * lcm |phi_i| for the RU quotient and,
-    at p only, p^(mu + n) for step 2 (proofs in `annihilator_and_quotient`
-    and `jtheory._fixed_mod_X`). Nothing N x N is built.
+    [G/H] adds den * c_H to the coefficient of each L^a with |H| dividing
+    a (`_permutation_lines`). den is 1 for integer X and a unit at p when
+    X lies in A(G)_(p), as certify requires, so the ideal is the same over
+    Z_(p). Evaluation at the roots of unity zeta_{p^i}, i = 0..n, embeds
+    R = Z[x]/(x^N - 1) in a product of domains, since x^N - 1 is the
+    product of the distinct Phi_{p^i}, and w takes there den * phi_i. Let
+    S = {i : phi_i != 0}, F the product of the monic Phi_{p^i} over i in
+    S, of degree k, and G' = (x^N - 1)/F the product of the others. w
+    vanishes at the roots of G', so G' divides w in Z[x]; h = w / G' has
+    degree < k. Division by the monic G' gives R = P + G'*Q, a direct sum,
+    with P the polynomials of degree < N - k and Q those of degree < k. As
+    x^N - 1 = G' F, w*y mod (x^N - 1) = G' * (h*Q mod F), so
+    wR = G' * (h*Q mod F), inside G'*Q, and multiplication by G' is
+    injective on Q. A is the k x k IntMatrix with columns x^j h mod F,
+    j < k, the matrix of multiplication by h on Q = Z[x]/(F), in integers
+    for p-local X too, and None when k = 0. Each reader reads a modulus
+    that kills its cokernel Z[x]/(F, h) off phi: N * lcm |phi_i| for the RU
+    quotient and, at p only, p^(mu + n) for step 2 (proofs in
+    `annihilator_and_quotient` and `jtheory._fixed_mod_X`).
+
+    h is read off the top k coefficients of w, with no division by G':
+    w*F = h*G'*F = h*(x^N - 1) in Z[x]. As deg h < k <= N, the product
+    h*(x^N - 1) = h*x^N - h has coefficient h_j at x^(N + j) for j >= 0,
+    the term -h reaching only degrees below k <= N. On the left, the
+    coefficient of x^(N + j) in w*F is the sum of F_t w_(N + j - t) over
+    the t <= k with 0 <= N + j - t < N, as deg w < N; that is t > j. So
+    h_j = sum_{j < t <= k} F_t w_(N + j - t), which reads w only at
+    N - k, ..., N - 1. There w_(N - k + i) is the sum of den * c_H over
+    the orbits [G/H] with |H| dividing N - k + i, that is, as |H| divides
+    N, with |H| dividing k - i. So h takes O(k * nnz F) steps and A
+    O(k^2) more, and nothing of length N is built.
     """
-    den = lcm(*[c.denominator for c in X.coeffs])
-    w = [int(c * den) for c in linearize(X).coeffs]
-    F, Gc = [1], [1]
-    for cls, c in zip(X.group.subgroup_classes(), phi):
+    classes = X.group.subgroup_classes()
+    F = [1]
+    for cls, c in zip(classes, phi):
         if c:
             F = poly_mul(F, cyclotomic_poly(cls.order))
-        else:
-            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
-    h = poly_div_exact(w, Gc)
+    k = len(F) - 1
+    if not k:
+        return F, None
+    den = lcm(*[c.denominator for c in X.coeffs])
+    top = [0] * k  # top[i] = w_(N - k + i)
+    for cls, c in zip(classes, X.coeffs):
+        if c:
+            c = int(c * den)
+            q = cls.order
+            for i in range(k % q, k, q):
+                top[i] += c
+    h = [0] * k
+    for t, f in enumerate(F):
+        if f:
+            for j in range(t):
+                h[j] += f * top[k + j - t]
     cols = []
-    for _ in range(len(F) - 1):
+    for _ in range(k):
         cols.append(h)
-        top = h[-1]
+        lead = h[-1]
         h = [0, *h[:-1]]
-        if top:
-            h = [c - top * f for c, f in zip(h, F)]
-    A = IntMatrix._of(list(zip(*cols))) if cols else None
-    return w, F, Gc, A
+        if lead:
+            h = [c - lead * f for c, f in zip(h, F)]
+    return F, IntMatrix._of(list(zip(*cols)))
 
 
 def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
@@ -629,7 +656,9 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
     [G/H][G/K] = (|G| / |H u K|) [G/(H n K)], H u K the larger.
 
     Side RU, with |G| = N = p^n, has R = Z[x]/(x^N - 1), w = linearize(X)
-    and the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`.
+    and the split R = P + G'*Q, wR = G' * (h*Q mod F) of `_ideal_split`,
+    which hands back F and A; w and G' = (x^N - 1)/F, of length N, are
+    formed here, the only reader that needs them.
     - Annihilator: w*y = 0 exactly when y(zeta_{p^i}) = 0 for each i in S,
       that is, when F divides y. F divides x^N - 1, so dividing a
       representative of degree < N by F shows that Ann(w) is F * Z[x] in
@@ -683,7 +712,9 @@ def annihilator_and_quotient(X: VirtualGSet, side: str = "A") -> IdealStructure:
         raise ValueError("side must be 'A' or 'RU'")
     p, n = prime_power(m)
     phi = marks(X)
-    w, F, Gc, A = _ideal_split(X, phi)
+    F, A = _ideal_split(X, phi)
+    w = linearize(X).coeffs
+    Gc = poly_div_exact([-1, *[0] * (m - 1), 1], F)
     k = len(F) - 1
     free = m - k
     ann = tuple([(0,) * j + tuple(F) + (0,) * (free - 1 - j) for j in range(free)])

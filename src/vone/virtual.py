@@ -16,6 +16,8 @@ from fractions import Fraction
 
 __all__ = ["VirtualElement"]
 
+_INT = frozenset([int])
+
 
 class VirtualElement:
     """Element of a ring with a Z-basis indexed by data of a group.
@@ -33,11 +35,14 @@ class VirtualElement:
     __slots__ = ("group", "coeffs", "p_local")
 
     def __init__(self, group, coeffs, p_local: int | None = None):
-        vec = [c if type(c) is int else self._normalize(c, p_local) for c in coeffs]
+        vec = tuple(coeffs)
+        # all-int input, the common case, is tested at C level
+        if not set(map(type, vec)) <= _INT:
+            vec = tuple([c if type(c) is int else self._normalize(c, p_local) for c in vec])
         if len(vec) != self._size(group):
             raise ValueError(f"coefficient count does not match {self._basis}")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "coeffs", vec)
         object.__setattr__(self, "p_local", p_local)
 
     def _normalize(self, value, p_local):

@@ -540,6 +540,40 @@ def test_step_2_at_m_0_builds_no_split(monkeypatch):
     assert (cert.verdict, cert.step2.fixedness) == ("certified", True)
 
 
+def test_step_2_builds_nothing_group_sized(monkeypatch):
+    """Over C_{2^16}, X = 2[G/e] has the mark 2^17 at e and 0 elsewhere, so
+    h(1) = 2: step 2 eliminates, on F = x - 1. The split reads the one
+    coefficient of w it needs off X, so with `linearize` and
+    `_permutation_lines` refused, the certificates at 8W
+    (hypothesis-failed, v_2(lambda) = 4) and at 2^16 W (certified,
+    v_2(lambda) = 17) are fixed, as they were when the split built w and
+    G' at length 2^16."""
+    import vone.groups as groups
+    from vone import jtheory, repring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation character of length |G| on the certify path")
+
+    split, degrees = jtheory._ideal_split, []
+
+    def split_spy(X, phi):
+        out = split(X, phi)
+        degrees.append(len(out[0]) - 1)
+        return out
+
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_BOUND", 2**16)
+    g = groups.GroupModel(GroupDescriptor.cyclic(2, 16))
+    X, W = 2 * orbit(g, "e"), standard_rep(g, "W")
+    monkeypatch.setattr(repring, "linearize", refuse)
+    monkeypatch.setattr(repring, "_permutation_lines", refuse)
+    monkeypatch.setattr(jtheory, "_ideal_split", split_spy)
+    for c, verdict, v in ((8, "hypothesis-failed", 4), (2**16, "certified", 17)):
+        cert = certify_self_map(g, X, c * W)
+        assert (cert.verdict, cert.step2.fixedness, cert.step2.report.valuation) == (
+            verdict, True, v)
+    assert degrees == [1, 1]
+
+
 def test_the_certify_path_never_calls_from_columns(monkeypatch):
     """Step 2 takes the matrix that `_ideal_split` builds once, so the
     validating `IntMatrix.from_columns` is off the certify path,

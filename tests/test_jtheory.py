@@ -34,6 +34,7 @@ from test_exactmath import _circulant, det, exact_in_image
 from test_repring import (
     _honest_dicyclic_samples,
     _integral,
+    _split_oracle,
     _torsion_order,
     class_eigenvalues,
     from_class_function,
@@ -582,7 +583,7 @@ def test_bott_fixed_matches_two_half_check():
     outcomes = set()
     for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
         g = cyc(m)
-        p = prime_power(m)[0]
+        p, n = prime_power(m)
         classes = g.subgroup_classes()
         r = len(classes)
         W = standard_rep(g, "W")
@@ -610,7 +611,7 @@ def test_bott_fixed_matches_two_half_check():
                     )
                 else:
                     X = VirtualGSet(g, [rng.randint(-2, 2) for _ in range(r)])
-                fixed = _fixed_mod_X(report.valuation, X)
+                fixed = _fixed_mod_X(report.valuation, X, p, n)
                 assert fixed == two_half_fixed_mod_X(diff, X), (m, c, X.coeffs)
                 assert verify_bott_fixed_mod_X(c * W, X, ell) == fixed, (m, c, X.coeffs)
                 outcomes.add(fixed)
@@ -687,7 +688,7 @@ def test_bott_fixed_matches_closed_form():
                 vs = [rng.randint(0, 2 * n)]
             for v in vs:
                 start = time.perf_counter()
-                fixed = _fixed_mod_X(v, X)
+                fixed = _fixed_mod_X(v, X, p, n)
                 took = time.perf_counter() - start
                 assert took < 5.0, f"step 2 over C{m} ({kind}) took {took:.2f} s"
                 for u in (1, -1, q, -q * q):
@@ -734,7 +735,7 @@ def test_step_2_eliminates_over_deg_f(monkeypatch):
                                  (4 * orbit(g, "C16"), (16, 16), 32, 16)):
         start = time.perf_counter()
         v = pvaluation(3**10 - 1, 2)
-        assert _fixed_mod_X(v, X) == closed_form_fixed(3**10 - 1, X)
+        assert _fixed_mod_X(v, X, 2, 9) == closed_form_fixed(3**10 - 1, X)
         assert time.perf_counter() - start < 5.0
         assert delta == pvaluation(_torsion_order(X), 2)
         assert cap == max(pvaluation(c, 2) for c in marks(X) if c) + 9
@@ -756,7 +757,8 @@ def test_marks_only_order_matches_the_split():
     h(1) = den * phi_0 / p^(n - |S+|), S+ = {i >= 1 : phi_i != 0}, so the
     test is v_p(phi_0) = n - |S+|. Over every C_{p^n} <= 256, on integer,
     p-local, zero-cardinality and full-support X, h(1) is read off the
-    split that `_ideal_split` builds (h is column 0 of A), and p | h(1) is
+    split that `_ideal_split` builds (h is column 0 of A), w off the split
+    built in full (`_split_oracle`), and p | h(1) is
     held against v_p(|det A|) from `_torsion_order`, and against det A
     itself at deg F <= 32."""
     rng = random.Random(41)
@@ -769,7 +771,7 @@ def test_marks_only_order_matches_the_split():
         for kind in kinds:
             X = _step2_gset(rng, g, kind)
             phi = marks(X)
-            w, F, Gc, A = _ideal_split(X, phi)
+            F, A = _ideal_split(X, phi)
             if A is None:
                 continue
             h1 = sum(A.column(0))
@@ -780,6 +782,7 @@ def test_marks_only_order_matches_the_split():
             if phi[0]:
                 splus = sum(1 for c in phi[1:] if c)
                 den = lcm(*[Fraction(c).denominator for c in X.coeffs])
+                w = _split_oracle(X, phi)[0]
                 assert sum(w) == den * phi[0] == h1 * p ** (n - splus), (m, X.coeffs)
                 assert unit == (pvaluation(phi[0], p) == n - splus), (m, X.coeffs)
             seen.add((kind, unit))
@@ -815,7 +818,7 @@ def test_step_2_modulus_kills_the_cokernel(monkeypatch):
             if local:
                 vec = [Fraction(c, 3 if p == 2 else 2) for c in vec]
             X = VirtualGSet(g, vec, p if local else None)
-            _fixed_mod_X(0, X)
+            _fixed_mod_X(0, X, p, n)
             if not calls:
                 continue
             mat, _, modulus = calls.pop()

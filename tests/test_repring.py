@@ -16,6 +16,7 @@ from vone.exactmath import (
     factorize,
     is_prime,
     kernel_basis,
+    poly_div_exact,
     poly_mul,
     prime_power,
     pvaluation,
@@ -1020,14 +1021,44 @@ def test_quotient_generator_orders():
         assert solve_int_columns(M, IntMatrix.from_columns([list(gen)])) is None
 
 
+def _split_oracle(X, phi):
+    """The split built in full, as `_ideal_split` once built it: w = den *
+    linearize(X) over all N lines, F and G' = (x^N - 1)/F the products of
+    the Phi_{p^i} at the nonzero and at the zero marks, h = w / G' by
+    exact division, and A with the columns x^j h mod F, j < deg F, or None
+    at deg F = 0. Returns (w, F, G', A)."""
+    den = lcm(*[Fraction(c).denominator for c in X.coeffs])
+    w = [int(c * den) for c in linearize(X).coeffs]
+    F, Gc = [1], [1]
+    for cls, c in zip(X.group.subgroup_classes(), phi):
+        if c:
+            F = poly_mul(F, cyclotomic_poly(cls.order))
+        else:
+            Gc = poly_mul(Gc, cyclotomic_poly(cls.order))
+    h = poly_div_exact(w, Gc)
+    cols = []
+    for _ in range(len(F) - 1):
+        cols.append(h)
+        top = h[-1]
+        h = [0, *h[:-1]]
+        if top:
+            h = [c - top * f for c, f in zip(h, F)]
+    return w, F, Gc, (IntMatrix.from_columns(cols) if cols else None)
+
+
 def _check_split(X, phi, split):
-    """`_ideal_split(X, phi)` against the test-side circulant of w, given
-    the marks phi of X: F G' = x^N - 1 with F the product of the
-    Phi_{p^i} at the nonzero marks, w the circulant's column 0 (so the
-    scale of w is the circulant's), and G' times column j of A the
-    circulant's column j, x^j w mod (x^N - 1), for each j < deg F; and for
-    deg F <= 32, |det A| the resultant order of `_torsion_order`."""
-    w, F, Gc, A = split
+    """`_ideal_split(X, phi)`, given the marks phi of X, against the split
+    built in full (`_split_oracle`), whose w and G' are read here, and
+    against the test-side circulant of w: F G' = x^N - 1 with F the
+    product of the Phi_{p^i} at the nonzero marks, w the circulant's
+    column 0 (so the scale of w is the circulant's), and G' times column j
+    of A the circulant's column j, x^j w mod (x^N - 1), for each
+    j < deg F; and for deg F <= 32, |det A| the resultant order of
+    `_torsion_order`."""
+    F, A = split
+    w, oracle_F, Gc, oracle_A = _split_oracle(X, phi)
+    assert F == oracle_F, X.coeffs
+    assert _entries(A) == _entries(oracle_A), X.coeffs
     g = X.group
     m = g.order
     assert phi == marks(X)
@@ -1049,6 +1080,45 @@ def _check_split(X, phi, split):
         assert tuple(lifted + [0] * (m - len(lifted))) == M.column(j), (m, X.coeffs, j)
     if k <= 32:
         assert abs(det(A)) == _torsion_order(_integral(X)), (m, X.coeffs)
+
+
+def test_split_from_the_top_of_w_matches_the_full_construction():
+    """`_ideal_split` reads h off the top deg F coefficients of w, with no
+    division by G'. Its (F, A) equals the split built in full
+    (`_split_oracle`) over every C_{p^n} <= 256: on seeded integer and
+    p-local X, on full-support X (F = x^N - 1, where all of w is read) and
+    on a single orbit c [G/H] for every H, whose marks are nonzero exactly
+    at the subgroups of H (F = x^|H| - 1)."""
+    rng = random.Random(67)
+    orders = [m for m in range(2, 257) if prime_power(m) is not None]
+    full = set()
+    for m in orders:
+        g = G(f"C{m}")
+        p = prime_power(m)[0]
+        r = len(g.subgroup_classes())
+        q = 3 if p == 2 else 2
+        gsets = [
+            VirtualGSet(g, [rng.choice((0, rng.randint(-50, 50))) for _ in range(r)]),
+            VirtualGSet(g, [Fraction(rng.randint(-50, 50), rng.choice((1, q, q * q)))
+                            for _ in range(r)], p),
+            VirtualGSet(g, [rng.randint(1, 50) for _ in range(r)]),
+        ]
+        for i in range(r):
+            vec = [0] * r
+            vec[i] = rng.choice((-3, 1, 2, p))
+            gsets.append(VirtualGSet(g, vec))
+        for X in gsets:
+            phi = marks(X)
+            F, A = repring._ideal_split(X, phi)
+            _, oracle_F, _, oracle_A = _split_oracle(X, phi)
+            assert F == oracle_F, (m, X.coeffs)
+            assert _entries(A) == _entries(oracle_A), (m, X.coeffs)
+            full.add(len(F) - 1 == m)
+    assert len(orders) == 70 and full == {True, False}
+
+
+def _entries(A):
+    return None if A is None else A.entries
 
 
 def _integral(X):
@@ -1103,7 +1173,7 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             _check_split(Z, given, out)
         if handed:  # step 2 stops at phi_0 = 0 and at a unit h(1), the RU quotient at deg F = 0
             mat, args = handed.pop()
-            assert mat is out[3], Z.coeffs
+            assert mat is out[1], Z.coeffs
             if in_step_2:
                 vec, _, modulus = args
                 assert all(type(c) is int for c in vec), Z.coeffs
@@ -1127,7 +1197,7 @@ def test_one_split_serves_step_2_and_the_ru_quotient(monkeypatch):
             den = rng.choice([d for d in (1, 2, 3, 5, 7, 9) if d % p])
             Y = VirtualGSet(g, [Fraction(rng.randint(-4, 4), den) for _ in range(r)], p)
             for Z in (X, Y, p * X):  # p * X: every mark divisible by p
-                jtheory._fixed_mod_X(rng.randint(0, 6), Z)
+                jtheory._fixed_mod_X(rng.randint(0, 6), Z, *prime_power(m))
                 check_last_call(Z, True)
             annihilator_and_quotient(X, side="RU")
             check_last_call(X, False)
